@@ -61,126 +61,6 @@ impl CallGraph {
         out
     }
 
-    /// Condenses the graph into strongly-connected components, returned
-    /// callees-first: every call out of a component lands in a strictly
-    /// earlier one. SJava prohibits recursion, so on a graph [`build`]
-    /// accepted every component is a singleton — but condensation is the
-    /// correct general unit for shard cutting (a hypothetical cycle must
-    /// never be split across processes), so the cut is defined over
-    /// components, not methods. Iterative Tarjan, deterministic: roots
-    /// are taken in `topo` order and members sorted within a component.
-    pub fn condense(&self) -> Vec<Vec<MethodRef>> {
-        struct NodeState {
-            index: usize,
-            lowlink: usize,
-            on_stack: bool,
-        }
-        // Presence in `states` means "visited".
-        let mut states: BTreeMap<&MethodRef, NodeState> = BTreeMap::new();
-        let mut stack: Vec<&MethodRef> = Vec::new();
-        let mut next_index = 0usize;
-        let mut sccs: Vec<Vec<MethodRef>> = Vec::new();
-        let empty = BTreeSet::new();
-
-        for root in &self.topo {
-            if states.contains_key(root) {
-                continue;
-            }
-            // Explicit DFS frames: (node, next-callee cursor).
-            let mut frames: Vec<(&MethodRef, usize)> = Vec::new();
-            states.insert(
-                root,
-                NodeState {
-                    index: next_index,
-                    lowlink: next_index,
-                    on_stack: true,
-                },
-            );
-            next_index += 1;
-            stack.push(root);
-            frames.push((root, 0));
-            while let Some(&(v, ci)) = frames.last() {
-                let callees = self.calls.get(v).unwrap_or(&empty);
-                if let Some(w) = callees.iter().nth(ci) {
-                    frames.last_mut().expect("frame exists").1 = ci + 1;
-                    match states.get(w) {
-                        None => {
-                            states.insert(
-                                w,
-                                NodeState {
-                                    index: next_index,
-                                    lowlink: next_index,
-                                    on_stack: true,
-                                },
-                            );
-                            next_index += 1;
-                            stack.push(w);
-                            frames.push((w, 0));
-                        }
-                        Some(ws) if ws.on_stack => {
-                            let wi = ws.index;
-                            let vs = states.get_mut(v).expect("visited");
-                            vs.lowlink = vs.lowlink.min(wi);
-                        }
-                        Some(_) => {}
-                    }
-                } else {
-                    frames.pop();
-                    let (v_low, v_index) = {
-                        let s = &states[v];
-                        (s.lowlink, s.index)
-                    };
-                    if let Some(&(p, _)) = frames.last() {
-                        let ps = states.get_mut(p).expect("visited");
-                        ps.lowlink = ps.lowlink.min(v_low);
-                    }
-                    if v_low == v_index {
-                        let mut comp: Vec<MethodRef> = Vec::new();
-                        while let Some(w) = stack.pop() {
-                            states.get_mut(w).expect("visited").on_stack = false;
-                            comp.push(w.clone());
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp.sort();
-                        sccs.push(comp);
-                    }
-                }
-            }
-        }
-        sccs
-    }
-
-    /// Cuts the condensation into `n` balanced shards by longest-
-    /// processing-time greedy assignment: components are taken heaviest
-    /// first (ties broken by their smallest member, so the plan is
-    /// deterministic) and placed on the currently-lightest shard (ties
-    /// broken by shard index). Every reachable method lands in exactly
-    /// one shard; shards may be empty when `n` exceeds the component
-    /// count. The driver and every `--shard=i/N` worker recompute this
-    /// plan from the same program, so they agree without communicating.
-    pub fn cut_shards<F>(&self, n: usize, cost: F) -> Vec<BTreeSet<MethodRef>>
-    where
-        F: Fn(&MethodRef) -> u64,
-    {
-        let n = n.max(1);
-        let mut units: Vec<(u64, Vec<MethodRef>)> = self
-            .condense()
-            .into_iter()
-            .map(|comp| (comp.iter().map(|m| cost(m).max(1)).sum(), comp))
-            .collect();
-        units.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1[0].cmp(&b.1[0])));
-        let mut shards: Vec<BTreeSet<MethodRef>> = vec![BTreeSet::new(); n];
-        let mut loads = vec![0u64; n];
-        for (w, comp) in units {
-            let lightest = (0..n).min_by_key(|&i| (loads[i], i)).unwrap_or(0);
-            loads[lightest] += w;
-            shards[lightest].extend(comp);
-        }
-        shards
-    }
-
     /// The upward closure of a locally-dirty method set: every method
     /// that is dirty itself or (transitively) calls a dirty method. An
     /// incremental re-check only needs to re-analyze this cone; results
@@ -541,83 +421,6 @@ mod tests {
         assert_eq!(wave_of("main"), 2);
         // Every reachable method appears exactly once.
         assert_eq!(levels.iter().map(Vec::len).sum::<usize>(), cg.topo.len());
-    }
-
-    #[test]
-    fn condense_yields_singletons_callees_first() {
-        let p = parse(
-            "class A {
-                void main() { SSJAVA: while (true) { step(); other(); } }
-                void step() { helper(); }
-                void other() { }
-                void helper() { }
-             }",
-        )
-        .expect("parses");
-        let mut d = Diagnostics::new();
-        let cg = build(&p, &mut d).expect("cg");
-        let sccs = cg.condense();
-        // Recursion is prohibited, so every component is a singleton and
-        // every reachable method appears exactly once.
-        assert!(sccs.iter().all(|c| c.len() == 1));
-        assert_eq!(sccs.len(), cg.topo.len());
-        let pos = |n: &str| {
-            sccs.iter()
-                .position(|c| c.iter().any(|(_, m)| m == n))
-                .expect("present")
-        };
-        // Callees-first: a component's calls land strictly earlier.
-        assert!(pos("helper") < pos("step"));
-        assert!(pos("step") < pos("main"));
-    }
-
-    #[test]
-    fn cut_shards_partitions_and_balances() {
-        let p = parse(
-            "class A {
-                void main() { SSJAVA: while (true) { a(); b(); c(); d(); } }
-                void a() { } void b() { } void c() { } void d() { }
-             }",
-        )
-        .expect("parses");
-        let mut d = Diagnostics::new();
-        let cg = build(&p, &mut d).expect("cg");
-        for n in [1usize, 2, 4, 7] {
-            let shards = cg.cut_shards(n, |_| 1);
-            assert_eq!(shards.len(), n);
-            // Exact partition of the reachable set.
-            let mut all: Vec<MethodRef> = shards.iter().flatten().cloned().collect();
-            all.sort();
-            let mut topo = cg.topo.clone();
-            topo.sort();
-            assert_eq!(all, topo);
-            // Balanced under unit costs: loads differ by at most one.
-            let loads: Vec<usize> = shards.iter().map(BTreeSet::len).collect();
-            let (lo, hi) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
-            assert!(hi - lo <= 1, "unbalanced shards: {loads:?}");
-        }
-        // Deterministic: the same inputs replan identically.
-        assert_eq!(cg.cut_shards(3, |_| 1), cg.cut_shards(3, |_| 1));
-    }
-
-    #[test]
-    fn cut_shards_respects_costs() {
-        let p = parse(
-            "class A {
-                void main() { SSJAVA: while (true) { a(); b(); c(); } }
-                void a() { } void b() { } void c() { }
-             }",
-        )
-        .expect("parses");
-        let mut d = Diagnostics::new();
-        let cg = build(&p, &mut d).expect("cg");
-        // `main` is overwhelmingly heavy: it must sit alone in a shard.
-        let shards = cg.cut_shards(2, |(_, m)| if m == "main" { 1000 } else { 1 });
-        let main_shard = shards
-            .iter()
-            .find(|s| s.iter().any(|(_, m)| m == "main"))
-            .expect("main placed");
-        assert_eq!(main_shard.len(), 1);
     }
 
     #[test]

@@ -1,28 +1,28 @@
-//! Explicit per-shard checker inputs: interface summaries + owned bodies.
+//! Explicit per-method checker inputs: interface summaries + bodies.
 //!
 //! The paper's per-method judgments (§4) depend only on the method's own
 //! body plus *declared* facts about everything it references — class
 //! lattices, field `@LOC`s, method signatures with their `@LOC` /
 //! `@DELTA` / `@DELEGATE` annotations, and callee effect summaries. This
-//! module makes that dependency explicit: a [`ShardInput`] hands the
-//! per-method checkers a program *view* in which only the methods the
-//! shard owns still carry bodies, everything else having been reduced to
-//! its [`InterfaceSummary`]. Checking a method against a `ShardInput`
-//! instead of a whole `Program` is what lets `sjava check --shards=N`
-//! fan shards out to separate processes while staying byte-identical to
-//! the unsharded run.
+//! module makes that dependency explicit: the per-method checkers take a
+//! [`ShardInput`] program view rather than a bare `Program`, and every
+//! interface fact they consult about another class goes through its
+//! content-addressed [`InterfaceSummary`] hash. That contract — a
+//! per-method check reads no foreign method body — is what lets
+//! `sjava-cache` key a method's cached result on its own body and its
+//! callees' summary hashes alone; `crates/bench/tests/body_isolation.rs`
+//! checks it on the paper apps and the adversarial stress corpus.
 //!
 //! Every interface summary is content-addressed: [`class_interface_hash`]
 //! digests the body-stripped declaration (FNV-64, stable across processes
-//! and platforms), so two shard workers — or two CI runs — agree on
-//! whether they checked against the same interface without shipping the
-//! declaration itself.
+//! and platforms), so two sessions sharing an artifact store — or two CI
+//! runs — agree on whether they checked against the same interface
+//! without shipping the declaration itself.
 
-use crate::callgraph::MethodRef;
 use sjava_lattice::{hash_debug, Fnv64};
 use sjava_syntax::ast::{Block, ClassDecl, Program};
 use sjava_syntax::span::Span;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 fn span_bits(s: Span) -> u64 {
@@ -34,7 +34,7 @@ fn span_bits(s: Span) -> u64 {
 /// (annotations, modifiers, type, initializer), and every method's
 /// signature (annotations, staticness, return type, parameters, span).
 /// Method bodies are excluded — by construction, this is exactly the
-/// information a foreign shard may depend on. Spans are included because
+/// information a per-method check of another class may depend on. Spans are included because
 /// diagnostics embed them: an interface whose text moved must re-key.
 pub fn class_interface_hash(class: &ClassDecl) -> u64 {
     let mut h = Fnv64::new();
@@ -64,8 +64,8 @@ pub fn class_interface_hash(class: &ClassDecl) -> u64 {
     h.finish()
 }
 
-/// A content-addressed, body-stripped class declaration: what one shard
-/// publishes about a class so other shards can check calls into it.
+/// A content-addressed, body-stripped class declaration: everything a
+/// per-method check of some other class may learn about this one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InterfaceSummary {
     /// The declaration with every method body emptied (spans retained).
@@ -92,61 +92,32 @@ pub fn interface_of(class: &ClassDecl) -> InterfaceSummary {
     }
 }
 
-/// The explicit input one shard checks its methods against: a program
-/// view whose non-owned method bodies have been stripped, the set of
-/// methods the shard owns, and the content hashes of every class
-/// interface the view exposes.
+/// The explicit input the per-method checkers run against: a program
+/// view plus the content hashes of every class interface it exposes.
 ///
 /// Per-method check paths (`check_method_flows`, `check_method_aliasing`,
 /// `summarize`, `method_shared_summary`, `termination::check_method`)
-/// take `&ShardInput` instead of `&Program` — the whole-program pipeline
-/// simply wraps its program with [`ShardInput::whole`], while a shard
-/// worker builds a reduced view with [`reduce`] first.
+/// take `&ShardInput` instead of `&Program`; the pipeline wraps its
+/// program with [`ShardInput::whole`].
 #[derive(Debug)]
 pub struct ShardInput<'p> {
     program: &'p Program,
-    /// `None` means the whole program is owned (the unsharded pipeline).
-    owned: Option<BTreeSet<MethodRef>>,
     /// Lazily-computed per-class interface hashes of the view.
     hashes: OnceLock<BTreeMap<String, u64>>,
 }
 
 impl<'p> ShardInput<'p> {
-    /// A shard that owns every method: the unsharded pipeline's input.
+    /// The input view over a whole program.
     pub fn whole(program: &'p Program) -> Self {
         ShardInput {
             program,
-            owned: None,
             hashes: OnceLock::new(),
         }
     }
 
-    /// A shard owning exactly `owned`, checked against `view` — normally
-    /// the output of [`reduce`] for that owned set.
-    pub fn new(view: &'p Program, owned: BTreeSet<MethodRef>) -> Self {
-        ShardInput {
-            program: view,
-            owned: Some(owned),
-            hashes: OnceLock::new(),
-        }
-    }
-
-    /// The program view: owned bodies present, foreign bodies stripped.
+    /// The program view.
     pub fn program(&self) -> &'p Program {
         self.program
-    }
-
-    /// Whether this shard owns (and must check) `m`.
-    pub fn owns(&self, m: &MethodRef) -> bool {
-        match &self.owned {
-            None => true,
-            Some(set) => set.contains(m),
-        }
-    }
-
-    /// The owned method set, or `None` when the shard owns everything.
-    pub fn owned(&self) -> Option<&BTreeSet<MethodRef>> {
-        self.owned.as_ref()
     }
 
     /// Content-addressed interface summary hashes per class name,
@@ -169,40 +140,6 @@ impl<'p> ShardInput<'p> {
         sjava_syntax::track::record_iface(class);
         self.summary_hashes().get(class).copied()
     }
-}
-
-/// Builds the reduced program view for a shard: every class declaration
-/// is kept (so name and type resolution behave identically), but method
-/// bodies are retained only for declarations some owned reference
-/// resolves to; all other bodies become empty blocks. Field initializers
-/// and all annotations stay — they are interface facts.
-pub fn reduce(program: &Program, owned: &BTreeSet<MethodRef>) -> Program {
-    // A reference (A, m) may resolve to a declaration inherited from a
-    // superclass B, so the keep-set is over *declaring* (class, method)
-    // pairs, not over the references themselves.
-    let mut keep: BTreeSet<(String, String)> = BTreeSet::new();
-    for mref in owned {
-        if let Some((decl_class, method)) = program.resolve_method(&mref.0, &mref.1) {
-            keep.insert((decl_class.name.clone(), method.name.clone()));
-        }
-    }
-    let classes = program
-        .classes
-        .iter()
-        .map(|c| {
-            let mut class = c.clone();
-            for m in &mut class.methods {
-                if !keep.contains(&(c.name.clone(), m.name.clone())) {
-                    m.body = Block {
-                        stmts: Vec::new(),
-                        span: m.body.span,
-                    };
-                }
-            }
-            class
-        })
-        .collect();
-    Program::new(classes)
 }
 
 #[cfg(test)]
@@ -245,52 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn reduce_keeps_owned_bodies_only() {
-        let p = parse(SRC).expect("parses");
-        let owned: BTreeSet<MethodRef> = [("A".to_string(), "step".to_string())].into();
-        let view = reduce(&p, &owned);
-        let body_len = |prog: &Program, name: &str| {
-            prog.classes[0]
-                .methods
-                .iter()
-                .find(|m| m.name == name)
-                .expect("present")
-                .body
-                .stmts
-                .len()
-        };
-        assert!(body_len(&view, "step") > 0);
-        assert_eq!(body_len(&view, "main"), 0);
-        assert_eq!(body_len(&view, "helper"), 0);
-        // Signatures and class set are untouched.
-        assert_eq!(view.classes.len(), p.classes.len());
-        assert_eq!(
-            class_interface_hash(&view.classes[0]),
-            class_interface_hash(&p.classes[0]),
-        );
-    }
-
-    #[test]
-    fn reduce_keeps_inherited_decl_of_owned_reference() {
-        let p = parse(
-            "class A { void main() { SSJAVA: while (true) { go(); } } }
-             class B { void go() { int x = 1; } }
-             class C extends B { }",
-        )
-        .expect("parses");
-        // The reference (C, go) resolves to B's declaration; owning it
-        // must keep B.go's body.
-        let owned: BTreeSet<MethodRef> = [("C".to_string(), "go".to_string())].into();
-        let view = reduce(&p, &owned);
-        let b = view.classes.iter().find(|c| c.name == "B").expect("B");
-        assert!(!b.methods[0].body.stmts.is_empty());
-    }
-
-    #[test]
-    fn whole_shard_owns_everything() {
+    fn whole_view_exposes_every_summary_hash() {
         let p = parse(SRC).expect("parses");
         let shard = ShardInput::whole(&p);
-        assert!(shard.owns(&("A".to_string(), "anything".to_string())));
         assert_eq!(
             shard.summary_hash("A"),
             Some(class_interface_hash(&p.classes[0])),

@@ -14,18 +14,14 @@ use sjava_syntax::diag::{Diag, Diagnostics};
 use sjava_syntax::span::Span;
 use std::collections::BTreeSet;
 
-/// Checks termination of every inner loop reachable from the event loop
-/// that the shard owns (the unsharded pipeline passes
-/// [`ShardInput::whole`]). Returns the number of loops that failed (also
-/// reported into `diags`).
+/// Checks termination of every inner loop reachable from the event loop.
+/// Returns the number of loops that failed (also reported into `diags`).
 pub fn check(shard: &ShardInput<'_>, cg: &CallGraph, diags: &mut Diagnostics) -> usize {
     let mut failures = 0;
     for mref in &cg.topo {
-        if shard.owns(mref) {
-            let (n, d) = check_method(shard, mref);
-            failures += n;
-            diags.extend(d);
-        }
+        let (n, d) = check_method(shard, mref);
+        failures += n;
+        diags.extend(d);
     }
     failures
 }

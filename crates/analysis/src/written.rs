@@ -61,10 +61,10 @@ impl EvictionResult {
 /// Runs the eviction analysis over all methods reachable from the event
 /// loop and checks the loop body; failures are also reported into `diags`.
 pub fn analyze(program: &Program, cg: &CallGraph, diags: &mut Diagnostics) -> EvictionResult {
-    // Summaries are *inputs* to every other per-method judgment, so they
-    // are always computed for the whole program — a shard worker runs
-    // this pass over the full source too (deterministically recomputing
-    // what a distributed build would fetch from the artifact store).
+    // Summaries are *inputs* to every other per-method judgment: a
+    // caller's check reads its callees' summaries by value, never their
+    // bodies, which is what lets the incremental layer key a method on
+    // its callees' summary hashes.
     let shard = ShardInput::whole(program);
     let mut summaries: BTreeMap<MethodRef, MethodSummary> = BTreeMap::new();
     // Bottom-up over the acyclic call graph, one reverse-topo wave at a

@@ -11,7 +11,7 @@
 //!   the direct callers. Under the retired whole-interface cutoff this
 //!   invalidated *every* cached method; the `--gate` run enforces the
 //!   new ceiling (≤ 25% of methods re-checked) at `SJAVA_THREADS` 1 and
-//!   4 and at 1 and 4 shards.
+//!   4 and through a fresh session over a primed artifact store.
 //! - **Unused field** — a never-referenced field appears
 //!   ([`add_unused_field`]); no method recorded a fact about it, so the
 //!   re-check replays everything (zero methods re-checked).
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use sjava_bench::stressgen::{self, StressConfig};
 use sjava_bench::{env_usize, write_result};
 use sjava_cache::edit::{add_unused_field, mutate_first_literal, shift_method_span};
-use sjava_cache::{shard, IncrementalChecker};
+use sjava_cache::IncrementalChecker;
 use sjava_core::CacheStats;
 use sjava_syntax::ast::Program;
 
@@ -144,9 +144,10 @@ fn run_of(label: String, stats: CacheStats, warm_ms: f64) -> EditRun {
 }
 
 /// The gated leg: one `shift_method_span` interface edit on the large
-/// stress corpus, re-checked through a warmed unsharded session at
-/// `SJAVA_THREADS` 1 and 4, and through warm store-backed shard workers
-/// at 1 and 4 shards. Returns one row per configuration.
+/// stress corpus, re-checked through a warmed in-memory session at
+/// `SJAVA_THREADS` 1 and 4, and through a fresh session over an artifact
+/// store primed from the pristine program. Returns one row per
+/// configuration.
 fn interface_edit_runs(source: &str, expected: &str, edited: &Program) -> Vec<EditRun> {
     let pristine = sjava_syntax::parse(source).expect("corpus parses");
     let mut runs = Vec::new();
@@ -168,36 +169,40 @@ fn interface_edit_runs(source: &str, expected: &str, edited: &Program) -> Vec<Ed
     }
     std::env::remove_var(sjava_par::THREADS_ENV);
 
-    // Sharded: prime an on-disk store from the pristine program, then
-    // run the edit re-check through fresh per-shard worker sessions —
-    // the published entry/deps pairs are the only warmth, exactly as
-    // across processes. Each shard count gets its own store so one
-    // configuration's re-checks cannot pre-warm the next.
-    for shards in [1usize, 4] {
-        let dir =
-            std::env::temp_dir().join(format!("sjava-bench-edit-{}-s{shards}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let mut primer = IncrementalChecker::with_dir(&dir);
-            primer.set_persist_min(0);
-            primer.check(&pristine);
-        }
-        let t = Instant::now();
-        let report = shard::check_sharded(edited, shards, |i, n| {
-            let mut worker = IncrementalChecker::with_dir(&dir);
-            worker.set_persist_min(0);
-            Some(shard::check_shard(&mut worker, edited, i, n))
-        });
-        let warm = ms(t.elapsed());
-        assert_eq!(
-            format!("{}", report.diagnostics),
-            expected,
-            "interface edit at {shards} shards diverged from the full checker"
-        );
-        let stats = report.cache.expect("sharded report carries stats");
-        runs.push(run_of(format!("shards={shards}"), stats, warm));
-        let _ = std::fs::remove_dir_all(&dir);
+    // Store-backed: prime an on-disk store from the pristine program,
+    // then re-check the edit through a fresh session over it — the
+    // published entry/deps pairs are the only warmth, exactly as in a
+    // new `sjava check` process. Revalidation must red and replay the
+    // same methods as the warm in-memory session.
+    let dir = std::env::temp_dir().join(format!("sjava-bench-edit-{}-store", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let mut primer = IncrementalChecker::with_dir(&dir);
+        primer.set_persist_min(0);
+        primer.check(&pristine);
     }
+    let mut session = IncrementalChecker::with_dir(&dir);
+    let t = Instant::now();
+    let report = session.check(edited);
+    let warm = ms(t.elapsed());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        format!("{}", report.diagnostics),
+        expected,
+        "interface edit through the store diverged from the full checker"
+    );
+    let store = run_of(
+        "store".to_string(),
+        report.cache.expect("incremental report carries stats"),
+        warm,
+    );
+    let memory = &runs[0];
+    assert_eq!(
+        (store.green, store.red, store.rechecked),
+        (memory.green, memory.red, memory.rechecked),
+        "store-backed revalidation disagrees with the in-memory session"
+    );
+    runs.push(store);
     runs
 }
 

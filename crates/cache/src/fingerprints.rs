@@ -38,10 +38,11 @@ use std::collections::{BTreeMap, HashMap};
 
 /// Digest of every class interface in declaration order, folded from the
 /// per-class [`sjava_analysis::shard::class_interface_hash`] summaries —
-/// the same content addresses shard workers publish, so "the interface
-/// summaries agree" and "the cache key matches" are one judgment. Keys
-/// the cached lattice model, and seeds every per-method fingerprint so
-/// interface changes invalidate all method entries.
+/// the same content addresses the per-method checkers read, so "the
+/// interface summaries agree" and "the cache key matches" are one
+/// judgment. Keys the cached lattice model and the cached per-method
+/// callee sets, and seeds the coarse per-method fingerprints of
+/// [`method_fps`].
 pub fn iface_hash(program: &Program) -> u64 {
     let mut h = Fnv64::new();
     h.write_usize(program.classes.len());

@@ -38,12 +38,14 @@
 //! Setting `SJAVA_CACHE_DIR` (see [`CACHE_DIR_ENV`]) backs the session
 //! with the concurrent content-addressed [`store::ArtifactStore`]:
 //! per-method results publish as individual objects with atomic renames,
-//! so any number of processes — shard workers, parallel CI jobs — can
-//! share one store directory. Corrupt or foreign-format objects (and
-//! old monolithic `cache.bin` files from format v3 and earlier) degrade
-//! to cache misses, never to an error or a stale result. An unwritable
-//! cache directory or a malformed environment value warns once on stderr
-//! and degrades to an uncached session.
+//! so any number of processes — successive `sjava check` runs, parallel
+//! CI jobs — can share one store directory, and a fresh process starts
+//! warm from whatever an earlier one published. Corrupt or
+//! foreign-format objects (and old monolithic `cache.bin` files from
+//! format v3 and earlier) degrade to cache misses, never to an error or
+//! a stale result. An unwritable cache directory or a malformed
+//! environment value warns once on stderr and degrades to an uncached
+//! session.
 //!
 //! ```
 //! let program = sjava_syntax::parse(
@@ -61,7 +63,6 @@
 mod deps;
 pub mod edit;
 pub mod fingerprints;
-pub mod shard;
 pub mod store;
 
 use sjava_analysis::callgraph::{self, MethodRef};
@@ -205,8 +206,10 @@ struct LatticeEntry {
 /// A store-backed session ([`IncrementalChecker::with_dir`] /
 /// [`IncrementalChecker::from_env`]) additionally probes the shared
 /// artifact store for every fingerprint it has not seen in memory, so
-/// warm hits flow across processes — shard workers and CI jobs sharing
-/// one `SJAVA_CACHE_DIR` replay each other's results.
+/// warm hits flow across processes — `sjava check` runs and CI jobs
+/// sharing one `SJAVA_CACHE_DIR` replay each other's results. A store
+/// entry is trusted exactly like an in-memory one: green only while its
+/// recorded read-set revalidates, red (and re-checked) otherwise.
 pub struct IncrementalChecker {
     entries: HashMap<u64, MethodEntry>,
     /// The recorded read-set of each entry, as `(fact, fingerprint)`
@@ -373,31 +376,8 @@ impl IncrementalChecker {
     /// Diagnostics are byte-identical to [`sjava_core::check_program`] on
     /// the same program.
     pub fn check(&mut self, program: &Program) -> CheckReport {
-        self.check_inner(program, None)
-    }
-
-    /// The full incremental pipeline, optionally restricted to a shard.
-    ///
-    /// With `owned: None` this is [`IncrementalChecker::check`]. With
-    /// `owned: Some(set)` the session acts as a **shard worker**: the
-    /// global phases (lattice construction, call-graph assembly, eviction
-    /// summaries, fingerprint keys) still run whole-program — they are
-    /// *inputs* — but their diagnostics are discarded (the merging driver
-    /// emits them exactly once), the global event-loop checks are skipped
-    /// entirely, and the per-method passes run against a *reduced*
-    /// [`ShardInput`] view in which only owned bodies survive. The
-    /// returned report carries only the owned methods' flow, aliasing,
-    /// and termination diagnostics, and cache stats counted over the
-    /// owned set.
-    pub(crate) fn check_inner(
-        &mut self,
-        program: &Program,
-        owned: Option<&BTreeSet<MethodRef>>,
-    ) -> CheckReport {
-        let sharded = owned.is_some();
-        let mut diags = Diagnostics::new();
-        // Global-phase diagnostics: merged into the report in driver
-        // mode, dropped in shard mode (the driver emits them).
+        // Global-phase diagnostics (lattice, call graph, eviction loop),
+        // merged after the per-method ones.
         let mut global = Diagnostics::new();
         let mut stats = CacheStats::default();
         let mut timings = PhaseTimings {
@@ -459,12 +439,9 @@ impl IncrementalChecker {
         });
         timings.callgraph = t.elapsed();
         let Some(cg) = cg else {
-            if !sharded {
-                diags.extend(global);
-            }
-            diags.sort_stable();
+            global.sort_stable();
             return CheckReport {
-                diagnostics: diags,
+                diagnostics: global,
                 lattices,
                 eviction: None,
                 termination_failures: 0,
@@ -473,16 +450,14 @@ impl IncrementalChecker {
             };
         };
 
-        // Entry keys and summaries, bottom-up by wave — always
-        // whole-program, even in shard mode: summaries are the interface
-        // inputs every shard checks against. A method's key folds its own
-        // body fingerprint and the *summary hashes* of its direct
-        // callees — the eviction and shared-location summary values, NOT
-        // the callee bodies. Interface facts are deliberately absent from
-        // the key: they live in the entry's recorded read-set, which is
-        // revalidated fact-by-fact (red-green) so an interface edit
-        // invalidates only the methods that actually read the changed
-        // fact. This is the early-cutoff property twice over: flow,
+        // Entry keys and summaries, bottom-up by wave. A method's key
+        // folds its own body fingerprint and the *summary hashes* of its
+        // direct callees — the eviction and shared-location summary
+        // values, NOT the callee bodies. Interface facts are deliberately
+        // absent from the key: they live in the entry's recorded
+        // read-set, which is revalidated fact-by-fact (red-green) so an
+        // interface edit invalidates only the methods that actually read
+        // the changed fact. This is the early-cutoff property twice over: flow,
         // aliasing, and termination diagnostics depend only on a method's
         // own body, the interface facts it reads, and its callees'
         // summaries by value.
@@ -580,47 +555,45 @@ impl IncrementalChecker {
                     let (summary, sh, deps) = fresh();
                     return (key, summary, sh, Outcome::Fresh { red: true, deps });
                 }
-                // Cross-process warm path: another session (a shard
-                // worker, an earlier CI job) may have published this
+                // Cross-process warm path: another session (an earlier
+                // `sjava check`, a parallel CI job) may have published this
                 // fingerprint; one lock-free store read replays it — but
                 // only with its paired read-set (entry checksums must
                 // match, so a torn entry/deps update can never combine)
-                // and only after that read-set verifies green.
+                // and only after that read-set verifies green. A paired
+                // read-set that went stale is red, exactly as an in-memory
+                // entry would be; an unpaired or unreadable one is a plain
+                // miss — the store is never trusted without its deps.
+                let mut red = false;
                 if let Some((e, efp)) = self.store.as_ref().and_then(|s| s.get_entry_with_fp(key)) {
                     if let Some((deps, rec_efp)) = self.store.as_ref().and_then(|s| s.get_deps(key))
                     {
-                        if rec_efp == efp && factdb.deps_green(&deps) {
-                            let sh = e
-                                .shared_present
-                                .then(|| (e.shared_clears.clone(), e.shared_reads.clone()));
-                            return (
-                                key,
-                                Some(e.summary.clone()),
-                                sh,
-                                Outcome::StoreGreen(Box::new(e), deps),
-                            );
+                        if rec_efp == efp {
+                            if factdb.deps_green(&deps) {
+                                let sh = e
+                                    .shared_present
+                                    .then(|| (e.shared_clears.clone(), e.shared_reads.clone()));
+                                return (
+                                    key,
+                                    Some(e.summary.clone()),
+                                    sh,
+                                    Outcome::StoreGreen(Box::new(e), deps),
+                                );
+                            }
+                            red = true;
                         }
                     }
-                    // Unverifiable or stale: fall through to a plain miss —
-                    // the store is never trusted without its deps.
                 }
                 let (summary, sh, deps) = fresh();
-                (key, summary, sh, Outcome::Fresh { red: false, deps })
+                (key, summary, sh, Outcome::Fresh { red, deps })
             });
             for (mref, (key, summary, sh, outcome)) in wave.iter().zip(results) {
-                let counted = owned.is_none_or(|o| o.contains(mref));
                 match outcome {
-                    Outcome::MemGreen => {
-                        if counted {
-                            stats.green += 1;
-                        }
-                    }
+                    Outcome::MemGreen => stats.green += 1,
                     Outcome::StoreGreen(e, deps) => {
                         self.entries.insert(key, *e);
                         self.dep_records.insert(key, deps);
-                        if counted {
-                            stats.green += 1;
-                        }
+                        stats.green += 1;
                     }
                     Outcome::Fresh { red, deps } => {
                         if red {
@@ -630,9 +603,7 @@ impl IncrementalChecker {
                             // with its new read-set.
                             self.entries.remove(&key);
                             self.dep_records.remove(&key);
-                            if counted {
-                                stats.red += 1;
-                            }
+                            stats.red += 1;
                         }
                         wave_deps.insert(mref.clone(), deps);
                     }
@@ -666,113 +637,22 @@ impl IncrementalChecker {
             .iter()
             .filter(|(m, key)| keys.get(*m).is_some_and(|now| now != *key))
             .count();
-        // The per-method passes cover only the owned cone in shard mode;
-        // hit/miss statistics count the same set.
-        let relevant: Vec<usize> = (0..cg.topo.len())
-            .filter(|&i| owned.is_none_or(|o| o.contains(&cg.topo[i])))
-            .collect();
-        let missing: Vec<usize> = relevant
-            .iter()
-            .copied()
+        let missing: Vec<usize> = (0..cg.topo.len())
             .filter(|&i| !self.entries.contains_key(&keys[&cg.topo[i]]))
             .collect();
         stats.misses = missing.len();
-        stats.hits = relevant.len() - missing.len();
+        stats.hits = cg.topo.len() - missing.len();
         self.last_rechecked = missing.iter().map(|&i| cg.topo[i].clone()).collect();
 
         // Eviction event-loop check: always recomputed (it reads every
-        // summary at once and is cheap relative to per-method analysis);
-        // driver-side only in sharded mode.
-        if !sharded {
-            let (stale_paths, stale_locals) = written::check_loop(program, &cg, &summaries);
-            written::report(&stale_paths, &stale_locals, &mut global);
-            timings.eviction = t.elapsed();
-            let eviction = EvictionResult {
-                summaries,
-                stale_paths,
-                stale_locals,
-            };
-            self.finish_check(
-                program,
-                owned,
-                diags,
-                global,
-                stats,
-                timings,
-                lattices,
-                cg,
-                eviction,
-                members,
-                keys,
-                shared_clears,
-                shared_reads,
-                missing,
-                relevant,
-                wave_deps,
-            )
-        } else {
-            timings.eviction = t.elapsed();
-            let eviction = EvictionResult {
-                summaries,
-                stale_paths: Vec::new(),
-                stale_locals: Vec::new(),
-            };
-            self.finish_check(
-                program,
-                owned,
-                diags,
-                global,
-                stats,
-                timings,
-                lattices,
-                cg,
-                eviction,
-                members,
-                keys,
-                shared_clears,
-                shared_reads,
-                missing,
-                relevant,
-                wave_deps,
-            )
-        }
-    }
-
-    /// Second half of [`IncrementalChecker::check_inner`]: the per-method
-    /// fan-outs, replay merges, cache admission, and store publication.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_check(
-        &mut self,
-        program: &Program,
-        owned: Option<&BTreeSet<MethodRef>>,
-        mut diags: Diagnostics,
-        global: Diagnostics,
-        stats: CacheStats,
-        mut timings: PhaseTimings,
-        lattices: Lattices,
-        cg: callgraph::CallGraph,
-        eviction: EvictionResult,
-        members: BTreeSet<SharedMember>,
-        keys: BTreeMap<MethodRef, u64>,
-        shared_clears: BTreeMap<MethodRef, BTreeSet<SharedMember>>,
-        shared_reads: BTreeMap<MethodRef, BTreeSet<SharedMember>>,
-        missing: Vec<usize>,
-        relevant: Vec<usize>,
-        mut wave_deps: BTreeMap<MethodRef, Vec<DepKey>>,
-    ) -> CheckReport {
-        let sharded = owned.is_some();
-        // The per-method passes run against the shard view: the whole
-        // program in driver mode, a reduced interface-summaries-plus-own-
-        // bodies view in shard mode. Reducing (rather than borrowing the
-        // full program) is what enforces the contract that per-method
-        // checking never reads a foreign body.
-        let reduced_view: Program;
-        let view = match owned {
-            None => ShardInput::whole(program),
-            Some(o) => {
-                reduced_view = sjava_analysis::shard::reduce(program, o);
-                ShardInput::new(&reduced_view, o.clone())
-            }
+        // summary at once and is cheap relative to per-method analysis).
+        let (stale_paths, stale_locals) = written::check_loop(program, &cg, &summaries);
+        written::report(&stale_paths, &stale_locals, &mut global);
+        timings.eviction = t.elapsed();
+        let eviction = EvictionResult {
+            summaries,
+            stale_paths,
+            stale_locals,
         };
 
         // Flow check: fan out over the dirty indices only, then merge
@@ -781,6 +661,7 @@ impl IncrementalChecker {
         // prefers each method's *measured* duration from a prior run
         // (session- or store-recorded) over the static statement-weight
         // estimate; timings only order the work queue, never the output.
+        let mut diags = Diagnostics::new();
         let t = Instant::now();
         let mut cost: Vec<u64> = Vec::with_capacity(missing.len());
         for &i in &missing {
@@ -797,7 +678,7 @@ impl IncrementalChecker {
             };
             cost.push(match measured {
                 Some(ns) => ns.max(1),
-                None => checker::method_cost(&view, &lattices, &cg.topo[i]),
+                None => checker::method_cost(&whole, &lattices, &cg.topo[i]),
             });
         }
         let mut flow_nanos: Vec<(u64, u64)> = Vec::with_capacity(missing.len());
@@ -806,8 +687,12 @@ impl IncrementalChecker {
             sjava_par::run_sparse_weighted(&missing, &cost, |i| {
                 let scope = ReadScope::begin();
                 let t0 = Instant::now();
-                let d =
-                    checker::check_method_flows(&view, &lattices, &cg.topo[i], &eviction.summaries);
+                let d = checker::check_method_flows(
+                    &whole,
+                    &lattices,
+                    &cg.topo[i],
+                    &eviction.summaries,
+                );
                 (d, t0.elapsed().as_nanos() as u64, scope.finish())
             })
             .into_iter()
@@ -820,7 +705,7 @@ impl IncrementalChecker {
         for &(nh, ns) in &flow_nanos {
             self.times.insert(nh, ns);
         }
-        for &i in &relevant {
+        for i in 0..cg.topo.len() {
             match fresh_flow.get(&i) {
                 Some(d) => diags.extend(d.clone()),
                 None => {
@@ -837,7 +722,7 @@ impl IncrementalChecker {
         let mut alias_deps: BTreeMap<usize, Vec<DepKey>> = BTreeMap::new();
         let fresh_alias: BTreeMap<usize, Diagnostics> = sjava_par::run_sparse(&missing, |i| {
             let scope = ReadScope::begin();
-            let d = linear::check_method_aliasing(&view, &lattices, &cg.topo[i]);
+            let d = linear::check_method_aliasing(&whole, &lattices, &cg.topo[i]);
             (d, scope.finish())
         })
         .into_iter()
@@ -846,7 +731,7 @@ impl IncrementalChecker {
             (i, d)
         })
         .collect();
-        for &i in &relevant {
+        for i in 0..cg.topo.len() {
             match fresh_alias.get(&i) {
                 Some(d) => diags.extend(d.clone()),
                 None => {
@@ -860,10 +745,9 @@ impl IncrementalChecker {
 
         // Shared-location event-loop check: the per-method clears/reads
         // summaries were already assembled (replayed or recomputed)
-        // alongside the keys; only the global loop walk runs here, and
-        // only driver-side — it emits whole-program diagnostics.
+        // alongside the keys; only the global loop walk runs here.
         let t = Instant::now();
-        if !sharded && !members.is_empty() {
+        if !members.is_empty() {
             shared::check_shared_loop(
                 program,
                 &lattices,
@@ -882,8 +766,7 @@ impl IncrementalChecker {
         let mut termination_failures = 0usize;
         let mut fresh_term: BTreeMap<usize, (usize, Diagnostics)> = BTreeMap::new();
         let mut term_deps: BTreeMap<usize, Vec<DepKey>> = BTreeMap::new();
-        for &i in &relevant {
-            let mref = &cg.topo[i];
+        for (i, mref) in cg.topo.iter().enumerate() {
             match self.entries.get(&keys[mref]) {
                 Some(e) => {
                     termination_failures += e.term_failures;
@@ -893,7 +776,7 @@ impl IncrementalChecker {
                 }
                 None => {
                     let scope = ReadScope::begin();
-                    let (n, d) = termination::check_method(&view, mref);
+                    let (n, d) = termination::check_method(&whole, mref);
                     term_deps.insert(i, scope.finish());
                     termination_failures += n;
                     diags.extend(d.clone());
@@ -906,9 +789,7 @@ impl IncrementalChecker {
         // Admit the freshly-computed results into the cache, each paired
         // with the union of every read-set its phases recorded (wave
         // summary + shared, flow, aliasing, termination), fingerprinted
-        // against *this* program — the admission side of red-green. In
-        // shard mode only the owned cone was fully analyzed, and
-        // `missing` already covers exactly that.
+        // against *this* program — the admission side of red-green.
         let admit_db = deps::FactDb::new(program, &lattices, &members);
         for &i in &missing {
             let mref = &cg.topo[i];
@@ -981,9 +862,7 @@ impl IncrementalChecker {
             }
         }
 
-        if !sharded {
-            diags.extend(global);
-        }
+        diags.extend(global);
         // Same stable total order as `sjava_core::check_program`, so
         // replayed and freshly-computed reports stay byte-identical.
         diags.sort_stable();

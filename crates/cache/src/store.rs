@@ -1,6 +1,6 @@
 //! Concurrent content-addressed artifact store — the disk layer behind
-//! directory-backed [`crate::IncrementalChecker`] sessions and sharded
-//! `sjava check --shards=N` workers.
+//! directory-backed [`crate::IncrementalChecker`] sessions. Any number
+//! of `sjava check` processes may share one store directory.
 //!
 //! ## Layout (format v5)
 //!

@@ -4,7 +4,7 @@
 //! (whole-program invalidation), and corrupt on-disk entries (silent
 //! misses).
 
-use sjava_cache::edit::mutate_first_literal;
+use sjava_cache::edit::{mutate_first_literal, shift_method_span};
 use sjava_cache::IncrementalChecker;
 use sjava_core::{check_program, CheckReport};
 use sjava_syntax::ast::Program;
@@ -194,6 +194,40 @@ fn disk_round_trip_serves_warm_hits_across_sessions() {
         stats.misses, 0,
         "store-backed entries must serve all methods"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn store_backed_session_counts_red_like_an_in_memory_one() {
+    // A store entry whose paired read-set went stale is red, exactly like
+    // a stale in-memory entry: after the same interface edit, a fresh
+    // session over a primed store and a warm in-memory session must
+    // report the same (green, red, misses).
+    let dir = std::env::temp_dir().join("sjava-cache-correctness-red");
+    let _ = std::fs::remove_dir_all(&dir);
+    let pristine = sjava_syntax::parse(sjava_apps::mp3dec::source()).expect("parses");
+    let first = &pristine.classes[0];
+    let (class, method) = (first.name.clone(), first.methods[0].name.clone());
+    let mut edited = pristine.clone();
+    assert!(shift_method_span(&mut edited, &class, &method));
+
+    let mut primer = IncrementalChecker::with_dir(&dir);
+    primer.set_persist_min(0);
+    primer.check(&pristine);
+    drop(primer);
+    let mut memory = IncrementalChecker::new();
+    memory.check(&pristine);
+    let warm = memory.check(&edited);
+    let stored = IncrementalChecker::with_dir(&dir).check(&edited);
+
+    assert_eq!(digest(&warm), digest(&check_program(&edited)));
+    assert_eq!(digest(&stored), digest(&warm));
+    let counts = |r: &CheckReport| {
+        let s = r.cache.expect("stats");
+        (s.green, s.red, s.misses)
+    };
+    assert!(counts(&warm).1 > 0, "the edit must red a caller");
+    assert_eq!(counts(&stored), counts(&warm));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

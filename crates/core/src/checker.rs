@@ -27,11 +27,9 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-/// Checks every reachable method the shard owns; diagnostics go to
-/// `diags`. `summaries` (from the eviction analysis) supply each callee's
-/// write effects for the implicit-flow call rule. The unsharded pipeline
-/// passes [`ShardInput::whole`]; a shard worker passes its reduced view
-/// and only its owned methods are checked.
+/// Checks every reachable method; diagnostics go to `diags`. `summaries`
+/// (from the eviction analysis) supply each callee's write effects for
+/// the implicit-flow call rule.
 ///
 /// Methods are independent of each other once the eviction summaries are
 /// in hand, so they are fanned out across `sjava_par` workers. Each
@@ -50,17 +48,15 @@ pub fn check_flows(
     // loops, and dealing the heavy methods out first (descending cost)
     // is what lets N workers finish in ~1/N the wall clock instead of
     // all waiting on whichever worker drew the decoder.
-    let owned: Vec<usize> = (0..cg.topo.len())
-        .filter(|&i| shard.owns(&cg.topo[i]))
-        .collect();
-    let cost: Vec<u64> = owned
+    let cost: Vec<u64> = cg
+        .topo
         .iter()
-        .map(|&i| method_cost(shard, lattices, &cg.topo[i]))
+        .map(|mref| method_cost(shard, lattices, mref))
         .collect();
-    let per_method = sjava_par::run_sparse_weighted(&owned, &cost, |i| {
+    let per_method = sjava_par::run_indexed_weighted(cg.topo.len(), &cost, |i| {
         check_method_flows(shard, lattices, &cg.topo[i], summaries)
     });
-    for (_, d) in per_method {
+    for d in per_method {
         diags.extend(d);
     }
 }
@@ -70,8 +66,9 @@ pub fn check_flows(
 /// the method lattice, whose comparison cost grows with its depth —
 /// the product tracks measured per-method phase timings well enough to
 /// order the work queue (only the ordering matters; see
-/// `sjava_par::run_indexed_weighted`). Public so shard planning can
-/// balance shards with the same estimate the scheduler uses.
+/// `sjava_par::run_indexed_weighted`). Public so the incremental layer
+/// can order its re-check fan-out with the same estimate when it has no
+/// measured per-method time.
 pub fn method_cost(shard: &ShardInput<'_>, lattices: &Lattices, mref: &MethodRef) -> u64 {
     let Some((decl_class, method)) = shard.program().resolve_method(&mref.0, &mref.1) else {
         return 1;
@@ -140,7 +137,7 @@ pub fn check_method_flows(
 /// Collects the static variable→location environment of a method: the
 /// parameters' `@LOC`s plus every local declaration's `@LOC` (annotations
 /// are flow-insensitive, so the environment is fixed). Resolving an
-/// annotation only reads class interfaces, so any shard view suffices.
+/// annotation only reads class interfaces, never another method's body.
 pub fn collect_var_locs(
     shard: &ShardInput<'_>,
     class: &str,
@@ -328,7 +325,7 @@ pub struct MethodChecker<'p> {
 
 impl<'p> MethodChecker<'p> {
     /// Creates a checker for `method` of `class`, resolving everything it
-    /// references through the shard's program view.
+    /// references through the input's program view.
     pub fn new(
         shard: &ShardInput<'p>,
         lattices: &'p Lattices,
@@ -406,7 +403,7 @@ impl<'p> MethodChecker<'p> {
     /// Runs all flow checks on the method body.
     pub fn run(&mut self, diags: &mut Diagnostics) {
         // The environment depends only on interfaces reachable from this
-        // view, so re-wrapping the view preserves shard semantics.
+        // view, so re-wrapping the program gives the same input.
         let view = ShardInput::whole(self.program);
         let env = collect_var_locs(&view, &self.class, self.method, self.info, diags);
         self.env = env

@@ -189,8 +189,8 @@ pub fn check_program(program: &Program) -> CheckReport {
     let t = Instant::now();
     let eviction = written::analyze(program, &cg, &mut diags);
     timings.eviction = t.elapsed();
-    // The per-method passes run against a shard view that owns every
-    // method; sharded drivers substitute a reduced view + owned set.
+    // The per-method passes read the program through its interface-
+    // summary view (see `sjava_analysis::shard`).
     let shard = ShardInput::whole(program);
     let t = Instant::now();
     checker::check_flows(&shard, &lattices, &cg, &eviction.summaries, &mut diags);

@@ -33,8 +33,7 @@ enum Own {
     Dead,
 }
 
-/// Runs the alias/ownership check on every reachable method the shard
-/// owns (the unsharded pipeline passes [`ShardInput::whole`]).
+/// Runs the alias/ownership check on every reachable method.
 pub fn check_aliasing(
     shard: &ShardInput<'_>,
     lattices: &Lattices,
@@ -42,9 +41,7 @@ pub fn check_aliasing(
     diags: &mut Diagnostics,
 ) {
     for mref in &cg.topo {
-        if shard.owns(mref) {
-            diags.extend(check_method_aliasing(shard, lattices, mref));
-        }
+        diags.extend(check_method_aliasing(shard, lattices, mref));
     }
 }
 

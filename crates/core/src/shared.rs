@@ -27,9 +27,9 @@ pub type SharedMember = (String, String);
 ///
 /// Whole-program by construction: the per-method clears/reads summaries
 /// feed each other bottom-up and the final verdict reads them all at the
-/// loop, so callers hand it [`ShardInput::whole`]. In the sharded driver
-/// this pass runs driver-side only — it emits no per-method diagnostics,
-/// so the shard workers have nothing to contribute.
+/// loop, so callers hand it [`ShardInput::whole`]. It emits no
+/// per-method diagnostics; the incremental layer caches the per-method
+/// summaries and re-runs only the loop walk ([`check_shared_loop`]).
 pub fn check_shared(
     shard: &ShardInput<'_>,
     lattices: &Lattices,
@@ -140,8 +140,8 @@ pub fn check_shared_loop(
     let Some(loop_body) = find_event_loop_body(&entry_method.body) else {
         return;
     };
-    // The loop walk checks only the entry method's body; a whole view
-    // over the driver's program is exactly its shard input.
+    // The loop walk checks only the entry method's body, through the
+    // same input view the per-method passes use.
     let view = ShardInput::whole(program);
     let mut checker = MethodChecker::new(&view, lattices, &cg.entry.0, entry_method, info);
     let mut scratch = Diagnostics::new();

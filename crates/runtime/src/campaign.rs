@@ -301,8 +301,10 @@ impl<'a> Campaign<'a> {
 }
 
 /// Replays `specs` on one VM against a shared golden run, restoring a
-/// post-instantiation snapshot between trials (falling back to a full
-/// run when the trigger can fire during instantiation).
+/// post-instantiation snapshot between trials. A trial whose trigger can
+/// fire during instantiation falls back to a full run from the state
+/// before `prepare` — input cursor included — so it reads exactly the
+/// inputs the golden run read, whatever ran before it on this VM.
 fn run_trials_on<I: InputProvider + Clone>(
     vm: &mut Vm<'_, I>,
     entry: (&str, &str),
@@ -311,6 +313,7 @@ fn run_trials_on<I: InputProvider + Clone>(
     golden: &RunResult,
     eps: f64,
 ) -> Vec<TrialOutcome> {
+    let fresh = vm.snapshot();
     let prep = vm
         .prepare(entry.0, entry.1)
         .expect("campaign entry resolved by the golden run");
@@ -323,6 +326,7 @@ fn run_trials_on<I: InputProvider + Clone>(
                 vm.restore(&snap);
                 vm.resume(&prep, iterations, Some(spec.injector()))
             } else {
+                vm.restore(&fresh);
                 vm.set_injector(Some(spec.injector()));
                 vm.run(entry.0, entry.1, iterations)
             }
@@ -541,6 +545,47 @@ mod tests {
         assert_eq!(strip(&a), strip(&b));
         assert_eq!(a.hist_samples.buckets, b.hist_samples.buckets);
         assert_eq!(a.hist_iterations.buckets, b.hist_iterations.buckets);
+    }
+
+    // Field initializer does arithmetic so instantiation consumes steps
+    // (prep.steps >= 1) and trigger=1 trials take the full-run path.
+    const WARM_SRC: &str =
+        "class A { int warm = 1 + 2; int prev; void main() { SSJAVA: while (true) {
+    int x = Device.read();
+    Out.emit(prev + x);
+    prev = x;
+} } }";
+
+    fn warm_inputs() -> ScriptedInput {
+        ScriptedInput::new().channel(
+            "read",
+            vec![Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(5)],
+        )
+    }
+
+    #[test]
+    fn batch_size_does_not_change_results() {
+        // Campaign results must not depend on batch size, including for
+        // trials whose trigger falls inside instantiation (the full-run
+        // fallback path).
+        let p = parse(WARM_SRC).expect("parses");
+        let mut c = Campaign::new(&p, ("A", "main"), 6);
+        c.grid = Grid::Lattice {
+            seeds: 3,
+            triggers: 4,
+        };
+        c.threads = Some(1);
+        c.batch_size = 1;
+        let a = c.run(warm_inputs).expect("campaign");
+        c.batch_size = 1000;
+        let b = c.run(warm_inputs).expect("campaign");
+        let strip = |o: &CampaignOutcome| {
+            o.trials
+                .iter()
+                .map(|t| (t.seed, t.trigger, t.injected_at, t.stats.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(strip(&a), strip(&b));
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! Little-endian wire codec shared by every on-disk artifact the tools
-//! produce: cache-store objects (`sjava-cache`) and shard-worker outcome
-//! files (`sjava check --shard=i/N`). Encoders are plain append-to-`Vec`
-//! helpers; decoding goes through the bounds-checked [`Reader`], whose
-//! accessors all return `None` on truncation or implausible data so a
-//! corrupt artifact degrades to "absent" instead of panicking or — worse
-//! — decoding into plausible-but-wrong values.
+//! Little-endian wire codec for the on-disk artifacts the tools produce:
+//! the cache-store objects of `sjava-cache`. Encoders are plain
+//! append-to-`Vec` helpers; decoding goes through the bounds-checked
+//! [`Reader`], whose accessors all return `None` on truncation or
+//! implausible data so a corrupt artifact degrades to "absent" instead
+//! of panicking or — worse — decoding into plausible-but-wrong values.
 //!
 //! The [`Diagnostic`] codec lives here (rather than in the cache crate)
-//! because diagnostics are the one payload every artifact kind shares:
-//! cached per-method results replay them and shard workers ship them back
-//! to the merging driver. Equal diagnostics encode to equal bytes — the
+//! next to the type it encodes: cached per-method results replay their
+//! diagnostics from it. Equal diagnostics encode to equal bytes — the
 //! encoders never consult maps with unstable iteration order.
 
 use crate::codes::Code;

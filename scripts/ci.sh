@@ -36,20 +36,16 @@
 #  11. a fixed-seed differential fuzz smoke: 500 generated cases
 #      (adversarial stress shapes + mutations) through all five
 #      engine-pair oracles; any mismatch fails the build
-#  12. the shard-equivalence gate: the process-level byte-identity
-#      sweep (every format × shard count × pool width must match the
-#      unsharded run exactly, plus cross-process store sharing), then
-#      bench_shard in gate mode enforcing the ≥0.95 cross-session
-#      warm-hit-rate floor; the multi-process speedup floor only
-#      applies on machines with ≥4 cores
-#  13. the edit-storm gate (bench_edit): red-green revalidation must
+#  12. the edit-storm gate (bench_edit): red-green revalidation must
 #      re-check ≤ 25% of methods after a single-method interface edit
-#      on the large stress corpus (at 1 and 4 worker threads and 1 and
-#      4 shards), an unused-field edit must re-check zero, and every
-#      incremental output must be byte-identical to a fresh full check
-#      of the same mutated AST; the ratio floor auto-skips only when
-#      the corpus has < 50 methods
-#  14. the VM gate (bench_vm): the register-bytecode VM must produce
+#      on the large stress corpus (at 1 and 4 worker threads, and
+#      through a fresh session over a primed artifact store, which must
+#      red and replay exactly what the in-memory session does), an
+#      unused-field edit must re-check zero, and every incremental
+#      output must be byte-identical to a fresh full check of the same
+#      mutated AST; the ratio floor auto-skips only when the corpus has
+#      < 50 methods
+#  13. the VM gate (bench_vm): the register-bytecode VM must produce
 #      byte-identical traces to the tree-walking interpreter on the
 #      four paper apps + mp3dec and across the stress corpus (plain
 #      and fault-injected, both kinds), and beat it by ≥5x on mp3dec
@@ -133,18 +129,6 @@ echo "== differential fuzz smoke (seed 1, 500 cases, all oracles) =="
 # disagreement, not flakiness. Re-run a failing case interactively with
 #   target/release/sjava fuzz --seed=1 --cases=500 --minimize --fixtures-dir=findings/
 target/release/sjava fuzz --seed=1 --cases=500
-
-echo "== shard equivalence (byte-identity sweep + store gate) =="
-# The sweep drives the real `sjava check --shards=N` CLI: worker
-# processes, outcome files, merged diagnostics — all three formats must
-# be byte-identical to the unsharded run at every shard count and pool
-# width. bench_shard then re-proves equivalence in-process and enforces
-# the cross-session warm-hit-rate floor on the artifact store.
-cargo test --release -q --test shard
-shard_bin=$PWD/target/release/bench_shard
-shard_dir=$(mktemp -d)
-(cd "$shard_dir" && SJAVA_STRESS_PRESET=small SJAVA_REPS=3 "$shard_bin" --gate)
-rm -rf "$shard_dir"
 
 echo "== edit-storm gate (dependency-tracked invalidation) =="
 # Every storm step asserts byte-identity against a fresh full check of

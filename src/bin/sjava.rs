@@ -2,15 +2,7 @@
 //!
 //! ```text
 //! sjava check <file.sj> [--format=text|json|sarif] [--deny-warnings]
-//!             [--shards=N|auto]         verify self-stabilization
-//!                                       (--shards=N checks N balanced
-//!                                       shards in separate processes;
-//!                                       output is byte-identical;
-//!                                       `auto` sizes the fleet from the
-//!                                       store's measured method timings)
-//! sjava check <file.sj> --shard=i/N --out=PATH
-//!                                       internal worker mode: check one
-//!                                       shard, serialize the outcome
+//!                                       verify self-stabilization
 //! sjava check --explain SJ0xxx          describe a diagnostic code
 //! sjava infer <file.sj> [--naive] [--timings]
 //!                                       infer annotations, print source
@@ -33,7 +25,8 @@
 //! ```
 //!
 //! Exit codes: `0` success, `1` the check (or another command) failed
-//! with diagnostics, `2` usage or I/O error.
+//! with diagnostics, `2` usage or I/O error. Usage errors are reported
+//! before any work starts.
 
 use std::process::ExitCode;
 
@@ -59,7 +52,7 @@ fn main() -> ExitCode {
         Some("campaign") if args.len() >= 2 => cmd_campaign(&args[1..]),
         _ => {
             eprintln!(
-                "usage:\n  sjava check <file.sj> [--format=text|json|sarif] [--deny-warnings] [--shards=N|auto]\n  sjava check --explain SJ0xxx\n  sjava infer <file.sj> [--naive] [--timings]\n  sjava run <file.sj> <Class.method> <iterations>\n  sjava lattice <file.sj>\n  sjava lifetimes <file.sj>\n  sjava lint <file.sj>\n  sjava vfg <file.sj>\n  sjava stress [--preset=small|large|adversarial] [--classes=N] [--methods=N]\n               [--fields=N] [--depth=N] [--stmts=N] [--seed=N] [--delta-depth=N]\n               [--degenerate=N] [--cyclic-delegates=N] [--check] [--infer]\n  sjava fuzz [--seed=N] [--cases=N] [--oracle=all|check|infer|cache|parse|emit]\n             [--minimize] [--fixtures-dir=DIR]\n  sjava campaign --app=<windsensor|weather|sumobot|eyetrack|mp3dec|stress>\n                 [--trials=N] [--grid=mc|lattice:SEEDSxTRIGGERS] [--iters=N]\n                 [--window=F] [--eps=F] [--threads=N] [--out=PATH]"
+                "usage:\n  sjava check <file.sj> [--format=text|json|sarif] [--deny-warnings]\n  sjava check --explain SJ0xxx\n  sjava infer <file.sj> [--naive] [--timings]\n  sjava run <file.sj> <Class.method> <iterations>\n  sjava lattice <file.sj>\n  sjava lifetimes <file.sj>\n  sjava lint <file.sj>\n  sjava vfg <file.sj>\n  sjava stress [--preset=small|large|adversarial] [--classes=N] [--methods=N]\n               [--fields=N] [--depth=N] [--stmts=N] [--seed=N] [--delta-depth=N]\n               [--degenerate=N] [--cyclic-delegates=N] [--check] [--infer]\n  sjava fuzz [--seed=N] [--cases=N] [--oracle=all|check|infer|cache|parse|emit]\n             [--minimize] [--fixtures-dir=DIR]\n  sjava campaign --app=<windsensor|weather|sumobot|eyetrack|mp3dec|stress>\n                 [--trials=N] [--grid=mc|lattice:SEEDSxTRIGGERS] [--iters=N]\n                 [--window=F] [--eps=F] [--threads=N] [--out=PATH]"
             );
             ExitCode::from(EXIT_USAGE)
         }
@@ -343,7 +336,13 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                     return ExitCode::from(EXIT_USAGE);
                 };
             }
-            f if f.starts_with("--out") => out = Some(value.to_string()),
+            "--out" => {
+                if value.is_empty() {
+                    eprintln!("error: `--out` needs a file path, e.g. `--out=hist.csv`");
+                    return ExitCode::from(EXIT_USAGE);
+                }
+                out = Some(value.to_string());
+            }
             other => {
                 eprintln!("error: unknown flag `{other}` for `sjava campaign`");
                 return ExitCode::from(EXIT_USAGE);
@@ -612,12 +611,20 @@ fn cmd_vfg(path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Reads a source file; an unreadable path is an I/O error (exit 2).
+fn read_source(path: &str) -> Result<SourceFile, ExitCode> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(SourceFile::new(path, text)),
+        Err(e) => {
+            eprintln!("error: cannot read `{path}`: {e}");
+            Err(ExitCode::from(EXIT_USAGE))
+        }
+    }
+}
+
+/// Reads and parses a source file; parse errors are rendered and exit 1.
 fn load(path: &str) -> Result<(SourceFile, sjava::Program), ExitCode> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("error: cannot read `{path}`: {e}");
-        ExitCode::FAILURE
-    })?;
-    let file = SourceFile::new(path, text);
+    let file = read_source(path)?;
     match sjava::parse(&file.text) {
         Ok(p) => Ok((file, p)),
         Err(diags) => {
@@ -663,10 +670,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
 
     let mut format = Format::Text;
     let mut deny_warnings = false;
-    let mut shards: Option<usize> = None;
-    let mut shards_auto = false;
-    let mut shard: Option<(usize, usize)> = None;
-    let mut out: Option<String> = None;
     let mut path: Option<&str> = None;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
@@ -689,42 +692,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
                     None => return bad_format(v),
                 }
             }
-            f if f.starts_with("--shards=") => {
-                let v = &f["--shards=".len()..];
-                if v == "auto" {
-                    // Resolved after parsing: the count comes from the
-                    // store's persisted per-method timings.
-                    shards_auto = true;
-                    continue;
-                }
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => shards = Some(n),
-                    _ => {
-                        eprintln!(
-                            "error: --shards needs a positive integer or `auto`, e.g. `--shards=4`"
-                        );
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                }
-            }
-            f if f.starts_with("--shard=") => {
-                let v = &f["--shard=".len()..];
-                let parsed = v.split_once('/').and_then(|(i, n)| {
-                    let i = i.parse::<usize>().ok()?;
-                    let n = n.parse::<usize>().ok()?;
-                    (n >= 1 && i < n).then_some((i, n))
-                });
-                match parsed {
-                    Some(pair) => shard = Some(pair),
-                    None => {
-                        eprintln!(
-                            "error: --shard needs the form `i/N` with i < N, e.g. `--shard=0/4`"
-                        );
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                }
-            }
-            f if f.starts_with("--out=") => out = Some(f["--out=".len()..].to_string()),
             f if f.starts_with("--") => {
                 eprintln!("error: unknown flag `{f}`");
                 return ExitCode::from(EXIT_USAGE);
@@ -736,115 +703,21 @@ fn cmd_check(args: &[String]) -> ExitCode {
         eprintln!("error: `sjava check` needs a file");
         return ExitCode::from(EXIT_USAGE);
     };
-    if shards_auto && shards.is_some() {
-        eprintln!("error: `--shards=auto` and an explicit `--shards=N` are mutually exclusive");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    if shard.is_some() && (shards.is_some() || shards_auto) {
-        eprintln!("error: --shard (worker) and --shards (driver) are mutually exclusive");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    if out.is_some() && shard.is_none() {
-        eprintln!("error: --out only applies to `--shard=i/N` worker mode");
-        return ExitCode::from(EXIT_USAGE);
-    }
-
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read `{path}`: {e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
+    let file = match read_source(path) {
+        Ok(f) => f,
+        Err(c) => return c,
     };
-    let file = SourceFile::new(path, text);
-
-    // Worker mode: check one shard of the partition, serialize the
-    // outcome for the merging driver, and exit. Diagnostics don't decide
-    // the worker's exit code — the driver renders the merged report.
-    if let Some((index, n)) = shard {
-        let Some(out) = out else {
-            eprintln!("error: `--shard=i/N` needs `--out=PATH` for the outcome file");
-            return ExitCode::from(EXIT_USAGE);
-        };
-        let program = match sjava::parse(&file.text) {
-            Ok(p) => p,
-            Err(diags) => {
-                for d in diags.iter() {
-                    eprintln!("{}", d.render(&file));
-                }
-                return ExitCode::from(EXIT_USAGE);
-            }
-        };
-        let mut session = sjava::cache::IncrementalChecker::from_env();
-        let outcome = sjava::cache::shard::check_shard(&mut session, &program, index, n);
-        if let Err(e) = sjava::cache::shard::write_outcome(std::path::Path::new(&out), &outcome) {
-            eprintln!("error: cannot write outcome `{out}`: {e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-        return ExitCode::SUCCESS;
-    }
 
     let diagnostics = match sjava::parse(&file.text) {
+        // With `SJAVA_CACHE_DIR` set the check goes through the artifact
+        // store, sharing warm hits with every process that uses it.
         Ok(program) => {
-            // `--shards=auto`: size the fleet from the store's persisted
-            // per-method timings (measured cost / 50 ms per shard,
-            // clamped to the core count). With no store or no recorded
-            // timings this resolves to 1 — and a 1-shard fleet is just
-            // the plain in-process path, so take it directly instead of
-            // spawning a worker that cannot win anything.
-            let shards = if shards_auto {
-                let store = std::env::var(sjava::cache::CACHE_DIR_ENV)
-                    .ok()
-                    .filter(|v| !v.trim().is_empty())
-                    .and_then(|d| sjava::cache::ArtifactStore::open(d).ok());
-                match sjava::cache::shard::auto_shards(&program, store.as_ref()) {
-                    n if n >= 2 => Some(n),
-                    _ => None,
-                }
-            } else {
-                shards
-            };
-            match shards {
-                // Driver mode: global phases in-process, one worker process
-                // per shard (falling back to in-process checking when a
-                // worker fails), merged into the stable total order — byte-
-                // identical to the unsharded run.
-                Some(n) => {
-                    sjava::cache::shard::check_sharded(&program, n, |i, n| {
-                        let exe = std::env::current_exe().ok()?;
-                        let outfile = std::env::temp_dir()
-                            .join(format!("sjava-shard-{}-{i}.bin", std::process::id()));
-                        let status = std::process::Command::new(exe)
-                            .arg("check")
-                            .arg(path)
-                            .arg(format!("--shard={i}/{n}"))
-                            .arg(format!("--out={}", outfile.display()))
-                            .status()
-                            .ok()?;
-                        let outcome = if status.success() {
-                            sjava::cache::shard::read_outcome(&outfile)
-                        } else {
-                            None
-                        };
-                        let _ = std::fs::remove_file(&outfile);
-                        outcome
-                    })
+            if std::env::var(sjava::cache::CACHE_DIR_ENV).is_ok_and(|v| !v.trim().is_empty()) {
+                sjava::cache::IncrementalChecker::from_env()
+                    .check(&program)
                     .diagnostics
-                }
-                None => {
-                    // Plain checks still go through the artifact store when
-                    // `SJAVA_CACHE_DIR` is set, sharing warm hits with shard
-                    // workers and other processes.
-                    if std::env::var(sjava::cache::CACHE_DIR_ENV)
-                        .is_ok_and(|v| !v.trim().is_empty())
-                    {
-                        sjava::cache::IncrementalChecker::from_env()
-                            .check(&program)
-                            .diagnostics
-                    } else {
-                        sjava::check(&program).diagnostics
-                    }
-                }
+            } else {
+                sjava::check(&program).diagnostics
             }
         }
         Err(diags) => diags,
@@ -952,17 +825,20 @@ fn cmd_infer(args: &[String]) -> ExitCode {
 }
 
 fn cmd_run(path: &str, entry: &str, iters: &str) -> ExitCode {
+    let Some((class, method)) = entry
+        .split_once('.')
+        .filter(|(c, m)| !c.is_empty() && !m.is_empty())
+    else {
+        eprintln!("error: entry must be `Class.method`");
+        return ExitCode::from(EXIT_USAGE);
+    };
+    let Ok(iters) = iters.parse::<usize>() else {
+        eprintln!("error: iterations must be a non-negative integer");
+        return ExitCode::from(EXIT_USAGE);
+    };
     let (_, program) = match load(path) {
         Ok(x) => x,
         Err(c) => return c,
-    };
-    let Some((class, method)) = entry.split_once('.') else {
-        eprintln!("error: entry must be `Class.method`");
-        return ExitCode::FAILURE;
-    };
-    let Ok(iters) = iters.parse::<usize>() else {
-        eprintln!("error: iterations must be a number");
-        return ExitCode::FAILURE;
     };
     let inputs = sjava::runtime::SeededInput::new(0);
     match sjava::Interpreter::new(&program, inputs, sjava::ExecOptions::default())

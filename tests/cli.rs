@@ -127,3 +127,107 @@ fn lint_reports_dead_stores() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("dead store"), "{stderr}");
 }
+
+#[test]
+fn removed_shard_flags_are_unknown() {
+    let path = write_temp("noshard.sj", sjava::apps::windsensor::SOURCE);
+    let path = path.to_str().expect("utf8");
+    for args in [
+        vec!["check", path, "--shards=2"],
+        vec!["check", path, "--shard=0/2", "--out=o"],
+    ] {
+        let out = sjava(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn unreadable_input_is_an_io_error_for_every_command() {
+    let missing = std::env::temp_dir().join("sjava-cli-tests-missing.sj");
+    let _ = std::fs::remove_file(&missing);
+    let missing = missing.to_str().expect("utf8");
+    for args in [
+        vec!["check", missing],
+        vec!["infer", missing],
+        vec!["lattice", missing],
+        vec!["lifetimes", missing],
+        vec!["lint", missing],
+        vec!["vfg", missing],
+        vec!["run", missing, "A.main", "3"],
+    ] {
+        let out = sjava(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("cannot read"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn run_rejects_malformed_entry_and_iterations() {
+    let path = write_temp("runargs.sj", sjava::apps::windsensor::SOURCE);
+    let path = path.to_str().expect("utf8");
+    for args in [
+        ["run", path, "WDSensor", "3"],
+        ["run", path, "WDSensor.", "3"],
+        ["run", path, "WDSensor.windDirection", "three"],
+        ["run", path, "WDSensor.windDirection", "-1"],
+    ] {
+        let out = sjava(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran before rejecting");
+    }
+}
+
+#[test]
+fn campaign_rejects_bad_out_flags_before_running() {
+    let target = std::env::temp_dir().join("sjava-cli-tests-hist.csv");
+    let _ = std::fs::remove_file(&target);
+    let outfile = format!("--outfile={}", target.display());
+    for bad in [outfile.as_str(), "--out", "--out="] {
+        let out = sjava(&["campaign", "--app=windsensor", "--trials=4", bad]);
+        assert_eq!(out.status.code(), Some(2), "{bad}");
+        assert!(
+            out.stdout.is_empty(),
+            "{bad}: campaign ran before rejecting"
+        );
+    }
+    assert!(!target.exists(), "`--outfile` must not be taken as `--out`");
+}
+
+#[test]
+fn check_processes_share_one_store() {
+    // Cross-process warm hits: a first `sjava check` with SJAVA_CACHE_DIR
+    // publishes per-method objects; a second process over the same
+    // directory replays them and must print identical bytes — which are
+    // also the bytes of an uncached check. The unannotated weather app
+    // fails with dozens of diagnostics, so there are real bytes to replay.
+    let path = write_temp("store-shared.sj", sjava::apps::weather::SOURCE);
+    let dir = std::env::temp_dir().join("sjava-cli-tests-store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = |store: bool| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_sjava"));
+        cmd.arg("check").arg(&path);
+        if store {
+            cmd.env("SJAVA_CACHE_DIR", &dir)
+                .env("SJAVA_CACHE_PERSIST_MIN", "0");
+        }
+        let out = cmd.output().expect("binary runs");
+        (out.status.code(), out.stdout, out.stderr)
+    };
+    let cold = run(true);
+    let store = sjava::cache::ArtifactStore::open(&dir).expect("store opens");
+    assert!(
+        store.object_count() > 0,
+        "the first process must publish store objects"
+    );
+    let warm = run(true);
+    assert_eq!(warm, cold, "store-warm output differs from the first run");
+    assert_eq!(
+        run(false),
+        cold,
+        "store-backed output differs from uncached"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
