@@ -183,7 +183,7 @@ pub fn source() -> &'static str {
 /// each `readHeader` starts the next frame, so a corrupted inner-loop
 /// index can over- or under-read *within* a frame without desynchronizing
 /// all subsequent frames.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameSyncedInput {
     seed: u64,
     granule: usize,
@@ -218,6 +218,10 @@ impl InputProvider for FrameSyncedInput {
                 Value::Float(0.6 * t.sin() + 0.3 * (t * 2.57).sin() + 0.1 * (t * 5.91).cos())
             }
         }
+    }
+
+    fn same_cursor(&self, other: &Self) -> bool {
+        self == other
     }
 }
 

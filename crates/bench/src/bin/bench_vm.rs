@@ -5,22 +5,25 @@
 //! traces (full `Result<RunResult, RuntimeError>` debug form, so
 //! outputs, step counts, error logs and injection points all match) on
 //! the apps and on the `stressgen` adversarial corpus — plain and with
-//! injected faults of both kinds — and reports campaign throughput
-//! (trials/sec) of the batched VM pipeline vs the per-trial interpreter
-//! pipeline. Results go to `results/BENCH_vm.json`.
+//! injected faults of both kinds — checks that mp3dec campaign trials
+//! (checkpoint restore, convergence stop) equal the per-trial
+//! interpreter pipeline's, and reports campaign throughput (trials/sec)
+//! of both. Results go to `results/BENCH_vm.json`.
 //!
 //! ```text
 //! cargo run --release -p sjava-bench --bin bench_vm          # full report
 //! cargo run --release -p sjava-bench --bin bench_vm -- --gate
 //! ```
 //!
-//! `--gate` is the CI mode: trace identity is always enforced; the
-//! mp3dec speedup floor (`SJAVA_GATE_SPEEDUP`, default 5x) is enforced
-//! only on hosts with ≥4 cores — small shared runners are too noisy for
-//! a throughput assertion to be meaningful.
+//! Trace identity and campaign-trial identity are always enforced.
+//! `--gate` is the CI mode: it checks the first 48 campaign trials
+//! (instead of 200 of `SJAVA_VM_TRIALS`), and enforces the mp3dec
+//! speedup floor (`SJAVA_GATE_SPEEDUP`, default 5x) only on hosts with
+//! ≥4 cores — small shared runners are too noisy for a throughput
+//! assertion to be meaningful. Campaign throughput is advisory.
 //!
 //! Env overrides: `SJAVA_VM_REPS` (timing repetitions, default 5),
-//! `SJAVA_VM_TRIALS` (campaign trials, default 2000),
+//! `SJAVA_VM_TRIALS` (VM campaign trials, default 2000),
 //! `SJAVA_GATE_SPEEDUP` (default 5).
 
 use std::time::Instant;
@@ -251,50 +254,67 @@ fn main() {
         println!("  MISMATCH {f}");
     }
 
-    // --- Campaign throughput (skipped under --gate: identity and the
-    //     speedup floor are the contract; throughput here is advisory) -
-    let mut campaign_json = String::from("null");
-    if !gate {
-        let t0 = Instant::now();
-        let (_, vm_trials) = run_trials_vm(
-            &programs.4,
-            mp3dec::ENTRY,
-            || mp3dec::inputs(0),
-            8,
-            campaign_trials,
-            0.6,
-            1e-9,
-        );
-        let vm_elapsed = t0.elapsed().as_secs_f64();
-        let vm_tps = vm_trials.len() as f64 / vm_elapsed.max(1e-9);
+    // --- Campaign: trial identity and throughput -----------------------
+    //     Every VM campaign trial (checkpoint restore, convergence stop)
+    //     must equal the interpreter running the same seed from scratch.
+    //     `--gate` checks the first 48 trials; the throughput figures are
+    //     advisory either way.
+    let vm_trials_n = if gate { 48 } else { campaign_trials };
+    let interp_trials_n = vm_trials_n.min(if gate { 48 } else { 200 });
+    let t0 = Instant::now();
+    let (_, vm_trials) = run_trials_vm(
+        &programs.4,
+        mp3dec::ENTRY,
+        || mp3dec::inputs(0),
+        8,
+        vm_trials_n,
+        0.6,
+        1e-9,
+    );
+    let vm_elapsed = t0.elapsed().as_secs_f64();
+    let vm_tps = vm_trials.len() as f64 / vm_elapsed.max(1e-9);
 
-        let baseline_trials = campaign_trials.min(200);
-        let golden = run_golden(&programs.4, mp3dec::ENTRY, mp3dec::inputs(0), 8);
-        let t0 = Instant::now();
-        let interp_trials = run_trials(
-            &programs.4,
-            mp3dec::ENTRY,
-            || mp3dec::inputs(0),
-            8,
-            &golden,
-            baseline_trials,
-            0.6,
-            1e-9,
-        );
-        let interp_elapsed = t0.elapsed().as_secs_f64();
-        let interp_tps = interp_trials.len() as f64 / interp_elapsed.max(1e-9);
+    let golden = run_golden(&programs.4, mp3dec::ENTRY, mp3dec::inputs(0), 8);
+    let t0 = Instant::now();
+    let interp_trials = run_trials(
+        &programs.4,
+        mp3dec::ENTRY,
+        || mp3dec::inputs(0),
+        8,
+        &golden,
+        interp_trials_n,
+        0.6,
+        1e-9,
+    );
+    let interp_elapsed = t0.elapsed().as_secs_f64();
+    let interp_tps = interp_trials.len() as f64 / interp_elapsed.max(1e-9);
+    let trial_mismatches: Vec<u64> = interp_trials
+        .iter()
+        .zip(&vm_trials)
+        .filter(|(a, b)| (a.seed, a.injected_at, &a.stats) != (b.seed, b.injected_at, &b.stats))
+        .map(|(a, _)| a.seed)
+        .collect();
 
-        println!(
-            "\ncampaign throughput (mp3dec, 8 frames): VM {vm_tps:.1} trials/s ({} trials) vs interpreter {interp_tps:.1} trials/s ({baseline_trials} trials) — {:.2}x",
-            vm_trials.len(),
-            vm_tps / interp_tps.max(1e-9)
-        );
-        campaign_json = format!(
-            "{{\"app\": \"mp3dec\", \"vm_trials\": {}, \"vm_trials_per_sec\": {vm_tps:.1}, \"interp_trials\": {baseline_trials}, \"interp_trials_per_sec\": {interp_tps:.1}, \"speedup\": {:.3}}}",
-            vm_trials.len(),
-            vm_tps / interp_tps.max(1e-9)
-        );
-    }
+    println!(
+        "\ncampaign (mp3dec, 8 frames): {} of {interp_trials_n} trials differ from the interpreter's{}",
+        trial_mismatches.len(),
+        if trial_mismatches.is_empty() {
+            String::new()
+        } else {
+            format!(" (seeds {trial_mismatches:?})")
+        }
+    );
+    println!(
+        "campaign throughput: VM {vm_tps:.1} trials/s ({} trials) vs interpreter {interp_tps:.1} trials/s ({interp_trials_n} trials) — {:.2}x",
+        vm_trials.len(),
+        vm_tps / interp_tps.max(1e-9)
+    );
+    let campaign_json = format!(
+        "{{\"app\": \"mp3dec\", \"vm_trials\": {}, \"vm_trials_per_sec\": {vm_tps:.1}, \"interp_trials\": {interp_trials_n}, \"interp_trials_per_sec\": {interp_tps:.1}, \"speedup\": {:.3}, \"trial_mismatches\": {}}}",
+        vm_trials.len(),
+        vm_tps / interp_tps.max(1e-9),
+        trial_mismatches.len()
+    );
 
     // --- JSON report --------------------------------------------------
     let app_json: Vec<String> = rows
@@ -320,6 +340,10 @@ fn main() {
         all_identical,
         "VM and tree-walker must produce byte-identical traces"
     );
+    assert!(
+        trial_mismatches.is_empty(),
+        "VM campaign trials must equal the interpreter's (seeds {trial_mismatches:?})"
+    );
     if gate {
         let floor = env_usize("SJAVA_GATE_SPEEDUP", 5) as f64;
         let mp3 = rows.iter().find(|r| r.name == "mp3dec").expect("mp3 row");
@@ -330,12 +354,12 @@ fn main() {
                 mp3.speedup
             );
             println!(
-                "gate: trace identity OK; mp3dec speedup {:.2}x ≥ {floor}x OK",
+                "gate: trace and campaign-trial identity OK; mp3dec speedup {:.2}x ≥ {floor}x OK",
                 mp3.speedup
             );
         } else {
             println!(
-                "gate: trace identity OK; speedup floor skipped ({cores} core(s) < 4 — too noisy)"
+                "gate: trace and campaign-trial identity OK; speedup floor skipped ({cores} core(s) < 4 — too noisy)"
             );
         }
     }

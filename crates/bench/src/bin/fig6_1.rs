@@ -3,11 +3,13 @@
 //! injection (1,000 trials in the paper; 466 with corrupted outputs).
 //!
 //! Trials run as a batched campaign on the register-bytecode VM — one
-//! compile, one golden run, per-trial heap-snapshot restore — which is
-//! what makes the 100k-trial default tractable. Per-seed triggers,
-//! kinds and recovery stats are identical to the historical
+//! compile, one recorded golden run, and per trial a checkpoint restore
+//! before the trigger and a stop once the state re-matches the golden
+//! run — which is what makes the 100k-trial default tractable. Per-seed
+//! triggers, kinds and recovery stats are identical to the historical
 //! interpreter-per-trial pipeline (`bench_vm --gate` enforces trace
-//! identity between the engines).
+//! identity between the engines and checks campaign trials against the
+//! interpreter).
 //!
 //! Usage: `cargo run --release -p sjava-bench --bin fig6_1`
 //! Env overrides: `SJAVA_TRIALS` (default 100000), `SJAVA_GRANULE` (192),

@@ -113,9 +113,9 @@ where
 
 /// Runs seeds `0..trials` as a batched VM campaign: same per-seed
 /// trigger/kind derivation and recovery stats as [`run_trials`], but
-/// executed on the register-bytecode VM with one compile, one golden
-/// run, and per-trial snapshot restore instead of a fresh interpreter
-/// per trial. Returns the campaign's own (VM) golden run alongside the
+/// executed on the register-bytecode VM with one compile, one recorded
+/// golden run, and per-trial checkpoint restore and convergence stop
+/// instead of a fresh interpreter per trial. Returns the campaign's own (VM) golden run alongside the
 /// trials; its outputs are byte-identical to the tree-walker's (gated
 /// by `bench_vm --gate`).
 pub fn run_trials_vm<I, F>(
@@ -128,7 +128,7 @@ pub fn run_trials_vm<I, F>(
     eps: f64,
 ) -> (RunResult, Vec<Trial>)
 where
-    I: InputProvider + Clone,
+    I: InputProvider + Clone + Sync,
     F: Fn() -> I + Sync,
 {
     let mut c = sjava_runtime::Campaign::new(program, entry, iterations);

@@ -14,7 +14,7 @@
 //! picks the same cell on either heap representation.
 
 use crate::inject::{lex_nth_index, InjectableHeap};
-use crate::value::Value;
+use crate::value::{identical_values, Value};
 use sjava_syntax::ast::{
     BinOp, Block, ClassDecl, Expr, LValue, LoopKind, MethodDecl, Program, Stmt, Type, UnOp,
 };
@@ -1687,6 +1687,29 @@ impl<'m> FlatHeap<'m> {
         self.slots.extend_from_slice(&snap.slots);
         self.entries.clear();
         self.entries.extend_from_slice(&snap.entries);
+    }
+
+    /// Whether the heap equals `snap`, values by [`Value::identical`].
+    pub(crate) fn matches(&self, snap: &FlatHeapSnapshot) -> bool {
+        self.entries.len() == snap.entries.len()
+            && self.entries.iter().zip(&snap.entries).all(|(a, b)| {
+                a.base == b.base
+                    && a.len == b.len
+                    && match (&a.kind, &b.kind) {
+                        (
+                            FlatKind::Object { class, overflow },
+                            FlatKind::Object {
+                                class: c,
+                                overflow: o,
+                            },
+                        ) => class == c && overflow == o,
+                        (FlatKind::Array { default }, FlatKind::Array { default: d }) => {
+                            default.identical(d)
+                        }
+                        _ => false,
+                    }
+            })
+            && identical_values(&self.slots, &snap.slots)
     }
 
     /// Total mutable cells (the injection address space).

@@ -3,24 +3,30 @@
 //!
 //! A [`Campaign`] describes a grid of injection trials — (heap slot |
 //! op step) × seed × trigger — against one program entry point. Running
-//! it compiles the program once, takes one golden run on the bytecode
-//! VM, snapshots the post-instantiation machine state, and then fans
-//! trial *batches* over [`sjava_par`] workers. Each worker owns one
-//! [`Vm`] and replays trials by restoring the flat-heap snapshot — no
-//! re-parse, no re-compile, no re-instantiation per trial.
+//! it compiles the program once and records one golden run on the
+//! bytecode VM ([`Vm::record`]), with a checkpoint of the whole machine
+//! at the start of every event-loop iteration. Trial *batches* then fan
+//! out over [`sjava_par`] workers, which share the recording read-only.
+//! Each worker owns one [`Vm`] and runs trials with [`Vm::replay`]:
 //!
-//! Batches are weighted for the scheduler's LPT deal using *measured*
-//! per-trial timings: a small calibration pass runs a sample of the
-//! grid, fits a per-category nanosecond cost, and those predictions
-//! become the `cost` array handed to
-//! [`sjava_par::run_indexed_weighted`].
+//! - a trial restores the last checkpoint before its trigger and takes
+//!   the golden outputs before it;
+//! - once the fault is injected, it stops at the first iteration start
+//!   where the machine equals the golden checkpoint again, and takes the
+//!   golden outputs after it.
+//!
+//! Both shortcuts are exact — the VM is deterministic and a spent
+//! injector does nothing — so every trial outcome equals a full run's.
+//!
+//! Batches are weighted for the scheduler's LPT deal by the golden steps
+//! from each trial's starting point to the end of the run.
 
-use crate::bytecode::{compile, Module};
-use crate::driver::{compare_runs, RecoveryStats};
+use crate::bytecode::compile;
+use crate::driver::{compare_window, RecoveryStats};
 use crate::inject::{InjectKind, Injector};
 use crate::input::InputProvider;
 use crate::interp::{ExecOptions, RunResult, RuntimeError};
-use crate::vm::Vm;
+use crate::vm::{Recording, Vm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sjava_syntax::ast::Program;
@@ -121,7 +127,7 @@ impl<'a> Campaign<'a> {
 
     /// Runs the campaign. `make_inputs` builds the (deterministic)
     /// input provider — called once for the golden run and once per
-    /// batch; per-trial input-state reset rides the VM snapshot.
+    /// batch; trials take their input cursor from the recording.
     ///
     /// # Errors
     ///
@@ -129,34 +135,32 @@ impl<'a> Campaign<'a> {
     /// runs execute in ignore-errors mode and cannot fail.
     pub fn run<I, F>(&self, make_inputs: F) -> Result<CampaignOutcome, RuntimeError>
     where
-        I: InputProvider + Clone,
+        I: InputProvider + Clone + Sync,
         F: Fn() -> I + Sync,
     {
         let started = Instant::now();
         let module = compile(self.program);
         let opts = ExecOptions::default();
         let mut gvm = Vm::new(&module, make_inputs(), opts.clone());
-        let golden = gvm.run(self.entry.0, self.entry.1, self.iterations)?;
+        let rec = gvm.record(self.entry.0, self.entry.1, self.iterations)?;
         let heap_cells = gvm.heap_cells();
-        let prep_steps = gvm.prepare(self.entry.0, self.entry.1)?.steps;
-        let specs = self.specs(&golden, heap_cells);
+        let specs = self.specs(&rec.result, heap_cells);
 
-        let cost_model = self.calibrate(&module, &specs, &golden, prep_steps, &make_inputs);
         let n = specs.len();
+        let threads = self.threads.unwrap_or_else(sjava_par::num_threads).max(1);
         let bsize = if self.batch_size > 0 {
             self.batch_size
         } else {
-            let workers = self.threads.unwrap_or_else(sjava_par::num_threads).max(1);
-            // ~8 batches per worker bounds LPT imbalance without
-            // paying a snapshot restore chain per tiny batch.
-            (n.div_ceil(workers * 8)).clamp(16, 2048)
+            // ~8 batches per worker bound the LPT imbalance; a batch
+            // costs no more than a fresh worker VM.
+            n.div_ceil(threads * 8).clamp(1, 2048)
         };
         let n_batches = n.div_ceil(bsize);
         let costs: Vec<u64> = (0..n_batches)
             .map(|b| {
                 specs[b * bsize..(b * bsize + bsize).min(n)]
                     .iter()
-                    .map(|s| cost_model.predict(s, prep_steps))
+                    .map(|s| rec.result.steps - rec.start_step(s.trigger))
                     .sum()
             })
             .collect();
@@ -165,19 +169,15 @@ impl<'a> Campaign<'a> {
             let lo = b * bsize;
             let hi = (lo + bsize).min(n);
             let mut vm = Vm::new(&module, make_inputs(), opts.clone());
-            run_trials_on(
-                &mut vm,
-                self.entry,
-                self.iterations,
-                &specs[lo..hi],
-                &golden,
-                self.eps,
-            )
+            specs[lo..hi]
+                .iter()
+                .map(|spec| run_trial(&mut vm, &rec, spec, self.eps))
+                .collect()
         };
-        let per_batch = match self.threads {
-            Some(t) => sjava_par::run_indexed_weighted_with(n_batches, t, &costs, run_batch),
-            None => sjava_par::run_indexed_weighted(n_batches, &costs, run_batch),
-        };
+        // Batches are coarse, so they go to the pool whatever their
+        // count (`run_indexed_weighted`'s small-job threshold is sized
+        // for per-method tasks).
+        let per_batch = sjava_par::run_indexed_weighted_with(n_batches, threads, &costs, run_batch);
         let trials: Vec<TrialOutcome> = per_batch.into_iter().flatten().collect();
 
         let mut hist_samples = RecoveryHistogram::new(5, 400);
@@ -189,12 +189,11 @@ impl<'a> Campaign<'a> {
         let elapsed_ns = started.elapsed().as_nanos() as u64;
         let trials_per_sec = trials.len() as f64 / (elapsed_ns as f64 / 1e9).max(1e-9);
         Ok(CampaignOutcome {
-            golden,
+            golden: rec.result,
             heap_cells,
             trials,
             hist_samples,
             hist_iterations,
-            cost_model,
             elapsed_ns,
             trials_per_sec,
         })
@@ -250,121 +249,33 @@ impl<'a> Campaign<'a> {
             }
         }
     }
-
-    /// Times a strided sample of the grid on one VM and fits mean
-    /// per-category trial costs (the measured weights for the LPT
-    /// deal).
-    fn calibrate<I, F>(
-        &self,
-        module: &Module,
-        specs: &[TrialSpec],
-        golden: &RunResult,
-        prep_steps: u64,
-        make_inputs: &F,
-    ) -> CostModel
-    where
-        I: InputProvider + Clone,
-        F: Fn() -> I + Sync,
-    {
-        const SAMPLES: usize = 24;
-        let mut model = CostModel::default();
-        if specs.is_empty() {
-            return model;
-        }
-        let stride = (specs.len() / SAMPLES).max(1);
-        let sample: Vec<TrialSpec> = specs.iter().step_by(stride).copied().collect();
-        let mut vm = Vm::new(module, make_inputs(), ExecOptions::default());
-        let outcomes = run_trials_on(
-            &mut vm,
-            self.entry,
-            self.iterations,
-            &sample,
-            golden,
-            self.eps,
-        );
-        let mut sums = [(0u64, 0u64); 3];
-        for (spec, out) in sample.iter().zip(&outcomes) {
-            let i = CostModel::category(spec, prep_steps);
-            sums[i].0 += out.ns;
-            sums[i].1 += 1;
-        }
-        let overall: u64 = {
-            let total: u64 = sums.iter().map(|s| s.0).sum();
-            let count: u64 = sums.iter().map(|s| s.1).sum::<u64>().max(1);
-            (total / count).max(1)
-        };
-        for (i, &(ns, count)) in sums.iter().enumerate() {
-            model.ns[i] = ns.checked_div(count).map_or(overall, |mean| mean.max(1));
-        }
-        model
-    }
 }
 
-/// Replays `specs` on one VM against a shared golden run, restoring a
-/// post-instantiation snapshot between trials. A trial whose trigger can
-/// fire during instantiation falls back to a full run from the state
-/// before `prepare` — input cursor included — so it reads exactly the
-/// inputs the golden run read, whatever ran before it on this VM.
-fn run_trials_on<I: InputProvider + Clone>(
+/// Runs one trial against the recorded golden run.
+fn run_trial<I: InputProvider + Clone>(
     vm: &mut Vm<'_, I>,
-    entry: (&str, &str),
-    iterations: usize,
-    specs: &[TrialSpec],
-    golden: &RunResult,
+    rec: &Recording<I>,
+    spec: &TrialSpec,
     eps: f64,
-) -> Vec<TrialOutcome> {
-    let fresh = vm.snapshot();
-    let prep = vm
-        .prepare(entry.0, entry.1)
-        .expect("campaign entry resolved by the golden run");
-    let snap = vm.snapshot();
-    specs
-        .iter()
-        .map(|spec| {
-            let t0 = Instant::now();
-            let run = if spec.trigger > prep.steps {
-                vm.restore(&snap);
-                vm.resume(&prep, iterations, Some(spec.injector()))
-            } else {
-                vm.restore(&fresh);
-                vm.set_injector(Some(spec.injector()));
-                vm.run(entry.0, entry.1, iterations)
-            }
-            .expect("injected run cannot fail in ignore-errors mode");
-            let stats = compare_runs(&golden.iteration_outputs, &run.iteration_outputs, eps);
-            TrialOutcome {
-                seed: spec.seed,
-                trigger: spec.trigger,
-                kind: spec.kind,
-                injected_at: run.injected_at,
-                stats,
-                ns: t0.elapsed().as_nanos() as u64,
-            }
-        })
-        .collect()
-}
-
-/// Mean measured nanoseconds per trial category, fitted by the
-/// calibration pass and fed to the scheduler as batch weights.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CostModel {
-    /// `[op-resume, heap-resume, full-run]` mean ns.
-    pub ns: [u64; 3],
-}
-
-impl CostModel {
-    fn category(spec: &TrialSpec, prep_steps: u64) -> usize {
-        if spec.trigger <= prep_steps {
-            2
-        } else if matches!(spec.kind, TrialKind::Op) {
-            0
-        } else {
-            1
-        }
-    }
-
-    fn predict(&self, spec: &TrialSpec, prep_steps: u64) -> u64 {
-        self.ns[Self::category(spec, prep_steps)]
+) -> TrialOutcome {
+    let t0 = Instant::now();
+    let run = vm
+        .replay(rec, spec.injector())
+        .expect("injected run cannot fail in ignore-errors mode");
+    let stats = compare_window(
+        &rec.result.iteration_outputs,
+        run.first,
+        &run.outputs,
+        run.converged,
+        eps,
+    );
+    TrialOutcome {
+        seed: spec.seed,
+        trigger: spec.trigger,
+        kind: spec.kind,
+        injected_at: run.injected_at,
+        stats,
+        ns: t0.elapsed().as_nanos() as u64,
     }
 }
 
@@ -398,8 +309,6 @@ pub struct CampaignOutcome {
     pub hist_samples: RecoveryHistogram,
     /// Recovery-time histogram in iterations.
     pub hist_iterations: RecoveryHistogram,
-    /// Fitted per-trial cost model (measured ns).
-    pub cost_model: CostModel,
     /// Total campaign wall time.
     pub elapsed_ns: u64,
     /// Throughput over the whole campaign (incl. compile + golden).
@@ -479,6 +388,7 @@ impl RecoveryHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::compare_runs;
     use crate::input::ScriptedInput;
     use crate::interp::Interpreter;
     use crate::value::Value;

@@ -51,15 +51,32 @@ fn value_eq(a: &Value, b: &Value, eps: f64) -> bool {
 /// iteration that emits extra garbage samples counts as (at most) that
 /// whole iteration being bad, not as an unbounded divergence.
 pub fn compare_runs(golden: &[Vec<Value>], injected: &[Vec<Value>], eps: f64) -> RecoveryStats {
+    compare_window(golden, 0, injected, false, eps)
+}
+
+/// [`compare_runs`] against an injected run that is known to equal the
+/// golden run outside a window: before iteration `first`, and — when
+/// `rejoined` — from iteration `first + window.len()` on. Only `window`
+/// (the injected run's iterations from `first`) is compared; sample and
+/// iteration indices are the whole run's, so the result is exactly
+/// [`compare_runs`] on the stitched run.
+pub fn compare_window(
+    golden: &[Vec<Value>],
+    first: usize,
+    window: &[Vec<Value>],
+    rejoined: bool,
+    eps: f64,
+) -> RecoveryStats {
     let mut first_bad_sample = None;
     let mut last_bad_sample = None;
     let mut first_bad_iter = None;
     let mut last_bad_iter = None;
-    let mut sample_base = 0usize;
-    let iters = golden.len().max(injected.len());
-    for i in 0..iters {
+    let end = first + window.len();
+    let iters = if rejoined { end } else { end.max(golden.len()) };
+    let mut sample_base: usize = golden.iter().take(first).map(Vec::len).sum();
+    for i in first..iters {
         let g = golden.get(i).map(|v| v.as_slice()).unwrap_or(&[]);
-        let j = injected.get(i).map(|v| v.as_slice()).unwrap_or(&[]);
+        let j = window.get(i - first).map(|v| v.as_slice()).unwrap_or(&[]);
         let n = g.len().max(j.len());
         let mut iter_bad = false;
         for k in 0..n {
@@ -140,6 +157,29 @@ mod tests {
         let s = compare_runs(&g, &j, 0.0);
         assert!(s.diverged);
         assert_eq!(s.first_bad_sample, Some(1));
+    }
+
+    #[test]
+    fn window_compare_equals_stitched_compare() {
+        let g = vec![iv(&[1, 2]), iv(&[3, 4]), iv(&[5, 6]), iv(&[7])];
+        for (first, window, rejoined) in [
+            (1, vec![iv(&[9, 4])], true),
+            (1, vec![iv(&[9, 4]), iv(&[5])], false),
+            (2, vec![iv(&[5, 6])], true),
+            (0, vec![], false),
+            (3, vec![iv(&[7]), iv(&[8])], false),
+        ] {
+            let mut stitched = g[..first].to_vec();
+            stitched.extend(window.iter().cloned());
+            if rejoined {
+                stitched.extend_from_slice(&g[first + window.len()..]);
+            }
+            assert_eq!(
+                compare_window(&g, first, &window, rejoined, 0.0),
+                compare_runs(&g, &stitched, 0.0),
+                "first {first}"
+            );
+        }
     }
 
     #[test]

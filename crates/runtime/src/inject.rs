@@ -175,6 +175,12 @@ impl Injector {
             .unwrap_or(0)
     }
 
+    /// Whether every trigger has fired: from here on the injector
+    /// changes nothing.
+    pub fn is_spent(&self) -> bool {
+        self.triggers.is_empty()
+    }
+
     fn due(&mut self, step: u64) -> bool {
         if self.triggers.last() == Some(&step) {
             self.triggers.pop();

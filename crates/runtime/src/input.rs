@@ -13,6 +13,19 @@ use std::collections::HashMap;
 pub trait InputProvider {
     /// The next value of `channel` (the intrinsic method name).
     fn next(&mut self, channel: &str) -> Value;
+
+    /// Whether `self` and `other`, two clones of one provider, stand at
+    /// the same position, so that they yield the same values from here
+    /// on. Campaigns use it to see a trial's state re-match the golden
+    /// run's. The default, `false`, means "cannot tell": such trials run
+    /// to the end.
+    fn same_cursor(&self, other: &Self) -> bool
+    where
+        Self: Sized,
+    {
+        let _ = other;
+        false
+    }
 }
 
 /// Scripted inputs: fixed per-channel queues, cycling when exhausted.
@@ -56,6 +69,14 @@ impl InputProvider for ScriptedInput {
             _ => self.fallback.clone(),
         }
     }
+
+    fn same_cursor(&self, other: &Self) -> bool {
+        self.channels.len() == other.channels.len()
+            && self
+                .channels
+                .iter()
+                .all(|(name, (_, pos))| other.channels.get(name).is_some_and(|(_, p)| p == pos))
+    }
 }
 
 /// Deterministic pseudo-random inputs: ints in a range, floats in
@@ -89,27 +110,32 @@ impl InputProvider for SeededInput {
 }
 
 /// A provider computed by a closure `(channel, call-index) → value`; the
-/// most flexible option for benchmark workload generators. `Clone`
-/// (when the closure is) captures the call-index cursor, so campaign
-/// snapshots restore the input stream position too.
+/// most flexible option for benchmark workload generators. The closure
+/// is `Fn`, so the call index is the whole cursor: `Clone` (when the
+/// closure is) captures the stream position, and two clones at the same
+/// index yield the same values.
 #[derive(Clone)]
-pub struct FnInput<F: FnMut(&str, u64) -> Value> {
+pub struct FnInput<F: Fn(&str, u64) -> Value> {
     f: F,
     count: u64,
 }
 
-impl<F: FnMut(&str, u64) -> Value> FnInput<F> {
+impl<F: Fn(&str, u64) -> Value> FnInput<F> {
     /// Wraps a closure.
     pub fn new(f: F) -> Self {
         FnInput { f, count: 0 }
     }
 }
 
-impl<F: FnMut(&str, u64) -> Value> InputProvider for FnInput<F> {
+impl<F: Fn(&str, u64) -> Value> InputProvider for FnInput<F> {
     fn next(&mut self, channel: &str) -> Value {
         let v = (self.f)(channel, self.count);
         self.count += 1;
         v
+    }
+
+    fn same_cursor(&self, other: &Self) -> bool {
+        self.count == other.count
     }
 }
 
@@ -140,5 +166,28 @@ mod tests {
         let mut f = FnInput::new(|_, i| Value::Int(i as i64 * 10));
         assert_eq!(f.next("x"), Value::Int(0));
         assert_eq!(f.next("x"), Value::Int(10));
+    }
+
+    #[test]
+    fn cursors_compare_by_position() {
+        let mut a = ScriptedInput::new()
+            .channel("read", vec![Value::Int(1)])
+            .channel("other", vec![Value::Int(2)]);
+        let mut b = a.clone();
+        assert!(a.same_cursor(&b));
+        a.next("read");
+        assert!(!a.same_cursor(&b));
+        b.next("read");
+        assert!(a.same_cursor(&b));
+
+        let mut f = FnInput::new(|_, i| Value::Int(i as i64));
+        let g = f.clone();
+        assert!(f.same_cursor(&g));
+        f.next("x");
+        assert!(!f.same_cursor(&g));
+
+        // Not comparable: the default answer.
+        let s = SeededInput::new(1);
+        assert!(!s.same_cursor(&s.clone()));
     }
 }

@@ -38,9 +38,9 @@ pub mod vm;
 
 pub use bytecode::{compile, FlatHeapSnapshot, Module};
 pub use campaign::{Campaign, CampaignOutcome, Grid, RecoveryHistogram, TrialOutcome};
-pub use driver::{compare_runs, RecoveryStats};
+pub use driver::{compare_runs, compare_window, RecoveryStats};
 pub use inject::Injector;
 pub use input::{FnInput, InputProvider, ScriptedInput, SeededInput};
 pub use interp::{ExecOptions, Interpreter, RunResult, RuntimeError};
 pub use value::{Heap, HeapEntry, ObjId, Value};
-pub use vm::{Prepared, Vm, VmSnapshot};
+pub use vm::{Prepared, Recording, TrialRun, Vm, VmSnapshot};

@@ -66,6 +66,21 @@ impl Value {
             _ => None,
         }
     }
+
+    /// Equality that no later computation can tell apart: floats by bit
+    /// pattern, so `-0.0` differs from `0.0` (`Math.pow(x, -1.0)` and
+    /// string concatenation tell them apart) and a NaN equals itself.
+    pub(crate) fn identical(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            _ => self == other,
+        }
+    }
+}
+
+/// [`Value::identical`] over two slices.
+pub(crate) fn identical_values(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.identical(y))
 }
 
 /// A recoverable (§4.4) evaluation failure: the message that goes to

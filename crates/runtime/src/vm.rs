@@ -11,16 +11,24 @@
 //!
 //! Unlike the interpreter, a `Vm` is built once per compiled module and
 //! reused across runs: [`Vm::run`] resets the flat heap and register
-//! file in place, and campaigns go further with
-//! [`Vm::prepare`]/[`Vm::snapshot`]/[`Vm::restore`]/[`Vm::resume`] to
-//! skip re-instantiating the entry object on every trial.
+//! file in place, and [`Vm::prepare`]/[`Vm::snapshot`]/[`Vm::restore`]/
+//! [`Vm::resume`] skip re-instantiating the entry object per run.
+//!
+//! Campaigns go further. [`Vm::record`] takes the golden run and keeps a
+//! checkpoint of the whole machine at the start of every event-loop
+//! iteration; [`Vm::replay`] starts a trial from the last checkpoint
+//! before its trigger and stops it at the first later iteration start
+//! where, the injector spent, the machine equals the golden checkpoint
+//! again. That stop is exact: the VM is deterministic and a spent
+//! injector does nothing, so from an equal state the trial would repeat
+//! the golden run to the end.
 
 use crate::bytecode::{FlatHeap, FlatHeapSnapshot};
 use crate::bytecode::{Module, Op, StoreFallback, VarFallback};
 use crate::inject::Injector;
 use crate::input::InputProvider;
 use crate::interp::{ExecOptions, RunResult, RuntimeError};
-use crate::value::{ObjId, Value};
+use crate::value::{identical_values, ObjId, Value};
 
 /// Why the dispatch loop stopped executing ops.
 enum OpStop {
@@ -28,6 +36,8 @@ enum OpStop {
     Err(RuntimeError),
     /// The event loop finished its scheduled iterations.
     LoopDone,
+    /// An iteration started while `Vm::watch` was set.
+    Pause,
 }
 
 fn stop(msg: impl Into<String>) -> OpStop {
@@ -38,6 +48,7 @@ fn stop(msg: impl Into<String>) -> OpStop {
 
 /// One activation record. Registers live in the shared `Vm::regs`
 /// arena at `base .. base + chunk.n_regs`.
+#[derive(Debug, Clone, PartialEq)]
 struct VmFrame {
     chunk: u32,
     pc: usize,
@@ -53,6 +64,7 @@ struct VmFrame {
 
 /// A virtual call between `VPrep` (receiver resolved) and `VCallGo`
 /// (arguments evaluated): `k` is the zip-truncated argument count.
+#[derive(Debug, Clone, PartialEq)]
 struct Pending {
     chunk: u32,
     k: u16,
@@ -60,6 +72,7 @@ struct Pending {
 
 /// The active event loop: where to re-enter on a caught iteration
 /// abort, and how much machine state to unwind.
+#[derive(Debug, Clone, PartialEq)]
 struct ElCtx {
     frame: usize,
     head_pc: usize,
@@ -76,6 +89,7 @@ struct ElCtx {
 /// in the prepared state).
 #[derive(Debug, Clone, Copy)]
 pub struct Prepared {
+    class: u32,
     obj: usize,
     entry: u32,
     /// Steps consumed by instantiation — a trial whose trigger lies
@@ -93,6 +107,70 @@ pub struct VmSnapshot<I> {
     steps: u64,
     log: Vec<String>,
     inputs: I,
+}
+
+/// The whole machine at the start of one event-loop iteration — after
+/// its condition, before its body — as [`Vm::record`] saw it.
+#[derive(Debug, Clone)]
+struct Checkpoint<I> {
+    heap: FlatHeapSnapshot,
+    statics: Vec<Option<Value>>,
+    regs: Vec<Value>,
+    defined: Vec<bool>,
+    frames: Vec<VmFrame>,
+    pending: Vec<Pending>,
+    el: Option<ElCtx>,
+    /// Steps so far; the iteration's step budget starts here too.
+    steps: u64,
+    inputs: I,
+}
+
+/// A golden run recorded by [`Vm::record`]: its result, and the states
+/// [`Vm::replay`] starts trials from.
+#[derive(Debug, Clone)]
+pub struct Recording<I> {
+    /// The run's result, the same as [`Vm::run`] gives.
+    pub result: RunResult,
+    iterations: usize,
+    /// Before instantiation, for triggers before the first checkpoint.
+    fresh: VmSnapshot<I>,
+    prep: Prepared,
+    /// One per iteration, in order.
+    checkpoints: Vec<Checkpoint<I>>,
+}
+
+impl<I> Recording<I> {
+    /// The golden step count at which a trial whose first trigger is
+    /// `trigger` starts executing: the last checkpoint before the
+    /// trigger, or 0 (a re-run of instantiation) when none is.
+    pub fn start_step(&self, trigger: u64) -> u64 {
+        self.start_checkpoint(trigger)
+            .map_or(0, |j| self.checkpoints[j].steps)
+    }
+
+    fn start_checkpoint(&self, trigger: u64) -> Option<usize> {
+        // Steps only grow, so the checkpoints are sorted by them.
+        self.checkpoints
+            .partition_point(|c| c.steps < trigger)
+            .checked_sub(1)
+    }
+}
+
+/// One trial run by [`Vm::replay`]: the iterations it executed, and
+/// where its outputs rejoin the golden run's.
+#[derive(Debug, Clone)]
+pub struct TrialRun {
+    /// The first iteration the trial executed; before it the outputs
+    /// are the golden run's.
+    pub first: usize,
+    /// Outputs of iterations `first .. first + outputs.len()`.
+    pub outputs: Vec<Vec<Value>>,
+    /// Whether the machine re-matched the golden checkpoint at the start
+    /// of iteration `first + outputs.len()`; from there on the outputs
+    /// are the golden run's. `false` when the trial ran to the end.
+    pub converged: bool,
+    /// The step at which the injector first fired, if it did.
+    pub injected_at: Option<u64>,
 }
 
 /// The bytecode virtual machine. Generic over the input provider, like
@@ -113,6 +191,8 @@ pub struct Vm<'m, I: InputProvider> {
     inputs: I,
     injector: Option<Injector>,
     el: Option<ElCtx>,
+    /// Pause the dispatch loop at every iteration start.
+    watch: bool,
 }
 
 impl<'m, I: InputProvider> Vm<'m, I> {
@@ -134,6 +214,7 @@ impl<'m, I: InputProvider> Vm<'m, I> {
             inputs,
             injector: None,
             el: None,
+            watch: false,
         }
     }
 
@@ -186,30 +267,39 @@ impl<'m, I: InputProvider> Vm<'m, I> {
     ///
     /// Propagates instantiation failures and unknown entry points.
     pub fn prepare(&mut self, class: &str, method: &str) -> Result<Prepared, RuntimeError> {
-        self.reset();
-        self.regs.push(Value::Null);
-        self.defined.push(true);
         let no_method = || RuntimeError {
             message: format!("no method `{class}.{method}`"),
         };
         let Some(cid) = self.module.class_id(class) else {
+            self.reset();
             return Err(no_method());
         };
-        let obj = self.heap.alloc_object(cid);
-        if let Some(ic) = self.module.classes[cid as usize].init_chunk {
-            self.push_frame(ic, Some(obj), 0, None, 0, true);
-            self.dispatch()?;
-        }
+        let obj = self.instantiate(cid)?;
         let entry = self
             .module
             .name_id(method)
             .and_then(|nid| self.module.entry_chunk(cid, nid))
             .ok_or_else(no_method)?;
         Ok(Prepared {
+            class: cid,
             obj,
             entry,
             steps: self.steps,
         })
+    }
+
+    /// Resets the VM and allocates an instance of class `cid`, running
+    /// its field initializers.
+    fn instantiate(&mut self, cid: u32) -> Result<usize, RuntimeError> {
+        self.reset();
+        self.regs.push(Value::Null);
+        self.defined.push(true);
+        let obj = self.heap.alloc_object(cid);
+        if let Some(ic) = self.module.classes[cid as usize].init_chunk {
+            self.push_frame(ic, Some(obj), 0, None, 0, true);
+            self.dispatch()?;
+        }
+        Ok(obj)
     }
 
     /// Runs the prepared entry method to completion. Combined with
@@ -268,6 +358,184 @@ impl<'m, I: InputProvider> Vm<'m, I> {
         self.pending.clear();
         self.el = None;
         self.injector = None;
+    }
+
+    /// [`Vm::run`] without an injector, keeping a checkpoint of the
+    /// whole machine at the start of every event-loop iteration; the input cursor is taken
+    /// as it is now. The result is exactly [`Vm::run`]'s.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Vm::run`].
+    pub fn record(
+        &mut self,
+        class: &str,
+        method: &str,
+        iterations: usize,
+    ) -> Result<Recording<I>, RuntimeError>
+    where
+        I: Clone,
+    {
+        self.injector = None;
+        let fresh = self.snapshot();
+        let prep = self.prepare(class, method)?;
+        self.start_entry(&prep, iterations);
+        let mut checkpoints = Vec::new();
+        self.watch = true;
+        let r = loop {
+            match self.dispatch() {
+                Ok(true) => checkpoints.push(self.checkpoint()),
+                other => break other,
+            }
+        };
+        self.watch = false;
+        r?;
+        Ok(Recording {
+            result: RunResult {
+                iteration_outputs: std::mem::take(&mut self.outputs),
+                steps: self.steps,
+                error_log: std::mem::take(&mut self.log),
+                injected_at: None,
+            },
+            iterations,
+            fresh,
+            prep,
+            checkpoints,
+        })
+    }
+
+    /// Runs one injected trial of a recorded golden run, with the same
+    /// outputs and fire step as [`Vm::run`] with `injector` gives, but
+    /// executing only part of the run:
+    ///
+    /// - it starts from the last checkpoint before the injector's first
+    ///   trigger (with none, it re-runs instantiation);
+    /// - once the injector is spent, it compares the machine with the
+    ///   golden checkpoint at each iteration start, and stops at the
+    ///   first match.
+    ///
+    /// Heap, statics, live registers, frames, pending calls and the
+    /// event-loop context must match exactly, floats by bit pattern;
+    /// inputs by [`InputProvider::same_cursor`]. The step counter is
+    /// left out: past a spent injector it only feeds the per-iteration
+    /// budget, which every iteration restarts.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Vm::run`].
+    pub fn replay(
+        &mut self,
+        rec: &Recording<I>,
+        injector: Injector,
+    ) -> Result<TrialRun, RuntimeError>
+    where
+        I: Clone,
+    {
+        let first = match rec.start_checkpoint(injector.trigger_step()) {
+            Some(j) => {
+                self.restore_checkpoint(&rec.checkpoints[j]);
+                self.injector = Some(injector);
+                j
+            }
+            None => {
+                self.restore(&rec.fresh);
+                self.injector = Some(injector);
+                self.instantiate(rec.prep.class)?;
+                self.start_entry(&rec.prep, rec.iterations);
+                0
+            }
+        };
+        self.watch = true;
+        let r = loop {
+            match self.dispatch() {
+                Ok(true) => {
+                    // Paused at the start of iteration `first + len - 1`.
+                    let k = first + self.outputs.len() - 1;
+                    let spent = self.injector.as_ref().is_some_and(Injector::is_spent);
+                    if spent && rec.checkpoints.get(k).is_some_and(|cp| self.matches(cp)) {
+                        self.outputs.pop();
+                        break Ok(true);
+                    }
+                }
+                Ok(false) => break Ok(false),
+                Err(e) => break Err(e),
+            }
+        };
+        self.watch = false;
+        let injected_at = self.injector.take().and_then(|i| i.fired_at);
+        let converged = r?;
+        Ok(TrialRun {
+            first,
+            outputs: std::mem::take(&mut self.outputs),
+            converged,
+            injected_at,
+        })
+    }
+
+    fn checkpoint(&self) -> Checkpoint<I>
+    where
+        I: Clone,
+    {
+        Checkpoint {
+            heap: self.heap.snapshot(),
+            statics: self.statics.clone(),
+            regs: self.regs.clone(),
+            defined: self.defined.clone(),
+            frames: self.frames.clone(),
+            pending: self.pending.clone(),
+            el: self.el.clone(),
+            steps: self.steps,
+            inputs: self.inputs.clone(),
+        }
+    }
+
+    /// Puts the machine back at a checkpoint, paused at the start of its
+    /// iteration with nothing emitted yet.
+    fn restore_checkpoint(&mut self, cp: &Checkpoint<I>)
+    where
+        I: Clone,
+    {
+        self.heap.restore(&cp.heap);
+        self.statics.clone_from(&cp.statics);
+        self.regs.clone_from(&cp.regs);
+        self.defined.clone_from(&cp.defined);
+        self.frames.clone_from(&cp.frames);
+        self.pending.clone_from(&cp.pending);
+        self.el.clone_from(&cp.el);
+        self.steps = cp.steps;
+        self.iter_start_step = cp.steps;
+        self.inputs.clone_from(&cp.inputs);
+        self.log.clear();
+        self.outputs.clear();
+        self.outputs.push(Vec::new());
+    }
+
+    /// Whether the machine, paused at an iteration start, equals `cp`
+    /// in everything the rest of the run can read.
+    ///
+    /// The loop frame's temporaries are left out: the lowering allocates
+    /// them per statement, so every one is written before it is read
+    /// again, and iteration starts are statement boundaries.
+    fn matches(&self, cp: &Checkpoint<I>) -> bool {
+        let Some(top) = self.frames.last() else {
+            return false;
+        };
+        let live = top.base + self.module.chunks[top.chunk as usize].n_named as usize;
+        self.frames == cp.frames
+            && self.pending == cp.pending
+            && self.el == cp.el
+            && self
+                .statics
+                .iter()
+                .zip(&cp.statics)
+                .all(|(a, b)| match (a, b) {
+                    (Some(a), Some(b)) => a.identical(b),
+                    (a, b) => a.is_none() && b.is_none(),
+                })
+            && self.inputs.same_cursor(&cp.inputs)
+            && self.defined[..live] == cp.defined[..live]
+            && identical_values(&self.regs[..live], &cp.regs[..live])
+            && self.heap.matches(&cp.heap)
     }
 
     /// Total mutable heap cells in the current state (the heap-slot
@@ -367,8 +635,9 @@ impl<'m, I: InputProvider> Vm<'m, I> {
         }
     }
 
-    /// Runs ops until the machine stops: `Ok(true)` when the event loop
-    /// completed its iterations, `Ok(false)` when the frame stack
+    /// Runs ops until the machine stops: `Ok(true)` when it paused at
+    /// an iteration start (only while `watch` is set), `Ok(false)` when
+    /// the event loop completed its iterations or the frame stack
     /// drained (entry returned before/without an event loop).
     fn dispatch(&mut self) -> Result<bool, RuntimeError> {
         loop {
@@ -377,6 +646,7 @@ impl<'m, I: InputProvider> Vm<'m, I> {
             }
             match self.exec_next() {
                 Ok(()) => {}
+                Err(OpStop::Pause) => return Ok(true),
                 Err(OpStop::LoopDone) => {
                     // The interpreter's `instantiate`/`static_value`
                     // hit `unreachable!` when a LoopDone unwinds into
@@ -385,7 +655,7 @@ impl<'m, I: InputProvider> Vm<'m, I> {
                         unreachable!("no loop in initializer");
                     }
                     self.frames.clear();
-                    return Ok(true);
+                    return Ok(false);
                 }
                 Err(OpStop::Err(e)) => {
                     let catch = self
@@ -834,6 +1104,9 @@ impl<'m, I: InputProvider> Vm<'m, I> {
                 self.iter_start_step = self.steps;
                 if let Some(el) = &mut self.el {
                     el.armed = true;
+                }
+                if self.watch {
+                    return Err(OpStop::Pause);
                 }
             }
             Op::LoopDone => return Err(OpStop::LoopDone),

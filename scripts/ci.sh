@@ -48,9 +48,12 @@
 #  13. the VM gate (bench_vm): the register-bytecode VM must produce
 #      byte-identical traces to the tree-walking interpreter on the
 #      four paper apps + mp3dec and across the stress corpus (plain
-#      and fault-injected, both kinds), and beat it by ≥5x on mp3dec
-#      (the throughput floor auto-skips on machines with <4 cores,
-#      where the measurement is too noisy; identity always gates)
+#      and fault-injected, both kinds), the first 48 mp3dec campaign
+#      trials (checkpoint restore, convergence stop) must equal the
+#      interpreter running each seed from scratch, and the VM must beat
+#      the interpreter by ≥5x on mp3dec (the throughput floor
+#      auto-skips on machines with <4 cores, where the measurement is
+#      too noisy; identity always gates)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -140,9 +143,10 @@ echo "== edit-storm gate (dependency-tracked invalidation) =="
 # the warm-time fields vary by machine).
 target/release/bench_edit --gate
 
-echo "== VM gate (trace identity + mp3dec speedup floor) =="
+echo "== VM gate (trace + campaign-trial identity, mp3dec speedup floor) =="
 # Trace identity between the register-bytecode VM and the tree-walking
-# interpreter is the precondition for every campaign number; the ≥5x
+# interpreter, and campaign trials equal to from-scratch interpreter
+# runs, are the precondition for every campaign number; the ≥5x
 # mp3dec floor is what justifies the 100k-trial fig 6.1 default. Runs
 # from a scratch directory so the smoke JSON does not overwrite the
 # committed results/BENCH_vm.json.

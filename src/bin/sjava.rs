@@ -353,6 +353,19 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
         eprintln!("error: `sjava campaign` needs `--app=<name>`");
         return ExitCode::from(EXIT_USAGE);
     };
+    // `!(x > 0)` rather than `x <= 0` so that NaN is rejected too.
+    if !(window > 0.0 && window <= 1.0) {
+        eprintln!("error: `--window` must be in (0, 1], got {window}");
+        return ExitCode::from(EXIT_USAGE);
+    }
+    if !(eps.is_finite() && eps >= 0.0) {
+        eprintln!("error: `--eps` must be a finite number ≥ 0, got {eps}");
+        return ExitCode::from(EXIT_USAGE);
+    }
+    if iters == Some(0) {
+        eprintln!("error: `--iters` must be at least 1");
+        return ExitCode::from(EXIT_USAGE);
+    }
 
     let cfg = CampaignCfg {
         trials,
@@ -433,7 +446,7 @@ fn run_campaign<I, F>(
     cfg: &CampaignCfg,
 ) -> ExitCode
 where
-    I: sjava::runtime::InputProvider + Clone,
+    I: sjava::runtime::InputProvider + Clone + Sync,
     F: Fn() -> I + Sync,
 {
     let program = match sjava::parse(src) {
@@ -473,10 +486,6 @@ where
         outcome.trials.len(),
         outcome.golden.outputs().len(),
         outcome.golden.steps
-    );
-    println!(
-        "calibrated cost model (ns/trial): op-resume {}, heap-resume {}, full-run {}",
-        outcome.cost_model.ns[0], outcome.cost_model.ns[1], outcome.cost_model.ns[2]
     );
     println!("\nrecovery time, output samples until re-convergence:");
     print!("{}", outcome.hist_samples.render());

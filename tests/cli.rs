@@ -197,6 +197,35 @@ fn campaign_rejects_bad_out_flags_before_running() {
 }
 
 #[test]
+fn campaign_rejects_bad_window_eps_and_iters_before_running() {
+    // A window past 1 put every trigger after the end of the run and
+    // reported a clean campaign; NaN and negative windows clamped every
+    // trigger to step 1; `--iters=0` ran an empty campaign.
+    for bad in [
+        "--window=5",
+        "--window=1.01",
+        "--window=0",
+        "--window=-1",
+        "--window=nan",
+        "--eps=-1",
+        "--eps=nan",
+        "--eps=inf",
+        "--iters=0",
+    ] {
+        let out = sjava(&["campaign", "--app=eyetrack", "--trials=40", bad]);
+        assert_eq!(out.status.code(), Some(2), "{bad}");
+        assert!(
+            out.stdout.is_empty(),
+            "{bad}: campaign ran before rejecting"
+        );
+    }
+    for good in ["--window=1", "--eps=0", "--iters=1"] {
+        let out = sjava(&["campaign", "--app=eyetrack", "--trials=4", good]);
+        assert!(out.status.success(), "{good}");
+    }
+}
+
+#[test]
 fn check_processes_share_one_store() {
     // Cross-process warm hits: a first `sjava check` with SJAVA_CACHE_DIR
     // publishes per-method objects; a second process over the same
