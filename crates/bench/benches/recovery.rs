@@ -1,43 +1,38 @@
-//! Interpreter and error-injection throughput: decoded frames per second
-//! in the golden run and a full injected trial (the Fig 6.1 inner loop).
+//! VM and fault-injection throughput: decoding frames in a golden run
+//! and a small Fig 6.1 campaign (compile, recorded golden run, trials).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sjava_apps::mp3dec;
-use sjava_bench::{run_golden, run_trial};
+use sjava_runtime::{compile, Campaign, ExecOptions, Vm};
 use std::hint::black_box;
 
 fn bench_decode(c: &mut Criterion) {
     let g = 48;
     let src = mp3dec::source_with(g, 4);
     let program = sjava_syntax::parse(&src).expect("parses");
+    let module = compile(&program);
+    let mut vm = Vm::new(&module, mp3dec::inputs_for(0, g), ExecOptions::default());
     c.bench_function("decode_4_frames", |b| {
         b.iter(|| {
-            run_golden(
-                black_box(&program),
-                mp3dec::ENTRY,
-                mp3dec::inputs_for(0, g),
-                4,
-            )
-            .steps
+            vm.set_inputs(mp3dec::inputs_for(0, g));
+            vm.run(mp3dec::ENTRY.0, mp3dec::ENTRY.1, black_box(4))
+                .expect("golden run")
+                .steps
         })
     });
-    let golden = run_golden(&program, mp3dec::ENTRY, mp3dec::inputs_for(0, g), 4);
-    c.bench_function("injected_trial_4_frames", |b| {
-        let mut seed = 0u64;
+    let campaign = Campaign {
+        trials: 16,
+        inject_window: 0.6,
+        eps: 1e-9,
+        threads: Some(1),
+        ..Campaign::new(&program, mp3dec::ENTRY, 4)
+    };
+    c.bench_function("campaign_16_trials_4_frames", |b| {
         b.iter(|| {
-            seed += 1;
-            run_trial(
-                black_box(&program),
-                mp3dec::ENTRY,
-                mp3dec::inputs_for(0, g),
-                4,
-                &golden,
-                seed,
-                0.6,
-                1e-9,
-            )
-            .stats
-            .diverged
+            black_box(campaign)
+                .run(|| mp3dec::inputs_for(0, g))
+                .expect("campaign entry resolves")
+                .diverged()
         })
     });
 }

@@ -6,8 +6,9 @@
 //!
 //! Usage: `cargo run --release -p sjava-bench --bin ablation_sticky`
 
-use sjava_bench::{env_usize, run_golden, run_trials, write_result};
+use sjava_bench::{env_usize, write_result};
 use sjava_core::check_program;
+use sjava_runtime::{Campaign, SeededInput};
 
 /// Windowed average over the last 4 inputs: self-stabilizing.
 const GOOD: &str = r#"
@@ -45,7 +46,13 @@ class Avg {
     }
 }"#;
 
-fn campaign(name: &str, source: &str, expect_ok: bool, csv: &mut String) -> (usize, usize, usize) {
+fn campaign(
+    name: &str,
+    source: &str,
+    expect_ok: bool,
+    trials: usize,
+    csv: &mut String,
+) -> (usize, usize, usize) {
     let program = sjava_syntax::parse(source).expect("parses");
     let report = check_program(&program);
     assert_eq!(report.is_ok(), expect_ok, "{name}: {}", report.diagnostics);
@@ -56,27 +63,19 @@ fn campaign(name: &str, source: &str, expect_ok: bool, csv: &mut String) -> (usi
     };
     println!("{name}: checker verdict = {verdict}");
 
-    let trials = env_usize("SJAVA_TRIALS", 60);
     let iterations = 50;
-    let golden = run_golden(
-        &program,
-        ("Avg", "main"),
-        sjava_runtime::SeededInput::new(0),
-        iterations,
-    );
+    let campaign = Campaign {
+        trials,
+        inject_window: 0.5,
+        ..Campaign::new(&program, ("Avg", "main"), iterations)
+    };
+    let out = campaign
+        .run(|| SeededInput::new(0))
+        .expect("campaign entry resolves");
     let mut diverged = 0;
     let mut unrecovered = 0;
     let mut worst = 0usize;
-    for t in run_trials(
-        &program,
-        ("Avg", "main"),
-        || sjava_runtime::SeededInput::new(0),
-        iterations,
-        &golden,
-        trials,
-        0.5,
-        0.0,
-    ) {
+    for t in &out.trials {
         if t.stats.diverged {
             diverged += 1;
             worst = worst.max(t.stats.recovery_iterations);
@@ -96,12 +95,23 @@ fn campaign(name: &str, source: &str, expect_ok: bool, csv: &mut String) -> (usi
 }
 
 fn main() {
+    let trials = env_usize("SJAVA_TRIALS", 60);
     println!("Ablation — verified vs rejected program under identical injections\n");
     let mut csv = String::from("program,seed,diverged,recovery_iterations\n");
-    let (_, good_unrec, good_worst) =
-        campaign("windowed average (checker-verified)", GOOD, true, &mut csv);
-    let (sticky_div, sticky_unrec, _) =
-        campaign("running sum (checker-rejected)", STICKY, false, &mut csv);
+    let (_, good_unrec, good_worst) = campaign(
+        "windowed average (checker-verified)",
+        GOOD,
+        true,
+        trials,
+        &mut csv,
+    );
+    let (sticky_div, sticky_unrec, _) = campaign(
+        "running sum (checker-rejected)",
+        STICKY,
+        false,
+        trials,
+        &mut csv,
+    );
 
     assert_eq!(good_unrec, 0, "verified program must always recover");
     assert!(good_worst <= 4, "window depth bounds recovery");

@@ -5,7 +5,8 @@
 //! Usage: `cargo run --release -p sjava-bench --bin eval_eye`
 
 use sjava_apps::eyetrack;
-use sjava_bench::{env_usize, run_golden, run_trials, write_result};
+use sjava_bench::{env_usize, write_result};
+use sjava_runtime::Campaign;
 
 fn main() {
     let trials = env_usize("SJAVA_TRIALS", 100);
@@ -14,20 +15,18 @@ fn main() {
     let report = sjava_core::check_program(&program);
     assert!(report.is_ok(), "{}", report.diagnostics);
 
-    let golden = run_golden(&program, eyetrack::ENTRY, eyetrack::inputs(0), iterations);
+    let campaign = Campaign {
+        trials,
+        inject_window: 0.7,
+        ..Campaign::new(&program, eyetrack::ENTRY, iterations)
+    };
+    let out = campaign
+        .run(|| eyetrack::inputs(0))
+        .expect("campaign entry resolves");
     let mut changed = 0usize;
     let mut by_iters = [0usize; 8];
     let mut csv = String::from("seed,diverged,recovery_iterations\n");
-    for t in run_trials(
-        &program,
-        eyetrack::ENTRY,
-        || eyetrack::inputs(0),
-        iterations,
-        &golden,
-        trials,
-        0.7,
-        0.0,
-    ) {
+    for t in &out.trials {
         csv.push_str(&format!(
             "{},{},{}\n",
             t.seed, t.stats.diverged, t.stats.recovery_iterations

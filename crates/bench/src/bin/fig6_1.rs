@@ -5,18 +5,18 @@
 //! Trials run as a batched campaign on the register-bytecode VM — one
 //! compile, one recorded golden run, and per trial a checkpoint restore
 //! before the trigger and a stop once the state re-matches the golden
-//! run — which is what makes the 100k-trial default tractable. Per-seed
-//! triggers, kinds and recovery stats are identical to the historical
-//! interpreter-per-trial pipeline (`bench_vm --gate` enforces trace
-//! identity between the engines and checks campaign trials against the
-//! interpreter).
+//! run — which is what makes the 100k-trial default tractable. `bench
+//! vm --gate` enforces trace identity between the VM and the
+//! tree-walking interpreter and replays campaign trials on the
+//! interpreter.
 //!
 //! Usage: `cargo run --release -p sjava-bench --bin fig6_1`
 //! Env overrides: `SJAVA_TRIALS` (default 100000), `SJAVA_GRANULE` (192),
 //! `SJAVA_WINDOW` (8), `SJAVA_FRAMES` (10).
 
 use sjava_apps::mp3dec;
-use sjava_bench::{env_usize, run_trials_vm, write_result, Histogram};
+use sjava_bench::{env_usize, write_result};
+use sjava_runtime::{Campaign, RecoveryHistogram};
 
 fn main() {
     let trials = env_usize("SJAVA_TRIALS", 100_000);
@@ -36,34 +36,33 @@ fn main() {
     );
     let started = std::time::Instant::now();
     // Inject within the first 60% of the run so recovery fits inside it.
-    let (golden, results) = run_trials_vm(
-        &program,
-        mp3dec::ENTRY,
-        || mp3dec::inputs_for(0, granule),
-        frames,
+    let campaign = Campaign {
         trials,
-        0.6,
-        1e-9,
-    );
+        inject_window: 0.6,
+        eps: 1e-9,
+        ..Campaign::new(&program, mp3dec::ENTRY, frames)
+    };
+    let out = campaign
+        .run(|| mp3dec::inputs_for(0, granule))
+        .expect("campaign entry resolves");
     let elapsed = started.elapsed().as_secs_f64();
     println!(
         "golden run: {} samples, {} steps",
-        golden.outputs().len(),
-        golden.steps
+        out.golden.outputs().len(),
+        out.golden.steps
     );
 
-    let mut hist = Histogram::new((frame_samples / 8).max(1), 3 * frame_samples);
+    let mut hist =
+        RecoveryHistogram::new((frame_samples / 8).max(1) as u64, 3 * frame_samples as u64);
     let mut diverged = 0usize;
     let mut max_recovery = 0usize;
     let mut recoveries: Vec<usize> = Vec::new();
-    for t in results {
-        if t.stats.diverged {
-            diverged += 1;
-            let r = t.stats.recovery_samples;
-            hist.record(r);
-            recoveries.push(r);
-            max_recovery = max_recovery.max(r);
-        }
+    for t in out.trials.iter().filter(|t| t.stats.diverged) {
+        diverged += 1;
+        let r = t.stats.recovery_samples;
+        hist.record(&t.stats, r as u64);
+        recoveries.push(r);
+        max_recovery = max_recovery.max(r);
     }
     recoveries.sort_unstable();
     let median = recoveries.get(recoveries.len() / 2).copied().unwrap_or(0);
@@ -78,7 +77,9 @@ fn main() {
         hist.bucket_width
     );
     print!("{}", hist.render());
-    if let Some((peak_lo, peak_n)) = hist.peak() {
+    let peak = hist.buckets.iter().enumerate().max_by_key(|&(_, &n)| n);
+    if let Some((i, &peak_n)) = peak.filter(|&(_, &n)| n > 0) {
+        let peak_lo = i as u64 * hist.bucket_width;
         println!(
             "peak bucket at {peak_lo} samples ({:.2} frames; paper's peak ≈1,700 samples ≈1.5 frames) with {peak_n} trials",
             peak_lo as f64 / frame_samples as f64

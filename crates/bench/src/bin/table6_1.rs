@@ -6,7 +6,7 @@
 //!
 //! Usage: `cargo run --release -p sjava-bench --bin table6_1`
 
-use sjava_bench::{assert_clean, deny_warnings, write_result};
+use sjava_bench::{assert_clean, write_result};
 use sjava_core::check_program;
 use sjava_infer::{infer, Metrics, Mode};
 use sjava_syntax::ast::Program;
@@ -42,7 +42,7 @@ fn manual_metrics(program: &Program) -> Metrics {
     Metrics::from_gen(&gen)
 }
 
-fn rows_for(name: &str, source: &str, deny: bool, out: &mut Vec<Row>) {
+fn rows_for(name: &str, source: &str, out: &mut Vec<Row>) {
     let loc = source
         .lines()
         .filter(|l| !l.trim().is_empty() && !l.trim().starts_with("//"))
@@ -69,11 +69,7 @@ fn rows_for(name: &str, source: &str, deny: bool, out: &mut Vec<Row>) {
         let printed = print_program(&result.annotated);
         let reparsed = sjava_syntax::parse(&printed).expect("inferred source parses");
         let report = check_program(&reparsed);
-        assert_clean(
-            &format!("{name} {label} (inferred)"),
-            &report.diagnostics,
-            deny,
-        );
+        assert_clean(&format!("{name} {label} (inferred)"), &report.diagnostics);
         out.push(Row {
             benchmark: name.to_string(),
             variant: label,
@@ -95,11 +91,10 @@ fn rows_for(name: &str, source: &str, deny: bool, out: &mut Vec<Row>) {
 }
 
 fn main() {
-    let deny = deny_warnings();
     let mut rows = Vec::new();
-    rows_for("MP3", sjava_apps::mp3dec::source(), deny, &mut rows);
-    rows_for("Eye", sjava_apps::eyetrack::SOURCE, deny, &mut rows);
-    rows_for("Robot", sjava_apps::sumobot::SOURCE, deny, &mut rows);
+    rows_for("MP3", sjava_apps::mp3dec::source(), &mut rows);
+    rows_for("Eye", sjava_apps::eyetrack::SOURCE, &mut rows);
+    rows_for("Robot", sjava_apps::sumobot::SOURCE, &mut rows);
 
     println!("Table 6.1 — Inference Evaluation");
     println!(
@@ -170,7 +165,7 @@ fn main() {
         ("Robot", sjava_apps::sumobot::SOURCE),
     ] {
         let report = sjava_core::check_source(source).expect("benchmark parses");
-        assert_clean(name, &report.diagnostics, deny);
+        assert_clean(name, &report.diagnostics);
         let t = &report.timings;
         let breakdown: Vec<String> = t
             .phases()

@@ -1,215 +1,332 @@
 //! # sjava-bench
 //!
-//! Shared harness for regenerating every table and figure of the
-//! Self-Stabilizing Java evaluation (chapter 6). Each experiment has a
-//! binary (`fig6_1`, `fig6_2`, `fig6_3`, `fig6_4`, `table6_1`,
-//! `eval_eye`, `eval_robot`) and the timing-sensitive pieces also have
-//! Criterion benches.
+//! Harness for the Self-Stabilizing Java evaluation (chapter 6). Each
+//! paper table and figure has a binary (`fig6_1`–`fig6_4`, `table6_1`,
+//! `eval_eye`, `eval_robot`, `ablation_sticky`); their fault-injection
+//! trials run as [`sjava_runtime::Campaign`]s. The timing legs and CI
+//! gates live in one binary, `bench [check|infer|edit|vm] [--gate]`,
+//! over the core below: the paper-app list, [`Sample`], the
+//! [`Mode`]-aware results writer and the [`Gate`].
 
 #![warn(missing_docs)]
 
 pub mod fuzz;
 pub mod stressgen;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sjava_runtime::{
-    compare_runs, ExecOptions, Injector, InputProvider, Interpreter, RecoveryStats, RunResult,
-};
-use sjava_syntax::ast::Program;
+use std::path::PathBuf;
+use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
-/// One error-injection trial against a shared golden run.
+/// The four annotated paper apps, `(name, source)`, in report order.
+pub fn paper_apps() -> [(&'static str, &'static str); 4] {
+    [
+        ("windsensor", sjava_apps::windsensor::SOURCE),
+        ("eyetrack", sjava_apps::eyetrack::SOURCE),
+        ("sumobot", sjava_apps::sumobot::SOURCE),
+        ("mp3dec", sjava_apps::mp3dec::source()),
+    ]
+}
+
+/// Which sizes a `bench` leg runs at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// `--gate`: the CI sizes; nothing is written.
+    Gate,
+    /// The report sizes; each leg rewrites its `results/BENCH_*.json`.
+    Report,
+}
+
+impl Mode {
+    /// `gate` in gate mode, `report` in report mode.
+    pub fn pick<T>(self, gate: T, report: T) -> T {
+        match self {
+            Mode::Gate => gate,
+            Mode::Report => report,
+        }
+    }
+
+    /// Writes `report` to `results/{file}` in report mode; gate mode
+    /// writes nothing.
+    pub fn write(self, file: &str, report: Obj) {
+        if self == Mode::Report {
+            let path = write_result(file, &Json::from(report).render());
+            println!("written to {}", path.display());
+        }
+    }
+}
+
+/// A value in a `results/BENCH_*.json` report, hand-emitted like the
+/// checker's JSON and SARIF output.
 #[derive(Debug, Clone)]
-pub struct Trial {
-    /// Trial seed.
-    pub seed: u64,
-    /// Step at which the injector fired (if it did).
-    pub injected_at: Option<u64>,
-    /// Recovery statistics vs the golden run.
-    pub stats: RecoveryStats,
+pub enum Json {
+    /// A rendered number, flag or string.
+    Leaf(String),
+    /// A list.
+    Arr(Vec<Json>),
+    /// An object.
+    Obj(Obj),
 }
 
-/// Runs the golden (error-free) execution of a benchmark.
-pub fn run_golden<I: InputProvider>(
-    program: &Program,
-    entry: (&str, &str),
-    inputs: I,
-    iterations: usize,
-) -> RunResult {
-    Interpreter::new(program, inputs, ExecOptions::default())
-        .run(entry.0, entry.1, iterations)
-        .expect("golden run cannot fail in ignore-errors mode")
+/// A JSON object, members in insertion order.
+#[derive(Debug, Clone, Default)]
+pub struct Obj(Vec<(&'static str, Json)>);
+
+impl Obj {
+    /// Appends the member `key: value`.
+    pub fn f(mut self, key: &'static str, value: impl Into<Json>) -> Obj {
+        self.0.push((key, value.into()));
+        self
+    }
 }
 
-/// Runs one injected trial: the trigger step is drawn uniformly from the
-/// first `inject_window` fraction of the golden run's steps.
-#[allow(clippy::too_many_arguments)]
-pub fn run_trial<I: InputProvider>(
-    program: &Program,
-    entry: (&str, &str),
-    inputs: I,
-    iterations: usize,
-    golden: &RunResult,
-    seed: u64,
-    inject_window: f64,
-    eps: f64,
-) -> Trial {
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15));
-    let max_step = ((golden.steps as f64) * inject_window).max(2.0) as u64;
-    let trigger = rng.gen_range(1..max_step);
-    // Alternate between "mathematical operation" and "memory" errors, as
-    // in the paper's injection methodology (§6.2).
-    let kind = if seed.is_multiple_of(2) {
-        sjava_runtime::inject::InjectKind::Op
-    } else {
-        sjava_runtime::inject::InjectKind::Heap
+/// Builds an [`Obj`] from `"key" => value` pairs, in order.
+#[macro_export]
+macro_rules! obj {
+    ($($key:literal => $value:expr),* $(,)?) => {
+        $crate::Obj::default()$(.f($key, $value))*
     };
-    let run = Interpreter::new(program, inputs, ExecOptions::default())
-        .with_injector(Injector::with_kind(seed, trigger, kind))
-        .run(entry.0, entry.1, iterations)
-        .expect("injected run cannot fail in ignore-errors mode");
-    let stats = compare_runs(&golden.iteration_outputs, &run.iteration_outputs, eps);
-    Trial {
-        seed,
-        injected_at: run.injected_at,
-        stats,
-    }
 }
 
-/// Runs trials with seeds `0..trials` against one golden run, fanning
-/// the embarrassingly-parallel injections across `sjava_par` workers
-/// (`SJAVA_THREADS` overrides the width). `make_inputs` builds a fresh
-/// input provider per trial. Results come back in seed order, so every
-/// downstream aggregate (histograms, counters, CSV rows) is identical at
-/// any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_trials<I, F>(
-    program: &Program,
-    entry: (&str, &str),
-    make_inputs: F,
-    iterations: usize,
-    golden: &RunResult,
-    trials: usize,
-    inject_window: f64,
-    eps: f64,
-) -> Vec<Trial>
-where
-    I: InputProvider,
-    F: Fn() -> I + Sync,
-{
-    sjava_par::run_indexed(trials, |i| {
-        run_trial(
-            program,
-            entry,
-            make_inputs(),
-            iterations,
-            golden,
-            i as u64,
-            inject_window,
-            eps,
-        )
-    })
-}
-
-/// Runs seeds `0..trials` as a batched VM campaign: same per-seed
-/// trigger/kind derivation and recovery stats as [`run_trials`], but
-/// executed on the register-bytecode VM with one compile, one recorded
-/// golden run, and per-trial checkpoint restore and convergence stop
-/// instead of a fresh interpreter per trial. Returns the campaign's own (VM) golden run alongside the
-/// trials; its outputs are byte-identical to the tree-walker's (gated
-/// by `bench_vm --gate`).
-pub fn run_trials_vm<I, F>(
-    program: &Program,
-    entry: (&str, &str),
-    make_inputs: F,
-    iterations: usize,
-    trials: usize,
-    inject_window: f64,
-    eps: f64,
-) -> (RunResult, Vec<Trial>)
-where
-    I: InputProvider + Clone + Sync,
-    F: Fn() -> I + Sync,
-{
-    let mut c = sjava_runtime::Campaign::new(program, entry, iterations);
-    c.trials = trials;
-    c.inject_window = inject_window;
-    c.eps = eps;
-    let out = c.run(make_inputs).expect("campaign entry must resolve");
-    let trials = out
-        .trials
-        .into_iter()
-        .map(|t| Trial {
-            seed: t.seed,
-            injected_at: t.injected_at,
-            stats: t.stats,
-        })
-        .collect();
-    (out.golden, trials)
-}
-
-/// A fixed-width histogram over recovery sample counts.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    /// Bucket width in samples.
-    pub bucket_width: usize,
-    /// Counts per bucket.
-    pub buckets: Vec<usize>,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given bucket width and upper bound.
-    pub fn new(bucket_width: usize, max_value: usize) -> Self {
-        Histogram {
-            bucket_width,
-            buckets: vec![0; max_value / bucket_width + 2],
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: usize) {
-        let idx = (value / self.bucket_width).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-    }
-
-    /// Renders the histogram as an ASCII bar chart.
-    pub fn render(&self) -> String {
-        let max = self.buckets.iter().copied().max().unwrap_or(1).max(1);
-        let mut out = String::new();
-        for (i, &count) in self.buckets.iter().enumerate() {
-            if count == 0 {
-                continue;
+macro_rules! json_leaf {
+    ($($t:ty),*) => {
+        $(impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Leaf(v.to_string())
             }
-            let lo = i * self.bucket_width;
-            let hi = lo + self.bucket_width - 1;
-            let bar = "#".repeat((count * 60).div_ceil(max));
-            out.push_str(&format!("{lo:>6}-{hi:<6} {count:>5} {bar}\n"));
-        }
+        })*
+    };
+}
+json_leaf!(usize, u64, bool);
+
+/// Measurements print with four decimals; a non-finite one as `null`.
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Leaf(if v.is_finite() {
+            format!("{v:.4}")
+        } else {
+            "null".into()
+        })
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Leaf(format!("{v:?}"))
+    }
+}
+
+impl From<Obj> for Json {
+    fn from(v: Obj) -> Json {
+        Json::Obj(v)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(v: Vec<T>) -> Json {
+        Json::Arr(v.into_iter().map(Into::into).collect())
+    }
+}
+
+impl Json {
+    /// Pretty-prints the value: arrays and the objects in the top two
+    /// levels put one item per line; anything deeper stays on one line.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
         out
     }
 
-    /// The bucket (by lower bound) with the most observations.
-    pub fn peak(&self) -> Option<(usize, usize)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i * self.bucket_width, c))
+    fn write(&self, out: &mut String, depth: usize) {
+        let (open, close, items): (_, _, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Leaf(s) => return out.push_str(s),
+            Json::Arr(v) => ('[', ']', v.iter().map(|j| (None, j)).collect()),
+            Json::Obj(Obj(m)) => ('{', '}', m.iter().map(|(k, j)| (Some(*k), j)).collect()),
+        };
+        let multiline = matches!(self, Json::Arr(_)) || depth < 2;
+        let gap = |d: usize| {
+            if multiline {
+                format!("\n{}", "  ".repeat(d))
+            } else {
+                " ".to_string()
+            }
+        };
+        out.push(open);
+        for (i, (key, item)) in items.into_iter().enumerate() {
+            out.push_str(if i == 0 { "" } else { "," });
+            out.push_str(&gap(depth + 1));
+            if let Some(key) = key {
+                out.push_str(&format!("\"{key}\": "));
+            }
+            item.write(out, depth + 1);
+        }
+        out.push_str(&gap(depth));
+        out.push(close);
+    }
+}
+
+/// Timed reps of one configuration: wall-clock milliseconds, plus the
+/// per-phase breakdown each rep reported (`PhaseTimings::phases`,
+/// `InferTimings::phases`), if any.
+#[derive(Debug, Clone, Default)]
+pub struct Sample {
+    wall: Vec<f64>,
+    phases: Vec<Vec<(&'static str, Duration)>>,
+}
+
+impl Sample {
+    /// Times `reps` calls of `rep`, keeping the phases each call returns.
+    pub fn time<P>(reps: usize, mut rep: impl FnMut() -> P) -> Sample
+    where
+        P: IntoIterator<Item = (&'static str, Duration)>,
+    {
+        let mut s = Sample::default();
+        for _ in 0..reps {
+            let t = Instant::now();
+            let phases = rep();
+            s.wall.push(ms(t.elapsed()));
+            s.phases.push(phases.into_iter().collect());
+        }
+        s
     }
 
-    /// Emits `bucket_lo,count` CSV lines.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("bucket_lo,count\n");
-        for (i, &count) in self.buckets.iter().enumerate() {
-            out.push_str(&format!("{},{}\n", i * self.bucket_width, count));
+    /// Records one rep the caller timed, with no phase breakdown.
+    pub fn push(&mut self, wall: Duration) {
+        self.wall.push(ms(wall));
+    }
+
+    /// The fastest rep, in ms.
+    pub fn min(&self) -> f64 {
+        self.wall.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    /// The median rep, in ms.
+    pub fn median(&self) -> f64 {
+        median(self.wall.clone())
+    }
+
+    /// The mean rep, in ms.
+    pub fn mean(&self) -> f64 {
+        self.wall.iter().sum::<f64>() / self.wall.len().max(1) as f64
+    }
+
+    /// Per-phase medians across reps, as a `{ "phase": ms }` object.
+    pub fn phases(&self) -> Obj {
+        let mut obj = Obj::default();
+        for (i, (name, _)) in self.phases.first().into_iter().flatten().enumerate() {
+            obj = obj.f(
+                name,
+                median(self.phases.iter().map(|p| ms(p[i].1)).collect()),
+            );
         }
-        out
+        obj
+    }
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// A duration in milliseconds.
+pub fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1000.0
+}
+
+/// Runs `f` with the worker pool pinned to `threads` (`SJAVA_THREADS`),
+/// then puts the variable back as it was, so a leg leaves the process
+/// as it found it.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let saved = std::env::var_os(sjava_par::THREADS_ENV);
+    std::env::set_var(sjava_par::THREADS_ENV, threads.to_string());
+    let out = f();
+    match saved {
+        Some(v) => std::env::set_var(sjava_par::THREADS_ENV, v),
+        None => std::env::remove_var(sjava_par::THREADS_ENV),
+    }
+    out
+}
+
+/// A fresh, empty directory under the system temp dir, removed on drop.
+pub struct TempDir(pub PathBuf);
+
+impl TempDir {
+    /// Creates `sjava-bench-<pid>-<label>`, emptying any leftover.
+    pub fn new(label: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("sjava-bench-{}-{label}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Collects every check the `bench` legs make. Failures and skip notices
+/// print as they happen; [`Gate::finish`] lists them again and turns
+/// them into the exit code.
+#[derive(Debug, Default)]
+pub struct Gate {
+    passed: usize,
+    failures: Vec<String>,
+    skipped: Vec<String>,
+}
+
+impl Gate {
+    /// Records one check; `what` describes a failure.
+    pub fn check(&mut self, ok: bool, what: impl FnOnce() -> String) {
+        if ok {
+            self.passed += 1;
+        } else {
+            let what = what();
+            eprintln!("GATE FAIL: {what}");
+            self.failures.push(what);
+        }
+    }
+
+    /// Records `value ≥ floor` for the ratio `name`, or, when `skip`
+    /// gives a reason the host cannot measure it, a skip notice instead.
+    pub fn floor(&mut self, name: &str, value: f64, floor: f64, skip: Option<&str>) {
+        match skip {
+            Some(why) => {
+                let notice = format!("{name} ≥ {floor:.2}x ({why})");
+                println!("gate: skipped {notice}");
+                self.skipped.push(notice);
+            }
+            None => self.check(value >= floor, || {
+                format!("{name} {value:.2}x < {floor:.2}x")
+            }),
+        }
+    }
+
+    /// Prints the summary; the exit code fails if any check did.
+    pub fn finish(self) -> ExitCode {
+        println!();
+        for notice in &self.skipped {
+            println!("gate: skipped {notice}");
+        }
+        if self.failures.is_empty() {
+            println!("gate: all {} checks passed", self.passed);
+            return ExitCode::SUCCESS;
+        }
+        for what in &self.failures {
+            eprintln!("GATE FAIL: {what}");
+        }
+        eprintln!(
+            "gate: {} of {} checks failed",
+            self.failures.len(),
+            self.failures.len() + self.passed
+        );
+        ExitCode::FAILURE
     }
 }
 
 /// Writes experiment output under `results/`, creating the directory.
-pub fn write_result(name: &str, contents: &str) -> std::path::PathBuf {
+pub fn write_result(name: &str, contents: &str) -> PathBuf {
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(name);
@@ -217,34 +334,26 @@ pub fn write_result(name: &str, contents: &str) -> std::path::PathBuf {
     path
 }
 
-/// Reads a `NAME=value` style override from the environment, for scaling
-/// experiments down in CI (`SJAVA_TRIALS`, `SJAVA_GRANULE`, ...).
+/// Reads a figure binary's scaling setting (`SJAVA_TRIALS`,
+/// `SJAVA_GRANULE`, ...): `default` when unset; a value that does not
+/// parse exits 2 before any work, naming the variable.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// True when benchmark runs must also fail on warning-severity
-/// diagnostics: pass `--deny-warnings` to the binary or set
-/// `SJAVA_DENY_WARNINGS=1`.
-pub fn deny_warnings() -> bool {
-    std::env::args().any(|a| a == "--deny-warnings")
-        || std::env::var("SJAVA_DENY_WARNINGS").as_deref() == Ok("1")
-}
-
-/// Panics when `diags` contains errors — or any warnings, when `deny`
-/// is set — so benchmark runs fail loudly instead of silently counting
-/// new diagnostics into their numbers.
-pub fn assert_clean(name: &str, diags: &sjava_syntax::diag::Diagnostics, deny: bool) {
-    assert!(!diags.has_errors(), "{name} must check cleanly: {diags}");
-    if deny {
-        assert!(
-            !diags.has_warnings(),
-            "{name} has warnings and --deny-warnings is set: {diags}"
-        );
+    let Some(raw) = std::env::var_os(name) else {
+        return default;
+    };
+    match raw.to_str().and_then(|v| v.parse().ok()) {
+        Some(n) => n,
+        None => {
+            eprintln!("error: {name}={raw:?} is not a non-negative integer");
+            std::process::exit(2);
+        }
     }
+}
+
+/// Panics when `diags` contains errors, so benchmark runs fail loudly
+/// instead of silently counting new diagnostics into their numbers.
+pub fn assert_clean(name: &str, diags: &sjava_syntax::diag::Diagnostics) {
+    assert!(!diags.has_errors(), "{name} must check cleanly: {diags}");
 }
 
 #[cfg(test)]
@@ -252,42 +361,52 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_and_peak() {
-        let mut h = Histogram::new(10, 100);
-        h.record(5);
-        h.record(7);
-        h.record(25);
-        assert_eq!(h.peak(), Some((0, 2)));
-        assert!(h.render().contains("0-9"));
-        assert!(h.to_csv().starts_with("bucket_lo,count"));
+    fn sample_reports_min_median_mean_and_phase_medians() {
+        let mut reps = [3u64, 1, 2].into_iter();
+        let s = Sample::time(3, || {
+            let n = reps.next().expect("three reps");
+            [
+                ("parse", Duration::from_millis(n)),
+                ("flow", Duration::ZERO),
+            ]
+        });
+        assert!(s.min() <= s.median() && s.wall.len() == 3);
+        let mut pushed = Sample::default();
+        for n in [4, 1, 2] {
+            pushed.push(Duration::from_millis(n));
+        }
+        assert_eq!(
+            (pushed.min(), pushed.median(), pushed.mean()),
+            (1.0, 2.0, 7.0 / 3.0)
+        );
+        let phases = Json::from(s.phases()).render();
+        assert_eq!(phases, "{\n  \"parse\": 2.0000,\n  \"flow\": 0.0000\n}\n");
     }
 
     #[test]
-    fn trial_harness_detects_divergence() {
-        let p = sjava_syntax::parse(sjava_apps::windsensor::SOURCE).expect("parses");
-        let golden = run_golden(
-            &p,
-            sjava_apps::windsensor::ENTRY,
-            sjava_apps::windsensor::inputs(1),
-            20,
+    fn json_nests_two_levels_and_keeps_rows_on_one_line() {
+        let row = |name: &str| obj! { "name" => name, "ok" => true, "n" => 3usize };
+        let report = obj! {
+            "rows" => vec![row("a"), row("b")],
+            "inner" => obj! { "x" => 0.5, "deep" => obj! { "y" => f64::NAN } },
+        };
+        assert_eq!(
+            Json::from(report).render(),
+            "{\n  \"rows\": [\n    { \"name\": \"a\", \"ok\": true, \"n\": 3 },\n    \
+             { \"name\": \"b\", \"ok\": true, \"n\": 3 }\n  ],\n  \"inner\": {\n    \
+             \"x\": 0.5000,\n    \"deep\": { \"y\": null }\n  }\n}\n"
         );
-        let mut diverged = 0;
-        for seed in 0..10 {
-            let t = run_trial(
-                &p,
-                sjava_apps::windsensor::ENTRY,
-                sjava_apps::windsensor::inputs(1),
-                20,
-                &golden,
-                seed,
-                0.8,
-                0.0,
-            );
-            if t.stats.diverged {
-                diverged += 1;
-                assert!(t.stats.recovery_iterations <= 3);
-            }
-        }
-        assert!(diverged > 0, "at least one trial should corrupt outputs");
+    }
+
+    #[test]
+    fn gate_fails_on_any_failed_check_and_skips_do_not_count() {
+        let mut gate = Gate::default();
+        gate.check(true, String::new);
+        gate.floor("ratio", 0.5, 2.0, Some("narrow host"));
+        assert_eq!(gate.finish(), ExitCode::SUCCESS);
+        let mut gate = Gate::default();
+        gate.floor("ratio", 1.5, 2.0, None);
+        assert_eq!(gate.failures, ["ratio 1.50x < 2.00x"]);
+        assert_eq!(gate.finish(), ExitCode::FAILURE);
     }
 }

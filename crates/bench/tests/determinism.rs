@@ -155,33 +155,27 @@ fn render_infer(threads: usize) -> String {
     out
 }
 
+/// Seeded fault-injection trials, run as a campaign whose batches fan
+/// out over `SJAVA_THREADS` workers.
 fn render_trials(threads: usize) -> String {
     std::env::set_var(sjava_par::THREADS_ENV, threads.to_string());
     let program = sjava_syntax::parse(sjava_apps::windsensor::SOURCE).expect("parses");
-    let golden = sjava_bench::run_golden(
-        &program,
-        sjava_apps::windsensor::ENTRY,
-        sjava_apps::windsensor::inputs(1),
-        20,
-    );
-    let out = sjava_bench::run_trials(
-        &program,
-        sjava_apps::windsensor::ENTRY,
-        || sjava_apps::windsensor::inputs(1),
-        20,
-        &golden,
-        12,
-        0.8,
-        0.0,
-    )
-    .iter()
-    .map(|t| {
-        format!(
-            "{},{},{}\n",
-            t.seed, t.stats.diverged, t.stats.recovery_iterations
-        )
-    })
-    .collect();
+    let campaign = sjava_runtime::Campaign {
+        trials: 12,
+        ..sjava_runtime::Campaign::new(&program, sjava_apps::windsensor::ENTRY, 20)
+    };
+    let out = campaign
+        .run(|| sjava_apps::windsensor::inputs(1))
+        .expect("campaign entry resolves")
+        .trials
+        .iter()
+        .map(|t| {
+            format!(
+                "{},{},{}\n",
+                t.seed, t.stats.diverged, t.stats.recovery_iterations
+            )
+        })
+        .collect();
     std::env::remove_var(sjava_par::THREADS_ENV);
     out
 }

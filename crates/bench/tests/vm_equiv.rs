@@ -1,4 +1,4 @@
-//! VM ≡ tree-walker equivalence suite (the property behind `bench_vm
+//! VM ≡ tree-walker equivalence suite (the property behind `bench vm
 //! --gate`): on every paper application and on randomized `stressgen`
 //! programs, the register-bytecode VM must produce byte-identical
 //! results to the tree-walking interpreter — identical output traces,
@@ -109,7 +109,7 @@ fn paper_apps_are_engine_identical() {
         40,
     );
     // Small granule keeps the debug-build decoder affordable; the
-    // release-grade GRANULE configuration is exercised by `bench_vm`.
+    // release-grade GRANULE configuration is exercised by `bench vm`.
     let src = mp3dec::source_with(24, mp3dec::WINDOW);
     sweep(
         "mp3dec",

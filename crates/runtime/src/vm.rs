@@ -7,7 +7,7 @@
 //! counting, and — with the same seeded [`Injector`] — the same
 //! corruptions of the same cells. Output traces are byte-identical to
 //! the tree-walker (enforced by the differential tests and the
-//! `bench_vm --gate` CI step).
+//! `bench vm --gate` CI step).
 //!
 //! Unlike the interpreter, a `Vm` is built once per compiled module and
 //! reused across runs: [`Vm::run`] resets the flat heap and register

@@ -18,42 +18,28 @@
 #   7. the incremental-cache correctness suite, with the worker pool
 #      pinned to 1 and then 4 threads so cached replay is proven
 #      deterministic across fan-out widths
-#   8. the benchmark harness in gate mode on the small stress preset,
-#      enforcing the parallel-speedup and small-app-tax floors. With the
-#      work-stealing scheduler and parallel front-end the stress floor
-#      is raised to 2.5x at 4 workers (skipped on machines with <4
-#      cores, where the measurement is meaningless)
-#   9. the inference benchmark in gate mode on the small stress preset,
-#      enforcing the dense-vs-legacy speedup floor (≥1.5x at 1 worker)
-#      and, on machines with ≥4 cores, the parallel-scaling floor
-#      (dense at max workers must not lose to dense at 1, ≥1.0x); the
-#      byte-identity oracle check (dense == legacy annotations at every
-#      width) runs first inside the binary
-#  10. the incremental benchmark in gate mode with an on-disk cache
-#      directory: a warm re-check must never be slower than a cold
-#      check on any benchmark (min-of-reps), which pins the fix for
-#      the small-app persistence regression
-#  11. a fixed-seed differential fuzz smoke: 500 generated cases
+#   8. the benchmark gates (`bench --gate`): all four legs at CI sizes,
+#      writing nothing under results/ —
+#      - check: stress speedup ≥2.5x at 4 workers (skipped below 4
+#        workers) and small-app parallel tax ≥0.95x (skipped at 1 worker);
+#      - infer: dense == legacy annotations at every width and in both
+#        modes, dense ≥1.5x legacy at 1 worker, and dense at max width
+#        ≥1.0x dense at 1 (skipped below 4 workers);
+#      - edit: every incremental output byte-identical to a full check,
+#        warm ≤1.10x cold (min of 10 reps) over an on-disk store the leg
+#        creates, a one-literal edit on mp3dec_w512 ≥5x faster than cold,
+#        a storm edit re-checking at most half of a ≥10-method corpus, an
+#        interface edit re-checking ≤25% of the 201-method stress corpus
+#        at 1 and 4 threads and through the store (which must agree with
+#        the in-memory session), and an unused field re-checking nothing;
+#      - vm: byte-identical VM and tree-walker traces on the five apps and
+#        three stress presets (plain and fault-injected), the first 48
+#        mp3dec campaign trials equal to the interpreter replaying each
+#        trial's injector, and the VM ≥5x the tree-walker on mp3dec
+#        (skipped below 4 cores)
+#   9. a fixed-seed differential fuzz smoke: 500 generated cases
 #      (adversarial stress shapes + mutations) through all five
 #      engine-pair oracles; any mismatch fails the build
-#  12. the edit-storm gate (bench_edit): red-green revalidation must
-#      re-check ≤ 25% of methods after a single-method interface edit
-#      on the large stress corpus (at 1 and 4 worker threads, and
-#      through a fresh session over a primed artifact store, which must
-#      red and replay exactly what the in-memory session does), an
-#      unused-field edit must re-check zero, and every incremental
-#      output must be byte-identical to a fresh full check of the same
-#      mutated AST; the ratio floor auto-skips only when the corpus has
-#      < 50 methods
-#  13. the VM gate (bench_vm): the register-bytecode VM must produce
-#      byte-identical traces to the tree-walking interpreter on the
-#      four paper apps + mp3dec and across the stress corpus (plain
-#      and fault-injected, both kinds), the first 48 mp3dec campaign
-#      trials (checkpoint restore, convergence stop) must equal the
-#      interpreter running each seed from scratch, and the VM must beat
-#      the interpreter by ≥5x on mp3dec (the throughput floor
-#      auto-skips on machines with <4 cores, where the measurement is
-#      too noisy; identity always gates)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,36 +81,11 @@ echo "== incremental cache correctness at 1 and 4 worker threads =="
 SJAVA_THREADS=1 cargo test --release -q -p sjava-cache --test correctness
 SJAVA_THREADS=4 cargo test --release -q -p sjava-cache --test correctness
 
-echo "== bench smoke gate (small stress preset, 3 reps) =="
-# Exercises the full harness end to end and enforces the perf floors:
-# stress speedup ≥ SJAVA_GATE_STRESS at ≥4 workers and small-app
-# parallel tax ≥ SJAVA_GATE_SMALL (each skipped on machines too narrow
-# to measure it). The small preset keeps this a smoke test, not a
-# benchmark run; it runs from a scratch directory so the smoke JSON
-# does not overwrite the committed results/BENCH_checker.json.
-gate_bin=$PWD/target/release/bench_checker
-gate_dir=$(mktemp -d)
-(cd "$gate_dir" && SJAVA_STRESS_PRESET=small SJAVA_REPS=3 SJAVA_GATE_STRESS=2.5 "$gate_bin" --gate)
-rm -rf "$gate_dir"
-
-echo "== inference bench gate (small stress preset, 5 reps) =="
-# Same pattern for the inference engine: dense must beat legacy by
-# ≥ SJAVA_GATE_INFER (default 1.5x) at 1 worker even on the small
-# preset, and annotations must be byte-identical across engines and
-# worker counts. bench_infer clamps reps to ≥5 for stable minima.
-infer_bin=$PWD/target/release/bench_infer
-infer_dir=$(mktemp -d)
-(cd "$infer_dir" && SJAVA_STRESS_PRESET=small SJAVA_REPS=5 "$infer_bin" --gate)
-rm -rf "$infer_dir"
-
-echo "== incremental warm-cache gate (on-disk cache, 10 reps) =="
-# A directory-backed warm re-check must never be slower than a cold
-# check — the disk round-trip is skipped for programs too small to
-# amortize it, and this gate is what keeps that true.
-inc_bin=$PWD/target/release/bench_incremental
-inc_dir=$(mktemp -d)
-(cd "$inc_dir" && SJAVA_CACHE_DIR="$inc_dir/cache" SJAVA_REPS=10 "$inc_bin" --gate)
-rm -rf "$inc_dir"
+echo "== bench gates (check, infer, edit, vm) =="
+# One process runs every leg at CI sizes and exits non-zero if any
+# identity check or floor failed; it writes nothing under results/, and
+# the edit leg makes its own on-disk store in a temp dir.
+target/release/bench --gate
 
 echo "== differential fuzz smoke (seed 1, 500 cases, all oracles) =="
 # Byte-reproducible: the same seed and case count generate the same
@@ -132,27 +93,5 @@ echo "== differential fuzz smoke (seed 1, 500 cases, all oracles) =="
 # disagreement, not flakiness. Re-run a failing case interactively with
 #   target/release/sjava fuzz --seed=1 --cases=500 --minimize --fixtures-dir=findings/
 target/release/sjava fuzz --seed=1 --cases=500
-
-echo "== edit-storm gate (dependency-tracked invalidation) =="
-# Every storm step asserts byte-identity against a fresh full check of
-# the same mutated AST before any ratio counts. The interface-edit leg
-# runs on the 201-method large stress corpus, so the < 50-method
-# ratio-skip never triggers here. Runs from the repo root: the
-# re-checked/green/red counters in results/BENCH_edit.json are
-# deterministic, so refreshing the committed file is intentional (only
-# the warm-time fields vary by machine).
-target/release/bench_edit --gate
-
-echo "== VM gate (trace + campaign-trial identity, mp3dec speedup floor) =="
-# Trace identity between the register-bytecode VM and the tree-walking
-# interpreter, and campaign trials equal to from-scratch interpreter
-# runs, are the precondition for every campaign number; the ≥5x
-# mp3dec floor is what justifies the 100k-trial fig 6.1 default. Runs
-# from a scratch directory so the smoke JSON does not overwrite the
-# committed results/BENCH_vm.json.
-vm_bin=$PWD/target/release/bench_vm
-vm_dir=$(mktemp -d)
-(cd "$vm_dir" && "$vm_bin" --gate)
-rm -rf "$vm_dir"
 
 echo "CI green"

@@ -42,11 +42,11 @@ fn main() -> ExitCode {
     match args.first().map(|s| s.as_str()) {
         Some("check") if args.len() >= 2 => cmd_check(&args[1..]),
         Some("infer") if args.len() >= 2 => cmd_infer(&args[1..]),
-        Some("run") if args.len() >= 4 => cmd_run(&args[1], &args[2], &args[3]),
-        Some("lattice") if args.len() >= 2 => cmd_lattice(&args[1]),
-        Some("lifetimes") if args.len() >= 2 => cmd_lifetimes(&args[1]),
-        Some("lint") if args.len() >= 2 => cmd_lint(&args[1]),
-        Some("vfg") if args.len() >= 2 => cmd_vfg(&args[1]),
+        Some("run") if args.len() == 4 => cmd_run(&args[1], &args[2], &args[3]),
+        Some("lattice") if args.len() == 2 => cmd_lattice(&args[1]),
+        Some("lifetimes") if args.len() == 2 => cmd_lifetimes(&args[1]),
+        Some("lint") if args.len() == 2 => cmd_lint(&args[1]),
+        Some("vfg") if args.len() == 2 => cmd_vfg(&args[1]),
         Some("stress") => cmd_stress(&args[1..]),
         Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("campaign") if args.len() >= 2 => cmd_campaign(&args[1..]),
@@ -144,6 +144,10 @@ fn cmd_stress(args: &[String]) -> ExitCode {
                 return ExitCode::from(EXIT_USAGE);
             }
         }
+    }
+    if check && infer {
+        eprintln!("error: `sjava stress` takes `--check` or `--infer`, not both");
+        return ExitCode::from(EXIT_USAGE);
     }
 
     let src = sjava_bench::stressgen::generate(&cfg);
@@ -655,10 +659,15 @@ enum Format {
 
 fn cmd_check(args: &[String]) -> ExitCode {
     // `sjava check --explain SJ0xxx` prints the long-form text of a code.
-    if let Some(i) = args.iter().position(|a| a == "--explain") {
-        let Some(code_arg) = args.get(i + 1) else {
-            eprintln!("error: --explain requires a code, e.g. `--explain SJ0101`");
-            return ExitCode::from(EXIT_USAGE);
+    if args.iter().any(|a| a == "--explain") {
+        let code_arg = match args {
+            [flag, code] if flag == "--explain" => code,
+            _ => {
+                eprintln!(
+                    "error: --explain takes exactly one code, e.g. `sjava check --explain SJ0101`"
+                );
+                return ExitCode::from(EXIT_USAGE);
+            }
         };
         let Some(code) = Code::parse(code_arg) else {
             eprintln!("error: unknown diagnostic code `{code_arg}`");
@@ -705,6 +714,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 eprintln!("error: unknown flag `{f}`");
                 return ExitCode::from(EXIT_USAGE);
             }
+            p if path.is_some() => return extra_file("check", p),
             p => path = Some(p),
         }
     }
@@ -756,6 +766,12 @@ fn cmd_check(args: &[String]) -> ExitCode {
     }
 }
 
+/// A second file argument: each command takes one.
+fn extra_file(command: &str, arg: &str) -> ExitCode {
+    eprintln!("error: `sjava {command}` takes one file; unexpected extra argument `{arg}`");
+    ExitCode::from(EXIT_USAGE)
+}
+
 fn parse_format(s: &str) -> Option<Format> {
     match s {
         "text" => Some(Format::Text),
@@ -782,6 +798,7 @@ fn cmd_infer(args: &[String]) -> ExitCode {
                 eprintln!("error: unknown flag `{f}` for `sjava infer`");
                 return ExitCode::from(EXIT_USAGE);
             }
+            p if path.is_some() => return extra_file("infer", p),
             p => path = Some(p),
         }
     }
@@ -849,8 +866,9 @@ fn cmd_run(path: &str, entry: &str, iters: &str) -> ExitCode {
         Ok(x) => x,
         Err(c) => return c,
     };
+    let module = sjava::runtime::compile(&program);
     let inputs = sjava::runtime::SeededInput::new(0);
-    match sjava::Interpreter::new(&program, inputs, sjava::ExecOptions::default())
+    match sjava::runtime::Vm::new(&module, inputs, sjava::ExecOptions::default())
         .run(class, method, iters)
     {
         Ok(result) => {

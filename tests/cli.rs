@@ -62,22 +62,75 @@ fn infer_emits_checkable_source() {
     assert!(sjava::check(&reparsed).is_ok());
 }
 
+/// What `sjava run` prints for `source`, rendered from an in-process
+/// tree-walker run with the same inputs: stdout, and the error-count
+/// line if any error was ignored.
+fn interpreted(source: &str, entry: (&str, &str), iterations: usize) -> (String, Option<String>) {
+    let program = sjava::parse(source).expect("parses");
+    let inputs = sjava::runtime::SeededInput::new(0);
+    let result = sjava::Interpreter::new(&program, inputs, sjava::ExecOptions::default())
+        .run(entry.0, entry.1, iterations)
+        .expect("runs");
+    let stdout = result
+        .iteration_outputs
+        .iter()
+        .enumerate()
+        .map(|(i, outs)| {
+            let rendered: Vec<String> = outs.iter().map(|v| v.to_string()).collect();
+            format!("iter {i}: {}\n", rendered.join(" "))
+        })
+        .collect();
+    let errors = (!result.error_log.is_empty()).then(|| {
+        format!(
+            "// {} errors ignored (crash avoidance)",
+            result.error_log.len()
+        )
+    });
+    (stdout, errors)
+}
+
 #[test]
 fn run_executes_iterations() {
-    let path = write_temp("sensor.sj", sjava::apps::windsensor::SOURCE);
-    let out = sjava(&[
-        "run",
-        path.to_str().expect("utf8"),
-        "WDSensor.windDirection",
-        "3",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(stdout.lines().count(), 3, "{stdout}");
+    // The second program hits an out-of-bounds index and a division by
+    // zero in some iterations, so the error-count line is exercised too.
+    let faulty = "class A { int[] buf; void main() { buf = new int[2]; SSJAVA: while (true) {
+        int x = Device.read(); Out.emit(buf[x % 5] + 100 / (x % 3)); } } }";
+    for (name, source, entry, iterations) in [
+        (
+            "sensor.sj",
+            sjava::apps::windsensor::SOURCE,
+            ("WDSensor", "windDirection"),
+            3,
+        ),
+        ("faulty.sj", faulty, ("A", "main"), 6),
+    ] {
+        let path = write_temp(name, source);
+        let out = sjava(&[
+            "run",
+            path.to_str().expect("utf8"),
+            &format!("{}.{}", entry.0, entry.1),
+            &iterations.to_string(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{name}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(stdout.lines().count(), iterations, "{name}: {stdout}");
+        let (expected, errors) = interpreted(source, entry, iterations);
+        assert_eq!(
+            stdout, expected,
+            "{name}: output differs from the interpreter"
+        );
+        match errors {
+            Some(line) => assert!(stderr.contains(&line), "{name}: want `{line}` in {stderr}"),
+            None => assert!(!stderr.contains("errors ignored"), "{name}: {stderr}"),
+        }
+        if name == "faulty.sj" {
+            assert!(
+                stderr.contains("errors ignored"),
+                "the faulty program must log errors"
+            );
+        }
+    }
 }
 
 #[test]
@@ -140,6 +193,32 @@ fn removed_shard_flags_are_unknown() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn extra_arguments_are_usage_errors_before_any_work() {
+    // Each of these used to run: `check` and `infer` took the last file
+    // and never read the first, the fixed-arity commands ignored the
+    // tail, and `stress` ran only the inference.
+    let ok = write_temp("extra-ok.sj", sjava::apps::windsensor::SOURCE);
+    let bad = write_temp("extra-bad.sj", "class {");
+    let (ok, bad) = (ok.to_str().expect("utf8"), bad.to_str().expect("utf8"));
+    for args in [
+        vec!["check", bad, ok],
+        vec!["check", ok, ok],
+        vec!["check", "--explain", "SJ0101", ok],
+        vec!["infer", bad, ok],
+        vec!["lattice", ok, "--bogus"],
+        vec!["lifetimes", ok, ok],
+        vec!["lint", ok, bad],
+        vec!["vfg", ok, ok],
+        vec!["run", ok, "WDSensor.windDirection", "2", "--bogus"],
+        vec!["stress", "--preset=small", "--check", "--infer"],
+    ] {
+        let out = sjava(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran before rejecting");
     }
 }
 
