@@ -18,6 +18,11 @@
 //!   warm session at 1 and 4 workers and by a fresh session over a
 //!   primed store, it must re-check ≤ 25% of the methods, and the store
 //!   must agree with the in-memory session on green, red and re-checked.
+//! - Source-text edit: one space inserted into the first method header
+//!   of the same corpus's source text, which moves every span after it,
+//!   re-checked through `check_source` under the same three
+//!   configurations and the same rules: text that moves a method must not
+//!   re-key it.
 //! - Unused field ([`add_unused_field`]): re-checks zero methods.
 
 use std::path::Path;
@@ -237,17 +242,18 @@ impl EditRun {
     }
 }
 
-/// Re-checks `edited` with `session`, which has seen the pristine
-/// program (or whose store has), and compares the output with `expected`.
+/// Re-checks an edit with `session`, which has seen the pristine program
+/// (or whose store has), through `check`, and compares the output with
+/// `expected`.
 fn recheck(
     label: &'static str,
     mut session: IncrementalChecker,
-    edited: &Program,
+    check: &dyn Fn(&mut IncrementalChecker) -> CheckReport,
     expected: &str,
     gate: &mut Gate,
 ) -> EditRun {
     let t = Instant::now();
-    let report = session.check(edited);
+    let report = check(&mut session);
     let warm_ms = ms(t.elapsed());
     gate.check(report.diagnostics.to_string() == expected, || {
         format!("{label}: the edit's re-check differs from a full check")
@@ -268,7 +274,61 @@ fn recheck(
     run
 }
 
-/// The storm, interface-edit and unused-field legs.
+/// One edit re-checked at 1 and 4 workers by a session `prime` has
+/// warmed, and by a fresh session over a store `prime` has filled: every
+/// output must equal `expected`, the store must agree with the in-memory
+/// session on green, red and re-checked, and no configuration may
+/// re-check more than [`RATIO_CEILING`] of a `methods`-method corpus.
+fn edit_runs(
+    what: &str,
+    prime: &dyn Fn(&mut IncrementalChecker),
+    check: &dyn Fn(&mut IncrementalChecker) -> CheckReport,
+    expected: &str,
+    methods: usize,
+    gate: &mut Gate,
+) -> Vec<EditRun> {
+    let primed = || {
+        let mut session = IncrementalChecker::new();
+        prime(&mut session);
+        session
+    };
+    let mut runs = vec![
+        with_threads(1, || recheck("threads=1", primed(), check, expected, gate)),
+        with_threads(4, || recheck("threads=4", primed(), check, expected, gate)),
+    ];
+    // Store-backed: a fresh session whose only warmth is what a primer
+    // published, exactly as in a new `sjava check` process.
+    let store = TempDir::new("edit-store");
+    {
+        let mut primer = IncrementalChecker::with_dir(&store.0);
+        primer.set_persist_min(0);
+        prime(&mut primer);
+    }
+    let from_store = IncrementalChecker::with_dir(&store.0);
+    runs.push(recheck("store", from_store, check, expected, gate));
+    let key = |r: &EditRun| (r.stats.green, r.stats.red, r.stats.misses);
+    gate.check(key(&runs[2]) == key(&runs[0]), || {
+        format!(
+            "{what}: store-backed revalidation (green, red, re-checked) {:?} differs from the in-memory session's {:?}",
+            key(&runs[2]),
+            key(&runs[0])
+        )
+    });
+    for r in &runs {
+        let small = methods < RATIO_FLOOR_METHODS;
+        gate.check(small || r.ratio() <= RATIO_CEILING, || {
+            format!(
+                "{what} at {} re-checked {:.1}% of methods (ceiling {:.0}%)",
+                r.label,
+                r.ratio() * 100.0,
+                RATIO_CEILING * 100.0
+            )
+        });
+    }
+    runs
+}
+
+/// The storm, interface-edit, source-text-edit and unused-field legs.
 fn storms(mode: Mode, gate: &mut Gate) {
     let steps = 8;
     println!("\nbench edit — dependency-tracked invalidation, {steps} storm steps per corpus");
@@ -291,76 +351,74 @@ fn storms(mode: Mode, gate: &mut Gate) {
         shift_method_span(&mut edited, class, method),
         "span shift target {class}::{method} missing"
     );
-    let expected = render(&edited);
     println!(
         "interface edit on `{class}.{method}` ({} methods):",
         methods.len()
     );
+    let runs = edit_runs(
+        "interface edit",
+        &|s| {
+            s.check(&pristine);
+        },
+        &|s| s.check(&edited),
+        &render(&edited),
+        methods.len(),
+        gate,
+    );
+
+    let header = pristine.classes[0].methods[0].span;
+    let paren = source[header.start as usize..header.end as usize]
+        .find('(')
+        .expect("the first method header has a parameter list");
+    let mut moved = source.clone();
+    moved.insert(header.start as usize + paren + 1, ' ');
+    println!("source-text edit: one space inside the header of `{class}.{method}`:");
+    let text_runs = edit_runs(
+        "source-text edit",
+        &|s| {
+            s.check_source(&source).expect("benchmark parses");
+        },
+        &|s| s.check_source(&moved).expect("edited benchmark parses"),
+        &render(&parse(&moved)),
+        methods.len(),
+        gate,
+    );
+
     let primed = || {
         let mut session = IncrementalChecker::new();
         session.check(&pristine);
         session
     };
-    let mut runs = vec![
-        with_threads(1, || {
-            recheck("threads=1", primed(), &edited, &expected, gate)
-        }),
-        with_threads(4, || {
-            recheck("threads=4", primed(), &edited, &expected, gate)
-        }),
-    ];
-    // Store-backed: a fresh session whose only warmth is what a primer
-    // published, exactly as in a new `sjava check` process.
-    let store = TempDir::new("edit-store");
-    {
-        let mut primer = IncrementalChecker::with_dir(&store.0);
-        primer.set_persist_min(0);
-        primer.check(&pristine);
-    }
-    let from_store = IncrementalChecker::with_dir(&store.0);
-    runs.push(recheck("store", from_store, &edited, &expected, gate));
-    let key = |r: &EditRun| (r.stats.green, r.stats.red, r.stats.misses);
-    gate.check(key(&runs[2]) == key(&runs[0]), || {
-        format!(
-            "store-backed revalidation (green, red, re-checked) {:?} differs from the in-memory session's {:?}",
-            key(&runs[2]),
-            key(&runs[0])
-        )
-    });
-    for r in &runs {
-        let small = methods.len() < RATIO_FLOOR_METHODS;
-        gate.check(small || r.ratio() <= RATIO_CEILING, || {
-            format!(
-                "interface edit at {} re-checked {:.1}% of methods (ceiling {:.0}%)",
-                r.label,
-                r.ratio() * 100.0,
-                RATIO_CEILING * 100.0
-            )
-        });
-    }
-
     let mut padded = pristine.clone();
     assert!(
         add_unused_field(&mut padded, class),
         "field pad target missing"
     );
-    let field = recheck("unused field", primed(), &padded, &render(&padded), gate);
+    let field = recheck(
+        "unused field",
+        primed(),
+        &|s| s.check(&padded),
+        &render(&padded),
+        gate,
+    );
     gate.check(field.stats.misses == 0, || {
         format!("an unused field re-checked {} methods", field.stats.misses)
     });
 
-    let interface_rows: Vec<Obj> = runs
-        .iter()
-        .map(|r| {
-            obj! {
-                "config" => r.label, "methods" => r.methods(), "rechecked" => r.stats.misses,
-                "ratio" => r.ratio(), "green" => r.stats.green, "red" => r.stats.red,
-                "warm_ms" => r.warm_ms,
-            }
-        })
-        .collect();
+    let rows = |runs: &[EditRun]| -> Vec<Obj> {
+        runs.iter()
+            .map(|r| {
+                obj! {
+                    "config" => r.label, "methods" => r.methods(), "rechecked" => r.stats.misses,
+                    "ratio" => r.ratio(), "green" => r.stats.green, "red" => r.stats.red,
+                    "warm_ms" => r.warm_ms,
+                }
+            })
+            .collect()
+    };
     let report = obj! {
-        "storm_steps" => steps, "storm" => storm_rows, "interface_edit" => interface_rows,
+        "storm_steps" => steps, "storm" => storm_rows, "interface_edit" => rows(&runs),
+        "source_edit" => rows(&text_runs),
         "unused_field" => obj! {
             "methods" => field.methods(), "rechecked" => field.stats.misses,
             "green" => field.stats.green, "warm_ms" => field.warm_ms,

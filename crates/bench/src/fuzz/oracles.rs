@@ -179,6 +179,27 @@ pub fn cache(src: &str, scratch: &Path) -> Option<String> {
     edit_sequence(src, &mut session)
 }
 
+/// A check's verdict, diagnostics and their JSON rendering against
+/// `text` (which carries every label and suggestion span).
+fn render_text_check(
+    text: &str,
+    result: &Result<sjava_core::CheckReport, sjava_core::ParseFailure>,
+) -> String {
+    let file = sjava_syntax::SourceFile::new("fuzz.sj", text.to_string());
+    match result {
+        Ok(report) => format!(
+            "ok={} termination_failures={}\n{}",
+            report.is_ok(),
+            report.termination_failures,
+            sjava_syntax::emit::to_json(&file, &report.diagnostics)
+        ),
+        Err(failure) => format!(
+            "parse error\n{}",
+            sjava_syntax::emit::to_json(&file, &failure.diagnostics)
+        ),
+    }
+}
+
 /// The edit-sequence leg of the cache oracle: applies 1–3 deterministic
 /// `sjava_cache::edit` mutations to the parsed program (which mutation
 /// and where is derived from the source bytes, so a fuzz case replays
@@ -187,8 +208,14 @@ pub fn cache(src: &str, scratch: &Path) -> Option<String> {
 /// like a fresh whole-program check of the same AST — this is red-green
 /// revalidation under fire, since each edit moves a different slice of
 /// the recorded fact space (body content, header spans, field sets).
+/// Then 1–3 source-text edits (a space, a newline or a line comment at a
+/// seeded token boundary) move text under the same session, whose
+/// rebased replay must render like a fresh check of the text, labels and
+/// suggestions included.
 fn edit_sequence(src: &str, session: &mut sjava_cache::IncrementalChecker) -> Option<String> {
-    use sjava_cache::edit::{add_unused_field, mutate_first_literal, shift_method_span};
+    use sjava_cache::edit::{
+        add_unused_field, insert_at_token, mutate_first_literal, shift_method_span, TEXT_INSERTS,
+    };
 
     let Ok(mut program) = sjava_syntax::parse(src) else {
         return None; // unparsable cases were already compared above
@@ -252,6 +279,19 @@ fn edit_sequence(src: &str, session: &mut sjava_cache::IncrementalChecker) -> Op
         if incremental != full {
             return Some(format!(
                 "incremental re-check diverges from fresh check after edit {} of {steps} (applied={applied})",
+                step + 1
+            ));
+        }
+    }
+    let mut text = src.to_string();
+    let text_steps = 1 + (next() % 3) as usize;
+    for step in 0..text_steps {
+        let insert = TEXT_INSERTS[next() as usize % TEXT_INSERTS.len()];
+        insert_at_token(&mut text, next() as usize, insert);
+        let incremental = render_text_check(&text, &session.check_source(&text));
+        if incremental != render_text_check(&text, &sjava_core::check_source(&text)) {
+            return Some(format!(
+                "incremental re-check diverges from fresh check after text edit {} of {text_steps} ({insert:?})",
                 step + 1
             ));
         }

@@ -12,8 +12,13 @@
 //! and string literals for programs that contain no integer literal; it
 //! may change the verdict, which is fine for tests that compare the
 //! incremental output against a full re-check of the same mutated AST.
+//!
+//! An AST edit never moves text. [`insert_at_token`] is the source-text
+//! edit that does: whitespace or a line comment at a token boundary,
+//! which changes no token and shifts every span after it.
 
 use sjava_syntax::ast::{Block, Expr, LValue, Program, Stmt};
+use sjava_syntax::diag::Diagnostics;
 
 /// Increments the first integer literal (in statement order) found in the
 /// body of `class::method`. Returns `true` if a literal was found and
@@ -104,6 +109,24 @@ pub fn add_unused_field(program: &mut Program, class: &str) -> bool {
     field.init = None;
     c.fields.push(field);
     true
+}
+
+/// The texts [`insert_at_token`] inserts: a space, a newline and a line
+/// comment. None changes a token; each moves all the text after it.
+pub const TEXT_INSERTS: [&str; 3] = [" ", "\n", "// c\n"];
+
+/// Inserts `text` into `source` at a token boundary: before token
+/// `pick` (modulo the token count, end of input included). Returns the
+/// byte offset of the insertion. With one of [`TEXT_INSERTS`] the source
+/// lexes to the same tokens, each at or after the offset moved by the
+/// inserted length.
+pub fn insert_at_token(source: &mut String, pick: usize, text: &str) -> usize {
+    let tokens = sjava_syntax::lexer::lex(source, &mut Diagnostics::new());
+    let at = tokens
+        .get(pick % tokens.len().max(1))
+        .map_or(0, |t| t.span.start as usize);
+    source.insert_str(at, text);
+    at
 }
 
 /// The shared walker: applies `mutate` to expressions in statement order
@@ -250,6 +273,25 @@ mod tests {
         // A field-free class has nothing to clone.
         let mut bare = parse("class B { void f() { } }").expect("parses");
         assert!(!add_unused_field(&mut bare, "B"));
+    }
+
+    #[test]
+    fn token_boundary_inserts_only_move_text() {
+        let src = "class A { void f() { int x = 1; } }";
+        let tokens = |s: &str| {
+            sjava_syntax::lexer::lex(s, &mut Diagnostics::new())
+                .into_iter()
+                .map(|t| t.kind)
+                .collect::<Vec<_>>()
+        };
+        for pick in 0..20 {
+            for text in TEXT_INSERTS {
+                let mut edited = src.to_string();
+                let at = insert_at_token(&mut edited, pick, text);
+                assert_eq!(&edited[at..at + text.len()], text);
+                assert_eq!(tokens(&edited), tokens(src), "{edited:?}");
+            }
+        }
     }
 
     #[test]

@@ -6,20 +6,25 @@
 //! - [`iface_hash`] digests every class *interface* — name, superclass,
 //!   class annotations (including `@LATTICE` declarations), all fields,
 //!   and every method's signature (annotations, staticness, return type,
-//!   parameters, span). Bodies are excluded. It keys the cached lattice
-//!   model. Per-method entries no longer fold it: interface edits are
-//!   handled by red-green revalidation of each entry's recorded
+//!   parameters). Bodies are excluded. It keys the cached lattice model.
+//!   Per-method entries and callee sets do not fold it: interface edits
+//!   are handled by red-green revalidation of each one's recorded
 //!   dependency facts ([`crate::deps`]), so a signature edit invalidates
 //!   exactly the methods that *read* the changed declaration instead of
 //!   the whole program.
-//! - [`local_fp`] digests one method's resolved declaration, spans
-//!   included. Spans matter because cached
-//!   [`sjava_syntax::diag::Diagnostic`]s embed them: a method whose text
-//!   moved must be treated as dirty or replayed diagnostics would point
-//!   at stale offsets. Bodies are hashed structurally (a direct walk of
-//!   the AST), not via `Debug` formatting — the formatter is an order of
-//!   magnitude slower on large unrolled methods and fingerprinting runs
-//!   on *every* check, cached or not.
+//! - [`local_fp`] digests one method's resolved declaration. It keys the
+//!   method's callee set and seeds its entry key.
+//!
+//! Every digest is **position-free**: a span is hashed as an offset from
+//! the start of the declaration that holds it (method header, field or
+//! class header) plus its length — never as an absolute byte offset (see
+//! [`sjava_analysis::shard`], which owns the structural hashers). Text
+//! inserted above a method therefore leaves its fingerprint, and its
+//! cache entry, untouched. Cached diagnostics still embed spans, so the
+//! cache stores them relative to the same declarations and rebases them
+//! on replay (`crate::deps::Anchors`): an unchanged fingerprint means
+//! every span inside the declaration sits at the same offset from its
+//! start, so the rebased span is byte-right.
 //! - [`method_fps`] folds, bottom-up over the call graph, each method's
 //!   local fingerprint with `iface_hash` and the fingerprints of its
 //!   (sorted) callees — the *coarse* dirty-cone judgment of the previous
@@ -31,18 +36,17 @@
 //! across processes and platforms, no randomness, no clocks.
 
 use sjava_analysis::callgraph::{CallGraph, MethodRef};
-use sjava_lattice::{hash_debug, Fnv64};
-use sjava_syntax::ast::{Block, Expr, LValue, MethodDecl, Program, Stmt};
-use sjava_syntax::span::Span;
+use sjava_analysis::shard::hash_method;
+use sjava_lattice::Fnv64;
+use sjava_syntax::ast::Program;
 use std::collections::{BTreeMap, HashMap};
 
 /// Digest of every class interface in declaration order, folded from the
 /// per-class [`sjava_analysis::shard::class_interface_hash`] summaries —
 /// the same content addresses the per-method checkers read, so "the
 /// interface summaries agree" and "the cache key matches" are one
-/// judgment. Keys the cached lattice model and the cached per-method
-/// callee sets, and seeds the coarse per-method fingerprints of
-/// [`method_fps`].
+/// judgment. Keys the cached lattice model and seeds the coarse
+/// per-method fingerprints of [`method_fps`].
 pub fn iface_hash(program: &Program) -> u64 {
     let mut h = Fnv64::new();
     h.write_usize(program.classes.len());
@@ -64,8 +68,9 @@ pub fn name_hash(mref: &MethodRef) -> u64 {
 
 /// Digest of one method reference's resolved declaration: the reference
 /// itself, the declaring class it resolves to, and the full `MethodDecl`
-/// (annotations, body, spans). Unresolvable references hash the
-/// reference alone.
+/// (annotations, body, spans relative to the header's start — see
+/// [`sjava_analysis::shard::hash_method`]). Unresolvable references hash
+/// the reference alone.
 pub fn local_fp(program: &Program, mref: &MethodRef) -> u64 {
     let mut h = Fnv64::new();
     h.write_str(&mref.0);
@@ -112,292 +117,6 @@ pub fn method_fps(
     fps
 }
 
-pub(crate) fn span_bits(s: Span) -> u64 {
-    ((s.start as u64) << 32) | s.end as u64
-}
-
-/// Structural hash of a full method declaration, body included.
-fn hash_method(h: &mut Fnv64, m: &MethodDecl) {
-    h.write_str(&m.name);
-    h.write_u64(m.is_static as u64);
-    h.write_u64(hash_debug(&m.annots));
-    h.write_u64(hash_debug(&m.ret));
-    h.write_u64(hash_debug(&m.params));
-    h.write_u64(span_bits(m.span));
-    hash_block(h, &m.body);
-}
-
-fn hash_block(h: &mut Fnv64, b: &Block) {
-    h.write_u64(span_bits(b.span));
-    h.write_usize(b.stmts.len());
-    for s in &b.stmts {
-        hash_stmt(h, s);
-    }
-}
-
-fn hash_opt_expr(h: &mut Fnv64, e: &Option<Expr>) {
-    match e {
-        Some(e) => {
-            h.write_u64(1);
-            hash_expr(h, e);
-        }
-        None => h.write_u64(0),
-    }
-}
-
-fn hash_stmt(h: &mut Fnv64, s: &Stmt) {
-    match s {
-        Stmt::VarDecl {
-            annots,
-            ty,
-            name,
-            init,
-            span,
-        } => {
-            h.write_u64(1);
-            h.write_u64(hash_debug(annots));
-            h.write_u64(hash_debug(ty));
-            h.write_str(name);
-            hash_opt_expr(h, init);
-            h.write_u64(span_bits(*span));
-        }
-        Stmt::Assign { lhs, rhs, span } => {
-            h.write_u64(2);
-            hash_lvalue(h, lhs);
-            hash_expr(h, rhs);
-            h.write_u64(span_bits(*span));
-        }
-        Stmt::If {
-            cond,
-            then_blk,
-            else_blk,
-            span,
-        } => {
-            h.write_u64(3);
-            hash_expr(h, cond);
-            hash_block(h, then_blk);
-            match else_blk {
-                Some(b) => {
-                    h.write_u64(1);
-                    hash_block(h, b);
-                }
-                None => h.write_u64(0),
-            }
-            h.write_u64(span_bits(*span));
-        }
-        Stmt::While {
-            kind,
-            cond,
-            body,
-            span,
-        } => {
-            h.write_u64(4);
-            h.write_u64(hash_debug(kind));
-            hash_expr(h, cond);
-            hash_block(h, body);
-            h.write_u64(span_bits(*span));
-        }
-        Stmt::For {
-            kind,
-            init,
-            cond,
-            update,
-            body,
-            span,
-        } => {
-            h.write_u64(5);
-            h.write_u64(hash_debug(kind));
-            match init {
-                Some(s) => {
-                    h.write_u64(1);
-                    hash_stmt(h, s);
-                }
-                None => h.write_u64(0),
-            }
-            hash_opt_expr(h, cond);
-            match update {
-                Some(s) => {
-                    h.write_u64(1);
-                    hash_stmt(h, s);
-                }
-                None => h.write_u64(0),
-            }
-            hash_block(h, body);
-            h.write_u64(span_bits(*span));
-        }
-        Stmt::Return { value, span } => {
-            h.write_u64(6);
-            hash_opt_expr(h, value);
-            h.write_u64(span_bits(*span));
-        }
-        Stmt::Break { span } => {
-            h.write_u64(7);
-            h.write_u64(span_bits(*span));
-        }
-        Stmt::Continue { span } => {
-            h.write_u64(8);
-            h.write_u64(span_bits(*span));
-        }
-        Stmt::ExprStmt { expr, span } => {
-            h.write_u64(9);
-            hash_expr(h, expr);
-            h.write_u64(span_bits(*span));
-        }
-        Stmt::Block(b) => {
-            h.write_u64(10);
-            hash_block(h, b);
-        }
-    }
-}
-
-fn hash_lvalue(h: &mut Fnv64, l: &LValue) {
-    match l {
-        LValue::Var { name, span } => {
-            h.write_u64(1);
-            h.write_str(name);
-            h.write_u64(span_bits(*span));
-        }
-        LValue::Field { base, field, span } => {
-            h.write_u64(2);
-            hash_expr(h, base);
-            h.write_str(field);
-            h.write_u64(span_bits(*span));
-        }
-        LValue::Index { base, index, span } => {
-            h.write_u64(3);
-            hash_expr(h, base);
-            hash_expr(h, index);
-            h.write_u64(span_bits(*span));
-        }
-        LValue::StaticField { class, field, span } => {
-            h.write_u64(4);
-            h.write_str(class);
-            h.write_str(field);
-            h.write_u64(span_bits(*span));
-        }
-    }
-}
-
-fn hash_expr(h: &mut Fnv64, e: &Expr) {
-    match e {
-        Expr::IntLit { value, span } => {
-            h.write_u64(1);
-            h.write_u64(*value as u64);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::FloatLit { value, span } => {
-            h.write_u64(2);
-            h.write_u64(value.to_bits());
-            h.write_u64(span_bits(*span));
-        }
-        Expr::BoolLit { value, span } => {
-            h.write_u64(3);
-            h.write_u64(*value as u64);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::StrLit { value, span } => {
-            h.write_u64(4);
-            h.write_str(value);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::Null { span } => {
-            h.write_u64(5);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::This { span } => {
-            h.write_u64(6);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::Var { name, span } => {
-            h.write_u64(7);
-            h.write_str(name);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::Field { base, field, span } => {
-            h.write_u64(8);
-            hash_expr(h, base);
-            h.write_str(field);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::StaticField { class, field, span } => {
-            h.write_u64(9);
-            h.write_str(class);
-            h.write_str(field);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::Index { base, index, span } => {
-            h.write_u64(10);
-            hash_expr(h, base);
-            hash_expr(h, index);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::Length { base, span } => {
-            h.write_u64(11);
-            hash_expr(h, base);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::Call {
-            recv,
-            class_recv,
-            name,
-            args,
-            span,
-        } => {
-            h.write_u64(12);
-            match recv {
-                Some(r) => {
-                    h.write_u64(1);
-                    hash_expr(h, r);
-                }
-                None => h.write_u64(0),
-            }
-            match class_recv {
-                Some(c) => {
-                    h.write_u64(1);
-                    h.write_str(c);
-                }
-                None => h.write_u64(0),
-            }
-            h.write_str(name);
-            h.write_usize(args.len());
-            for a in args {
-                hash_expr(h, a);
-            }
-            h.write_u64(span_bits(*span));
-        }
-        Expr::New { class, span } => {
-            h.write_u64(13);
-            h.write_str(class);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::NewArray { elem, len, span } => {
-            h.write_u64(14);
-            h.write_u64(hash_debug(elem));
-            hash_expr(h, len);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::Unary { op, operand, span } => {
-            h.write_u64(15);
-            h.write_u64(hash_debug(op));
-            hash_expr(h, operand);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::Binary { op, lhs, rhs, span } => {
-            h.write_u64(16);
-            h.write_u64(hash_debug(op));
-            hash_expr(h, lhs);
-            hash_expr(h, rhs);
-            h.write_u64(span_bits(*span));
-        }
-        Expr::Cast { ty, operand, span } => {
-            h.write_u64(17);
-            h.write_u64(hash_debug(ty));
-            hash_expr(h, operand);
-            h.write_u64(span_bits(*span));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,8 +149,8 @@ mod tests {
     #[test]
     fn body_edit_dirties_exactly_the_caller_cone() {
         let p1 = parse(SRC).expect("parses");
-        // Same shape, helper's body differs (same byte length keeps all
-        // spans identical, so only the call cone of helper may change).
+        // Same shape, helper's body differs (only the call cone of
+        // helper may change).
         let p2 = parse(&SRC.replace("int y = 2;", "int y = 3;")).expect("parses");
         assert_eq!(iface_hash(&p1), iface_hash(&p2));
         let (fps1, fps2) = (fps(&p1), fps(&p2));
@@ -442,6 +161,20 @@ mod tests {
         }
         // ...but the unrelated leaf is untouched.
         assert_eq!(fps1[&m("other")], fps2[&m("other")]);
+    }
+
+    #[test]
+    fn moving_a_method_keeps_its_local_fingerprint() {
+        let p1 = parse(SRC).expect("parses");
+        // `other`'s body grows, moving `helper`; a comment moves the class.
+        let p2 = parse(&format!(
+            "// c\n{}",
+            SRC.replace("int x = 1;", "int x = 100;")
+        ))
+        .expect("parses");
+        let m = |n: &str| ("A".to_string(), n.to_string());
+        assert_eq!(local_fp(&p1, &m("helper")), local_fp(&p2, &m("helper")));
+        assert_ne!(local_fp(&p1, &m("other")), local_fp(&p2, &m("other")));
     }
 
     #[test]

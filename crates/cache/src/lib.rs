@@ -4,12 +4,27 @@
 //! checker. An [`IncrementalChecker`] session memoizes every per-method
 //! analysis result — flow diagnostics, eviction summaries, aliasing
 //! diagnostics, shared-location summaries, and termination verdicts —
-//! keyed on a stable 64-bit fingerprint of the method's body and its
-//! callees' summary hashes (see [`fingerprints`]). A re-check after an
-//! edit re-analyzes only the dirtied call-graph cone and replays cached
-//! results for everything else, merged in the same topological order as
-//! the full pipeline, so the diagnostics are **byte-identical** to a
-//! cold [`sjava_core::check_program`] run at any thread count.
+//! keyed on a stable, position-free 64-bit fingerprint of the method's
+//! declaration and its callees' summary hashes (see [`fingerprints`]). A
+//! re-check after an edit re-analyzes only the dirtied call-graph cone
+//! and replays cached results for everything else, merged in the same
+//! topological order as the full pipeline, so the diagnostics are
+//! **byte-identical** to a cold [`sjava_core::check_program`] run at any
+//! thread count.
+//!
+//! ## Position-free keys and rebased replay
+//!
+//! No key or fact fingerprint folds an absolute byte offset: a span is
+//! hashed as an offset from the start of the declaration that holds it.
+//! Text inserted above a method — a comment, a blank line, a longer
+//! method before it — therefore leaves its entry valid. Cached
+//! diagnostics are stored the same way: each span is measured from an
+//! *anchor* (the entry's own method, or a declaration its recorded
+//! read-set covers, such as the class `@METHODDEFAULT` lattice a flow
+//! label points at) and moved to where that anchor sits on replay. A
+//! green entry's anchors are unchanged up to position, so the rebased
+//! bytes equal a cold check's. A diagnostic with a span no such anchor
+//! holds leaves its method uncached rather than replayed wrong.
 //!
 //! ## Dependency-tracked invalidation (red-green revalidation)
 //!
@@ -30,10 +45,16 @@
 //! instead of the previous whole-program `iface_hash` cutoff's
 //! O(program).
 //!
-//! What is never cached: lattice construction is keyed separately on the
-//! interface hash; call-graph assembly, the eviction event-loop check,
-//! and the shared-location event-loop check are always recomputed (they
-//! read global state and are cheap relative to per-method analysis).
+//! Per-method direct-callee sets are revalidated the same way, keyed on
+//! the method's local fingerprint. The lattice model is cached under the
+//! position-free interface hash, its diagnostics rebased onto their
+//! declarations. Call-graph assembly, the eviction event-loop check, and
+//! the shared-location event-loop check are always recomputed (they read
+//! global state and are cheap relative to per-method analysis).
+//!
+//! A session keeps only what its last two checks used (see
+//! [`IncrementalChecker`]), so its memory follows the program, not the
+//! length of the editing session.
 //!
 //! Setting `SJAVA_CACHE_DIR` (see [`CACHE_DIR_ENV`]) backs the session
 //! with the concurrent content-addressed [`store::ArtifactStore`]:
@@ -69,19 +90,21 @@ use sjava_analysis::callgraph::{self, MethodRef};
 use sjava_analysis::shard::ShardInput;
 use sjava_analysis::termination;
 use sjava_analysis::written::{self, EvictionResult, MethodSummary};
+use sjava_core::model::effective_method_annots;
 use sjava_core::shared::SharedMember;
 use sjava_core::{
     checker, linear, shared, CacheStats, CheckReport, Lattices, ParseFailure, PhaseTimings,
 };
-use sjava_lattice::{hash_debug, mix, Fnv64};
+use sjava_lattice::{hash_debug, Fnv64};
 use sjava_syntax::ast::Program;
-use sjava_syntax::diag::{Diagnostic, Diagnostics};
+use sjava_syntax::diag::Diagnostics;
 use sjava_syntax::track::{DepKey, ReadScope};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
+use deps::{Anchor, Anchors, DeclAnchor, Relative};
 use fingerprints::{iface_hash, local_fp, name_hash};
 pub use store::ArtifactStore;
 
@@ -164,15 +187,16 @@ fn max_bytes_budget() -> Option<u64> {
 }
 
 /// Every cached per-method result, keyed (in the session maps and the
-/// artifact store) by the method's content fingerprint.
+/// artifact store) by the method's content fingerprint. Diagnostics are
+/// stored position-free and rebased on replay ([`Relative`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct MethodEntry {
     /// Eviction read/write summary (`written::summarize`).
     pub summary: MethodSummary,
     /// Flow-down checker diagnostics (`checker::check_method_flows`).
-    pub flow: Vec<Diagnostic>,
+    pub flow: Relative<Anchor>,
     /// Aliasing diagnostics (`linear::check_method_aliasing`).
-    pub alias: Vec<Diagnostic>,
+    pub alias: Relative<Anchor>,
     /// Whether a shared-location summary was computed for this method
     /// (false when the program has no shared members or the method has
     /// no lattice info — mirrored so replays rebuild the same maps).
@@ -184,14 +208,44 @@ pub(crate) struct MethodEntry {
     /// Termination failure count (`termination::check_method`).
     pub term_failures: usize,
     /// Termination diagnostics, in source order.
-    pub term: Vec<Diagnostic>,
+    pub term: Relative<Anchor>,
 }
 
-/// The cached lattice model, valid while the interface hash matches.
+/// A method's direct-callee set with the read-set it was computed under,
+/// keyed (in the session and the artifact store) by the method's
+/// position-free local fingerprint and reused while the read-set
+/// revalidates green — a signature or field edit elsewhere recomputes
+/// only the sets that read it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Callees {
+    /// The direct callees (`callgraph::method_callees`).
+    pub set: BTreeSet<MethodRef>,
+    /// The facts the computation read, fingerprinted.
+    pub deps: Vec<(DepKey, u64)>,
+}
+
+/// The cached lattice model, valid while the interface hash matches. Its
+/// diagnostics are stored relative to the declarations that hold them.
 struct LatticeEntry {
     iface: u64,
     lattices: Lattices,
-    diags: Vec<Diagnostic>,
+    diags: Relative<DeclAnchor>,
+}
+
+/// Re-reads every `MethodInfo::lattice_span` of a cached lattice model
+/// from `program`, where the declarations may have moved since the model
+/// was built.
+fn refresh_lattice_spans(lattices: &mut Lattices, program: &Program) {
+    for class in &program.classes {
+        for method in &class.methods {
+            let key = (class.name.clone(), method.name.clone());
+            if let Some(info) = lattices.methods.get_mut(&key) {
+                info.lattice_span = effective_method_annots(class, method)
+                    .lattice
+                    .map(|d| d.span);
+            }
+        }
+    }
 }
 
 /// An incremental checking session.
@@ -200,8 +254,15 @@ struct LatticeEntry {
 /// each call returns a [`CheckReport`] whose diagnostics are byte-identical
 /// to a fresh [`sjava_core::check_program`] run, with
 /// [`CheckReport::cache`] describing how much was replayed. Entries are
-/// content-addressed, so a session can serve any number of programs (and
-/// survives edits being reverted — the old fingerprints hit again).
+/// content-addressed and position-free: text inserted above a method
+/// leaves its key, and its entry, untouched, and its cached diagnostics
+/// are rebased onto the method's new position when they replay.
+///
+/// The session is bounded: after each check it keeps only the entries,
+/// read-sets, callee sets and timings that this check or the previous one
+/// used, so a long editing session holds at most two revisions' worth
+/// (and an edit that is reverted straight away still hits the old
+/// entries).
 ///
 /// A store-backed session ([`IncrementalChecker::with_dir`] /
 /// [`IncrementalChecker::from_env`]) additionally probes the shared
@@ -216,8 +277,12 @@ pub struct IncrementalChecker {
     /// pairs evaluated on the program the entry was computed against.
     /// An entry replays only while every pair re-evaluates identically.
     dep_records: HashMap<u64, Vec<(DepKey, u64)>>,
-    callee_cache: HashMap<u64, BTreeSet<MethodRef>>,
+    callee_cache: HashMap<u64, Callees>,
+    /// The callee-set keys the most recent check used (the session bound
+    /// keeps these and the current check's).
+    last_callees: HashSet<u64>,
     lattice_cache: Option<LatticeEntry>,
+    /// The entry key of every method the most recent check reached.
     last_keys: BTreeMap<MethodRef, u64>,
     /// The methods the most recent check actually re-analyzed (the miss
     /// set, in topological order). Observability only — results never
@@ -245,6 +310,7 @@ impl IncrementalChecker {
             entries: HashMap::new(),
             dep_records: HashMap::new(),
             callee_cache: HashMap::new(),
+            last_callees: HashSet::new(),
             lattice_cache: None,
             last_keys: BTreeMap::new(),
             last_rechecked: Vec::new(),
@@ -279,6 +345,7 @@ impl IncrementalChecker {
             entries: HashMap::new(),
             dep_records: HashMap::new(),
             callee_cache: HashMap::new(),
+            last_callees: HashSet::new(),
             lattice_cache: None,
             last_keys: BTreeMap::new(),
             last_rechecked: Vec::new(),
@@ -318,7 +385,8 @@ impl IncrementalChecker {
     }
 
     /// Number of per-method entries held **in memory** (store objects are
-    /// probed lazily and are not counted until replayed or computed).
+    /// probed lazily and are not counted until replayed or computed). At
+    /// most the reachable methods of the last two checks.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -334,6 +402,7 @@ impl IncrementalChecker {
         self.entries.clear();
         self.dep_records.clear();
         self.callee_cache.clear();
+        self.last_callees.clear();
         self.lattice_cache = None;
         self.last_keys.clear();
         self.last_rechecked.clear();
@@ -386,58 +455,85 @@ impl IncrementalChecker {
         };
         let iface = iface_hash(program);
 
-        // Lattice model, keyed on the interface hash (replaying its
-        // diagnostics in build order).
+        // Lattice model, keyed on the position-free interface hash
+        // (replaying its diagnostics in build order, rebased onto where
+        // their declarations sit now).
         let t = Instant::now();
         let lattices = match &self.lattice_cache {
             Some(e) if e.iface == iface => {
-                for d in &e.diags {
-                    global.push(d.clone());
-                }
-                e.lattices.clone()
+                e.diags.rebase_into(|a| a.base(program), &mut global);
+                let mut lattices = e.lattices.clone();
+                refresh_lattice_spans(&mut lattices, program);
+                lattices
             }
             _ => {
                 let mut ld = Diagnostics::new();
                 let lattices = Lattices::build(program, &mut ld);
-                let cached: Vec<Diagnostic> = ld.iter().cloned().collect();
-                for d in &cached {
-                    global.push(d.clone());
-                }
-                self.lattice_cache = Some(LatticeEntry {
-                    iface,
-                    lattices: lattices.clone(),
-                    diags: cached,
-                });
+                // A diagnostic outside every declaration could not be
+                // rebased, so such a model is rebuilt on every check.
+                self.lattice_cache = Relative::new(ld.iter(), |s| DeclAnchor::locate(program, s))
+                    .map(|diags| LatticeEntry {
+                        iface,
+                        lattices: lattices.clone(),
+                        diags,
+                    });
+                global.extend(ld);
                 lattices
             }
         };
         timings.lattice_build = t.elapsed();
 
         // Call graph: assembly is recomputed, per-method callee sets are
-        // served from the session (or the store) keyed on (iface, local
-        // body) — the set does not depend on callees, so the local
-        // fingerprint suffices. Local fingerprints are memoized for the
-        // whole check: hashing a method body is the dominant fixed cost
-        // of a warm check, so it must happen at most once per method.
+        // served from the session (or the store) keyed on the local
+        // fingerprint — the set does not depend on callees — and reused
+        // while the facts they read revalidate green, exactly like
+        // entries. Local fingerprints are memoized for the whole check:
+        // hashing a method body is the dominant fixed cost of a warm
+        // check, so it must happen at most once per method. Fact
+        // fingerprints are evaluated lazily and memoized across the whole
+        // check: callee sets, entries and admission share one snapshot.
         let t = Instant::now();
+        let members = shared::shared_members(program, &lattices);
+        let factdb = deps::FactDb::new(program, &lattices, &members);
         let mut local_fps: HashMap<MethodRef, u64> = HashMap::new();
+        let mut used_callees: HashSet<u64> = HashSet::new();
+        // Callee sets computed by this check, the only ones to publish.
+        let mut fresh_callees: Vec<u64> = Vec::new();
         let callee_cache = &mut self.callee_cache;
         let store = self.store.as_ref();
         let cg = callgraph::build_with(program, &mut global, |mref| {
             let lfp = *local_fps
                 .entry(mref.clone())
                 .or_insert_with(|| local_fp(program, mref));
-            let ckey = mix(iface, lfp);
-            callee_cache
-                .entry(ckey)
-                .or_insert_with(|| {
-                    store
-                        .and_then(|s| s.get_callees(ckey))
-                        .unwrap_or_else(|| callgraph::method_callees(program, mref))
-                })
-                .clone()
+            used_callees.insert(lfp);
+            if let Some(c) = callee_cache.get(&lfp) {
+                if factdb.deps_green(&c.deps) {
+                    return c.set.clone();
+                }
+            } else if let Some(c) = store.and_then(|s| s.get_callees(lfp)) {
+                if factdb.deps_green(&c.deps) {
+                    let set = c.set.clone();
+                    callee_cache.insert(lfp, c);
+                    return set;
+                }
+            }
+            let scope = ReadScope::begin();
+            let set = callgraph::method_callees(program, mref);
+            let deps = factdb.fingerprint(scope.finish());
+            fresh_callees.push(lfp);
+            callee_cache.insert(
+                lfp,
+                Callees {
+                    set: set.clone(),
+                    deps,
+                },
+            );
+            set
         });
         timings.callgraph = t.elapsed();
+        let last_callees = std::mem::replace(&mut self.last_callees, used_callees);
+        self.callee_cache
+            .retain(|k, _| self.last_callees.contains(k) || last_callees.contains(k));
         let Some(cg) = cg else {
             global.sort_stable();
             return CheckReport {
@@ -463,10 +559,6 @@ impl IncrementalChecker {
         // summaries by value.
         let whole = ShardInput::whole(program);
         let t = Instant::now();
-        let members = shared::shared_members(program, &lattices);
-        // Fact fingerprints are evaluated lazily, memoized across every
-        // revalidation in this check.
-        let factdb = deps::FactDb::new(program, &lattices, &members);
         let mut keys: BTreeMap<MethodRef, u64> = BTreeMap::new();
         let mut shashes: BTreeMap<MethodRef, u64> = BTreeMap::new();
         let mut summaries: BTreeMap<MethodRef, MethodSummary> = BTreeMap::new();
@@ -705,14 +797,18 @@ impl IncrementalChecker {
         for &(nh, ns) in &flow_nanos {
             self.times.insert(nh, ns);
         }
-        for i in 0..cg.topo.len() {
+        // Replayed diagnostics are rebased onto where their anchors sit in
+        // this program; most entries carry none and skip the lookup.
+        let replay = |rel: &Relative<Anchor>, mref: &MethodRef, out: &mut Diagnostics| {
+            if !rel.is_empty() {
+                let anchors = Anchors::of(program, mref);
+                rel.rebase_into(|a| anchors.base(a), out);
+            }
+        };
+        for (i, mref) in cg.topo.iter().enumerate() {
             match fresh_flow.get(&i) {
                 Some(d) => diags.extend(d.clone()),
-                None => {
-                    for d in &self.entries[&keys[&cg.topo[i]]].flow {
-                        diags.push(d.clone());
-                    }
-                }
+                None => replay(&self.entries[&keys[mref]].flow, mref, &mut diags),
             }
         }
         timings.flow_check = t.elapsed();
@@ -731,14 +827,10 @@ impl IncrementalChecker {
             (i, d)
         })
         .collect();
-        for i in 0..cg.topo.len() {
+        for (i, mref) in cg.topo.iter().enumerate() {
             match fresh_alias.get(&i) {
                 Some(d) => diags.extend(d.clone()),
-                None => {
-                    for d in &self.entries[&keys[&cg.topo[i]]].alias {
-                        diags.push(d.clone());
-                    }
-                }
+                None => replay(&self.entries[&keys[mref]].alias, mref, &mut diags),
             }
         }
         timings.aliasing = t.elapsed();
@@ -770,9 +862,7 @@ impl IncrementalChecker {
             match self.entries.get(&keys[mref]) {
                 Some(e) => {
                     termination_failures += e.term_failures;
-                    for d in &e.term {
-                        diags.push(d.clone());
-                    }
+                    replay(&e.term, mref, &mut diags);
                 }
                 None => {
                     let scope = ReadScope::begin();
@@ -789,30 +879,12 @@ impl IncrementalChecker {
         // Admit the freshly-computed results into the cache, each paired
         // with the union of every read-set its phases recorded (wave
         // summary + shared, flow, aliasing, termination), fingerprinted
-        // against *this* program — the admission side of red-green.
-        let admit_db = deps::FactDb::new(program, &lattices, &members);
+        // against *this* program — the admission side of red-green. The
+        // revalidation `factdb` serves it: one snapshot, so a fact already
+        // fingerprinted while revalidating is not hashed again.
         for &i in &missing {
             let mref = &cg.topo[i];
-            let (term_failures, term) = fresh_term
-                .remove(&i)
-                .map(|(n, d)| (n, d.into_vec()))
-                .unwrap_or_default();
-            let entry = MethodEntry {
-                summary: eviction.summaries.get(mref).cloned().unwrap_or_default(),
-                flow: fresh_flow
-                    .get(&i)
-                    .map(|d| d.iter().cloned().collect())
-                    .unwrap_or_default(),
-                alias: fresh_alias
-                    .get(&i)
-                    .map(|d| d.iter().cloned().collect())
-                    .unwrap_or_default(),
-                shared_present: shared_clears.contains_key(mref),
-                shared_clears: shared_clears.get(mref).cloned().unwrap_or_default(),
-                shared_reads: shared_reads.get(mref).cloned().unwrap_or_default(),
-                term_failures,
-                term,
-            };
+            let (term_failures, term) = fresh_term.remove(&i).unwrap_or_default();
             // BTreeSet union: deterministic read-set order regardless of
             // which phase recorded a fact first or on which thread.
             let mut read_set: BTreeSet<DepKey> = BTreeSet::new();
@@ -820,12 +892,35 @@ impl IncrementalChecker {
             read_set.extend(flow_deps.remove(&i).unwrap_or_default());
             read_set.extend(alias_deps.remove(&i).unwrap_or_default());
             read_set.extend(term_deps.remove(&i).unwrap_or_default());
+            let anchors = Anchors::of(program, mref);
+            let relative = |d: Option<&Diagnostics>| {
+                let diags = d.into_iter().flat_map(|d| d.iter());
+                Relative::new(diags, |span| anchors.locate(span, &read_set))
+            };
+            let (Some(flow), Some(alias), Some(term)) = (
+                relative(fresh_flow.get(&i)),
+                relative(fresh_alias.get(&i)),
+                relative(Some(&term)),
+            ) else {
+                // A span outside the method and every declaration its
+                // read-set covers could not be rebased on replay: the
+                // method stays uncached and re-checks every time.
+                continue;
+            };
+            let entry = MethodEntry {
+                summary: eviction.summaries.get(mref).cloned().unwrap_or_default(),
+                flow,
+                alias,
+                shared_present: shared_clears.contains_key(mref),
+                shared_clears: shared_clears.get(mref).cloned().unwrap_or_default(),
+                shared_reads: shared_reads.get(mref).cloned().unwrap_or_default(),
+                term_failures,
+                term,
+            };
             self.dep_records
-                .insert(keys[mref], admit_db.fingerprint(read_set));
+                .insert(keys[mref], factdb.fingerprint(read_set));
             self.entries.insert(keys[mref], entry);
         }
-        drop(admit_db);
-        self.last_keys = keys.clone();
         if let Some(store) = &self.store {
             // Publication is best-effort: an unwritable store must not
             // fail the check. Tiny programs skip the round-trip entirely —
@@ -841,17 +936,20 @@ impl IncrementalChecker {
             if weight >= self.persist_min {
                 for &i in &missing {
                     let key = keys[&cg.topo[i]];
+                    let (Some(entry), Some(deps)) =
+                        (self.entries.get(&key), self.dep_records.get(&key))
+                    else {
+                        continue;
+                    };
                     // The deps object embeds the entry payload's checksum,
                     // pairing the two publishes: a reader that observes
                     // mismatched halves treats the key as a miss.
-                    if let Ok(efp) = store.put_entry(key, &self.entries[&key]) {
-                        if let Some(deps) = self.dep_records.get(&key) {
-                            let _ = store.put_deps(key, deps, efp);
-                        }
+                    if let Ok(efp) = store.put_entry(key, entry) {
+                        let _ = store.put_deps(key, deps, efp);
                     }
                 }
-                for (ckey, set) in &self.callee_cache {
-                    let _ = store.put_callees(*ckey, set);
+                for lfp in &fresh_callees {
+                    let _ = store.put_callees(*lfp, &self.callee_cache[lfp]);
                 }
                 for &(nh, ns) in &flow_nanos {
                     let _ = store.put_time(nh, ns);
@@ -861,6 +959,22 @@ impl IncrementalChecker {
                 }
             }
         }
+        // The session bound: keep only what this check and the previous
+        // one used. Entries and read-sets go by key, timings by name.
+        let live: HashSet<u64> = keys
+            .values()
+            .chain(self.last_keys.values())
+            .copied()
+            .collect();
+        self.entries.retain(|k, _| live.contains(k));
+        self.dep_records.retain(|k, _| live.contains(k));
+        let names: HashSet<u64> = keys
+            .keys()
+            .chain(self.last_keys.keys())
+            .map(name_hash)
+            .collect();
+        self.times.retain(|n, _| names.contains(n));
+        self.last_keys = keys;
 
         diags.extend(global);
         // Same stable total order as `sjava_core::check_program`, so

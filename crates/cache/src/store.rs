@@ -2,33 +2,40 @@
 //! directory-backed [`crate::IncrementalChecker`] sessions. Any number
 //! of `sjava check` processes may share one store directory.
 //!
-//! ## Layout (format v5)
+//! ## Layout (format v6)
 //!
 //! Earlier formats serialized the whole session into one monolithic
 //! `cache.bin` rewritten after every check — a design that cannot be
 //! shared by concurrent processes (last writer wins, droppings half of
 //! each worker's entries) and that forces a full decode up front. Version
 //! 4 introduced **one object per artifact** under a fan-out directory;
-//! version 5 re-keys entries for dependency-tracked revalidation (the
-//! key no longer folds the whole-program interface hash) and pairs each
-//! entry with a recorded read-set:
+//! version 5 re-keyed entries for dependency-tracked revalidation (the
+//! key no longer folds the whole-program interface hash) and paired each
+//! entry with a recorded read-set; version 6 makes every key and fact
+//! fingerprint position-free (spans hashed relative to their
+//! declaration) and stores each entry's diagnostics relative to their
+//! anchors, so one object serves a method wherever its text sits:
 //!
 //! ```text
-//! <dir>/v5/objects/<hh>/<16-hex-key>.<kind>
+//! <dir>/v6/objects/<hh>/<16-hex-key>.<kind>
 //! ```
 //!
 //! where `<hh>` is the first byte of the key in hex (256-way fan-out) and
 //! `<kind>` is one of:
 //!
 //! - `entry` — a per-method analysis result ([`crate::MethodEntry`]),
-//!   keyed by the method's content fingerprint (body + callee
-//!   summaries; interface facts live in the paired `deps` object);
+//!   keyed by the method's position-free content fingerprint (body +
+//!   callee summaries; interface facts live in the paired `deps`
+//!   object). Each diagnostic span is stored as an offset from its
+//!   anchor, with one anchor tag per span after each diagnostic list;
+//!   a tag count that does not match the spans reads as corrupt;
 //! - `deps` — the read-set recorded while that entry was computed:
 //!   `(DepKey, fingerprint)` pairs plus the checksum of the entry
 //!   payload they were recorded for, so readers never combine an entry
 //!   and a read-set from different publishes;
-//! - `callees` — a method's direct-callee set, keyed on
-//!   `mix(iface_hash, local_fp)`;
+//! - `callees` — a method's direct-callee set with the read-set it was
+//!   computed under, keyed on the method's position-free `local_fp` and
+//!   revalidated like an entry;
 //! - `time` — the method's last measured flow-check duration in
 //!   nanoseconds, keyed by the *name* hash (stable across edits), feeding
 //!   the fan-out cost model on warm runs.
@@ -54,11 +61,12 @@
 //!
 //! Entries are content-addressed and valid forever, so eviction is purely
 //! a disk-space policy, never a correctness event. A v3 (or older)
-//! `cache.bin` in the same directory is ignored wholesale — old formats
+//! `cache.bin` in the same directory is ignored wholesale, and a v4 or v5
+//! object tree lives at a different path and is never read — old formats
 //! degrade to clean misses.
 
-use crate::MethodEntry;
-use sjava_analysis::callgraph::MethodRef;
+use crate::deps::Relative;
+use crate::{Callees, MethodEntry};
 use sjava_analysis::heappath::HeapPath;
 use sjava_analysis::written::MethodSummary;
 use sjava_core::shared::SharedMember;
@@ -71,11 +79,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const MAGIC: &[u8; 10] = b"SJAVACACHE";
 /// Store format version. Versions 1–3 were the monolithic `cache.bin`
 /// formats; version 4 introduced the per-object content-addressed store;
-/// version 5 re-keys entries for dependency-tracked revalidation and
-/// adds the `deps` object kind. Old formats live at different paths
-/// entirely and are never read — a v5 store opened over an older
-/// directory starts from clean misses.
-const VERSION: u32 = 5;
+/// version 5 re-keyed entries for dependency-tracked revalidation and
+/// added the `deps` object kind; version 6 makes keys and fact
+/// fingerprints position-free and stores diagnostics relative to their
+/// anchors. Old formats live at different paths entirely and are never
+/// read — a v6 store opened over an older directory starts from clean
+/// misses.
+const VERSION: u32 = 6;
 
 /// Environment variable bounding the store's total size in bytes. When
 /// set, every persisting check evicts oldest-modified objects until the
@@ -90,7 +100,7 @@ pub enum Kind {
     Entry,
     /// Recorded read-set of an entry, under the same key as the entry.
     Deps,
-    /// Direct-callee set, keyed by `mix(iface, local_fp)`.
+    /// Direct-callee set and its read-set, keyed by `local_fp`.
     Callees,
     /// Measured flow-check nanoseconds, keyed by method-name hash.
     Time,
@@ -144,7 +154,7 @@ impl ArtifactStore {
         Ok(ArtifactStore { root })
     }
 
-    /// The object-tree root (`<dir>/v5/objects`), exposed for tests and
+    /// The object-tree root (`<dir>/v6/objects`), exposed for tests and
     /// maintenance tooling.
     pub fn objects_root(&self) -> &Path {
         &self.root
@@ -327,14 +337,16 @@ impl ArtifactStore {
         )
     }
 
-    /// Fetches and decodes a callee set.
-    pub(crate) fn get_callees(&self, key: u64) -> Option<BTreeSet<MethodRef>> {
+    /// Fetches and decodes a callee set with its recorded read-set.
+    pub(crate) fn get_callees(&self, key: u64) -> Option<Callees> {
         decode_callees(&self.get(Kind::Callees, key)?)
     }
 
-    /// Publishes a callee set (skip-if-exists).
-    pub(crate) fn put_callees(&self, key: u64, set: &BTreeSet<MethodRef>) -> std::io::Result<()> {
-        self.put(Kind::Callees, key, &encode_callees(set), false)
+    /// Publishes a callee set with its read-set. Always replaces: the
+    /// key folds no interface fact, so after an interface edit the same
+    /// key can hold another set (the read-set tells them apart).
+    pub(crate) fn put_callees(&self, key: u64, callees: &Callees) -> std::io::Result<()> {
+        self.put(Kind::Callees, key, &encode_callees(callees), true)
     }
 
     /// Fetches a recorded flow-check duration in nanoseconds.
@@ -398,13 +410,13 @@ pub(crate) fn encode_entry(e: &MethodEntry) -> Vec<u8> {
     put_paths(&mut buf, &e.summary.reads);
     put_paths(&mut buf, &e.summary.may_writes);
     put_paths(&mut buf, &e.summary.must_writes);
-    wire::put_diags(&mut buf, &e.flow);
-    wire::put_diags(&mut buf, &e.alias);
+    e.flow.put(&mut buf);
+    e.alias.put(&mut buf);
     buf.push(e.shared_present as u8);
     put_members(&mut buf, &e.shared_clears);
     put_members(&mut buf, &e.shared_reads);
     wire::put_u64(&mut buf, e.term_failures as u64);
-    wire::put_diags(&mut buf, &e.term);
+    e.term.put(&mut buf);
     buf
 }
 
@@ -441,8 +453,8 @@ pub(crate) fn decode_entry(payload: &[u8]) -> Option<MethodEntry> {
             may_writes: paths(&mut r)?,
             must_writes: paths(&mut r)?,
         },
-        flow: r.diags()?,
-        alias: r.diags()?,
+        flow: Relative::read(&mut r)?,
+        alias: Relative::read(&mut r)?,
         shared_present: match r.u8()? {
             0 => false,
             1 => true,
@@ -451,42 +463,60 @@ pub(crate) fn decode_entry(payload: &[u8]) -> Option<MethodEntry> {
         shared_clears: members(&mut r)?,
         shared_reads: members(&mut r)?,
         term_failures: r.u64()? as usize,
-        term: r.diags()?,
+        term: Relative::read(&mut r)?,
     };
     r.is_exhausted().then_some(entry)
 }
 
-/// Deterministic encoding of a direct-callee set.
-pub(crate) fn encode_callees(set: &BTreeSet<MethodRef>) -> Vec<u8> {
+/// Deterministic encoding of a direct-callee set and its read-set.
+pub(crate) fn encode_callees(callees: &Callees) -> Vec<u8> {
     let mut buf = Vec::new();
-    wire::put_u64(&mut buf, set.len() as u64);
-    for mref in set {
+    wire::put_u64(&mut buf, callees.set.len() as u64);
+    for mref in &callees.set {
         wire::put_str(&mut buf, &mref.0);
         wire::put_str(&mut buf, &mref.1);
     }
+    crate::deps::put_dep_list(&mut buf, &callees.deps);
     buf
 }
 
-/// Decodes a direct-callee set.
-pub(crate) fn decode_callees(payload: &[u8]) -> Option<BTreeSet<MethodRef>> {
+/// Decodes a direct-callee set and its read-set.
+pub(crate) fn decode_callees(payload: &[u8]) -> Option<Callees> {
     let mut r = Reader::new(payload);
     let n = r.count()?;
-    let mut out = BTreeSet::new();
+    let mut set = BTreeSet::new();
     for _ in 0..n {
-        out.insert((r.string()?, r.string()?));
+        set.insert((r.string()?, r.string()?));
     }
-    r.is_exhausted().then_some(out)
+    let deps = crate::deps::read_dep_list(&mut r)?;
+    r.is_exhausted().then_some(Callees { set, deps })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deps::Anchor;
+    use sjava_syntax::diag::{Diag, Diagnostic};
     use sjava_syntax::span::Span;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sjava-store-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Diagnostics anchored as an entry's would be: spans before offset
+    /// 3 on the default lattice, the rest on the method.
+    fn relative(diags: &[Diagnostic]) -> Relative<Anchor> {
+        Relative::new(diags, |s| {
+            let anchor = if s.start < 3 {
+                Anchor::DefaultLattice
+            } else {
+                Anchor::Method
+            };
+            Some((anchor, 0))
+        })
+        .expect("every span anchored")
     }
 
     fn sample_entry() -> MethodEntry {
@@ -496,21 +526,19 @@ mod tests {
                 may_writes: [HeapPath::root("x")].into(),
                 must_writes: BTreeSet::new(),
             },
-            flow: vec![
-                sjava_syntax::diag::Diag::flow_up("flow violation", Span::new(3, 9))
-                    .with_note("note")
-                    .with_label(Span::new(0, 2), "lattice declared here")
-                    .with_suggestion(Span::new(3, 3), "fix ", "insert fix"),
-            ],
-            alias: vec![],
+            flow: relative(&[Diag::flow_up("flow violation", Span::new(3, 9))
+                .with_note("note")
+                .with_label(Span::new(0, 2), "lattice declared here")
+                .with_suggestion(Span::new(3, 3), "fix ", "insert fix")]),
+            alias: Relative::default(),
             shared_present: true,
             shared_clears: [("C".to_string(), "f".to_string())].into(),
             shared_reads: BTreeSet::new(),
             term_failures: 2,
-            term: vec![sjava_syntax::diag::Diag::unprovable_loop(
+            term: relative(&[Diag::unprovable_loop(
                 "loop may not terminate",
                 Span::new(10, 20),
-            )],
+            )]),
         }
     }
 
@@ -530,7 +558,13 @@ mod tests {
         store.put_deps(42, &deps, efp).expect("put deps");
         assert_eq!(store.get_deps(42).expect("hit"), (deps, efp));
 
-        let callees: BTreeSet<MethodRef> = [("A".to_string(), "f".to_string())].into();
+        let callees = Callees {
+            set: [("A".to_string(), "f".to_string())].into(),
+            deps: vec![(
+                sjava_syntax::track::DepKey::Resolve("A".into(), "f".into()),
+                5,
+            )],
+        };
         store.put_callees(9, &callees).expect("put callees");
         assert_eq!(store.get_callees(9).expect("hit"), callees);
 
@@ -602,6 +636,26 @@ mod tests {
         std::fs::write(dir.join("cache.bin"), b"SJAVACACHE old format").expect("v3 file");
         assert_eq!(store.get_entry_with_fp(5), None);
         assert_eq!(store.get_entry_with_fp(6), None);
+        // A well-formed v5 object (its entries keyed on absolute spans) in
+        // the v5 tree beside this one is never read: it lives at another
+        // path, and its header names another version.
+        let payload = encode_entry(&sample_entry());
+        let mut v5 = MAGIC.to_vec();
+        wire::put_u32(&mut v5, 5);
+        wire::put_u64(&mut v5, checksum(&payload));
+        v5.extend_from_slice(&payload);
+        let v5_path = dir.join("v5").join("objects").join(
+            store
+                .object_path(Kind::Entry, 6)
+                .strip_prefix(&store.root)
+                .expect("in tree"),
+        );
+        std::fs::create_dir_all(v5_path.parent().expect("fan-out dir")).expect("v5 tree");
+        std::fs::write(&v5_path, &v5).expect("v5 object");
+        assert_eq!(store.get_entry_with_fp(6), None, "a v5 tree is never read");
+        // Copied into the v6 tree it still misses, on its version field.
+        std::fs::write(store.object_path(Kind::Entry, 6), &v5).expect("v5 bytes in v6");
+        assert_eq!(store.get_entry_with_fp(6), None, "a v5 header is rejected");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -609,14 +663,15 @@ mod tests {
     fn skip_if_exists_does_not_rewrite() {
         let dir = scratch("skip");
         let store = ArtifactStore::open(&dir).expect("open");
-        // Callee sets stay content-addressed (their key folds the
-        // interface hash), so they keep the skip-if-exists fast path.
-        let callees: BTreeSet<MethodRef> = [("A".to_string(), "f".to_string())].into();
-        store.put_callees(3, &callees).expect("put");
+        // With `replace: false` an existing object keeps its bytes and
+        // its mtime.
+        store.put(Kind::Callees, 3, b"first", false).expect("put");
         let path = store.object_path(Kind::Callees, 3);
         let before = std::fs::metadata(&path).expect("meta").modified().ok();
         let marker = std::fs::read(&path).expect("read");
-        store.put_callees(3, &callees).expect("re-put");
+        store
+            .put(Kind::Callees, 3, b"second", false)
+            .expect("re-put");
         assert_eq!(std::fs::read(&path).expect("read"), marker);
         assert_eq!(
             std::fs::metadata(&path).expect("meta").modified().ok(),

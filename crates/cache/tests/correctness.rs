@@ -1,13 +1,16 @@
 //! Cache correctness: an incremental re-check must be byte-identical to a
 //! cold full check, for every benchmark application and for every kind of
 //! edit — method bodies (fine-grained reuse), lattice annotations
-//! (whole-program invalidation), and corrupt on-disk entries (silent
-//! misses).
+//! (whole-program invalidation), text that moves (rebased replay), and
+//! corrupt on-disk entries (silent misses).
 
-use sjava_cache::edit::{mutate_first_literal, shift_method_span};
+use sjava_cache::edit::{insert_at_token, mutate_first_literal, shift_method_span, TEXT_INSERTS};
 use sjava_cache::IncrementalChecker;
 use sjava_core::{check_program, CheckReport};
 use sjava_syntax::ast::Program;
+use sjava_syntax::diag::Diagnostics;
+use sjava_syntax::token::TokenKind;
+use sjava_syntax::{emit, SourceFile};
 
 fn apps() -> Vec<(&'static str, String)> {
     vec![
@@ -122,10 +125,11 @@ fn lattice_edit_invalidates_every_method() {
     let stats = after.cache.expect("stats");
     assert_eq!(stats.hits, 0, "lattice edit must invalidate every entry");
     assert_eq!(stats.misses, total, "every method recomputes");
-    assert_eq!(
-        stats.invalidations, total,
-        "every previously-seen method counts as invalidated"
-    );
+    // Keys are position-free and never folded the lattice, so the methods
+    // keep their keys (the longer annotation only moves their text);
+    // every entry is invalidated by revalidation instead: all go red.
+    assert_eq!(stats.invalidations, 0, "no method changed its key");
+    assert_eq!(stats.red, total, "every previously-seen entry went red");
     assert_eq!(digest(&after), digest(&check_program(&p2)));
 }
 
@@ -270,4 +274,158 @@ fn reverting_an_edit_hits_the_old_entries() {
     let stats = back.cache.expect("stats");
     assert_eq!(stats.misses, 0, "reverted program must be fully cached");
     assert_eq!(digest(&back), digest(&check_program(&original)));
+}
+
+/// Diagnostics whose spans reach outside the method that reports them: a
+/// lattice-build error on another class's header and on another method's
+/// `@LATTICE`, a flow-up in `main` labelled at the class `@METHODDEFAULT`
+/// lattice, and an unprovable loop with a suggested label.
+const OUTREACH: &str = r#"@LATTICE("P<Q,Q<P")
+class Broken {
+}
+@LATTICE("LO<HI") @METHODDEFAULT("V<IN") @THISLOC("V")
+class A {
+    @LOC("HI") int hi; @LOC("LO") int lo;
+    void main() {
+        SSJAVA: while (true) {
+            @LOC("IN") int x = Device.read();
+            hi = x;
+            lo = hi;
+            hi = lo;
+            while (x != 0) { x = Device.read(); }
+            Out.emit(lo);
+        }
+    }
+    @LATTICE("S<T,T<S") @THISLOC("S")
+    void spare() {
+    }
+}"#;
+
+/// Text (every diagnostic rendered with its labels and suggestion), JSON
+/// and SARIF renderings of `diags` against `source`.
+fn renderings(source: &str, diags: &Diagnostics) -> [String; 3] {
+    let file = SourceFile::new("outreach.sj", source.to_string());
+    let text: Vec<String> = diags.iter().map(|d| d.render(&file)).collect();
+    [
+        text.join("\n"),
+        emit::to_json(&file, diags),
+        emit::to_sarif(&file, diags),
+    ]
+}
+
+#[test]
+fn moved_text_rebases_spans_that_reach_outside_the_method() {
+    let mut text = OUTREACH.to_string();
+    let mut session = IncrementalChecker::new();
+    let first = session.check_source(&text).expect("parses");
+    let cold = sjava_core::check_source(&text).expect("parses");
+    assert_eq!(
+        renderings(&text, &first.diagnostics),
+        renderings(&text, &cold.diagnostics)
+    );
+    let labelled = first.diagnostics.iter().any(|d| !d.labels.is_empty());
+    let suggested = first.diagnostics.iter().any(|d| d.suggestion.is_some());
+    let lattice = first
+        .diagnostics
+        .iter()
+        .filter(|d| d.message.contains("invalid lattice declaration"))
+        .count();
+    assert!(
+        labelled && suggested && lattice == 2,
+        "{}",
+        first.diagnostics
+    );
+    // Between the label's `@METHODDEFAULT` and `main` (which moves `main`,
+    // `spare` and their diagnostics but not the label), before both, and
+    // before everything (which also moves `Broken`'s lattice error).
+    let sites: [(&str, usize); 3] = [
+        ("class A {", "class A {".len()),
+        ("@LATTICE(\"LO<HI\")", 0),
+        ("@LATTICE(\"P<Q", 0),
+    ];
+    for (needle, past) in sites {
+        for insert in TEXT_INSERTS {
+            let at = text.find(needle).expect("site present") + past;
+            text.insert_str(at, insert);
+            let warm = session.check_source(&text).expect("parses");
+            let cold = sjava_core::check_source(&text).expect("parses");
+            assert_eq!(
+                renderings(&text, &warm.diagnostics),
+                renderings(&text, &cold.diagnostics),
+                "after inserting {insert:?} at {at}"
+            );
+            assert!(
+                session.last_rechecked().is_empty(),
+                "moving text re-checked {:?}",
+                session.last_rechecked()
+            );
+        }
+    }
+    // An edit to `main` itself re-checks it against the lattice model
+    // cached before the moves: its fresh label must point where the
+    // `@METHODDEFAULT` lattice sits now.
+    text = text.replace("Out.emit(lo);", "Out.emit(lo + 1);");
+    let warm = session.check_source(&text).expect("parses");
+    let cold = sjava_core::check_source(&text).expect("parses");
+    assert_eq!(
+        renderings(&text, &warm.diagnostics),
+        renderings(&text, &cold.diagnostics)
+    );
+    assert_eq!(
+        session.last_rechecked(),
+        [("A".to_string(), "main".to_string())]
+    );
+}
+
+#[test]
+fn token_boundary_inserts_replay_exactly_on_the_app_with_most_diagnostics() {
+    // weather is unannotated on purpose (it is the inference input), so
+    // its check reports dozens of diagnostics of several kinds; every one
+    // must land where a cold check puts it after each insert.
+    let mut text = sjava_apps::weather::SOURCE.to_string();
+    let mut session = IncrementalChecker::new();
+    let first = session.check_source(&text).expect("parses");
+    assert!(first.diagnostics.len() > 20, "{}", first.diagnostics);
+    for step in 0..90 {
+        let insert = TEXT_INSERTS[step % TEXT_INSERTS.len()];
+        let at = insert_at_token(&mut text, step * 5, insert);
+        let warm = session.check_source(&text).expect("parses");
+        let cold = sjava_core::check_source(&text).expect("parses");
+        assert_eq!(
+            renderings(&text, &warm.diagnostics),
+            renderings(&text, &cold.diagnostics),
+            "step {step}: after inserting {insert:?} at {at}"
+        );
+    }
+}
+
+#[test]
+fn session_keeps_at_most_two_checks_of_entries() {
+    // Source-text edits that re-key a method each time (a new literal)
+    // and move text (a token-boundary insert): an unbounded session would
+    // hold one more entry per edit.
+    let mut text = sjava_apps::mp3dec::source().to_string();
+    let mut session = IncrementalChecker::new();
+    session.check_source(&text).expect("parses");
+    for step in 0..240 {
+        let literals: Vec<_> = sjava_syntax::lexer::lex(&text, &mut Diagnostics::new())
+            .into_iter()
+            .filter(|t| matches!(t.kind, TokenKind::IntLit(_)))
+            .map(|t| t.span)
+            .collect();
+        let lit = literals[step * 7 % literals.len()];
+        text.replace_range(
+            lit.start as usize..lit.end as usize,
+            &(step + 2).to_string(),
+        );
+        insert_at_token(&mut text, step * 13, TEXT_INSERTS[step % 3]);
+        let report = session.check_source(&text).expect("edited source parses");
+        let stats = report.cache.expect("stats");
+        let reachable = stats.hits + stats.misses;
+        assert!(
+            session.len() <= 2 * reachable,
+            "step {step}: {} entries for {reachable} reachable methods",
+            session.len()
+        );
+    }
 }

@@ -16,13 +16,20 @@
 //!    diagnostics text, same termination-failure count, same eviction
 //!    verdict.
 //!
+//! Source-text edits (a space, a newline or a line comment at a token
+//! boundary) go through `check_source` and must match a cold check of the
+//! same text; one that lands between declarations moves text without
+//! changing any declaration, so it must re-check nothing.
+//!
 //! Programs are generated in the stress-corpus shape (worker classes
 //! with field state and an intra-class call chain, dispatched from an
 //! `SSJAVA:` event loop) but without lattice annotations, so both clean
 //! and diagnostic-carrying programs flow through the cache.
 
 use proptest::prelude::*;
-use sjava_cache::edit::{add_unused_field, mutate_first_literal, shift_method_span};
+use sjava_cache::edit::{
+    add_unused_field, insert_at_token, mutate_first_literal, shift_method_span, TEXT_INSERTS,
+};
 use sjava_cache::fingerprints::{iface_hash, method_fps};
 use sjava_cache::IncrementalChecker;
 use sjava_core::{check_program, CheckReport};
@@ -151,8 +158,115 @@ fn coarse_dirty(before: &Program, after: &Program) -> Option<BTreeSet<(String, S
     )
 }
 
+/// Whether byte offset `at` lies strictly inside a declaration's text: a
+/// class header (its annotations included), a field, or a method from its
+/// `@LATTICE` to the end of its body. Text inserted there changes that
+/// declaration's position-free digest; text inserted anywhere else only
+/// moves declarations.
+fn inside_a_declaration(program: &Program, at: usize) -> bool {
+    let at = at as u32;
+    let inside = |start: u32, end: u32| start < at && at < end;
+    program.classes.iter().any(|c| {
+        let default = c
+            .annots
+            .method_default
+            .as_ref()
+            .and_then(|d| d.lattice.as_ref());
+        let class_start = [c.annots.lattice.as_ref(), default]
+            .into_iter()
+            .flatten()
+            .fold(c.span.start, |s, l| s.min(l.span.start));
+        inside(class_start, c.span.end)
+            || c.fields.iter().any(|f| inside(f.span.start, f.span.end))
+            || c.methods.iter().any(|m| {
+                let start = m
+                    .annots
+                    .lattice
+                    .as_ref()
+                    .map_or(m.span.start, |l| l.span.start);
+                inside(start.min(m.span.start), m.body.span.end)
+            })
+    })
+}
+
+/// The method whose body holds byte offset `at`, if any.
+fn body_holding(program: &Program, at: usize) -> Option<(String, String)> {
+    let at = at as u32;
+    program.classes.iter().find_map(|c| {
+        c.methods
+            .iter()
+            .find(|m| m.body.span.start < at && at < m.body.span.end)
+            .map(|m| (c.name.clone(), m.name.clone()))
+    })
+}
+
+/// JSON rendering of a report's diagnostics (labels and suggestions
+/// included) against `source`.
+fn json(source: &str, report: &CheckReport) -> String {
+    let file = sjava_syntax::SourceFile::new("gen.sj", source.to_string());
+    sjava_syntax::emit::to_json(&file, &report.diagnostics)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Source-text edits at seeded token boundaries: every step equals a
+    /// cold check of the same text, an edit between declarations
+    /// re-checks nothing, and one inside a method body re-checks at most
+    /// that method.
+    #[test]
+    fn text_edits_replay_rebased_and_exact(
+        classes in 1usize..4,
+        methods in 1usize..4,
+        fields in 1usize..4,
+        seed in any::<u64>(),
+        pick in any::<u64>(),
+        steps in 1usize..5,
+    ) {
+        let mut src = gen_program(classes, methods, fields, seed);
+        let mut session = IncrementalChecker::new();
+        session.check_source(&src).expect("generated source parses");
+        let mut draw = pick;
+        for _ in 0..steps {
+            draw = draw.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let (pick, which) = ((draw >> 33) as usize, (draw >> 20) as usize % TEXT_INSERTS.len());
+            let before = sjava_syntax::parse(&src).expect("source parses");
+            let insert = TEXT_INSERTS[which];
+            let at = insert_at_token(&mut src, pick, insert);
+            let incremental = session.check_source(&src).expect("edited source parses");
+            let cold = sjava_core::check_source(&src).expect("edited source parses");
+            prop_assert_eq!(
+                (digest(&incremental), json(&src, &incremental)),
+                (digest(&cold), json(&src, &cold)),
+                "incremental output diverges after inserting {:?} at {} in:\n{}",
+                insert,
+                at,
+                src
+            );
+            let rechecked: BTreeSet<(String, String)> =
+                session.last_rechecked().iter().cloned().collect();
+            if !inside_a_declaration(&before, at) {
+                prop_assert!(
+                    rechecked.is_empty(),
+                    "inserting {:?} at {} between declarations re-checked {:?} in:\n{}",
+                    insert,
+                    at,
+                    rechecked,
+                    src
+                );
+            } else if let Some(method) = body_holding(&before, at) {
+                prop_assert!(
+                    rechecked.iter().all(|m| *m == method),
+                    "inserting {:?} at {} in the body of {:?} re-checked {:?} in:\n{}",
+                    insert,
+                    at,
+                    method,
+                    rechecked,
+                    src
+                );
+            }
+        }
+    }
 
     /// After any random edit: the rechecked set is contained in the
     /// coarse fingerprint-dirty set, and the incremental report is
