@@ -21,6 +21,7 @@ use sjava_syntax::ast::*;
 use sjava_syntax::diag::{Diag, Diagnostics};
 use sjava_syntax::span::Span;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Per-method read/write effect summary.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -39,11 +40,15 @@ pub type StalePath = (HeapPath, Span);
 /// A local variable the event loop reads before definitely assigning it.
 pub type StaleLocal = (String, Span);
 
+/// Eviction summaries per method. Shared, so that an incremental session
+/// hands its cached summaries to a report without copying them.
+pub type Summaries = BTreeMap<MethodRef, Arc<MethodSummary>>;
+
 /// Result of the whole-program eviction analysis.
 #[derive(Debug, Clone)]
 pub struct EvictionResult {
     /// Summaries per reachable method.
-    pub summaries: BTreeMap<MethodRef, MethodSummary>,
+    pub summaries: Summaries,
     /// Heap paths read by the event loop that failed all three conditions.
     pub stale_paths: Vec<StalePath>,
     /// Local variables read in the event loop that failed the
@@ -66,7 +71,7 @@ pub fn analyze(program: &Program, cg: &CallGraph, diags: &mut Diagnostics) -> Ev
     // bodies, which is what lets the incremental layer key a method on
     // its callees' summary hashes.
     let shard = ShardInput::whole(program);
-    let mut summaries: BTreeMap<MethodRef, MethodSummary> = BTreeMap::new();
+    let mut summaries = Summaries::new();
     // Bottom-up over the acyclic call graph, one reverse-topo wave at a
     // time: a wave's methods only call into earlier waves, so they are
     // summarized in parallel against a read-only view of `summaries`,
@@ -78,7 +83,7 @@ pub fn analyze(program: &Program, cg: &CallGraph, diags: &mut Diagnostics) -> Ev
             sjava_par::run_indexed(wave.len(), |i| summarize(&shard, &wave[i], &summaries));
         for (mref, summary) in wave.iter().zip(wave_summaries) {
             if let Some(s) = summary {
-                summaries.insert(mref.clone(), s);
+                summaries.insert(mref.clone(), Arc::new(s));
             }
         }
     }
@@ -99,7 +104,7 @@ pub fn analyze(program: &Program, cg: &CallGraph, diags: &mut Diagnostics) -> Ev
 pub fn summarize(
     shard: &ShardInput<'_>,
     mref: &MethodRef,
-    summaries: &BTreeMap<MethodRef, MethodSummary>,
+    summaries: &Summaries,
 ) -> Option<MethodSummary> {
     let program = shard.program();
     let (decl_class, method) = program.resolve_method(&mref.0, &mref.1)?;
@@ -115,7 +120,7 @@ pub fn summarize(
 pub fn check_loop(
     program: &Program,
     cg: &CallGraph,
-    summaries: &BTreeMap<MethodRef, MethodSummary>,
+    summaries: &Summaries,
 ) -> (Vec<StalePath>, Vec<StaleLocal>) {
     check_event_loop(program, cg, summaries)
 }
@@ -141,7 +146,7 @@ fn summarize_method(
     program: &Program,
     class: &str,
     method: &MethodDecl,
-    summaries: &BTreeMap<MethodRef, MethodSummary>,
+    summaries: &Summaries,
 ) -> MethodSummary {
     let mut env = TypeEnv::for_method(program, class, method);
     env.bind_block(&method.body);
@@ -180,7 +185,7 @@ fn summarize_method(
 fn check_event_loop(
     program: &Program,
     cg: &CallGraph,
-    summaries: &BTreeMap<MethodRef, MethodSummary>,
+    summaries: &Summaries,
 ) -> (Vec<StalePath>, Vec<StaleLocal>) {
     let Some((_, method)) = program.resolve_method(&cg.entry.0, &cg.entry.1) else {
         return (Vec::new(), Vec::new());
@@ -364,7 +369,7 @@ impl FlowState {
 struct BodyAnalyzer<'p> {
     program: &'p Program,
     env: TypeEnv<'p>,
-    summaries: &'p BTreeMap<MethodRef, MethodSummary>,
+    summaries: &'p Summaries,
     /// Per-method heap-path interner; ids index `may_writes`/`wt`.
     paths: PathInterner,
     /// Per-method local-variable interner; ids index `assigned`.
@@ -381,11 +386,7 @@ struct BodyAnalyzer<'p> {
 }
 
 impl<'p> BodyAnalyzer<'p> {
-    fn new(
-        program: &'p Program,
-        env: TypeEnv<'p>,
-        summaries: &'p BTreeMap<MethodRef, MethodSummary>,
-    ) -> Self {
+    fn new(program: &'p Program, env: TypeEnv<'p>, summaries: &'p Summaries) -> Self {
         BodyAnalyzer {
             program,
             env,

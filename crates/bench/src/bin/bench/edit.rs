@@ -22,7 +22,9 @@
 //!   of the same corpus's source text, which moves every span after it,
 //!   re-checked through `check_source` under the same three
 //!   configurations and the same rules: text that moves a method must not
-//!   re-key it.
+//!   re-key it. At one thread the warm re-check (which re-parses and
+//!   re-hashes only the edited class) must take ≤ 0.40x a cold
+//!   `check_source` of the same text, minima of a few reps each.
 //! - Unused field ([`add_unused_field`]): re-checks zero methods.
 
 use std::path::Path;
@@ -46,6 +48,10 @@ const RATIO_CEILING: f64 = 0.25;
 /// Below this many methods the ratio ceiling is skipped: a 10-method
 /// program legitimately re-checks 2 of 10 after a one-method edit.
 const RATIO_FLOOR_METHODS: usize = 50;
+/// Warm `check_source` after the source-text edit vs a cold one, at one
+/// thread: what a one-byte edit still costs next to checking from
+/// scratch.
+const SOURCE_EDIT_CEILING: f64 = 0.40;
 
 fn parse(source: &str) -> Program {
     sjava_syntax::parse(source).expect("benchmark parses")
@@ -328,6 +334,29 @@ fn edit_runs(
     runs
 }
 
+/// The minimum, over `reps`, of a warm `check_source` of `moved` by a
+/// session that has checked `source`, and of a cold `check_source` of
+/// `moved` by a new session, both at one thread.
+fn source_edit_vs_cold(source: &str, moved: &str, reps: usize) -> (f64, f64) {
+    with_threads(1, || {
+        let (mut warm, mut cold) = (Sample::default(), Sample::default());
+        for _ in 0..reps {
+            let mut session = IncrementalChecker::new();
+            session.check_source(source).expect("benchmark parses");
+            let t = Instant::now();
+            session
+                .check_source(moved)
+                .expect("edited benchmark parses");
+            warm.push(t.elapsed());
+            let mut fresh = IncrementalChecker::new();
+            let t = Instant::now();
+            fresh.check_source(moved).expect("edited benchmark parses");
+            cold.push(t.elapsed());
+        }
+        (warm.min(), cold.min())
+    })
+}
+
 /// The storm, interface-edit, source-text-edit and unused-field legs.
 fn storms(mode: Mode, gate: &mut Gate) {
     let steps = 8;
@@ -384,6 +413,17 @@ fn storms(mode: Mode, gate: &mut Gate) {
         gate,
     );
 
+    let (warm_ms, cold_ms) = source_edit_vs_cold(&source, &moved, mode.pick(5, 10));
+    let source_ratio = warm_ms / cold_ms;
+    println!(
+        "source-text edit at threads=1: warm {warm_ms:.3} ms vs cold check_source {cold_ms:.3} ms (min of reps) = {source_ratio:.3}x"
+    );
+    gate.check(source_ratio <= SOURCE_EDIT_CEILING, || {
+        format!(
+            "source-text edit: warm check_source {warm_ms:.3} ms is {source_ratio:.2}x a cold one ({cold_ms:.3} ms; ceiling {SOURCE_EDIT_CEILING:.2}x)"
+        )
+    });
+
     let primed = || {
         let mut session = IncrementalChecker::new();
         session.check(&pristine);
@@ -416,9 +456,14 @@ fn storms(mode: Mode, gate: &mut Gate) {
             })
             .collect()
     };
+    let mut source_rows = rows(&text_runs);
+    source_rows[0] = std::mem::take(&mut source_rows[0])
+        .f("warm_min_ms", warm_ms)
+        .f("cold_min_ms", cold_ms)
+        .f("warm_cold_ratio", source_ratio);
     let report = obj! {
         "storm_steps" => steps, "storm" => storm_rows, "interface_edit" => rows(&runs),
-        "source_edit" => rows(&text_runs),
+        "source_edit" => source_rows, "source_edit_ceiling" => SOURCE_EDIT_CEILING,
         "unused_field" => obj! {
             "methods" => field.methods(), "rechecked" => field.stats.misses,
             "green" => field.stats.green, "warm_ms" => field.warm_ms,

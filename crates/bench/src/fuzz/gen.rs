@@ -6,7 +6,7 @@
 //! degenerate lattices, and `@DELEGATE` relay rings all appear — then
 //! optionally gains hostile-but-inert appendix classes (braces hiding
 //! in comments, strings, and annotation payloads; deep brace nesting)
-//! and finally passes through `0..=3` [`crate::fuzz::mutate`] operators
+//! and finally passes through `0..=3` `crate::fuzz::mutate` operators
 //! that may push it anywhere from "still clean" through "near-miss flow
 //! violation" to "does not parse". The oracles must hold on all of it.
 

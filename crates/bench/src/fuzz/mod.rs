@@ -13,7 +13,7 @@
 //! Each fuzz case is generated by [`gen::case`] — a seeded AST-level
 //! generator (adversarial `stressgen` knobs: deep `@DELTA` chains,
 //! degenerate lattices, `@DELEGATE` relays) composed with the
-//! [`mutate`] operators (annotation swaps, body truncation, span
+//! `mutate` operators (annotation swaps, body truncation, span
 //! perturbation, brace/comment/string torture) so valid, near-miss, and
 //! outright broken programs all appear. Every case runs through the
 //! [`Oracle`]s selected in [`FuzzConfig`]; a mismatch becomes a

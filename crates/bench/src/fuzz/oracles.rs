@@ -200,6 +200,23 @@ fn render_text_check(
     }
 }
 
+/// A cheap deterministic stream seeded from the source bytes, so an edit
+/// leg replays byte-identically for one fuzz case.
+fn stream(src: &str) -> impl FnMut() -> u64 {
+    let mut state = src
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+        })
+        .max(1);
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
 /// The edit-sequence leg of the cache oracle: applies 1–3 deterministic
 /// `sjava_cache::edit` mutations to the parsed program (which mutation
 /// and where is derived from the source bytes, so a fuzz case replays
@@ -228,19 +245,7 @@ fn edit_sequence(src: &str, session: &mut sjava_cache::IncrementalChecker) -> Op
     if targets.is_empty() {
         return None;
     }
-    // A cheap deterministic stream seeded from the source bytes.
-    let mut state = src
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
-        })
-        .max(1);
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut next = stream(src);
     let steps = 1 + (next() % 3) as usize;
     for step in 0..steps {
         // Try each edit shape starting from a pseudo-random one; a
@@ -301,7 +306,9 @@ fn edit_sequence(src: &str, session: &mut sjava_cache::IncrementalChecker) -> Op
 
 /// Parse oracle: the adaptive front door and the forced-parallel
 /// front-end must both agree with the sequential parser — identical
-/// programs (spans included) and identical rendered diagnostics.
+/// programs (spans included) and identical rendered diagnostics — and so
+/// must re-parses of seeded edits from a kept unit-indexed parse
+/// (`reparse_edits`).
 pub fn parse(src: &str) -> Option<String> {
     let seq = sjava_syntax::parse_sequential(src);
     let adaptive = sjava_syntax::parse(src);
@@ -332,6 +339,78 @@ pub fn parse(src: &str) -> Option<String> {
                 return Some(
                     "forced-parallel parse succeeded where sequential diagnosed errors".into(),
                 )
+            }
+        }
+    }
+    reparse_edits(src)
+}
+
+/// Text spliced in by [`reparse_edits`]: structure, lexical traps and
+/// trivia.
+const REPARSE_INSERTS: &[&str] = &[
+    "{",
+    "}",
+    "\"",
+    "/*",
+    "*/",
+    "//",
+    "\n",
+    " ",
+    "x",
+    ";",
+    "int q;",
+    "class Z { }\n",
+];
+
+/// The re-parse leg of the parse oracle: from a unit-indexed parse of
+/// `src`, 1–3 seeded byte-range edits (inserts, deletes, replacements at
+/// either end, after a `}` or anywhere), each re-parsed from the parse
+/// before it. Whenever [`sjava_syntax::UnitParse::reparse`] accepts a
+/// text, its program must equal the sequential parser's, spans included;
+/// declining is always allowed.
+fn reparse_edits(src: &str) -> Option<String> {
+    let Some(mut kept) = sjava_syntax::UnitParse::new(src) else {
+        return None; // declined: the whole-file parse was compared above
+    };
+    let mut next = stream(src);
+    let mut text = src.to_string();
+    let steps = 1 + (next() % 3) as usize;
+    for step in 0..steps {
+        let closes: Vec<usize> = text.match_indices('}').map(|(i, _)| i + 1).collect();
+        let mut at = match next() % 4 {
+            0 => 0,
+            1 => text.len(),
+            2 if !closes.is_empty() => closes[next() as usize % closes.len()],
+            _ => next() as usize % (text.len() + 1),
+        };
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        let mut end = (at + 1 + (next() % 12) as usize).min(text.len());
+        while !text.is_char_boundary(end) {
+            end += 1;
+        }
+        let insert = REPARSE_INSERTS[next() as usize % REPARSE_INSERTS.len()];
+        match next() % 3 {
+            0 => text.insert_str(at, insert),
+            1 => text.replace_range(at..end, ""),
+            _ => text.replace_range(at..end, insert),
+        }
+        if kept.reparse(&text).is_some() {
+            match sjava_syntax::parse_sequential(&text) {
+                Ok(seq) if seq == *kept.program() => {}
+                Ok(_) => {
+                    return Some(format!(
+                        "re-parse after edit {} of {steps} diverges from sequential",
+                        step + 1
+                    ))
+                }
+                Err(_) => {
+                    return Some(format!(
+                    "re-parse after edit {} of {steps} succeeded where sequential diagnosed errors",
+                    step + 1
+                ))
+                }
             }
         }
     }

@@ -37,14 +37,14 @@
 //! the entry object it actually read — two independently-published
 //! objects cannot be combined across a torn update.
 
+use crate::fingerprints::{Digests, Slot};
 use sjava_analysis::callgraph::MethodRef;
 use sjava_analysis::shard::{
-    class_interface_hash, hash_class_header, hash_field, hash_lattice_decl, hash_method_annots,
-    hash_method_header,
+    hash_class_header, hash_field, hash_lattice_decl, hash_method_annots, hash_method_header,
 };
 use sjava_core::model::{effective_method_annots, Lattices};
 use sjava_core::shared::SharedMember;
-use sjava_lattice::{hash_debug, Fnv64};
+use sjava_lattice::{CompositeLoc, Elem, Fnv64, Space};
 use sjava_syntax::ast::{ClassDecl, MethodDecl, Program};
 use sjava_syntax::diag::{Diagnostic, Diagnostics};
 use sjava_syntax::span::Span;
@@ -58,6 +58,8 @@ use std::sync::Mutex;
 /// hashes each fact once.
 pub(crate) struct FactDb<'a> {
     program: &'a Program,
+    /// The program's memoized declaration digests.
+    digests: &'a Digests,
     lattices: &'a Lattices,
     members: &'a BTreeSet<SharedMember>,
     memo: Mutex<HashMap<DepKey, u64>>,
@@ -68,11 +70,13 @@ impl<'a> FactDb<'a> {
     /// members)` snapshot.
     pub(crate) fn new(
         program: &'a Program,
+        digests: &'a Digests,
         lattices: &'a Lattices,
         members: &'a BTreeSet<SharedMember>,
     ) -> Self {
         FactDb {
             program,
+            digests,
             lattices,
             members,
             memo: Mutex::new(HashMap::new()),
@@ -106,66 +110,90 @@ impl<'a> FactDb<'a> {
             .collect()
     }
 
+    /// The declaration at the end of the inheritance walk `Program::field`
+    /// and `Program::resolve_method` take from `class`: the first class
+    /// on it where `find` finds a member. Every class the walk visits is
+    /// folded into `h` by name, so re-routing the chain (a superclass
+    /// edit) perturbs the fingerprint even when the eventual declaration
+    /// is unchanged.
+    fn walk(
+        &self,
+        h: &mut Fnv64,
+        class: &str,
+        find: impl Fn(&ClassDecl) -> Option<usize>,
+    ) -> Option<(usize, usize)> {
+        let mut cur = self.program.class_position(class);
+        while let Some(i) = cur {
+            let c = &self.program.classes[i];
+            h.write_str(&c.name);
+            if let Some(j) = find(c) {
+                return Some((i, j));
+            }
+            cur = c
+                .superclass
+                .as_deref()
+                .and_then(|s| self.program.class_position(s));
+        }
+        None
+    }
+
     fn compute(&self, key: &DepKey) -> u64 {
         let mut h = Fnv64::new();
+        let classes = &self.program.classes;
+        // Each declaration enters as its memoized position-free digest.
+        let digest = |i: usize, slot: Slot, fold: &dyn Fn(&mut Fnv64)| {
+            self.digests.memo(i, slot, || {
+                let mut h = Fnv64::new();
+                fold(&mut h);
+                h.finish()
+            })
+        };
         match key {
-            DepKey::Iface(class) => match self.program.class_untracked(class) {
-                Some(c) => {
+            DepKey::Iface(class) => match self.program.class_position(class) {
+                Some(i) => {
                     h.write_u64(1);
-                    h.write_u64(class_interface_hash(c));
+                    h.write_u64(self.digests.class_iface(self.program, i));
                 }
                 None => h.write_u64(0),
             },
             DepKey::Resolve(class, method) => {
-                // The walk itself is part of the fact: every visited class
-                // name is hashed, so re-routing the chain (a superclass
-                // edit) perturbs the fingerprint even when the eventual
-                // declaration is unchanged.
-                let mut cur = self.program.class_untracked(class);
-                loop {
-                    let Some(c) = cur else {
-                        h.write_u64(0);
-                        break;
-                    };
-                    h.write_str(&c.name);
-                    if let Some(m) = c.methods.iter().find(|m| m.name == *method) {
+                let found = self.walk(&mut h, class, |c| {
+                    c.methods.iter().position(|m| m.name == *method)
+                });
+                match found {
+                    Some((i, j)) => {
+                        let c = &classes[i];
                         h.write_u64(1);
-                        hash_class_header(&mut h, c);
-                        hash_method_header(&mut h, m);
-                        break;
+                        h.write_u64(digest(i, Slot::Header, &|h| hash_class_header(h, c)));
+                        h.write_u64(digest(i, Slot::MethodHeader(j), &|h| {
+                            hash_method_header(h, &c.methods[j])
+                        }));
                     }
-                    cur = c
-                        .superclass
-                        .as_deref()
-                        .and_then(|s| self.program.class_untracked(s));
+                    None => h.write_u64(0),
                 }
             }
             DepKey::Field(class, field) => {
-                let mut cur = self.program.class_untracked(class);
-                loop {
-                    let Some(c) = cur else {
-                        h.write_u64(0);
-                        break;
-                    };
-                    h.write_str(&c.name);
-                    if let Some(f) = c.fields.iter().find(|f| f.name == *field) {
+                let found = self.walk(&mut h, class, |c| {
+                    c.fields.iter().position(|f| f.name == *field)
+                });
+                match found {
+                    Some((i, j)) => {
                         h.write_u64(1);
-                        hash_field(&mut h, f);
-                        break;
+                        h.write_u64(digest(i, Slot::Field(j), &|h| {
+                            hash_field(h, &classes[i].fields[j])
+                        }));
                     }
-                    cur = c
-                        .superclass
-                        .as_deref()
-                        .and_then(|s| self.program.class_untracked(s));
+                    None => h.write_u64(0),
                 }
             }
             DepKey::MethodFacts(class, method) => {
-                match self
-                    .program
-                    .class_untracked(class)
-                    .and_then(|c| c.methods.iter().find(|m| m.name == *method).map(|m| (c, m)))
-                {
-                    Some((c, m)) => {
+                let found = self.program.class_position(class).and_then(|i| {
+                    let j = classes[i].methods.iter().position(|m| m.name == *method)?;
+                    Some((i, j))
+                });
+                match found {
+                    Some((i, j)) => {
+                        let (c, m) = (&classes[i], &classes[i].methods[j]);
                         h.write_u64(1);
                         // The effective annotations cover the method's own
                         // lattice/locations and the class @METHODDEFAULT;
@@ -176,16 +204,18 @@ impl<'a> FactDb<'a> {
                         // `@LATTICE`, the class header for a default one —
                         // which is what lets a cached "method lattice
                         // declared here" label rebase (`Anchor::DefaultLattice`).
-                        let own = m.annots.lattice.is_some();
-                        h.write_u64(own as u64);
-                        let anchor = if own { m.span.start } else { c.span.start };
-                        hash_method_annots(&mut h, &effective_method_annots(c, m), anchor);
+                        h.write_u64(digest(i, Slot::MethodAnnots(j), &|h| {
+                            let own = m.annots.lattice.is_some();
+                            h.write_u64(own as u64);
+                            let anchor = if own { m.span.start } else { c.span.start };
+                            hash_method_annots(h, &effective_method_annots(c, m), anchor);
+                        }));
                         h.write_u64(c.annots.trusted as u64);
                         match self.lattices.methods.get(&(class.clone(), method.clone())) {
                             Some(info) => {
                                 h.write_u64(1);
-                                h.write_u64(hash_debug(&info.return_loc));
-                                h.write_u64(hash_debug(&info.pc_loc));
+                                hash_composite(&mut h, info.return_loc.as_ref());
+                                hash_composite(&mut h, info.pc_loc.as_ref());
                                 h.write_u64(info.trusted as u64);
                             }
                             None => h.write_u64(0),
@@ -194,10 +224,13 @@ impl<'a> FactDb<'a> {
                     None => h.write_u64(0),
                 }
             }
-            DepKey::ClassLattice(class) => match self.program.class_untracked(class) {
-                Some(c) => {
+            DepKey::ClassLattice(class) => match self.program.class_position(class) {
+                Some(i) => {
+                    let c = &classes[i];
                     h.write_u64(1);
-                    hash_lattice_decl(&mut h, c.annots.lattice.as_ref(), c.span.start);
+                    h.write_u64(digest(i, Slot::Lattice, &|h| {
+                        hash_lattice_decl(h, c.annots.lattice.as_ref(), c.span.start)
+                    }));
                 }
                 None => h.write_u64(0),
             },
@@ -225,6 +258,30 @@ impl<'a> FactDb<'a> {
             DepKey::Completion(_) => h.write_u64(0),
         }
         h.finish()
+    }
+}
+
+/// Folds a resolved composite location into `h`.
+fn hash_composite(h: &mut Fnv64, loc: Option<&CompositeLoc>) {
+    match loc {
+        None => h.write_u64(0),
+        Some(CompositeLoc::Top) => h.write_u64(1),
+        Some(CompositeLoc::Bottom) => h.write_u64(2),
+        Some(CompositeLoc::Path { elems, delta }) => {
+            h.write_u64(3);
+            h.write_usize(*delta);
+            h.write_usize(elems.len());
+            for Elem { space, name } in elems {
+                match space {
+                    Space::Method => h.write_u64(0),
+                    Space::Field(class) => {
+                        h.write_u64(1);
+                        h.write_str(class);
+                    }
+                }
+                h.write_str(name);
+            }
+        }
     }
 }
 
@@ -585,12 +642,31 @@ mod tests {
     use sjava_syntax::diag::Diagnostics;
     use sjava_syntax::parse;
 
-    fn snapshot(src: &str) -> (Program, Lattices, BTreeSet<SharedMember>) {
-        let p = parse(src).expect("parses");
+    /// One program snapshot and what a [`FactDb`] over it borrows.
+    struct Snapshot {
+        program: Program,
+        digests: Digests,
+        lattices: Lattices,
+        members: BTreeSet<SharedMember>,
+    }
+
+    impl Snapshot {
+        fn db(&self) -> FactDb<'_> {
+            FactDb::new(&self.program, &self.digests, &self.lattices, &self.members)
+        }
+    }
+
+    fn snapshot(src: &str) -> Snapshot {
+        let program = parse(src).expect("parses");
         let mut d = Diagnostics::new();
-        let l = Lattices::build(&p, &mut d);
-        let m = sjava_core::shared::shared_members(&p, &l);
-        (p, l, m)
+        let lattices = Lattices::build(&program, &mut d);
+        let members = sjava_core::shared::shared_members(&program, &lattices);
+        Snapshot {
+            digests: Digests::new(&program),
+            program,
+            lattices,
+            members,
+        }
     }
 
     #[test]
@@ -620,13 +696,13 @@ mod tests {
 
     #[test]
     fn unrelated_edit_keeps_facts_green() {
-        let (p1, l1, m1) =
+        let s1 =
             snapshot(r#"@LATTICE("A<B") class W { @LOC("A") int x; void f() { } void g() { } }"#);
-        let (p2, l2, m2) = snapshot(
+        let s2 = snapshot(
             r#"@LATTICE("A<B") class W { @LOC("A") int x; void f() { int z = 1; } void g() { } }"#,
         );
-        let db1 = FactDb::new(&p1, &l1, &m1);
-        let db2 = FactDb::new(&p2, &l2, &m2);
+        let db1 = s1.db();
+        let db2 = s2.db();
         // Growing `f`'s body moves `g` and everything after it, but every
         // fact is position-free: not one goes red, not even the
         // whole-interface fact of `W`, which every client of `W` reads.
@@ -647,8 +723,8 @@ mod tests {
     #[test]
     fn text_inside_a_declaration_reds_its_facts() {
         let base = r#"@LATTICE("A<B") class W { @LOC("A") int x; void f(int p) { } void g() { } }"#;
-        let (p1, l1, m1) = snapshot(base);
-        let db1 = FactDb::new(&p1, &l1, &m1);
+        let s1 = snapshot(base);
+        let db1 = s1.db();
         // A space inside `f`'s signature moves its parameter within the
         // header; one inside the field declaration lengthens it.
         for (edited, red) in [
@@ -661,8 +737,8 @@ mod tests {
                 DepKey::Field("W".into(), "x".into()),
             ),
         ] {
-            let (p2, l2, m2) = snapshot(&edited);
-            let db2 = FactDb::new(&p2, &l2, &m2);
+            let s2 = snapshot(&edited);
+            let db2 = s2.db();
             assert_ne!(db1.fact_fp(&red), db2.fact_fp(&red), "{red:?} stayed green");
             let g = DepKey::Resolve("W".into(), "g".into());
             assert_eq!(db1.fact_fp(&g), db2.fact_fp(&g), "{g:?} went red");
@@ -671,14 +747,14 @@ mod tests {
 
     #[test]
     fn loc_edit_reds_exactly_the_touched_field_fact() {
-        let (p1, l1, m1) = snapshot(
+        let s1 = snapshot(
             r#"@LATTICE("A<B") class W { @LOC("A") int x; @LOC("B") int y; void f() { } }"#,
         );
-        let (p2, l2, m2) = snapshot(
+        let s2 = snapshot(
             r#"@LATTICE("A<B") class W { @LOC("B") int x; @LOC("B") int y; void f() { } }"#,
         );
-        let db1 = FactDb::new(&p1, &l1, &m1);
-        let db2 = FactDb::new(&p2, &l2, &m2);
+        let db1 = s1.db();
+        let db2 = s2.db();
         assert_ne!(
             db1.fact_fp(&DepKey::Field("W".into(), "x".into())),
             db2.fact_fp(&DepKey::Field("W".into(), "x".into())),
@@ -697,8 +773,8 @@ mod tests {
 
     #[test]
     fn missing_and_empty_never_collide() {
-        let (p, l, m) = snapshot("class A { void f() { } }");
-        let db = FactDb::new(&p, &l, &m);
+        let s = snapshot("class A { void f() { } }");
+        let db = s.db();
         assert_ne!(
             db.fact_fp(&DepKey::Iface("A".into())),
             db.fact_fp(&DepKey::Iface("Ghost".into())),
@@ -711,15 +787,15 @@ mod tests {
 
     #[test]
     fn superclass_rerouting_perturbs_resolution_facts() {
-        let (p1, l1, m1) = snapshot(
+        let s1 = snapshot(
             "class P { void f() { } } class Q extends P { } class S extends Q { void g() { } }",
         );
         // Same declaration of f, but S now skips Q.
-        let (p2, l2, m2) = snapshot(
+        let s2 = snapshot(
             "class P { void f() { } } class Q extends P { } class S extends P { void g() { } }",
         );
-        let db1 = FactDb::new(&p1, &l1, &m1);
-        let db2 = FactDb::new(&p2, &l2, &m2);
+        let db1 = s1.db();
+        let db2 = s2.db();
         assert_ne!(
             db1.fact_fp(&DepKey::Resolve("S".into(), "f".into())),
             db2.fact_fp(&DepKey::Resolve("S".into(), "f".into())),

@@ -9,11 +9,19 @@
 //!   parameters). Bodies are excluded. It keys the cached lattice model.
 //!   Per-method entries and callee sets do not fold it: interface edits
 //!   are handled by red-green revalidation of each one's recorded
-//!   dependency facts ([`crate::deps`]), so a signature edit invalidates
-//!   exactly the methods that *read* the changed declaration instead of
-//!   the whole program.
+//!   dependency facts (the crate's `deps` module), so a signature edit
+//!   invalidates exactly the methods that *read* the changed declaration
+//!   instead of the whole program.
 //! - [`local_fp`] digests one method's resolved declaration. It keys the
 //!   method's callee set and seeds its entry key.
+//!
+//! Both fold per-declaration digests (a class interface, a method
+//! declaration). A session memoizes those per declaration (`Digests`)
+//! and, through `IncrementalChecker::check_source`, carries them across
+//! checks for every class whose compilation unit did not change: an
+//! unchanged class costs no hashing. `local_fp` still resolves the method
+//! on every check and folds the declaring class it finds, so inheritance
+//! stays exact.
 //!
 //! Every digest is **position-free**: a span is hashed as an offset from
 //! the start of the declaration that holds it (method header, field or
@@ -36,10 +44,14 @@
 //! across processes and platforms, no randomness, no clocks.
 
 use sjava_analysis::callgraph::{CallGraph, MethodRef};
-use sjava_analysis::shard::hash_method;
+use sjava_analysis::heappath::HeapPath;
+use sjava_analysis::shard::{class_interface_hash, hash_method};
+use sjava_analysis::written::MethodSummary;
+use sjava_core::shared::SharedMember;
 use sjava_lattice::Fnv64;
-use sjava_syntax::ast::Program;
-use std::collections::{BTreeMap, HashMap};
+use sjava_syntax::ast::{ClassDecl, MethodDecl, Program};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 /// Digest of every class interface in declaration order, folded from the
 /// per-class [`sjava_analysis::shard::class_interface_hash`] summaries —
@@ -48,12 +60,188 @@ use std::collections::{BTreeMap, HashMap};
 /// judgment. Keys the cached lattice model and seeds the coarse
 /// per-method fingerprints of [`method_fps`].
 pub fn iface_hash(program: &Program) -> u64 {
+    Digests::new(program).iface_hash(program)
+}
+
+/// The position-free digest of one method declaration
+/// ([`sjava_analysis::shard::hash_method`]), the sub-digest [`local_fp`]
+/// folds.
+fn method_digest(method: &MethodDecl) -> u64 {
     let mut h = Fnv64::new();
-    h.write_usize(program.classes.len());
-    for class in &program.classes {
-        h.write_u64(sjava_analysis::shard::class_interface_hash(class));
+    hash_method(&mut h, method);
+    h.finish()
+}
+
+/// One memoized digest of a class: of the whole declaration or of one
+/// facet of it. What each holds is up to the caller that fills it
+/// ([`Digests::memo`]); every one is position-free.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Slot {
+    /// The class interface ([`class_interface_hash`]).
+    Iface,
+    /// The class header.
+    Header,
+    /// The class `@LATTICE` declaration.
+    Lattice,
+    /// Field `i`.
+    Field(usize),
+    /// The whole declaration of method `i` ([`method_digest`]).
+    Method(usize),
+    /// The signature of method `i`.
+    MethodHeader(usize),
+    /// The effective annotations of method `i`.
+    MethodAnnots(usize),
+}
+
+/// Memoized digests of one class, indexed by [`Slot`].
+#[derive(Debug, Default)]
+struct ClassDigests {
+    class: [OnceLock<u64>; 3],
+    fields: Box<[OnceLock<u64>]>,
+    methods: Box<[[OnceLock<u64>; 3]]>,
+}
+
+impl ClassDigests {
+    fn of(class: &ClassDecl) -> Self {
+        ClassDigests {
+            class: Default::default(),
+            fields: class.fields.iter().map(|_| OnceLock::new()).collect(),
+            methods: class.methods.iter().map(|_| Default::default()).collect(),
+        }
+    }
+
+    fn slot(&self, slot: Slot) -> &OnceLock<u64> {
+        match slot {
+            Slot::Iface => &self.class[0],
+            Slot::Header => &self.class[1],
+            Slot::Lattice => &self.class[2],
+            Slot::Field(i) => &self.fields[i],
+            Slot::Method(i) => &self.methods[i][0],
+            Slot::MethodHeader(i) => &self.methods[i][1],
+            Slot::MethodAnnots(i) => &self.methods[i][2],
+        }
+    }
+}
+
+/// Per-declaration digests of one program, computed on first use (from
+/// any thread) and aligned with its classes. The digests are
+/// position-free, so a class that only moved keeps them:
+/// [`Digests::carry`] moves them to the classes of the next revision.
+#[derive(Debug, Default)]
+pub(crate) struct Digests {
+    classes: Vec<ClassDigests>,
+}
+
+impl Digests {
+    /// Empty memo slots for every declaration of `program`.
+    pub(crate) fn new(program: &Program) -> Self {
+        Digests {
+            classes: program.classes.iter().map(ClassDigests::of).collect(),
+        }
+    }
+
+    /// The memo for `program`, a later revision of the program these
+    /// digests describe: class `i` of `program` keeps the digests of
+    /// class `origins[i]` (which it equals up to position) and starts
+    /// empty where that is `None`.
+    pub(crate) fn carry(mut self, origins: &[Option<usize>], program: &Program) -> Self {
+        let classes = origins
+            .iter()
+            .zip(&program.classes)
+            .map(|(origin, class)| match origin {
+                Some(i) => std::mem::take(&mut self.classes[*i]),
+                None => ClassDigests::of(class),
+            })
+            .collect();
+        Digests { classes }
+    }
+
+    /// The digest in `slot` of class `class`, computed by `compute` the
+    /// first time it is asked for. `compute` must be a position-free
+    /// function of that class alone.
+    pub(crate) fn memo(&self, class: usize, slot: Slot, compute: impl FnOnce() -> u64) -> u64 {
+        *self.classes[class].slot(slot).get_or_init(compute)
+    }
+
+    /// [`class_interface_hash`] of class `i` of `program`.
+    pub(crate) fn class_iface(&self, program: &Program, i: usize) -> u64 {
+        self.memo(i, Slot::Iface, || class_interface_hash(&program.classes[i]))
+    }
+
+    /// [`iface_hash`] of `program`, over the memoized class digests.
+    pub(crate) fn iface_hash(&self, program: &Program) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_usize(program.classes.len());
+        for i in 0..program.classes.len() {
+            h.write_u64(self.class_iface(program, i));
+        }
+        h.finish()
+    }
+
+    /// [`local_fp`] of `mref` in `program`, over the memoized method
+    /// digests.
+    pub(crate) fn local_fp(&self, program: &Program, mref: &MethodRef) -> u64 {
+        let resolved = resolve_position(program, mref).map(|(c, m)| {
+            let class = &program.classes[c];
+            let digest = self.memo(c, Slot::Method(m), || method_digest(&class.methods[m]));
+            (class, digest)
+        });
+        fold_local(mref, resolved)
+    }
+}
+
+/// Where `mref` resolves, as [`Program::resolve_method`] resolves it: the
+/// position of the declaring class and of the method within it.
+fn resolve_position(program: &Program, mref: &MethodRef) -> Option<(usize, usize)> {
+    let mut c = program.class_position(&mref.0)?;
+    loop {
+        let class = &program.classes[c];
+        if let Some(m) = class.methods.iter().position(|m| m.name == mref.1) {
+            return Some((c, m));
+        }
+        c = program.class_position(class.superclass.as_deref()?)?;
+    }
+}
+
+/// Folds a method reference with the class its declaration resolves to
+/// and the declaration's digest.
+fn fold_local(mref: &MethodRef, resolved: Option<(&ClassDecl, u64)>) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_str(&mref.0);
+    h.write_str(&mref.1);
+    if let Some((decl_class, digest)) = resolved {
+        h.write_str(&decl_class.name);
+        h.write_u64(decl_class.annots.trusted as u64);
+        h.write_u64(digest);
     }
     h.finish()
+}
+
+/// Folds an eviction summary into `h`, set by set.
+pub(crate) fn hash_summary(h: &mut Fnv64, summary: &MethodSummary) {
+    let MethodSummary {
+        reads,
+        may_writes,
+        must_writes,
+    } = summary;
+    for set in [reads, may_writes, must_writes] {
+        h.write_usize(set.len());
+        for HeapPath(path) in set {
+            h.write_usize(path.len());
+            for segment in path {
+                h.write_str(segment);
+            }
+        }
+    }
+}
+
+/// Folds a set of shared members into `h`.
+pub(crate) fn hash_members(h: &mut Fnv64, members: &BTreeSet<SharedMember>) {
+    h.write_usize(members.len());
+    for (class, field) in members {
+        h.write_str(class);
+        h.write_str(field);
+    }
 }
 
 /// Position-independent digest of a method's *name*: the key for
@@ -67,20 +255,15 @@ pub fn name_hash(mref: &MethodRef) -> u64 {
 }
 
 /// Digest of one method reference's resolved declaration: the reference
-/// itself, the declaring class it resolves to, and the full `MethodDecl`
-/// (annotations, body, spans relative to the header's start — see
-/// [`sjava_analysis::shard::hash_method`]). Unresolvable references hash
-/// the reference alone.
+/// itself, the declaring class it resolves to, and the digest of the full
+/// `MethodDecl` (annotations, body, spans relative to the header's start
+/// — see [`sjava_analysis::shard::hash_method`]). Unresolvable references
+/// hash the reference alone.
 pub fn local_fp(program: &Program, mref: &MethodRef) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_str(&mref.0);
-    h.write_str(&mref.1);
-    if let Some((decl_class, method)) = program.resolve_method(&mref.0, &mref.1) {
-        h.write_str(&decl_class.name);
-        h.write_u64(decl_class.annots.trusted as u64);
-        hash_method(&mut h, method);
-    }
-    h.finish()
+    let resolved = program
+        .resolve_method(&mref.0, &mref.1)
+        .map(|(class, method)| (class, method_digest(method)));
+    fold_local(mref, resolved)
 }
 
 /// Computes the content fingerprint of every reachable method, bottom-up

@@ -56,6 +56,11 @@
 //! [`IncrementalChecker`]), so its memory follows the program, not the
 //! length of the editing session.
 //!
+//! Source text is reused too: [`IncrementalChecker::check_source`] keeps
+//! its last parse ([`sjava_syntax::UnitParse`]) and the memoized
+//! per-declaration digests of its classes, so the next text re-parses
+//! and re-hashes only the compilation units whose bytes changed.
+//!
 //! Setting `SJAVA_CACHE_DIR` (see [`CACHE_DIR_ENV`]) backs the session
 //! with the concurrent content-addressed [`store::ArtifactStore`]:
 //! per-method results publish as individual objects with atomic renames,
@@ -89,23 +94,24 @@ pub mod store;
 use sjava_analysis::callgraph::{self, MethodRef};
 use sjava_analysis::shard::ShardInput;
 use sjava_analysis::termination;
-use sjava_analysis::written::{self, EvictionResult, MethodSummary};
-use sjava_core::model::effective_method_annots;
+use sjava_analysis::written::{self, EvictionResult, MethodSummary, Summaries};
 use sjava_core::shared::SharedMember;
 use sjava_core::{
     checker, linear, shared, CacheStats, CheckReport, Lattices, ParseFailure, PhaseTimings,
 };
-use sjava_lattice::{hash_debug, Fnv64};
+use sjava_lattice::Fnv64;
 use sjava_syntax::ast::Program;
 use sjava_syntax::diag::Diagnostics;
 use sjava_syntax::track::{DepKey, ReadScope};
+use sjava_syntax::UnitParse;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use deps::{Anchor, Anchors, DeclAnchor, Relative};
-use fingerprints::{iface_hash, local_fp, name_hash};
+use fingerprints::{hash_members, hash_summary, name_hash, Digests};
 pub use store::ArtifactStore;
 
 /// Environment variable naming the on-disk cache directory. When set,
@@ -191,8 +197,9 @@ fn max_bytes_budget() -> Option<u64> {
 /// stored position-free and rebased on replay ([`Relative`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct MethodEntry {
-    /// Eviction read/write summary (`written::summarize`).
-    pub summary: MethodSummary,
+    /// Eviction read/write summary (`written::summarize`), shared with the
+    /// reports that replay it.
+    pub summary: Arc<MethodSummary>,
     /// Flow-down checker diagnostics (`checker::check_method_flows`).
     pub flow: Relative<Anchor>,
     /// Aliasing diagnostics (`linear::check_method_aliasing`).
@@ -226,23 +233,36 @@ pub(crate) struct Callees {
 
 /// The cached lattice model, valid while the interface hash matches. Its
 /// diagnostics are stored relative to the declarations that hold them.
+/// Reports share the model; a hit refreshes it in place unless a report
+/// still holds it.
 struct LatticeEntry {
     iface: u64,
-    lattices: Lattices,
+    lattices: Arc<Lattices>,
     diags: Relative<DeclAnchor>,
+}
+
+/// The last successful unit-indexed parse of [`IncrementalChecker::check_source`]
+/// and the memoized declaration digests of its program.
+struct SourceState {
+    parse: UnitParse,
+    digests: Digests,
 }
 
 /// Re-reads every `MethodInfo::lattice_span` of a cached lattice model
 /// from `program`, where the declarations may have moved since the model
-/// was built.
+/// was built: the span of the method's effective `@LATTICE`
+/// (`effective_method_annots`), its own or the class `@METHODDEFAULT`.
 fn refresh_lattice_spans(lattices: &mut Lattices, program: &Program) {
     for class in &program.classes {
+        let default = class
+            .annots
+            .method_default
+            .as_ref()
+            .and_then(|d| d.lattice.as_ref());
         for method in &class.methods {
             let key = (class.name.clone(), method.name.clone());
             if let Some(info) = lattices.methods.get_mut(&key) {
-                info.lattice_span = effective_method_annots(class, method)
-                    .lattice
-                    .map(|d| d.span);
+                info.lattice_span = method.annots.lattice.as_ref().or(default).map(|d| d.span);
             }
         }
     }
@@ -293,6 +313,10 @@ pub struct IncrementalChecker {
     /// over the static statement-weight estimate when scheduling warm
     /// fan-outs (scheduling only — results never depend on timings).
     times: HashMap<u64, u64>,
+    /// The last text [`IncrementalChecker::check_source`] parsed through
+    /// the unit-indexed front end, kept so the next text re-parses and
+    /// re-hashes only the compilation units that changed.
+    source: Option<SourceState>,
     store: Option<ArtifactStore>,
     persist_min: u64,
 }
@@ -315,6 +339,7 @@ impl IncrementalChecker {
             last_keys: BTreeMap::new(),
             last_rechecked: Vec::new(),
             times: HashMap::new(),
+            source: None,
             store: None,
             persist_min: persist_min_weight(),
         }
@@ -350,6 +375,7 @@ impl IncrementalChecker {
             last_keys: BTreeMap::new(),
             last_rechecked: Vec::new(),
             times: HashMap::new(),
+            source: None,
             store,
             persist_min: persist_min_weight(),
         }
@@ -407,10 +433,21 @@ impl IncrementalChecker {
         self.last_keys.clear();
         self.last_rechecked.clear();
         self.times.clear();
+        self.source = None;
     }
 
     /// Parses and checks source text incrementally, charging parse time
     /// to [`PhaseTimings::parse`].
+    ///
+    /// The session keeps its last successful parse ([`UnitParse`]): the
+    /// next text re-lexes and re-parses only the compilation units whose
+    /// bytes changed, moves every other unit's classes over with their
+    /// spans shifted, and reuses their memoized declaration digests. Text
+    /// the unit-indexed front end declines (the brace pre-scan refuses
+    /// it, or a unit reports a diagnostic) takes the whole-file
+    /// [`sjava_syntax::parse`] path, and the last good parse stays for
+    /// the next text. Either way the report equals a cold
+    /// [`sjava_core::check_source`] of the same text.
     ///
     /// # Errors
     ///
@@ -420,6 +457,13 @@ impl IncrementalChecker {
     #[allow(clippy::result_large_err)]
     pub fn check_source(&mut self, source: &str) -> Result<CheckReport, ParseFailure> {
         let t = Instant::now();
+        if let Some(state) = self.reparse(source) {
+            let parse = t.elapsed();
+            let mut report = self.check_with(state.parse.program(), &state.digests);
+            report.timings.parse = parse;
+            self.source = Some(state);
+            return Ok(report);
+        }
         let parsed = sjava_syntax::parse(source);
         let parse = t.elapsed();
         match parsed {
@@ -439,12 +483,39 @@ impl IncrementalChecker {
         }
     }
 
+    /// The session's last unit-indexed parse moved to `source`, its
+    /// digests carried over; `None`, keeping the last good parse, when
+    /// the unit-indexed front end declines the text.
+    fn reparse(&mut self, source: &str) -> Option<SourceState> {
+        let Some(mut state) = self.source.take() else {
+            let parse = UnitParse::new(source)?;
+            let digests = Digests::new(parse.program());
+            return Some(SourceState { parse, digests });
+        };
+        match state.parse.reparse(source) {
+            Some(origins) => {
+                state.digests = state.digests.carry(&origins, state.parse.program());
+                Some(state)
+            }
+            None => {
+                self.source = Some(state);
+                None
+            }
+        }
+    }
+
     /// Checks `program`, replaying cached per-method results wherever the
     /// content fingerprint matches (in memory first, then the artifact
     /// store) and re-analyzing only the dirtied call-graph cone.
     /// Diagnostics are byte-identical to [`sjava_core::check_program`] on
     /// the same program.
     pub fn check(&mut self, program: &Program) -> CheckReport {
+        self.check_with(program, &Digests::new(program))
+    }
+
+    /// [`IncrementalChecker::check`] over `digests`, the memoized
+    /// declaration digests of `program`.
+    fn check_with(&mut self, program: &Program, digests: &Digests) -> CheckReport {
         // Global-phase diagnostics (lattice, call graph, eviction loop),
         // merged after the per-method ones.
         let mut global = Diagnostics::new();
@@ -453,28 +524,28 @@ impl IncrementalChecker {
             threads: sjava_par::num_threads(),
             ..PhaseTimings::default()
         };
-        let iface = iface_hash(program);
 
         // Lattice model, keyed on the position-free interface hash
         // (replaying its diagnostics in build order, rebased onto where
         // their declarations sit now).
         let t = Instant::now();
-        let lattices = match &self.lattice_cache {
+        let iface = digests.iface_hash(program);
+        let lattices = match &mut self.lattice_cache {
             Some(e) if e.iface == iface => {
                 e.diags.rebase_into(|a| a.base(program), &mut global);
-                let mut lattices = e.lattices.clone();
-                refresh_lattice_spans(&mut lattices, program);
-                lattices
+                // Copies the model only while a report still holds it.
+                refresh_lattice_spans(Arc::make_mut(&mut e.lattices), program);
+                Arc::clone(&e.lattices)
             }
             _ => {
                 let mut ld = Diagnostics::new();
-                let lattices = Lattices::build(program, &mut ld);
+                let lattices = Arc::new(Lattices::build(program, &mut ld));
                 // A diagnostic outside every declaration could not be
                 // rebased, so such a model is rebuilt on every check.
                 self.lattice_cache = Relative::new(ld.iter(), |s| DeclAnchor::locate(program, s))
                     .map(|diags| LatticeEntry {
                         iface,
-                        lattices: lattices.clone(),
+                        lattices: Arc::clone(&lattices),
                         diags,
                     });
                 global.extend(ld);
@@ -494,7 +565,7 @@ impl IncrementalChecker {
         // check: callee sets, entries and admission share one snapshot.
         let t = Instant::now();
         let members = shared::shared_members(program, &lattices);
-        let factdb = deps::FactDb::new(program, &lattices, &members);
+        let factdb = deps::FactDb::new(program, digests, &lattices, &members);
         let mut local_fps: HashMap<MethodRef, u64> = HashMap::new();
         let mut used_callees: HashSet<u64> = HashSet::new();
         // Callee sets computed by this check, the only ones to publish.
@@ -504,7 +575,7 @@ impl IncrementalChecker {
         let cg = callgraph::build_with(program, &mut global, |mref| {
             let lfp = *local_fps
                 .entry(mref.clone())
-                .or_insert_with(|| local_fp(program, mref));
+                .or_insert_with(|| digests.local_fp(program, mref));
             used_callees.insert(lfp);
             if let Some(c) = callee_cache.get(&lfp) {
                 if factdb.deps_green(&c.deps) {
@@ -561,7 +632,7 @@ impl IncrementalChecker {
         let t = Instant::now();
         let mut keys: BTreeMap<MethodRef, u64> = BTreeMap::new();
         let mut shashes: BTreeMap<MethodRef, u64> = BTreeMap::new();
-        let mut summaries: BTreeMap<MethodRef, MethodSummary> = BTreeMap::new();
+        let mut summaries = Summaries::new();
         let mut shared_clears: BTreeMap<MethodRef, BTreeSet<SharedMember>> = BTreeMap::new();
         let mut shared_reads: BTreeMap<MethodRef, BTreeSet<SharedMember>> = BTreeMap::new();
         // Read-sets of freshly-computed wave results, awaiting the union
@@ -579,30 +650,63 @@ impl IncrementalChecker {
             /// read-set went stale" from a plain miss.
             Fresh { red: bool, deps: Vec<DepKey> },
         }
+        // How each wave slot resolved: its summary, its shared-location
+        // summary, and where they came from.
+        type WaveResult = (
+            Option<Arc<MethodSummary>>,
+            Option<(BTreeSet<SharedMember>, BTreeSet<SharedMember>)>,
+            Outcome,
+        );
         for wave in cg.levels() {
             // Waves order callees strictly before callers, so every
             // callee's summary hash is final when its callers key.
-            type WaveResult = (
-                u64,
-                Option<MethodSummary>,
-                Option<(BTreeSet<SharedMember>, BTreeSet<SharedMember>)>,
-                Outcome,
-            );
-            let results: Vec<WaveResult> = sjava_par::run_indexed(wave.len(), |i| {
-                let mref = &wave[i];
-                let mut h = Fnv64::new();
-                let lfp = local_fps
-                    .get(mref)
-                    .copied()
-                    .unwrap_or_else(|| local_fp(program, mref));
-                h.write_u64(lfp);
-                if let Some(cs) = cg.calls.get(mref) {
-                    h.write_usize(cs.len());
-                    for c in cs {
-                        h.write_u64(*shashes.get(c).unwrap_or(&0));
+            let wave_keys: Vec<u64> = wave
+                .iter()
+                .map(|mref| {
+                    let mut h = Fnv64::new();
+                    let lfp = local_fps
+                        .get(mref)
+                        .copied()
+                        .unwrap_or_else(|| digests.local_fp(program, mref));
+                    h.write_u64(lfp);
+                    if let Some(cs) = cg.calls.get(mref) {
+                        h.write_usize(cs.len());
+                        for c in cs {
+                            h.write_u64(*shashes.get(c).unwrap_or(&0));
+                        }
+                    }
+                    h.finish()
+                })
+                .collect();
+            // In-memory entries resolve here, one after another: replaying
+            // one costs far less than waking the worker pool. Red-green
+            // revalidation replays an entry only while every recorded fact
+            // fingerprint is byte-unchanged. Store probes and fresh
+            // computations fan out below.
+            let mut results: Vec<Option<WaveResult>> = Vec::with_capacity(wave.len());
+            let mut rest: Vec<usize> = Vec::new();
+            for (i, key) in wave_keys.iter().enumerate() {
+                let green = self.entries.get(key).filter(|_| {
+                    self.dep_records
+                        .get(key)
+                        .is_some_and(|deps| factdb.deps_green(deps))
+                });
+                match green {
+                    Some(e) => results.push(Some((
+                        Some(Arc::clone(&e.summary)),
+                        e.shared_present
+                            .then(|| (e.shared_clears.clone(), e.shared_reads.clone())),
+                        Outcome::MemGreen,
+                    ))),
+                    None => {
+                        results.push(None);
+                        rest.push(i);
                     }
                 }
-                let key = h.finish();
+            }
+            let computed = sjava_par::run_sparse(&rest, |i| {
+                let mref = &wave[i];
+                let key = wave_keys[i];
                 // The fresh path, shared by misses and red entries: the
                 // whole computation runs inside a recording scope so the
                 // exact interface read-set lands in the entry's deps.
@@ -613,7 +717,7 @@ impl IncrementalChecker {
                     // entry's read-set or a program gaining its first
                     // shared member could replay a gate-skipped result.
                     sjava_syntax::track::record_shared_gate();
-                    let summary = written::summarize(&whole, mref, &summaries);
+                    let summary = written::summarize(&whole, mref, &summaries).map(Arc::new);
                     let sh = if members.is_empty() {
                         None
                     } else {
@@ -628,24 +732,10 @@ impl IncrementalChecker {
                     };
                     (summary, sh, scope.finish())
                 };
-                if let Some(e) = self.entries.get(&key) {
-                    // Red-green revalidation: replay only while every
-                    // recorded fact fingerprint is byte-unchanged.
-                    let green = self
-                        .dep_records
-                        .get(&key)
-                        .is_some_and(|deps| factdb.deps_green(deps));
-                    if green {
-                        return (
-                            key,
-                            Some(e.summary.clone()),
-                            e.shared_present
-                                .then(|| (e.shared_clears.clone(), e.shared_reads.clone())),
-                            Outcome::MemGreen,
-                        );
-                    }
+                if self.entries.contains_key(&key) {
+                    // An in-memory entry that went red above.
                     let (summary, sh, deps) = fresh();
-                    return (key, summary, sh, Outcome::Fresh { red: true, deps });
+                    return (summary, sh, Outcome::Fresh { red: true, deps });
                 }
                 // Cross-process warm path: another session (an earlier
                 // `sjava check`, a parallel CI job) may have published this
@@ -666,8 +756,7 @@ impl IncrementalChecker {
                                     .shared_present
                                     .then(|| (e.shared_clears.clone(), e.shared_reads.clone()));
                                 return (
-                                    key,
-                                    Some(e.summary.clone()),
+                                    Some(Arc::clone(&e.summary)),
                                     sh,
                                     Outcome::StoreGreen(Box::new(e), deps),
                                 );
@@ -677,9 +766,13 @@ impl IncrementalChecker {
                     }
                 }
                 let (summary, sh, deps) = fresh();
-                (key, summary, sh, Outcome::Fresh { red, deps })
+                (summary, sh, Outcome::Fresh { red, deps })
             });
-            for (mref, (key, summary, sh, outcome)) in wave.iter().zip(results) {
+            for (i, result) in computed {
+                results[i] = Some(result);
+            }
+            for ((mref, key), result) in wave.iter().zip(wave_keys).zip(results) {
+                let (summary, sh, outcome) = result.expect("every wave slot resolves");
                 match outcome {
                     Outcome::MemGreen => stats.green += 1,
                     Outcome::StoreGreen(e, deps) => {
@@ -704,7 +797,7 @@ impl IncrementalChecker {
                 match summary {
                     Some(s) => {
                         h.write_u64(1);
-                        h.write_u64(hash_debug(&s));
+                        hash_summary(&mut h, &s);
                         summaries.insert(mref.clone(), s);
                     }
                     None => h.write_u64(0),
@@ -712,8 +805,8 @@ impl IncrementalChecker {
                 match sh {
                     Some((c, r)) => {
                         h.write_u64(1);
-                        h.write_u64(hash_debug(&c));
-                        h.write_u64(hash_debug(&r));
+                        hash_members(&mut h, &c);
+                        hash_members(&mut h, &r);
                         shared_clears.insert(mref.clone(), c);
                         shared_reads.insert(mref.clone(), r);
                     }

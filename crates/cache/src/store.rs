@@ -2,7 +2,7 @@
 //! directory-backed [`crate::IncrementalChecker`] sessions. Any number
 //! of `sjava check` processes may share one store directory.
 //!
-//! ## Layout (format v6)
+//! ## Layout (format v7)
 //!
 //! Earlier formats serialized the whole session into one monolithic
 //! `cache.bin` rewritten after every check — a design that cannot be
@@ -14,16 +14,19 @@
 //! entry with a recorded read-set; version 6 makes every key and fact
 //! fingerprint position-free (spans hashed relative to their
 //! declaration) and stores each entry's diagnostics relative to their
-//! anchors, so one object serves a method wherever its text sits:
+//! anchors, so one object serves a method wherever its text sits;
+//! version 7 hashes callee summaries and resolved locations by value
+//! instead of through their `Debug` text, and folds each method's
+//! declaration digest into its local fingerprint as one sub-digest:
 //!
 //! ```text
-//! <dir>/v6/objects/<hh>/<16-hex-key>.<kind>
+//! <dir>/v7/objects/<hh>/<16-hex-key>.<kind>
 //! ```
 //!
 //! where `<hh>` is the first byte of the key in hex (256-way fan-out) and
 //! `<kind>` is one of:
 //!
-//! - `entry` — a per-method analysis result ([`crate::MethodEntry`]),
+//! - `entry` — a per-method analysis result (the crate's `MethodEntry`),
 //!   keyed by the method's position-free content fingerprint (body +
 //!   callee summaries; interface facts live in the paired `deps`
 //!   object). Each diagnostic span is stored as an offset from its
@@ -61,7 +64,7 @@
 //!
 //! Entries are content-addressed and valid forever, so eviction is purely
 //! a disk-space policy, never a correctness event. A v3 (or older)
-//! `cache.bin` in the same directory is ignored wholesale, and a v4 or v5
+//! `cache.bin` in the same directory is ignored wholesale, and a v4–v6
 //! object tree lives at a different path and is never read — old formats
 //! degrade to clean misses.
 
@@ -74,6 +77,7 @@ use sjava_syntax::wire::{self, Reader};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Object-file magic; anything else is ignored wholesale.
 const MAGIC: &[u8; 10] = b"SJAVACACHE";
@@ -82,10 +86,12 @@ const MAGIC: &[u8; 10] = b"SJAVACACHE";
 /// version 5 re-keyed entries for dependency-tracked revalidation and
 /// added the `deps` object kind; version 6 makes keys and fact
 /// fingerprints position-free and stores diagnostics relative to their
-/// anchors. Old formats live at different paths entirely and are never
-/// read — a v6 store opened over an older directory starts from clean
-/// misses.
-const VERSION: u32 = 6;
+/// anchors; version 7 hashes summaries and resolved locations by value
+/// and folds method declaration digests as sub-digests, which changes
+/// what every key means. Old formats live at different paths entirely
+/// and are never read — a v7 store opened over an older directory starts
+/// from clean misses.
+const VERSION: u32 = 7;
 
 /// Environment variable bounding the store's total size in bytes. When
 /// set, every persisting check evicts oldest-modified objects until the
@@ -448,11 +454,11 @@ fn members(r: &mut Reader<'_>) -> Option<BTreeSet<SharedMember>> {
 pub(crate) fn decode_entry(payload: &[u8]) -> Option<MethodEntry> {
     let mut r = Reader::new(payload);
     let entry = MethodEntry {
-        summary: MethodSummary {
+        summary: Arc::new(MethodSummary {
             reads: paths(&mut r)?,
             may_writes: paths(&mut r)?,
             must_writes: paths(&mut r)?,
-        },
+        }),
         flow: Relative::read(&mut r)?,
         alias: Relative::read(&mut r)?,
         shared_present: match r.u8()? {
@@ -521,11 +527,11 @@ mod tests {
 
     fn sample_entry() -> MethodEntry {
         MethodEntry {
-            summary: MethodSummary {
+            summary: Arc::new(MethodSummary {
                 reads: [HeapPath(vec!["a".into(), "b".into()])].into(),
                 may_writes: [HeapPath::root("x")].into(),
                 must_writes: BTreeSet::new(),
-            },
+            }),
             flow: relative(&[Diag::flow_up("flow violation", Span::new(3, 9))
                 .with_note("note")
                 .with_label(Span::new(0, 2), "lattice declared here")
@@ -636,26 +642,38 @@ mod tests {
         std::fs::write(dir.join("cache.bin"), b"SJAVACACHE old format").expect("v3 file");
         assert_eq!(store.get_entry_with_fp(5), None);
         assert_eq!(store.get_entry_with_fp(6), None);
-        // A well-formed v5 object (its entries keyed on absolute spans) in
-        // the v5 tree beside this one is never read: it lives at another
-        // path, and its header names another version.
+        // A well-formed v5 object (its entries keyed on absolute spans) or
+        // v6 object (its keys folding `Debug` text) in its own tree beside
+        // this one is never read: it lives at another path, and its
+        // header names another version.
         let payload = encode_entry(&sample_entry());
-        let mut v5 = MAGIC.to_vec();
-        wire::put_u32(&mut v5, 5);
-        wire::put_u64(&mut v5, checksum(&payload));
-        v5.extend_from_slice(&payload);
-        let v5_path = dir.join("v5").join("objects").join(
-            store
-                .object_path(Kind::Entry, 6)
-                .strip_prefix(&store.root)
-                .expect("in tree"),
-        );
-        std::fs::create_dir_all(v5_path.parent().expect("fan-out dir")).expect("v5 tree");
-        std::fs::write(&v5_path, &v5).expect("v5 object");
-        assert_eq!(store.get_entry_with_fp(6), None, "a v5 tree is never read");
-        // Copied into the v6 tree it still misses, on its version field.
-        std::fs::write(store.object_path(Kind::Entry, 6), &v5).expect("v5 bytes in v6");
-        assert_eq!(store.get_entry_with_fp(6), None, "a v5 header is rejected");
+        for old in [5u32, 6] {
+            let mut bytes = MAGIC.to_vec();
+            wire::put_u32(&mut bytes, old);
+            wire::put_u64(&mut bytes, checksum(&payload));
+            bytes.extend_from_slice(&payload);
+            let old_path = dir.join(format!("v{old}")).join("objects").join(
+                store
+                    .object_path(Kind::Entry, 6)
+                    .strip_prefix(&store.root)
+                    .expect("in tree"),
+            );
+            std::fs::create_dir_all(old_path.parent().expect("fan-out dir")).expect("old tree");
+            std::fs::write(&old_path, &bytes).expect("old object");
+            assert_eq!(
+                store.get_entry_with_fp(6),
+                None,
+                "a v{old} tree is never read"
+            );
+            // Copied into the current tree it still misses, on its
+            // version field.
+            std::fs::write(store.object_path(Kind::Entry, 6), &bytes).expect("old bytes");
+            assert_eq!(
+                store.get_entry_with_fp(6),
+                None,
+                "a v{old} header is rejected"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

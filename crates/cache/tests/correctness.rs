@@ -377,6 +377,62 @@ fn moved_text_rebases_spans_that_reach_outside_the_method() {
     );
 }
 
+/// Compilation units of a program with diagnostics that carry labels and
+/// suggestions, for rearranging whole units.
+const UNITS: [&str; 4] = [
+    "@LATTICE(\"P<Q,Q<P\")\nclass Broken {\n}\n",
+    "// helpers\nclass Helper { int k; int twice(int v) { return v + v; } }\n",
+    OUTREACH_A,
+    "class Other { int z; void spare() { z = Helper.k; } }\n",
+];
+
+const OUTREACH_A: &str = r#"@LATTICE("LO<HI") @METHODDEFAULT("V<IN") @THISLOC("V")
+class A {
+    @LOC("HI") int hi; @LOC("LO") int lo;
+    void main() {
+        SSJAVA: while (true) {
+            @LOC("IN") int x = Device.read();
+            hi = x;
+            lo = hi;
+            while (x != 0) { x = Device.read(); }
+            Out.emit(lo);
+        }
+    }
+}
+"#;
+
+#[test]
+fn moved_duplicated_and_reverted_units_check_like_cold() {
+    let text_of = |order: &[usize]| order.iter().map(|&u| UNITS[u]).collect::<String>();
+    // Each text reuses units of the one before it: moved (swapped, to
+    // the front, to the end), duplicated (a second `Broken`, a second
+    // `A`), dropped, edited, and reverted to texts seen before.
+    let steps: [&[usize]; 9] = [
+        &[0, 1, 2, 3],
+        &[0, 3, 2, 1],
+        &[2, 0, 3, 1],
+        &[2, 0, 3, 1, 0],
+        &[2, 0, 2, 3, 1, 0],
+        &[0, 1, 2, 3],
+        &[1, 2],
+        &[3, 2, 1, 0],
+        &[0, 1, 2, 3],
+    ];
+    let mut session = IncrementalChecker::new();
+    for (n, order) in steps.iter().enumerate() {
+        for text in [text_of(order), text_of(order).replace("v + v", "v + v + 1")] {
+            let warm = session.check_source(&text).expect("parses");
+            let cold = sjava_core::check_source(&text).expect("parses");
+            assert_eq!(
+                renderings(&text, &warm.diagnostics),
+                renderings(&text, &cold.diagnostics),
+                "step {n}: units {order:?}"
+            );
+            assert_eq!(warm.termination_failures, cold.termination_failures);
+        }
+    }
+}
+
 #[test]
 fn token_boundary_inserts_replay_exactly_on_the_app_with_most_diagnostics() {
     // weather is unannotated on purpose (it is the inference input), so

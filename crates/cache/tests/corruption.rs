@@ -122,9 +122,10 @@ fn foreign_format_versions_degrade_to_misses() {
     let dir = scratch_dir("versions");
     let entries = seeded_entries(&dir);
     let expected = fresh_rendering();
-    // Every version but the current v6: the older formats (v5 keyed
-    // entries on absolute spans) and a future one.
-    for version in [0u32, 1, 2, 3, 4, 5, 7, u32::MAX] {
+    // Every version but the current v7: the older formats (v5 keyed
+    // entries on absolute spans, v6 folded `Debug` text into keys) and a
+    // future one.
+    for version in [0u32, 1, 2, 3, 4, 5, 6, 8, u32::MAX] {
         // Same payloads, forged version fields: every object must be
         // ignored wholesale.
         for path in &entries {

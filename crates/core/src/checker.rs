@@ -17,14 +17,14 @@ use crate::model::{resolve_annot_with, Lattices, MethodInfo, ModelCtx};
 use sjava_analysis::callgraph::{CallGraph, MethodRef};
 use sjava_analysis::jtype::TypeEnv;
 use sjava_analysis::shard::ShardInput;
-use sjava_analysis::written::MethodSummary;
+use sjava_analysis::written::{MethodSummary, Summaries};
 use sjava_lattice::{compare, CompositeLoc, Elem, FnvHashMap, LocInterner, LocRef};
 use sjava_syntax::ast::*;
 use sjava_syntax::diag::{Diag, Diagnostics};
 use sjava_syntax::span::Span;
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Checks every reachable method; diagnostics go to `diags`. `summaries`
@@ -40,7 +40,7 @@ pub fn check_flows(
     shard: &ShardInput<'_>,
     lattices: &Lattices,
     cg: &CallGraph,
-    summaries: &BTreeMap<MethodRef, MethodSummary>,
+    summaries: &Summaries,
     diags: &mut Diagnostics,
 ) {
     // Per-method cost estimates feed the work-stealing scheduler: a
@@ -116,7 +116,7 @@ pub fn check_method_flows(
     shard: &ShardInput<'_>,
     lattices: &Lattices,
     mref: &MethodRef,
-    summaries: &BTreeMap<MethodRef, MethodSummary>,
+    summaries: &Summaries,
 ) -> Diagnostics {
     let mut local = Diagnostics::new();
     let Some((decl_class, method)) = shard.program().resolve_method(&mref.0, &mref.1) else {
@@ -304,7 +304,7 @@ pub struct MethodChecker<'p> {
     tenv: TypeEnv<'p>,
     env: FnvHashMap<String, LocRef>,
     env_ready: bool,
-    summaries: Option<&'p BTreeMap<MethodRef, MethodSummary>>,
+    summaries: Option<&'p Summaries>,
     /// Per-method interner memoizing ⊑ and ⊓ queries against this
     /// method's lattice context (the same few locations are compared at
     /// every assignment, branch and call site).
@@ -364,7 +364,7 @@ impl<'p> MethodChecker<'p> {
     }
 
     /// Supplies callee write summaries for the implicit-flow call rule.
-    pub fn with_summaries(mut self, summaries: &'p BTreeMap<MethodRef, MethodSummary>) -> Self {
+    pub fn with_summaries(mut self, summaries: &'p Summaries) -> Self {
         self.summaries = Some(summaries);
         self
     }
@@ -1162,7 +1162,8 @@ impl<'p> MethodChecker<'p> {
         });
         let summary = self
             .summaries
-            .and_then(|s| s.get(&(decl_class.name.clone(), callee.name.clone())));
+            .and_then(|s| s.get(&(decl_class.name.clone(), callee.name.clone())))
+            .map(|s| &**s);
         CalleeResolution::Checked(CalleeEntry {
             decl_class,
             callee,

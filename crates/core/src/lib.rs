@@ -37,6 +37,7 @@ use sjava_analysis::shard::ShardInput;
 use sjava_analysis::written::{self, EvictionResult};
 use sjava_syntax::ast::Program;
 use sjava_syntax::diag::Diagnostics;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use checker::{block_weight, MethodChecker};
@@ -141,8 +142,9 @@ impl CacheStats {
 pub struct CheckReport {
     /// All diagnostics from every phase.
     pub diagnostics: Diagnostics,
-    /// The lattice model (available even on failure).
-    pub lattices: Lattices,
+    /// The lattice model (available even on failure). An incremental
+    /// session shares it with its lattice cache instead of copying it.
+    pub lattices: Arc<Lattices>,
     /// Eviction analysis result, when the call graph could be built.
     pub eviction: Option<EvictionResult>,
     /// Number of loops the termination analysis could not verify.
@@ -179,7 +181,7 @@ pub fn check_program(program: &Program) -> CheckReport {
         diags.sort_stable();
         return CheckReport {
             diagnostics: diags,
-            lattices,
+            lattices: Arc::new(lattices),
             eviction: None,
             termination_failures: 0,
             timings,
@@ -209,7 +211,7 @@ pub fn check_program(program: &Program) -> CheckReport {
     diags.sort_stable();
     CheckReport {
         diagnostics: diags,
-        lattices,
+        lattices: Arc::new(lattices),
         eviction: Some(eviction),
         termination_failures,
         timings,

@@ -407,7 +407,7 @@ pub fn dedekind_macneille_dense(g: &HierarchyGraph) -> Result<Completion, Lattic
 /// closure computation with a clone of the finished [`Completion`].
 ///
 /// The cache is `Sync`: lattice generation fans completions out across
-/// worker threads. Entries live in a lock-striped [`ShardedMemo`] (16
+/// worker threads. Entries live in a lock-striped [`crate::ShardedMemo`] (16
 /// stripes selected by the canonical key's hash), so concurrent workers
 /// only serialize when their hierarchies land in the same stripe — the
 /// single-mutex layout this replaces made 8 workers queue behind one

@@ -6,13 +6,8 @@
 //! platforms. `std::collections::hash_map::DefaultHasher` is randomly
 //! seeded per process, so this module provides a plain FNV-1a 64-bit
 //! hasher instead — deterministic, allocation-free, and fast enough for
-//! whole-AST hashing.
-//!
-//! [`HashWriter`] adapts the hasher to [`std::fmt::Write`], so arbitrary
-//! `Debug`/`Display` renderings can be folded into a fingerprint without
-//! materializing the intermediate string.
-
-use std::fmt;
+//! whole-AST hashing. Values are folded structurally (field by field),
+//! never through their `Debug` text.
 
 /// FNV-1a offset basis.
 const OFFSET: u64 = 0xcbf29ce484222325;
@@ -76,39 +71,6 @@ pub fn mix(a: u64, b: u64) -> u64 {
     h.finish()
 }
 
-/// Hashes anything `Debug` through a streaming writer — no intermediate
-/// `String` is built. Derived `Debug` output is deterministic for the
-/// AST/annotation types the checker fingerprints (no `HashMap`s inside).
-pub fn hash_debug<T: fmt::Debug + ?Sized>(value: &T) -> u64 {
-    let mut w = HashWriter::new();
-    // Writing into a hasher cannot fail.
-    let _ = fmt::write(&mut w, format_args!("{value:?}"));
-    w.finish()
-}
-
-/// A [`fmt::Write`] sink that folds everything written into an [`Fnv64`].
-#[derive(Debug, Default)]
-pub struct HashWriter(Fnv64);
-
-impl HashWriter {
-    /// A fresh sink.
-    pub fn new() -> Self {
-        HashWriter(Fnv64::new())
-    }
-
-    /// The digest of everything written so far.
-    pub fn finish(&self) -> u64 {
-        self.0.finish()
-    }
-}
-
-impl fmt::Write for HashWriter {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0.write(s.as_bytes());
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,15 +97,6 @@ mod tests {
         b.write_str("a");
         b.write_str("bc");
         assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn hash_debug_matches_string_hash() {
-        let v = vec![("x", 1u32), ("y", 2u32)];
-        let direct = hash_debug(&v);
-        let mut h = Fnv64::new();
-        h.write(format!("{v:?}").as_bytes());
-        assert_eq!(direct, h.finish());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use composite::{
     Space,
 };
 pub use dot::lattice_to_dot;
-pub use fingerprint::{hash_debug, mix, Fnv64, HashWriter};
+pub use fingerprint::{mix, Fnv64};
 pub use fnv::{FnvBuildHasher, FnvHashMap};
 pub use hierarchy::HierarchyGraph;
 pub use intern::{LocInterner, LocRef};

@@ -1,7 +1,7 @@
 //! Register-bytecode compiler and flat heap for the runtime.
 //!
 //! [`compile`] lowers a checked [`Program`] to a [`Module`]: one
-//! register-file [`Chunk`] per `(context class, method)` pair (so every
+//! register-file `Chunk` per `(context class, method)` pair (so every
 //! field offset and unqualified-call target is resolved at compile
 //! time), plus synthesized chunks for field initializers and lazy
 //! static initializers. The dispatch loop lives in [`crate::vm`].

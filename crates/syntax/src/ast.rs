@@ -68,6 +68,13 @@ impl Program {
     /// [`crate::track::DepKey`] of their own (field/method resolution,
     /// lattice-declaration reads).
     pub fn class_untracked(&self, name: &str) -> Option<&ClassDecl> {
+        self.class_position(name).map(|i| &self.classes[i])
+    }
+
+    /// The index in [`Program::classes`] of the class
+    /// [`Program::class_untracked`] finds, for callers that keep data
+    /// beside each class. Records no dependency.
+    pub fn class_position(&self, name: &str) -> Option<usize> {
         let idx = self.class_index.get_or_init(|| {
             let mut m = HashMap::with_capacity(self.classes.len());
             for (i, c) in self.classes.iter().enumerate() {
@@ -75,7 +82,7 @@ impl Program {
             }
             m
         });
-        idx.get(name).map(|&i| &self.classes[i])
+        idx.get(name).copied()
     }
 
     /// Looks up a method by `(class, method)` name pair. Records a

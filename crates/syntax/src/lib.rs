@@ -48,6 +48,7 @@ pub use ast::{
 };
 pub use codes::Code;
 pub use diag::{Diag, Diagnostic, Diagnostics, Label, Severity, Suggestion};
+pub use par_parse::UnitParse;
 pub use span::{LineCol, SourceFile, Span};
 
 /// Parses SJava source, returning the program or the accumulated

@@ -13,39 +13,65 @@ use std::collections::HashSet;
 
 /// Resolves static references in an entire program.
 pub fn resolve_statics(mut program: Program) -> Program {
-    let class_names: HashSet<String> = program
-        .classes
-        .iter()
-        .map(|c| c.name.clone())
-        .chain(INTRINSIC_CLASSES.iter().map(|s| s.to_string()))
-        .collect();
+    let context = {
+        let classes: Vec<&ClassDecl> = program.classes.iter().collect();
+        Context::of(&classes)
+    };
+    for (i, class) in program.classes.iter_mut().enumerate() {
+        context.resolve(class, i);
+    }
+    program
+}
 
-    // Visible fields per class (own + inherited).
-    let visible_fields: Vec<(String, HashSet<String>)> = program
-        .classes
-        .iter()
-        .map(|c| {
-            let mut fields = HashSet::new();
-            let mut cur = Some(c);
-            while let Some(cd) = cur {
-                for f in &cd.fields {
-                    fields.insert(f.name.clone());
-                }
-                cur = cd
-                    .superclass
-                    .as_deref()
-                    .and_then(|s| program.classes.iter().find(|x| x.name == s));
-            }
-            (c.name.clone(), fields)
-        })
-        .collect();
+/// What resolving the classes of one program reads beyond each class
+/// itself: the set of class names (declared and intrinsic) and, per
+/// class, the fields visible in it, own and inherited. A class resolves
+/// the same way under two programs exactly when its context is the same
+/// in both ([`Context::same_for`]).
+#[derive(Debug, Default)]
+pub(crate) struct Context {
+    names: HashSet<String>,
+    /// Per class, in program order. On duplicate class names every
+    /// declaration sees the fields of the first one.
+    fields: Vec<HashSet<String>>,
+}
 
-    for class in &mut program.classes {
-        let fields = visible_fields
+impl Context {
+    /// The context of a program's class list.
+    pub(crate) fn of(classes: &[&ClassDecl]) -> Context {
+        let names = classes
             .iter()
-            .find(|(n, _)| *n == class.name)
-            .map(|(_, f)| f.clone())
-            .unwrap_or_default();
+            .map(|c| c.name.clone())
+            .chain(INTRINSIC_CLASSES.iter().map(|s| s.to_string()))
+            .collect();
+        let first = |name: &str| classes.iter().copied().find(|c| c.name == name);
+        let fields = classes
+            .iter()
+            .map(|c| {
+                let mut fields = HashSet::new();
+                let mut cur = first(&c.name);
+                while let Some(cd) = cur {
+                    for f in &cd.fields {
+                        fields.insert(f.name.clone());
+                    }
+                    cur = cd.superclass.as_deref().and_then(first);
+                }
+                fields
+            })
+            .collect();
+        Context { names, fields }
+    }
+
+    /// Whether class `i` of this context resolves as class `j` of
+    /// `other` does.
+    pub(crate) fn same_for(&self, i: usize, other: &Context, j: usize) -> bool {
+        self.fields[i] == other.fields[j] && self.names == other.names
+    }
+
+    /// Resolves the static references of `class`, class `i` of this
+    /// context.
+    pub(crate) fn resolve(&self, class: &mut ClassDecl, i: usize) {
+        let fields = &self.fields[i];
         for method in &mut class.methods {
             let mut scope: HashSet<String> = fields.clone();
             for p in &method.params {
@@ -53,7 +79,7 @@ pub fn resolve_statics(mut program: Program) -> Program {
             }
             collect_locals(&method.body, &mut scope);
             let cx = Cx {
-                classes: &class_names,
+                classes: &self.names,
                 scope: &scope,
             };
             resolve_block(&mut method.body, &cx);
@@ -61,15 +87,14 @@ pub fn resolve_statics(mut program: Program) -> Program {
         for field in &mut class.fields {
             // Field initializers see only other fields.
             let cx = Cx {
-                classes: &class_names,
-                scope: &fields,
+                classes: &self.names,
+                scope: fields,
             };
             if let Some(init) = &mut field.init {
                 resolve_expr(init, &cx);
             }
         }
     }
-    program
 }
 
 struct Cx<'a> {

@@ -1,6 +1,8 @@
 //! Property tests: randomly generated programs survive a
-//! pretty-print → reparse round trip with identical structure, and the
-//! lexer never panics on arbitrary input.
+//! pretty-print → reparse round trip with identical structure, the
+//! lexer never panics on arbitrary input, and re-parsing an edited text
+//! from the previous parse ([`sjava_syntax::UnitParse`]) equals parsing
+//! it from scratch.
 
 use proptest::prelude::*;
 use sjava_syntax::ast::*;
@@ -312,6 +314,137 @@ proptest! {
             prop_assert_eq!(par, seq.unwrap());
         }
     }
+}
+
+/// The base text of the re-parse property: five units whose static
+/// resolution reads across units (a class name used as a receiver, an
+/// inherited field), braces and quotes inside strings and comments, and
+/// a span of every kind the AST holds — class, method and
+/// `@METHODDEFAULT` lattice declarations, parameters, field
+/// initializers, statements and expressions.
+const EDIT_BASE: &str = "class Cfg { static int limit; int k = 3; }\n\
+// a comment between units { \"\n\
+class A { int x; void f(int p) { int y = Cfg.limit; x = y + p; Out.log(\"}{\"); } }\n\
+class B extends A { void g() { Cfg.limit = x; /* } */ } }\n\
+@LATTICE(\"H<L\")\n@METHODDEFAULT(\"OUT<IN\")\nclass L { @LOC(\"H\") int h;\n\
+  @LATTICE(\"T<S\") void m(int q) { h = Cfg.limit + q; } }\n";
+
+/// Text spliced in by the re-parse property: structure (`{`, `}`,
+/// whole classes), lexical traps (quotes, comment openers), names that
+/// change what other units resolve to, and plain trivia.
+const EDIT_FRAGMENTS: &[&str] = &[
+    "{",
+    "}",
+    "\"",
+    "/*",
+    "*/",
+    "//",
+    "\n",
+    " ",
+    "x",
+    "1",
+    ";",
+    "int Cfg;",
+    "int z;",
+    "class N { int q; }\n",
+    "class Cfg { }\n",
+    "void h() { Cfg.limit = 2; }",
+];
+
+/// Applies one byte-range edit to `text`: `kind` 0 inserts, 1 deletes,
+/// 2 replaces. `at` picks the position — the start, the end, a byte just
+/// after a `}` (a unit boundary when at top level) or anywhere.
+fn apply_edit(text: &mut String, kind: u8, at: u64, len: u64, frag: &str) {
+    let closes: Vec<usize> = text.match_indices('}').map(|(i, _)| i + 1).collect();
+    let pos = match at % 4 {
+        0 => 0,
+        1 => text.len(),
+        2 if !closes.is_empty() => closes[(at / 4) as usize % closes.len()],
+        _ => (at / 4) as usize % (text.len() + 1),
+    };
+    let end = (pos + 1 + (len % 12) as usize).min(text.len());
+    match kind % 3 {
+        0 => text.insert_str(pos, frag),
+        1 => text.replace_range(pos..end, ""),
+        _ => text.replace_range(pos..end, frag),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Edits through a kept [`sjava_syntax::UnitParse`] reproduce a
+    /// from-scratch parse: whenever `reparse` accepts an edited text its
+    /// program equals the sequential parser's (spans included — a reused
+    /// class has every span shifted), and whenever it declines, the
+    /// whole-file parser gives what the sequential one gives. A declined
+    /// text leaves the last good parse in place for the next edit.
+    #[test]
+    fn reparse_from_the_previous_parse_matches_a_fresh_parse(
+        edits in prop::collection::vec(
+            (0u8..3, any::<u64>(), any::<u64>(), prop::sample::select(EDIT_FRAGMENTS.to_vec())),
+            1..5,
+        ),
+    ) {
+        let mut kept = sjava_syntax::UnitParse::new(EDIT_BASE).expect("the base parses by units");
+        let mut text = EDIT_BASE.to_string();
+        for (kind, at, len, frag) in edits {
+            apply_edit(&mut text, kind, at, len, frag);
+            let seq = sjava_syntax::parse_sequential(&text);
+            match kept.reparse(&text) {
+                Some(origins) => {
+                    prop_assert_eq!(kept.text(), text.as_str());
+                    prop_assert_eq!(origins.len(), kept.program().classes.len());
+                    let seq = seq.map_err(|d| d.to_string());
+                    prop_assert!(seq.is_ok(), "re-parse accepted text the sequential parser rejects:\n{}", text);
+                    prop_assert_eq!(kept.program(), &seq.unwrap(), "re-parse diverged:\n{}", &text);
+                }
+                None => {
+                    let whole = sjava_syntax::parse(&text);
+                    match (whole, seq) {
+                        (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                        (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+                        _ => prop_assert!(false, "whole-file and sequential parse disagree:\n{}", text),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Adding a field named like a class to a superclass changes how an
+/// unedited subclass resolves `Cfg.limit`: from a static access to a
+/// field access through the new field. The subclass's bytes are
+/// unchanged, so only its resolution context tells the re-parse that its
+/// kept AST is stale.
+#[test]
+fn a_field_named_like_a_class_re_resolves_the_unedited_subclass() {
+    let before = "class Cfg { static int limit; }\n\
+                  class A { int x; }\n\
+                  class B extends A { void g() { x = Cfg.limit; } }\n";
+    let after = before.replace("class A { int x; }", "class A { int x; Cfg Cfg; }");
+    let mut kept = sjava_syntax::UnitParse::new(before).expect("parses by units");
+    let origins = kept.reparse(&after).expect("parses by units");
+    assert_eq!(origins[1], None, "the edited superclass is parsed afresh");
+    assert_eq!(
+        origins[2], None,
+        "the subclass's context changed, so it is parsed afresh"
+    );
+    let fresh = sjava_syntax::parse_sequential(&after).expect("parses");
+    assert_eq!(kept.program(), &fresh);
+    let Stmt::Assign { rhs, .. } = &fresh.classes[2].methods[0].body.stmts[0] else {
+        panic!("expected an assignment");
+    };
+    assert!(
+        matches!(rhs, Expr::Field { .. }),
+        "`Cfg.limit` must now read field `Cfg` of `this`: {rhs:?}"
+    );
+    // Back to the first text: the subclass re-resolves statically again.
+    kept.reparse(before).expect("parses by units");
+    assert_eq!(
+        kept.program(),
+        &sjava_syntax::parse_sequential(before).expect("parses")
+    );
 }
 
 /// The Some-branch of the property above must actually be reachable:

@@ -9,16 +9,18 @@
 #   3. the full test suite (includes the 1-vs-N worker determinism
 #      regression in crates/bench/tests/determinism.rs)
 #   4. clippy with warnings denied
-#   5. an explicit release-mode run of the determinism regression, so
+#   5. rustdoc over the workspace crates with warnings denied (broken or
+#      private intra-doc links fail the build)
+#   6. an explicit release-mode run of the determinism regression, so
 #      the parallel pipeline is exercised with optimizations on
-#   6. the golden-diagnostic snapshot suite (regenerate fixtures with
+#   7. the golden-diagnostic snapshot suite (regenerate fixtures with
 #      SJAVA_REGEN_GOLDEN=1 after an intentional diagnostic change),
 #      followed by a freshness gate: the fixtures are regenerated into
 #      place and any drift from the checked-in bytes fails the build
-#   7. the incremental-cache correctness suite, with the worker pool
+#   8. the incremental-cache correctness suite, with the worker pool
 #      pinned to 1 and then 4 threads so cached replay is proven
 #      deterministic across fan-out widths
-#   8. the benchmark gates (`bench --gate`): all four legs at CI sizes,
+#   9. the benchmark gates (`bench --gate`): all four legs at CI sizes,
 #      writing nothing under results/ —
 #      - check: stress speedup ≥2.5x at 4 workers (skipped below 4
 #        workers) and small-app parallel tax ≥0.95x (skipped at 1 worker);
@@ -31,13 +33,15 @@
 #        a storm edit re-checking at most half of a ≥10-method corpus, an
 #        interface edit re-checking ≤25% of the 201-method stress corpus
 #        at 1 and 4 threads and through the store (which must agree with
-#        the in-memory session), and an unused field re-checking nothing;
+#        the in-memory session), a source-text edit re-checked through
+#        `check_source` at 1 thread in ≤0.40x a cold `check_source`, and
+#        an unused field re-checking nothing;
 #      - vm: byte-identical VM and tree-walker traces on the five apps and
 #        three stress presets (plain and fault-injected), the first 48
 #        mp3dec campaign trials equal to the interpreter replaying each
 #        trial's injector, and the VM ≥5x the tree-walker on mp3dec
 #        (skipped below 4 cores)
-#   9. a fixed-seed differential fuzz smoke: 500 generated cases
+#  10. a fixed-seed differential fuzz smoke: 500 generated cases
 #      (adversarial stress shapes + mutations) through all five
 #      engine-pair oracles; any mismatch fails the build
 set -euo pipefail
@@ -54,6 +58,9 @@ cargo test -q --workspace
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== determinism: identical diagnostics at 1..8 worker threads =="
 cargo test --release -q -p sjava-bench --test determinism
