@@ -23,7 +23,7 @@
 //!   re-checked through `check_source` under the same three
 //!   configurations and the same rules: text that moves a method must not
 //!   re-key it. At one thread the warm re-check (which re-parses and
-//!   re-hashes only the edited class) must take ≤ 0.40x a cold
+//!   re-hashes only the edited class) must take ≤ 0.25x a cold
 //!   `check_source` of the same text, minima of a few reps each.
 //! - Unused field ([`add_unused_field`]): re-checks zero methods.
 
@@ -51,7 +51,7 @@ const RATIO_FLOOR_METHODS: usize = 50;
 /// Warm `check_source` after the source-text edit vs a cold one, at one
 /// thread: what a one-byte edit still costs next to checking from
 /// scratch.
-const SOURCE_EDIT_CEILING: f64 = 0.40;
+const SOURCE_EDIT_CEILING: f64 = 0.25;
 
 fn parse(source: &str) -> Program {
     sjava_syntax::parse(source).expect("benchmark parses")

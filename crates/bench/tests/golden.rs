@@ -255,6 +255,29 @@ fn probe_unshared_accumulation_matches_golden() {
 }
 
 #[test]
+fn probe_invalid_lattice_matches_golden() {
+    // An invalid `@METHODDEFAULT` inherited by two methods, and a
+    // method-level `@LATTICE` with the same content. The lattice model
+    // builds each distinct declaration once, yet reports SJ0004 at every
+    // use, each at that use's span: twice at the default, once at the
+    // method's own declaration. The JSON pins the spans byte for byte.
+    let source = r#"@METHODDEFAULT("LO<HI,HI<LO") @THISLOC("LO")
+           class A {
+               void main() {
+                   SSJAVA: while (true) { helper(); Out.emit(1); }
+               }
+               void helper() { }
+               @LATTICE("LO<HI,HI<LO") @THISLOC("LO")
+               void other() { }
+           }"#;
+    golden("probe_invalid_lattice", source);
+    let report = sjava_core::check_source(source).expect("parses");
+    let file = sjava_syntax::SourceFile::new("probe_invalid_lattice.sj", source);
+    let json = sjava_syntax::emit::to_json(&file, &report.diagnostics);
+    assert_matches_fixture("probe_invalid_lattice_json", &json);
+}
+
+#[test]
 fn probe_parse_error_matches_golden() {
     golden("probe_parse_error", "class A { void main( { } }");
 }

@@ -2,12 +2,13 @@
 //! codec behind red-green revalidation.
 //!
 //! The recording layer (`sjava_syntax::track`) captures *which* facts a
-//! per-method check read as a list of [`DepKey`]s; this module answers
-//! *what those facts were worth* on a concrete program. [`FactDb`]
-//! evaluates one fingerprint per key — once at admission time against
-//! the program the check actually ran on, and again at revalidation time
+//! per-method check read as a list of [`DepKey`]s; this module interns
+//! them once per session ([`FactTable`]) and answers *what those facts
+//! were worth* on a concrete program. [`FactDb`] evaluates one
+//! fingerprint per distinct fact — once at admission time against the
+//! program the check actually ran on, and again at revalidation time
 //! against the edited program. An entry is **green** (replayable without
-//! rechecking) iff every recorded `(key, fingerprint)` pair re-evaluates
+//! rechecking) iff every recorded `(fact, fingerprint)` pair re-evaluates
 //! to the same fingerprint; any mismatch makes it **red**.
 //!
 //! Both sides use the same evaluation function, so the two can never
@@ -51,24 +52,99 @@ use sjava_syntax::span::Span;
 use sjava_syntax::track::DepKey;
 use sjava_syntax::wire::{self, Reader};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
-/// Evaluates fact fingerprints against one program snapshot, memoizing
-/// per key — a wave of revalidations touching the same interface facts
-/// hashes each fact once.
+/// A fact's identity within one session: its index in the session's
+/// [`FactTable`]. Recorded read-sets hold `(FactId, fingerprint)` pairs,
+/// so revalidating one costs an index per fact, not a hash of its names.
+pub(crate) type FactId = u32;
+
+/// The facts named by a session's recorded read-sets, each interned once.
+/// Ids that no kept read-set references any more are freed
+/// ([`FactTable::retain`]) and reused, so the table follows the session
+/// bound rather than the length of the editing session.
+#[derive(Debug, Default)]
+pub(crate) struct FactTable {
+    ids: HashMap<DepKey, FactId>,
+    /// The key of each id; `None` while the id is free.
+    keys: Vec<Option<DepKey>>,
+    free: Vec<FactId>,
+}
+
+impl FactTable {
+    /// The id of `key`, if it is interned.
+    fn get(&self, key: &DepKey) -> Option<FactId> {
+        self.ids.get(key).copied()
+    }
+
+    /// Interns `key`, which has no id yet.
+    fn insert(&mut self, key: DepKey) -> FactId {
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.keys[id as usize] = Some(key.clone());
+                id
+            }
+            None => {
+                self.keys.push(Some(key.clone()));
+                (self.keys.len() - 1) as FactId
+            }
+        };
+        self.ids.insert(key, id);
+        id
+    }
+
+    /// The key interned as `id`.
+    fn key(&self, id: FactId) -> &DepKey {
+        self.keys[id as usize]
+            .as_ref()
+            .expect("a recorded read-set names only interned facts")
+    }
+
+    /// Frees every id no read-set in `live` names.
+    pub(crate) fn retain<'d>(&mut self, live: impl IntoIterator<Item = &'d [(FactId, u64)]>) {
+        let mut keep = vec![false; self.keys.len()];
+        for deps in live {
+            for &(id, _) in deps {
+                keep[id as usize] = true;
+            }
+        }
+        for (id, slot) in self.keys.iter_mut().enumerate() {
+            if !keep[id] {
+                if let Some(key) = slot.take() {
+                    self.ids.remove(&key);
+                    self.free.push(id as FactId);
+                }
+            }
+        }
+    }
+
+    /// The number of interned facts.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+}
+
+/// Evaluates fact fingerprints against one program snapshot, each
+/// distinct fact once: a vector indexed by [`FactId`], filled on first
+/// use from any thread. It interns into the session's [`FactTable`].
 pub(crate) struct FactDb<'a> {
     program: &'a Program,
     /// The program's memoized declaration digests.
     digests: &'a Digests,
     lattices: &'a Lattices,
     members: &'a BTreeSet<SharedMember>,
-    memo: Mutex<HashMap<DepKey, u64>>,
+    table: &'a mut FactTable,
+    fps: Vec<OnceLock<u64>>,
+    /// Fingerprints of facts not yet interned, read by the store probes
+    /// that run on the worker pool, which cannot intern.
+    loose: Mutex<HashMap<DepKey, u64>>,
 }
 
 impl<'a> FactDb<'a> {
     /// A fact database over one `(program, lattice model, shared
-    /// members)` snapshot.
+    /// members)` snapshot, with no fingerprint evaluated yet.
     pub(crate) fn new(
+        table: &'a mut FactTable,
         program: &'a Program,
         digests: &'a Digests,
         lattices: &'a Lattices,
@@ -79,35 +155,97 @@ impl<'a> FactDb<'a> {
             digests,
             lattices,
             members,
-            memo: Mutex::new(HashMap::new()),
+            fps: table.keys.iter().map(|_| OnceLock::new()).collect(),
+            table,
+            loose: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The fingerprint of one fact on this snapshot.
-    pub(crate) fn fact_fp(&self, key: &DepKey) -> u64 {
-        if let Some(&fp) = self.memo.lock().unwrap().get(key) {
+    /// The fingerprint of fact `id` on this snapshot.
+    fn fp(&self, id: FactId) -> u64 {
+        *self.fps[id as usize].get_or_init(|| self.compute(self.table.key(id)))
+    }
+
+    /// The fingerprint of one fact on this snapshot, by its key.
+    fn key_fp(&self, key: &DepKey) -> u64 {
+        if let Some(id) = self.table.get(key) {
+            return self.fp(id);
+        }
+        if let Some(&fp) = self
+            .loose
+            .lock()
+            .expect("no fact evaluation panics")
+            .get(key)
+        {
             return fp;
         }
         let fp = self.compute(key);
-        self.memo.lock().unwrap().insert(key.clone(), fp);
+        self.loose
+            .lock()
+            .expect("no fact evaluation panics")
+            .insert(key.clone(), fp);
         fp
     }
 
-    /// Whether every recorded `(key, fingerprint)` still evaluates to
+    /// Whether every recorded `(fact, fingerprint)` still evaluates to
     /// the same fingerprint on this snapshot.
-    pub(crate) fn deps_green(&self, deps: &[(DepKey, u64)]) -> bool {
-        deps.iter().all(|(k, fp)| self.fact_fp(k) == *fp)
+    pub(crate) fn deps_green(&self, deps: &[(FactId, u64)]) -> bool {
+        deps.iter().all(|&(id, fp)| self.fp(id) == fp)
     }
 
-    /// Evaluates a read-set into `(key, fingerprint)` pairs for
+    /// [`FactDb::deps_green`] for a read-set as stored on disk.
+    pub(crate) fn keys_green(&self, deps: &[(DepKey, u64)]) -> bool {
+        deps.iter().all(|(key, fp)| self.key_fp(key) == *fp)
+    }
+
+    /// Interns a read-set as stored on disk, keeping its fingerprints.
+    pub(crate) fn intern(&mut self, deps: Vec<(DepKey, u64)>) -> Vec<(FactId, u64)> {
+        deps.into_iter()
+            .map(|(key, fp)| (self.id(key), fp))
+            .collect()
+    }
+
+    /// Evaluates a read-set into `(fact, fingerprint)` pairs for
     /// admission alongside a fresh entry.
-    pub(crate) fn fingerprint(&self, keys: impl IntoIterator<Item = DepKey>) -> Vec<(DepKey, u64)> {
+    pub(crate) fn fingerprint(
+        &mut self,
+        keys: impl IntoIterator<Item = DepKey>,
+    ) -> Vec<(FactId, u64)> {
         keys.into_iter()
-            .map(|k| {
-                let fp = self.fact_fp(&k);
-                (k, fp)
+            .map(|key| {
+                let id = self.id(key);
+                (id, self.fp(id))
             })
             .collect()
+    }
+
+    /// A read-set in its on-disk form, by key.
+    pub(crate) fn keyed(&self, deps: &[(FactId, u64)]) -> Vec<(DepKey, u64)> {
+        deps.iter()
+            .map(|&(id, fp)| (self.table.key(id).clone(), fp))
+            .collect()
+    }
+
+    /// The id of `key`, interned with an empty fingerprint slot (or the
+    /// one a store probe already evaluated) if it is new.
+    fn id(&mut self, key: DepKey) -> FactId {
+        if let Some(id) = self.table.get(&key) {
+            return id;
+        }
+        let loose = self
+            .loose
+            .get_mut()
+            .expect("no fact evaluation panics")
+            .remove(&key);
+        let id = self.table.insert(key);
+        let slot = id as usize;
+        if slot == self.fps.len() {
+            self.fps.push(OnceLock::new());
+        }
+        if let Some(fp) = loose {
+            let _ = self.fps[slot].set(fp);
+        }
+        id
     }
 
     /// The declaration at the end of the inheritance walk `Program::field`
@@ -648,11 +786,18 @@ mod tests {
         digests: Digests,
         lattices: Lattices,
         members: BTreeSet<SharedMember>,
+        facts: FactTable,
     }
 
     impl Snapshot {
-        fn db(&self) -> FactDb<'_> {
-            FactDb::new(&self.program, &self.digests, &self.lattices, &self.members)
+        fn db(&mut self) -> FactDb<'_> {
+            FactDb::new(
+                &mut self.facts,
+                &self.program,
+                &self.digests,
+                &self.lattices,
+                &self.members,
+            )
         }
     }
 
@@ -666,6 +811,7 @@ mod tests {
             program,
             lattices,
             members,
+            facts: FactTable::default(),
         }
     }
 
@@ -695,10 +841,25 @@ mod tests {
     }
 
     #[test]
+    fn fact_table_frees_unread_facts_and_reuses_their_ids() {
+        let mut table = FactTable::default();
+        let a = table.insert(DepKey::Iface("A".into()));
+        let b = table.insert(DepKey::Field("B".into(), "x".into()));
+        assert_eq!(table.get(&DepKey::Iface("A".into())), Some(a));
+        table.retain([&[(b, 7)][..]]);
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.get(&DepKey::Iface("A".into())), None);
+        assert_eq!(table.key(b), &DepKey::Field("B".into(), "x".into()));
+        let c = table.insert(DepKey::SharedGate);
+        assert_eq!(c, a, "a freed id is reused");
+        assert_eq!(table.len(), 2);
+    }
+
+    #[test]
     fn unrelated_edit_keeps_facts_green() {
-        let s1 =
+        let mut s1 =
             snapshot(r#"@LATTICE("A<B") class W { @LOC("A") int x; void f() { } void g() { } }"#);
-        let s2 = snapshot(
+        let mut s2 = snapshot(
             r#"@LATTICE("A<B") class W { @LOC("A") int x; void f() { int z = 1; } void g() { } }"#,
         );
         let db1 = s1.db();
@@ -716,14 +877,14 @@ mod tests {
             DepKey::Iface("W".into()),
             DepKey::SharedGate,
         ] {
-            assert_eq!(db1.fact_fp(&key), db2.fact_fp(&key), "{key:?} went red");
+            assert_eq!(db1.key_fp(&key), db2.key_fp(&key), "{key:?} went red");
         }
     }
 
     #[test]
     fn text_inside_a_declaration_reds_its_facts() {
         let base = r#"@LATTICE("A<B") class W { @LOC("A") int x; void f(int p) { } void g() { } }"#;
-        let s1 = snapshot(base);
+        let mut s1 = snapshot(base);
         let db1 = s1.db();
         // A space inside `f`'s signature moves its parameter within the
         // header; one inside the field declaration lengthens it.
@@ -737,68 +898,68 @@ mod tests {
                 DepKey::Field("W".into(), "x".into()),
             ),
         ] {
-            let s2 = snapshot(&edited);
+            let mut s2 = snapshot(&edited);
             let db2 = s2.db();
-            assert_ne!(db1.fact_fp(&red), db2.fact_fp(&red), "{red:?} stayed green");
+            assert_ne!(db1.key_fp(&red), db2.key_fp(&red), "{red:?} stayed green");
             let g = DepKey::Resolve("W".into(), "g".into());
-            assert_eq!(db1.fact_fp(&g), db2.fact_fp(&g), "{g:?} went red");
+            assert_eq!(db1.key_fp(&g), db2.key_fp(&g), "{g:?} went red");
         }
     }
 
     #[test]
     fn loc_edit_reds_exactly_the_touched_field_fact() {
-        let s1 = snapshot(
+        let mut s1 = snapshot(
             r#"@LATTICE("A<B") class W { @LOC("A") int x; @LOC("B") int y; void f() { } }"#,
         );
-        let s2 = snapshot(
+        let mut s2 = snapshot(
             r#"@LATTICE("A<B") class W { @LOC("B") int x; @LOC("B") int y; void f() { } }"#,
         );
         let db1 = s1.db();
         let db2 = s2.db();
         assert_ne!(
-            db1.fact_fp(&DepKey::Field("W".into(), "x".into())),
-            db2.fact_fp(&DepKey::Field("W".into(), "x".into())),
+            db1.key_fp(&DepKey::Field("W".into(), "x".into())),
+            db2.key_fp(&DepKey::Field("W".into(), "x".into())),
             "the edited field's fact must go red"
         );
         assert_eq!(
-            db1.fact_fp(&DepKey::Field("W".into(), "y".into())),
-            db2.fact_fp(&DepKey::Field("W".into(), "y".into())),
+            db1.key_fp(&DepKey::Field("W".into(), "y".into())),
+            db2.key_fp(&DepKey::Field("W".into(), "y".into())),
             "the untouched field's fact stays green"
         );
         assert_eq!(
-            db1.fact_fp(&DepKey::ClassLattice("W".into())),
-            db2.fact_fp(&DepKey::ClassLattice("W".into()))
+            db1.key_fp(&DepKey::ClassLattice("W".into())),
+            db2.key_fp(&DepKey::ClassLattice("W".into()))
         );
     }
 
     #[test]
     fn missing_and_empty_never_collide() {
-        let s = snapshot("class A { void f() { } }");
+        let mut s = snapshot("class A { void f() { } }");
         let db = s.db();
         assert_ne!(
-            db.fact_fp(&DepKey::Iface("A".into())),
-            db.fact_fp(&DepKey::Iface("Ghost".into())),
+            db.key_fp(&DepKey::Iface("A".into())),
+            db.key_fp(&DepKey::Iface("Ghost".into())),
         );
         assert_ne!(
-            db.fact_fp(&DepKey::Resolve("A".into(), "f".into())),
-            db.fact_fp(&DepKey::Resolve("A".into(), "ghost".into())),
+            db.key_fp(&DepKey::Resolve("A".into(), "f".into())),
+            db.key_fp(&DepKey::Resolve("A".into(), "ghost".into())),
         );
     }
 
     #[test]
     fn superclass_rerouting_perturbs_resolution_facts() {
-        let s1 = snapshot(
+        let mut s1 = snapshot(
             "class P { void f() { } } class Q extends P { } class S extends Q { void g() { } }",
         );
         // Same declaration of f, but S now skips Q.
-        let s2 = snapshot(
+        let mut s2 = snapshot(
             "class P { void f() { } } class Q extends P { } class S extends P { void g() { } }",
         );
         let db1 = s1.db();
         let db2 = s2.db();
         assert_ne!(
-            db1.fact_fp(&DepKey::Resolve("S".into(), "f".into())),
-            db2.fact_fp(&DepKey::Resolve("S".into(), "f".into())),
+            db1.key_fp(&DepKey::Resolve("S".into(), "f".into())),
+            db2.key_fp(&DepKey::Resolve("S".into(), "f".into())),
             "a re-routed inheritance chain is a different resolution fact"
         );
     }

@@ -45,12 +45,19 @@
 //! instead of the previous whole-program `iface_hash` cutoff's
 //! O(program).
 //!
+//! A session interns every fact its read-sets name, once: a recorded
+//! read-set is a list of `(fact id, fingerprint)` pairs, and a check
+//! evaluates each distinct fact once, into a vector indexed by id.
 //! Per-method direct-callee sets are revalidated the same way, keyed on
 //! the method's local fingerprint. The lattice model is cached under the
 //! position-free interface hash, its diagnostics rebased onto their
-//! declarations. Call-graph assembly, the eviction event-loop check, and
-//! the shared-location event-loop check are always recomputed (they read
-//! global state and are cheap relative to per-method analysis).
+//! declarations; a miss rebuilds it content-addressed
+//! ([`sjava_core::Lattices::build`] builds each distinct lattice
+//! declaration once), so an interface edit pays for its declarations,
+//! not for its methods. Call-graph assembly, the eviction event-loop
+//! check, and the shared-location event-loop check are always
+//! recomputed (they read global state and are cheap relative to
+//! per-method analysis).
 //!
 //! A session keeps only what its last two checks used (see
 //! [`IncrementalChecker`]), so its memory follows the program, not the
@@ -110,7 +117,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use deps::{Anchor, Anchors, DeclAnchor, Relative};
+use deps::{Anchor, Anchors, DeclAnchor, FactDb, FactId, FactTable, Relative};
 use fingerprints::{hash_members, hash_summary, name_hash, Digests};
 pub use store::ArtifactStore;
 
@@ -222,13 +229,60 @@ pub(crate) struct MethodEntry {
 /// keyed (in the session and the artifact store) by the method's
 /// position-free local fingerprint and reused while the read-set
 /// revalidates green — a signature or field edit elsewhere recomputes
-/// only the sets that read it.
+/// only the sets that read it. The store names each fact by its
+/// [`DepKey`]; a session by its interned [`FactId`].
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Callees {
+pub(crate) struct Callees<F = DepKey> {
     /// The direct callees (`callgraph::method_callees`).
     pub set: BTreeSet<MethodRef>,
     /// The facts the computation read, fingerprinted.
-    pub deps: Vec<(DepKey, u64)>,
+    pub deps: Vec<(F, u64)>,
+}
+
+/// A per-method entry as a session holds it.
+struct Cached {
+    entry: MethodEntry,
+    /// The recorded read-set, as `(fact, fingerprint)` pairs evaluated on
+    /// the program the entry was computed against. The entry replays only
+    /// while every pair re-evaluates identically.
+    deps: Vec<(FactId, u64)>,
+    /// The entry's [`wave_hash`], which its callers' keys fold.
+    wave: u64,
+}
+
+impl Cached {
+    fn new(entry: MethodEntry, deps: Vec<(FactId, u64)>) -> Self {
+        let shared = entry
+            .shared_present
+            .then_some((&entry.shared_clears, &entry.shared_reads));
+        let wave = wave_hash(Some(&entry.summary), shared);
+        Cached { entry, deps, wave }
+    }
+}
+
+/// The digest a caller's entry key folds for one callee: its eviction
+/// summary and its shared-location summary, by value.
+fn wave_hash(
+    summary: Option<&MethodSummary>,
+    shared: Option<(&BTreeSet<SharedMember>, &BTreeSet<SharedMember>)>,
+) -> u64 {
+    let mut h = Fnv64::new();
+    match summary {
+        Some(s) => {
+            h.write_u64(1);
+            hash_summary(&mut h, s);
+        }
+        None => h.write_u64(0),
+    }
+    match shared {
+        Some((clears, reads)) => {
+            h.write_u64(1);
+            hash_members(&mut h, clears);
+            hash_members(&mut h, reads);
+        }
+        None => h.write_u64(0),
+    }
+    h.finish()
 }
 
 /// The cached lattice model, valid while the interface hash matches. Its
@@ -292,12 +346,10 @@ fn refresh_lattice_spans(lattices: &mut Lattices, program: &Program) {
 /// entry is trusted exactly like an in-memory one: green only while its
 /// recorded read-set revalidates, red (and re-checked) otherwise.
 pub struct IncrementalChecker {
-    entries: HashMap<u64, MethodEntry>,
-    /// The recorded read-set of each entry, as `(fact, fingerprint)`
-    /// pairs evaluated on the program the entry was computed against.
-    /// An entry replays only while every pair re-evaluates identically.
-    dep_records: HashMap<u64, Vec<(DepKey, u64)>>,
-    callee_cache: HashMap<u64, Callees>,
+    entries: HashMap<u64, Cached>,
+    callee_cache: HashMap<u64, Callees<FactId>>,
+    /// Every fact the kept read-sets name, interned.
+    facts: FactTable,
     /// The callee-set keys the most recent check used (the session bound
     /// keeps these and the current check's).
     last_callees: HashSet<u64>,
@@ -332,8 +384,8 @@ impl IncrementalChecker {
     pub fn new() -> Self {
         IncrementalChecker {
             entries: HashMap::new(),
-            dep_records: HashMap::new(),
             callee_cache: HashMap::new(),
+            facts: FactTable::default(),
             last_callees: HashSet::new(),
             lattice_cache: None,
             last_keys: BTreeMap::new(),
@@ -368,8 +420,8 @@ impl IncrementalChecker {
         };
         IncrementalChecker {
             entries: HashMap::new(),
-            dep_records: HashMap::new(),
             callee_cache: HashMap::new(),
+            facts: FactTable::default(),
             last_callees: HashSet::new(),
             lattice_cache: None,
             last_keys: BTreeMap::new(),
@@ -417,6 +469,13 @@ impl IncrementalChecker {
         self.entries.len()
     }
 
+    /// Number of distinct facts the session's kept read-sets name. It
+    /// follows the session bound: a fact no kept entry or callee set
+    /// reads any more is dropped.
+    pub fn fact_count(&self) -> usize {
+        self.facts.len()
+    }
+
     /// Whether the session holds no in-memory entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -426,8 +485,8 @@ impl IncrementalChecker {
     /// are content-addressed and remain valid for any future session.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.dep_records.clear();
         self.callee_cache.clear();
+        self.facts = FactTable::default();
         self.last_callees.clear();
         self.lattice_cache = None;
         self.last_keys.clear();
@@ -444,7 +503,8 @@ impl IncrementalChecker {
     /// bytes changed, moves every other unit's classes over with their
     /// spans shifted, and reuses their memoized declaration digests. Text
     /// the unit-indexed front end declines (the brace pre-scan refuses
-    /// it, or a unit reports a diagnostic) takes the whole-file
+    /// it, a unit reports a diagnostic, or the classes inherit
+    /// cyclically) takes the whole-file
     /// [`sjava_syntax::parse`] path, and the last good parse stays for
     /// the next text. Either way the report equals a cold
     /// [`sjava_core::check_source`] of the same text.
@@ -502,6 +562,13 @@ impl IncrementalChecker {
                 None
             }
         }
+    }
+
+    /// Drops every fact that no kept entry or callee set reads.
+    fn prune_facts(&mut self) {
+        let entries = self.entries.values().map(|c| c.deps.as_slice());
+        let callees = self.callee_cache.values().map(|c| c.deps.as_slice());
+        self.facts.retain(entries.chain(callees));
     }
 
     /// Checks `program`, replaying cached per-method results wherever the
@@ -565,7 +632,7 @@ impl IncrementalChecker {
         // check: callee sets, entries and admission share one snapshot.
         let t = Instant::now();
         let members = shared::shared_members(program, &lattices);
-        let factdb = deps::FactDb::new(program, digests, &lattices, &members);
+        let mut factdb = FactDb::new(&mut self.facts, program, digests, &lattices, &members);
         let mut local_fps: HashMap<MethodRef, u64> = HashMap::new();
         let mut used_callees: HashSet<u64> = HashSet::new();
         // Callee sets computed by this check, the only ones to publish.
@@ -581,10 +648,16 @@ impl IncrementalChecker {
                 if factdb.deps_green(&c.deps) {
                     return c.set.clone();
                 }
-            } else if let Some(c) = store.and_then(|s| s.get_callees(lfp)) {
-                if factdb.deps_green(&c.deps) {
-                    let set = c.set.clone();
-                    callee_cache.insert(lfp, c);
+            } else if let Some(Callees { set, deps }) = store.and_then(|s| s.get_callees(lfp)) {
+                if factdb.keys_green(&deps) {
+                    let deps = factdb.intern(deps);
+                    callee_cache.insert(
+                        lfp,
+                        Callees {
+                            set: set.clone(),
+                            deps,
+                        },
+                    );
                     return set;
                 }
             }
@@ -606,6 +679,7 @@ impl IncrementalChecker {
         self.callee_cache
             .retain(|k, _| self.last_callees.contains(k) || last_callees.contains(k));
         let Some(cg) = cg else {
+            self.prune_facts();
             global.sort_stable();
             return CheckReport {
                 diagnostics: global,
@@ -640,8 +714,9 @@ impl IncrementalChecker {
         let mut wave_deps: BTreeMap<MethodRef, Vec<DepKey>> = BTreeMap::new();
         /// How one wave slot resolved against the cache.
         enum Outcome {
-            /// In-memory entry, read-set verified green: replay.
-            MemGreen,
+            /// In-memory entry, read-set verified green: replay, with its
+            /// kept wave hash.
+            MemGreen(u64),
             /// Store entry + paired read-set verified green: adopt and
             /// replay. Boxed: an entry is ~200 bytes and this variant is
             /// rare relative to the green/fresh ones sized per wave slot.
@@ -686,17 +761,13 @@ impl IncrementalChecker {
             let mut results: Vec<Option<WaveResult>> = Vec::with_capacity(wave.len());
             let mut rest: Vec<usize> = Vec::new();
             for (i, key) in wave_keys.iter().enumerate() {
-                let green = self.entries.get(key).filter(|_| {
-                    self.dep_records
-                        .get(key)
-                        .is_some_and(|deps| factdb.deps_green(deps))
-                });
+                let green = self.entries.get(key).filter(|c| factdb.deps_green(&c.deps));
                 match green {
-                    Some(e) => results.push(Some((
+                    Some(Cached { entry: e, wave, .. }) => results.push(Some((
                         Some(Arc::clone(&e.summary)),
                         e.shared_present
                             .then(|| (e.shared_clears.clone(), e.shared_reads.clone())),
-                        Outcome::MemGreen,
+                        Outcome::MemGreen(*wave),
                     ))),
                     None => {
                         results.push(None);
@@ -751,7 +822,7 @@ impl IncrementalChecker {
                     if let Some((deps, rec_efp)) = self.store.as_ref().and_then(|s| s.get_deps(key))
                     {
                         if rec_efp == efp {
-                            if factdb.deps_green(&deps) {
+                            if factdb.keys_green(&deps) {
                                 let sh = e
                                     .shared_present
                                     .then(|| (e.shared_clears.clone(), e.shared_reads.clone()));
@@ -773,11 +844,17 @@ impl IncrementalChecker {
             }
             for ((mref, key), result) in wave.iter().zip(wave_keys).zip(results) {
                 let (summary, sh, outcome) = result.expect("every wave slot resolves");
+                let shash = match outcome {
+                    Outcome::MemGreen(shash) => shash,
+                    _ => wave_hash(summary.as_deref(), sh.as_ref().map(|(c, r)| (c, r))),
+                };
                 match outcome {
-                    Outcome::MemGreen => stats.green += 1,
-                    Outcome::StoreGreen(e, deps) => {
-                        self.entries.insert(key, *e);
-                        self.dep_records.insert(key, deps);
+                    Outcome::MemGreen(_) => stats.green += 1,
+                    Outcome::StoreGreen(entry, deps) => {
+                        let deps = factdb.intern(deps);
+                        let entry = *entry;
+                        let wave = shash;
+                        self.entries.insert(key, Cached { entry, deps, wave });
                         stats.green += 1;
                     }
                     Outcome::Fresh { red, deps } => {
@@ -787,32 +864,19 @@ impl IncrementalChecker {
                             // the per-method passes and is re-admitted
                             // with its new read-set.
                             self.entries.remove(&key);
-                            self.dep_records.remove(&key);
                             stats.red += 1;
                         }
                         wave_deps.insert(mref.clone(), deps);
                     }
                 }
-                let mut h = Fnv64::new();
-                match summary {
-                    Some(s) => {
-                        h.write_u64(1);
-                        hash_summary(&mut h, &s);
-                        summaries.insert(mref.clone(), s);
-                    }
-                    None => h.write_u64(0),
+                if let Some(s) = summary {
+                    summaries.insert(mref.clone(), s);
                 }
-                match sh {
-                    Some((c, r)) => {
-                        h.write_u64(1);
-                        hash_members(&mut h, &c);
-                        hash_members(&mut h, &r);
-                        shared_clears.insert(mref.clone(), c);
-                        shared_reads.insert(mref.clone(), r);
-                    }
-                    None => h.write_u64(0),
+                if let Some((c, r)) = sh {
+                    shared_clears.insert(mref.clone(), c);
+                    shared_reads.insert(mref.clone(), r);
                 }
-                shashes.insert(mref.clone(), h.finish());
+                shashes.insert(mref.clone(), shash);
                 keys.insert(mref.clone(), key);
             }
         }
@@ -901,7 +965,7 @@ impl IncrementalChecker {
         for (i, mref) in cg.topo.iter().enumerate() {
             match fresh_flow.get(&i) {
                 Some(d) => diags.extend(d.clone()),
-                None => replay(&self.entries[&keys[mref]].flow, mref, &mut diags),
+                None => replay(&self.entries[&keys[mref]].entry.flow, mref, &mut diags),
             }
         }
         timings.flow_check = t.elapsed();
@@ -923,7 +987,7 @@ impl IncrementalChecker {
         for (i, mref) in cg.topo.iter().enumerate() {
             match fresh_alias.get(&i) {
                 Some(d) => diags.extend(d.clone()),
-                None => replay(&self.entries[&keys[mref]].alias, mref, &mut diags),
+                None => replay(&self.entries[&keys[mref]].entry.alias, mref, &mut diags),
             }
         }
         timings.aliasing = t.elapsed();
@@ -953,7 +1017,7 @@ impl IncrementalChecker {
         let mut term_deps: BTreeMap<usize, Vec<DepKey>> = BTreeMap::new();
         for (i, mref) in cg.topo.iter().enumerate() {
             match self.entries.get(&keys[mref]) {
-                Some(e) => {
+                Some(Cached { entry: e, .. }) => {
                     termination_failures += e.term_failures;
                     replay(&e.term, mref, &mut diags);
                 }
@@ -1010,9 +1074,8 @@ impl IncrementalChecker {
                 term_failures,
                 term,
             };
-            self.dep_records
-                .insert(keys[mref], factdb.fingerprint(read_set));
-            self.entries.insert(keys[mref], entry);
+            let deps = factdb.fingerprint(read_set);
+            self.entries.insert(keys[mref], Cached::new(entry, deps));
         }
         if let Some(store) = &self.store {
             // Publication is best-effort: an unwritable store must not
@@ -1029,20 +1092,23 @@ impl IncrementalChecker {
             if weight >= self.persist_min {
                 for &i in &missing {
                     let key = keys[&cg.topo[i]];
-                    let (Some(entry), Some(deps)) =
-                        (self.entries.get(&key), self.dep_records.get(&key))
-                    else {
+                    let Some(c) = self.entries.get(&key) else {
                         continue;
                     };
                     // The deps object embeds the entry payload's checksum,
                     // pairing the two publishes: a reader that observes
                     // mismatched halves treats the key as a miss.
-                    if let Ok(efp) = store.put_entry(key, entry) {
-                        let _ = store.put_deps(key, deps, efp);
+                    if let Ok(efp) = store.put_entry(key, &c.entry) {
+                        let _ = store.put_deps(key, &factdb.keyed(&c.deps), efp);
                     }
                 }
                 for lfp in &fresh_callees {
-                    let _ = store.put_callees(*lfp, &self.callee_cache[lfp]);
+                    let c = &self.callee_cache[lfp];
+                    let callees = Callees {
+                        set: c.set.clone(),
+                        deps: factdb.keyed(&c.deps),
+                    };
+                    let _ = store.put_callees(*lfp, &callees);
                 }
                 for &(nh, ns) in &flow_nanos {
                     let _ = store.put_time(nh, ns);
@@ -1060,7 +1126,7 @@ impl IncrementalChecker {
             .copied()
             .collect();
         self.entries.retain(|k, _| live.contains(k));
-        self.dep_records.retain(|k, _| live.contains(k));
+        self.prune_facts();
         let names: HashSet<u64> = keys
             .keys()
             .chain(self.last_keys.keys())

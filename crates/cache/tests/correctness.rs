@@ -485,3 +485,153 @@ fn session_keeps_at_most_two_checks_of_entries() {
         );
     }
 }
+
+/// The byte offset of the `(` opening method `m`'s parameter list.
+fn header_paren(text: &str, m: &sjava_syntax::ast::MethodDecl) -> usize {
+    let start = m.span.start as usize;
+    start
+        + text[start..]
+            .find('(')
+            .expect("a method header has a parameter list")
+}
+
+/// Inserts a space inside the parameter list of method `pick` (modulo
+/// the method count), the edit a reformatted signature makes.
+fn pad_a_header(text: &mut String, pick: usize) {
+    let program = sjava_syntax::parse(text).expect("parses");
+    let methods: Vec<_> = program.classes.iter().flat_map(|c| &c.methods).collect();
+    let at = header_paren(text, methods[pick % methods.len()]);
+    text.insert(at + 1, ' ');
+}
+
+/// Declares an unused `int` field after the last field of class `pick`
+/// (modulo the classes with a field), at that field's location if it has
+/// one.
+fn add_a_field(text: &mut String, pick: usize, n: usize) {
+    let program = sjava_syntax::parse(text).expect("parses");
+    let fields: Vec<_> = program
+        .classes
+        .iter()
+        .filter_map(|c| c.fields.last())
+        .collect();
+    let field = fields[pick % fields.len()];
+    let annot = match field.annots.loc.as_ref().and_then(|l| l.elems.first()) {
+        Some(loc) => format!("@LOC(\"{}\") ", loc.name),
+        None => String::new(),
+    };
+    let end = field.span.end as usize;
+    let at = end + text[end..].find(';').expect("a field ends in `;`") + 1;
+    text.insert_str(at, &format!("\n    {annot}int unusedPad{n};"));
+}
+
+#[test]
+fn header_and_field_edits_check_like_cold() {
+    // Both edits change the program's interface, so the lattice model is
+    // rebuilt; every equal declaration is built once and shared, and the
+    // report must still equal a cold check byte for byte.
+    for (name, source) in apps() {
+        let mut text = source;
+        let mut session = IncrementalChecker::new();
+        session.check_source(&text).expect("parses");
+        for step in 0..8 {
+            if step % 2 == 0 {
+                pad_a_header(&mut text, step * 7);
+            } else {
+                add_a_field(&mut text, step * 5, step);
+            }
+            let warm = session.check_source(&text).expect("edited source parses");
+            let cold = sjava_core::check_source(&text).expect("edited source parses");
+            assert_eq!(
+                renderings(&text, &warm.diagnostics),
+                renderings(&text, &cold.diagnostics),
+                "{name} step {step}"
+            );
+            assert_eq!(warm.termination_failures, cold.termination_failures);
+        }
+    }
+}
+
+/// `text` with every whole-word occurrence of the identifier `old`
+/// replaced by `new`.
+fn rename_ident(text: &str, old: &str, new: &str) -> String {
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(i) = rest.find(old) {
+        let (before, after) = (&rest[..i], &rest[i + old.len()..]);
+        let whole = !before.ends_with(word) && !after.starts_with(word);
+        out.push_str(before);
+        out.push_str(if whole { new } else { old });
+        rest = after;
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn session_keeps_only_the_facts_its_kept_read_sets_name() {
+    // Each step renames a field the event loop reads, so each check reads
+    // a field fact no earlier check read. A fact table that never dropped
+    // a fact would grow with every step.
+    let mut text = sjava_apps::mp3dec::source().to_string();
+    let mut name = "header".to_string();
+    let mut session = IncrementalChecker::new();
+    session.check_source(&text).expect("parses");
+    let first = session.fact_count();
+    assert!(
+        first > 0 && first < 240,
+        "{first} facts after the first check"
+    );
+    for step in 0..240 {
+        let next = format!("hdr{step}");
+        text = rename_ident(&text, &name, &next);
+        name = next;
+        let report = session.check_source(&text).expect("renamed source parses");
+        assert!(
+            session.fact_count() <= 2 * first,
+            "step {step}: {} facts, {first} after the first check",
+            session.fact_count()
+        );
+        if step % 60 == 59 {
+            let cold = sjava_core::check_source(&text).expect("renamed source parses");
+            assert_eq!(digest(&report), digest(&cold), "step {step}");
+        }
+    }
+}
+
+#[test]
+fn adding_and_removing_an_inheritance_cycle_checks_like_cold() {
+    // A cycle makes the text fail to parse (SJ0005 at each class on it),
+    // and the unit-indexed parse declines it rather than walk the cycle;
+    // once it is gone the session goes on from its last good parse.
+    let base = sjava_apps::windsensor::SOURCE.to_string();
+    let cycle =
+        format!("{base}\nclass Loop1 extends Loop2 {{ }}\nclass Loop2 extends Loop1 {{ }}\n");
+    let own = format!("class Own extends Own {{ }}\n{base}");
+    let through_app = base.replace("class WindRec", "class WindRec extends Spare")
+        + "\nclass Spare extends WindRec { }\n";
+    let texts = [
+        (base.clone(), false),
+        (cycle, true),
+        (base.clone(), false),
+        (own, true),
+        (through_app, true),
+        (base, false),
+    ];
+    let mut session = IncrementalChecker::new();
+    for (n, (text, cyclic)) in texts.iter().enumerate() {
+        let render = |result: Result<CheckReport, sjava_core::ParseFailure>| match result {
+            Ok(report) => renderings(text, &report.diagnostics),
+            Err(failure) => renderings(text, &failure.diagnostics),
+        };
+        let warm = render(session.check_source(text));
+        let cold = render(sjava_core::check_source(text));
+        assert_eq!(warm, cold, "step {n}");
+        assert_eq!(
+            warm[0].contains("cyclic inheritance"),
+            *cyclic,
+            "step {n}: {}",
+            warm[0]
+        );
+    }
+}

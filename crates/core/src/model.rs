@@ -1,6 +1,12 @@
 //! Program lattice model: builds the field lattice of every class and the
 //! method lattice of every method from the source annotations (§3.3), and
 //! checks the inheritance constraints of §3.5.
+//!
+//! A program repeats a handful of lattice declarations across all of its
+//! methods — most methods inherit their class's `@METHODDEFAULT` — so the
+//! model is content-addressed: each distinct declaration (its orders,
+//! shared and isolated names, never its span) is built once, and every use
+//! shares that one [`Lattice`] through an [`Arc`].
 
 use sjava_lattice::{CompositeLoc, Elem};
 use sjava_lattice::{Lattice, LatticeCtx};
@@ -9,12 +15,15 @@ use sjava_syntax::ast::*;
 use sjava_syntax::diag::{Diag, Diagnostics};
 use sjava_syntax::span::Span;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Lattice-related information of one method.
 #[derive(Debug, Clone)]
 pub struct MethodInfo {
-    /// The method's location lattice.
-    pub lattice: Lattice,
+    /// The method's location lattice, shared with every other use of an
+    /// equal declaration.
+    pub lattice: Arc<Lattice>,
     /// Location of `this` (`@THISLOC`).
     pub this_loc: Option<String>,
     /// Location of static-field accesses (`@GLOBALLOC`).
@@ -44,42 +53,33 @@ pub struct FieldInfo {
 /// The whole-program lattice model.
 #[derive(Debug, Clone, Default)]
 pub struct Lattices {
-    /// Field lattice per class.
-    pub fields: HashMap<String, Lattice>,
+    /// Field lattice per class, shared like the method lattices.
+    pub fields: HashMap<String, Arc<Lattice>>,
     /// Method lattice + annotations per `(class, method)`.
     pub methods: HashMap<(String, String), MethodInfo>,
 }
 
 impl Lattices {
     /// Builds the model from a program, validating lattice declarations
-    /// and inheritance.
+    /// and inheritance. Each distinct declaration is built once; an
+    /// invalid one is reported at every use, each at that use's span.
     pub fn build(program: &Program, diags: &mut Diagnostics) -> Self {
         let mut model = Lattices::default();
+        let mut memo = DeclMemo::default();
         for class in &program.classes {
-            let lat = match &class.annots.lattice {
-                Some(decl) => build_lattice(decl, diags),
-                None => Lattice::new(),
-            };
+            let lat = memo.lattice(class.annots.lattice.as_ref(), diags);
             model.fields.insert(class.name.clone(), lat);
             for method in &class.methods {
-                let annots = effective_method_annots(class, method);
-                let lat = match &annots.lattice {
-                    Some(decl) => build_lattice(decl, diags),
-                    None => Lattice::new(),
-                };
+                let annots = EffectiveAnnots::of(class, method);
+                let lat = memo.lattice(annots.lattice, diags);
+                let resolve = |c| resolve_annot_with(c, &lat, &class.name, program);
                 let info = MethodInfo {
-                    this_loc: annots.this_loc.clone(),
-                    global_loc: annots.global_loc.clone(),
-                    return_loc: annots
-                        .return_loc
-                        .as_ref()
-                        .map(|c| resolve_annot_with(c, &lat, &class.name, program)),
-                    pc_loc: annots
-                        .pc_loc
-                        .as_ref()
-                        .map(|c| resolve_annot_with(c, &lat, &class.name, program)),
+                    this_loc: annots.this_loc.cloned(),
+                    global_loc: annots.global_loc.cloned(),
+                    return_loc: annots.return_loc.map(resolve),
+                    pc_loc: annots.pc_loc.map(resolve),
                     trusted: annots.trusted || class.annots.trusted,
-                    lattice_span: annots.lattice.as_ref().map(|d| d.span),
+                    lattice_span: annots.lattice.map(|d| d.span),
                     lattice: lat,
                 };
                 model
@@ -93,7 +93,7 @@ impl Lattices {
 
     /// The field lattice of a class (empty lattice if undeclared).
     pub fn field_lattice(&self, class: &str) -> Option<&Lattice> {
-        self.fields.get(class)
+        self.fields.get(class).map(Arc::as_ref)
     }
 
     /// The method info for `(class, method)`. Records a `MethodFacts`
@@ -202,40 +202,110 @@ impl Lattices {
     }
 }
 
-/// The method annotations in effect: the method's own, with missing pieces
-/// defaulted from the class-wide `@METHODDEFAULT` (§3.6).
-pub fn effective_method_annots(class: &ClassDecl, method: &MethodDecl) -> MethodAnnots {
-    let mut a = method.annots.clone();
-    if let Some(md) = &class.annots.method_default {
-        if a.lattice.is_none() {
-            a.lattice = md.lattice.clone();
-        }
-        if a.this_loc.is_none() {
-            a.this_loc = md.this_loc.clone();
-        }
-        if a.global_loc.is_none() {
-            a.global_loc = md.global_loc.clone();
-        }
-        if a.return_loc.is_none() {
-            a.return_loc = md.return_loc.clone();
-        }
-        if a.pc_loc.is_none() {
-            a.pc_loc = md.pc_loc.clone();
-        }
-    }
-    a
+/// The method annotations in effect, borrowed from the declarations: the
+/// method's own, with missing pieces defaulted from the class-wide
+/// `@METHODDEFAULT` (§3.6).
+#[derive(Debug, Clone, Copy)]
+pub struct EffectiveAnnots<'a> {
+    /// The method lattice (`@LATTICE`).
+    pub lattice: Option<&'a LatticeDecl>,
+    /// Location of `this` (`@THISLOC`).
+    pub this_loc: Option<&'a String>,
+    /// Location of static/global accesses (`@GLOBALLOC`).
+    pub global_loc: Option<&'a String>,
+    /// Location of the return value (`@RETURNLOC`).
+    pub return_loc: Option<&'a CompositeLocAnnot>,
+    /// Initial program-counter location (`@PCLOC`).
+    pub pc_loc: Option<&'a CompositeLocAnnot>,
+    /// The method's own `@TRUSTED`; a default never sets it.
+    pub trusted: bool,
 }
 
-fn build_lattice(decl: &LatticeDecl, diags: &mut Diagnostics) -> Lattice {
-    match Lattice::from_decl(&decl.orders, &decl.shared, &decl.isolated) {
-        Ok(l) => l,
-        Err(e) => {
-            diags.push(Diag::lattice(
-                format!("invalid lattice declaration: {e}"),
-                decl.span,
-            ));
-            Lattice::new()
+impl<'a> EffectiveAnnots<'a> {
+    /// The annotations in effect on `method`, declared in `class`.
+    pub fn of(class: &'a ClassDecl, method: &'a MethodDecl) -> Self {
+        let own = &method.annots;
+        let md = class.annots.method_default.as_ref();
+        EffectiveAnnots {
+            lattice: own.lattice.as_ref().or(md.and_then(|d| d.lattice.as_ref())),
+            this_loc: own
+                .this_loc
+                .as_ref()
+                .or(md.and_then(|d| d.this_loc.as_ref())),
+            global_loc: own
+                .global_loc
+                .as_ref()
+                .or(md.and_then(|d| d.global_loc.as_ref())),
+            return_loc: own
+                .return_loc
+                .as_ref()
+                .or(md.and_then(|d| d.return_loc.as_ref())),
+            pc_loc: own.pc_loc.as_ref().or(md.and_then(|d| d.pc_loc.as_ref())),
+            trusted: own.trusted,
         }
+    }
+}
+
+/// [`EffectiveAnnots`] as an owned [`MethodAnnots`].
+pub fn effective_method_annots(class: &ClassDecl, method: &MethodDecl) -> MethodAnnots {
+    let a = EffectiveAnnots::of(class, method);
+    MethodAnnots {
+        lattice: a.lattice.cloned(),
+        this_loc: a.this_loc.cloned(),
+        global_loc: a.global_loc.cloned(),
+        return_loc: a.return_loc.cloned(),
+        pc_loc: a.pc_loc.cloned(),
+        trusted: a.trusted,
+    }
+}
+
+/// A lattice declaration by its content (orders, shared and isolated
+/// names, not its span), so that equal declarations meet wherever they
+/// sit. It borrows the declaration: keying a use allocates nothing.
+struct DeclContent<'a>(&'a LatticeDecl);
+
+impl PartialEq for DeclContent<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.0, other.0);
+        a.orders == b.orders && a.shared == b.shared && a.isolated == b.isolated
+    }
+}
+
+impl Eq for DeclContent<'_> {}
+
+impl Hash for DeclContent<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.0.orders.hash(h);
+        self.0.shared.hash(h);
+        self.0.isolated.hash(h);
+    }
+}
+
+/// The lattices of one model build, one per distinct declaration. An
+/// invalid declaration keeps its message, reported again at each use.
+#[derive(Default)]
+struct DeclMemo<'a> {
+    built: HashMap<DeclContent<'a>, Result<Arc<Lattice>, String>>,
+    empty: Option<Arc<Lattice>>,
+}
+
+impl<'a> DeclMemo<'a> {
+    /// The lattice `decl` declares, or the shared empty lattice when there
+    /// is none or it is invalid; an invalid one reports `SJ0004` at this
+    /// use's span.
+    fn lattice(&mut self, decl: Option<&'a LatticeDecl>, diags: &mut Diagnostics) -> Arc<Lattice> {
+        if let Some(decl) = decl {
+            let built = self.built.entry(DeclContent(decl)).or_insert_with(|| {
+                Lattice::from_decl(&decl.orders, &decl.shared, &decl.isolated)
+                    .map(Arc::new)
+                    .map_err(|e| format!("invalid lattice declaration: {e}"))
+            });
+            match built {
+                Ok(lattice) => return Arc::clone(lattice),
+                Err(message) => diags.push(Diag::lattice(message.clone(), decl.span)),
+            }
+        }
+        Arc::clone(self.empty.get_or_insert_with(|| Arc::new(Lattice::new())))
     }
 }
 
@@ -301,7 +371,7 @@ pub struct ModelCtx<'a> {
     /// The current method's lattice.
     pub method: &'a Lattice,
     /// All field lattices.
-    pub fields: &'a HashMap<String, Lattice>,
+    pub fields: &'a HashMap<String, Arc<Lattice>>,
 }
 
 impl LatticeCtx for ModelCtx<'_> {
@@ -311,7 +381,7 @@ impl LatticeCtx for ModelCtx<'_> {
 
     fn field_lattice(&self, class: &str) -> Option<&Lattice> {
         sjava_syntax::track::record_class_lattice(class);
-        self.fields.get(class)
+        self.fields.get(class).map(Arc::as_ref)
     }
 }
 

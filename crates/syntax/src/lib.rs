@@ -83,7 +83,7 @@ pub fn parse_sequential(src: &str) -> Result<Program, Diagnostics> {
     let mut diags = Diagnostics::new();
     let tokens = lexer::lex(src, &mut diags);
     let classes = parser::parse_unit(tokens, &mut diags);
-    let program = resolve::resolve_statics(Program::new(classes));
+    let program = resolve::resolve_reporting(Program::new(classes), &mut diags);
     if diags.has_errors() {
         diags.sort_stable();
         Err(diags)
@@ -95,8 +95,9 @@ pub fn parse_sequential(src: &str) -> Result<Program, Diagnostics> {
 /// Forces the **parallel** front-end at an explicit worker width,
 /// bypassing the adaptive unit threshold (any source that splits into
 /// ≥2 top-level units takes the parallel path). Returns `None` when the
-/// pre-scan declines the input or any unit produces a diagnostic — the
-/// cases where production parsing falls back to the sequential path.
+/// pre-scan declines the input, any unit produces a diagnostic, or the
+/// classes inherit cyclically — the cases where production parsing falls
+/// back to the sequential path.
 ///
 /// This is a differential-testing surface: whenever it returns
 /// `Some(program)`, the result must be byte-identical (AST and all

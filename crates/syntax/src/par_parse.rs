@@ -55,7 +55,7 @@ use crate::annot::{ClassAnnots, LatticeDecl, MethodAnnots};
 use crate::ast::{Block, ClassDecl, Expr, FieldDecl, LValue, MethodDecl, Param, Program, Stmt};
 use crate::diag::Diagnostics;
 use crate::lexer::lex_at;
-use crate::resolve::Context;
+use crate::resolve::{inheritance_cycles, Context};
 use crate::span::Span;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -218,7 +218,10 @@ pub(crate) fn parse_parallel_with(src: &str, threads: usize, min_units: usize) -
         .into_iter()
         .flatten()
         .collect();
-    Some(crate::resolve::resolve_statics(Program::new(classes)))
+    // Cyclic inheritance declines too: the sequential path reports it.
+    let mut diags = Diagnostics::new();
+    let program = crate::resolve::resolve_reporting(Program::new(classes), &mut diags);
+    diags.is_empty().then_some(program)
 }
 
 /// Lexes and parses units `which` of `src` at `threads` workers,
@@ -296,9 +299,9 @@ pub struct UnitParse {
 
 impl UnitParse {
     /// Parses `text` through the unit-indexed front end. `None` when the
-    /// pre-scan refuses the text or any unit reports a diagnostic: the
-    /// caller then parses the whole file with [`crate::parse`], which
-    /// owns every diagnostic.
+    /// pre-scan refuses the text, any unit reports a diagnostic, or the
+    /// classes inherit cyclically: the caller then parses the whole file
+    /// with [`crate::parse`], which owns every diagnostic.
     pub fn new(text: &str) -> Option<UnitParse> {
         let mut parse = UnitParse::default();
         parse.reparse(text)?;
@@ -368,6 +371,11 @@ impl UnitParse {
                     (None, None) => &[],
                 })
                 .collect();
+            // The whole-file parser reports cyclic inheritance, on which
+            // every chain walk, this context's included, would loop.
+            if !inheritance_cycles(&classes).is_empty() {
+                return None;
+            }
             Context::of(&classes)
         };
         let mut next = 0;

@@ -28,7 +28,7 @@ pub fn parse_program(src: &str, diags: &mut Diagnostics) -> Program {
         diags,
     };
     let program = p.program();
-    crate::resolve::resolve_statics(program)
+    crate::resolve::resolve_reporting(program, diags)
 }
 
 /// Parses one compilation unit's token stream (a run of top-level class

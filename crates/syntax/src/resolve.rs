@@ -9,18 +9,88 @@
 //! forms.
 
 use crate::ast::*;
-use std::collections::HashSet;
+use crate::diag::{Diag, Diagnostics};
+use std::collections::{HashMap, HashSet};
 
-/// Resolves static references in an entire program.
-pub fn resolve_statics(mut program: Program) -> Program {
+/// Resolves static references in an entire program. A program with
+/// cyclic inheritance is returned unresolved: resolving walks every
+/// superclass chain, and such a chain never ends (parsing reports the
+/// cycle as SJ0005).
+pub fn resolve_statics(program: Program) -> Program {
+    resolve_reporting(program, &mut Diagnostics::new())
+}
+
+/// [`resolve_statics`], reporting inheritance cycles into `diags`.
+pub(crate) fn resolve_reporting(mut program: Program, diags: &mut Diagnostics) -> Program {
     let context = {
         let classes: Vec<&ClassDecl> = program.classes.iter().collect();
+        let cycles = inheritance_cycles(&classes);
+        if !cycles.is_empty() {
+            diags.extend(cycles);
+            return program;
+        }
         Context::of(&classes)
     };
     for (i, class) in program.classes.iter_mut().enumerate() {
         context.resolve(class, i);
     }
     program
+}
+
+/// SJ0005 at the header of every class whose superclass chain leads back
+/// to itself, in program order. Every later chain walk (field
+/// visibility, field and method resolution) would loop on such a
+/// program. As in every lookup, a name stands for its first declaration.
+pub(crate) fn inheritance_cycles(classes: &[&ClassDecl]) -> Diagnostics {
+    let mut first: HashMap<&str, usize> = HashMap::with_capacity(classes.len());
+    for (i, c) in classes.iter().enumerate() {
+        first.entry(c.name.as_str()).or_insert(i);
+    }
+    let superclass = |i: usize| {
+        let s = classes[i].superclass.as_deref()?;
+        first.get(s).copied()
+    };
+    // 0 = not reached, 1 = on the walk in progress, 2 = settled.
+    let mut state = vec![0u8; classes.len()];
+    let mut on_cycle = vec![false; classes.len()];
+    for start in 0..classes.len() {
+        let mut walk = Vec::new();
+        let mut cur = Some(start);
+        while let Some(i) = cur.filter(|&i| state[i] == 0) {
+            state[i] = 1;
+            walk.push(i);
+            cur = superclass(i);
+        }
+        if let Some(i) = cur.filter(|&i| state[i] == 1) {
+            let from = walk.iter().position(|&w| w == i).expect("on the walk");
+            for &w in &walk[from..] {
+                on_cycle[w] = true;
+            }
+        }
+        for &w in &walk {
+            state[w] = 2;
+        }
+    }
+    let mut diags = Diagnostics::new();
+    for (i, c) in classes.iter().enumerate() {
+        if !on_cycle[i] {
+            continue;
+        }
+        let mut chain = vec![c.name.as_str()];
+        let mut cur = superclass(i);
+        while let Some(j) = cur {
+            chain.push(&classes[j].name);
+            if j == i {
+                break;
+            }
+            cur = superclass(j);
+        }
+        diags.push(Diag::inherit(
+            format!("cyclic inheritance: {}", chain.join(" extends ")),
+            c.span,
+        ));
+    }
+    diags
 }
 
 /// What resolving the classes of one program reads beyond each class
@@ -288,6 +358,42 @@ mod tests {
     use crate::ast::*;
     use crate::diag::Diagnostics;
     use crate::parser::parse_program;
+
+    /// The `cyclic inheritance` messages `parse_program` reports on `src`.
+    fn cycles(src: &str) -> Vec<String> {
+        let mut d = Diagnostics::new();
+        parse_program(src, &mut d);
+        d.iter()
+            .map(|d| {
+                assert_eq!(d.code, crate::Code::Inherit);
+                d.message.clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn inheritance_cycles_are_reported_at_each_class_on_them() {
+        assert_eq!(
+            cycles("class A extends A { }"),
+            ["cyclic inheritance: A extends A"]
+        );
+        // `C` only leads into the cycle; it is not on it.
+        assert_eq!(
+            cycles("class C extends A { } class A extends B { } class B extends A { }"),
+            [
+                "cyclic inheritance: A extends B extends A",
+                "cyclic inheritance: B extends A extends B",
+            ]
+        );
+        // A second `A` is never looked up, so its superclass closes no
+        // cycle; the first one's does.
+        assert!(cycles("class A { } class B extends A { } class A extends B { }").is_empty());
+        assert_eq!(
+            cycles("class A extends B { } class B extends A { } class A { }").len(),
+            2
+        );
+        assert!(cycles("class A extends B { } class B extends Ghost { }").is_empty());
+    }
 
     #[test]
     fn variable_shadows_class_name() {

@@ -34,7 +34,7 @@
 #        interface edit re-checking ≤25% of the 201-method stress corpus
 #        at 1 and 4 threads and through the store (which must agree with
 #        the in-memory session), a source-text edit re-checked through
-#        `check_source` at 1 thread in ≤0.40x a cold `check_source`, and
+#        `check_source` at 1 thread in ≤0.25x a cold `check_source`, and
 #        an unused field re-checking nothing;
 #      - vm: byte-identical VM and tree-walker traces on the five apps and
 #        three stress presets (plain and fault-injected), the first 48

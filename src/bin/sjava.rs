@@ -727,19 +727,22 @@ fn cmd_check(args: &[String]) -> ExitCode {
         Err(c) => return c,
     };
 
-    let diagnostics = match sjava::parse(&file.text) {
+    let parsed = sjava::parse(&file.text);
+    let mut session = None;
+    let checked = parsed.as_ref().map(|program| {
         // With `SJAVA_CACHE_DIR` set the check goes through the artifact
         // store, sharing warm hits with every process that uses it.
-        Ok(program) => {
-            if std::env::var(sjava::cache::CACHE_DIR_ENV).is_ok_and(|v| !v.trim().is_empty()) {
-                sjava::cache::IncrementalChecker::from_env()
-                    .check(&program)
-                    .diagnostics
-            } else {
-                sjava::check(&program).diagnostics
-            }
+        if std::env::var(sjava::cache::CACHE_DIR_ENV).is_ok_and(|v| !v.trim().is_empty()) {
+            session
+                .insert(sjava::cache::IncrementalChecker::from_env())
+                .check(program)
+        } else {
+            sjava::check(program)
         }
-        Err(diags) => diags,
+    });
+    let diagnostics = match &checked {
+        Ok(report) => &report.diagnostics,
+        Err(diags) => *diags,
     };
 
     match format {
@@ -748,12 +751,12 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 eprintln!("{}", d.render(&file));
             }
         }
-        Format::Json => print!("{}", emit::to_json(&file, &diagnostics)),
-        Format::Sarif => print!("{}", emit::to_sarif(&file, &diagnostics)),
+        Format::Json => print!("{}", emit::to_json(&file, diagnostics)),
+        Format::Sarif => print!("{}", emit::to_sarif(&file, diagnostics)),
     }
 
     let failed = diagnostics.has_errors() || (deny_warnings && diagnostics.has_warnings());
-    if failed {
+    let code = if failed {
         if format == Format::Text {
             println!("{path}: NOT verified self-stabilizing ✗");
         }
@@ -763,7 +766,22 @@ fn cmd_check(args: &[String]) -> ExitCode {
             println!("{path}: self-stabilizing ✓");
         }
         ExitCode::SUCCESS
-    }
+    };
+    flush_stdout();
+    std::mem::forget(checked);
+    std::mem::forget(session);
+    std::mem::forget(parsed);
+    code
+}
+
+/// Flushes stdout before a command returns without freeing what it built.
+/// The process exits right after, and the OS takes back an AST, a report
+/// or an inference result at once, where dropping them frees them node by
+/// node; `sjava check` and `sjava infer` therefore `std::mem::forget`
+/// them after this.
+fn flush_stdout() {
+    use std::io::Write;
+    let _ = std::io::stdout().flush();
 }
 
 /// A second file argument: each command takes one.
@@ -816,7 +834,7 @@ fn cmd_infer(args: &[String]) -> ExitCode {
     } else {
         sjava::Mode::SInfer
     };
-    match sjava::infer_annotations(&stripped, mode) {
+    let code = match sjava::infer_annotations(&stripped, mode) {
         Ok(result) => {
             print!("{}", print_program(&result.annotated));
             eprintln!(
@@ -839,6 +857,8 @@ fn cmd_infer(args: &[String]) -> ExitCode {
                     if t.threads == 1 { "" } else { "s" }
                 );
             }
+            flush_stdout();
+            std::mem::forget(result);
             ExitCode::SUCCESS
         }
         Err(diags) => {
@@ -847,7 +867,10 @@ fn cmd_infer(args: &[String]) -> ExitCode {
             }
             ExitCode::FAILURE
         }
-    }
+    };
+    std::mem::forget(stripped);
+    std::mem::forget(program);
+    code
 }
 
 fn cmd_run(path: &str, entry: &str, iters: &str) -> ExitCode {

@@ -339,3 +339,49 @@ fn check_processes_share_one_store() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn check_rejects_cyclic_inheritance_in_bounded_time() {
+    // A superclass chain that leads back to where it started sends every
+    // chain walk round the cycle for ever; `sjava check` must instead
+    // report SJ0005 at the header of each class on the cycle, and exit 1.
+    let cases: [(&str, &str, &[&str]); 2] = [
+        (
+            "cycle.sj",
+            "class A extends B { }\nclass B extends A { }\n",
+            &["A extends B extends A", "B extends A extends B"],
+        ),
+        (
+            "self_cycle.sj",
+            "class A extends A { void main() { SSJAVA: while (true) { Out.emit(1); } } }\n",
+            &["A extends A"],
+        ),
+    ];
+    for (name, source, cycles) in cases {
+        let path = write_temp(name, source);
+        let mut child = Command::new(env!("CARGO_BIN_EXE_sjava"))
+            .args(["check", path.to_str().expect("utf8")])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while child.try_wait().expect("child status").is_none() {
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("`sjava check {name}` still running after 20 s");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        let out = child.wait_with_output().expect("child output");
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for cycle in cycles {
+            let want = format!("error[SJ0005]: cyclic inheritance: {cycle}");
+            assert!(
+                stderr.contains(&want),
+                "{name}: missing `{want}` in\n{stderr}"
+            );
+        }
+    }
+}
