@@ -307,7 +307,6 @@ fn edit_runs(
     let store = TempDir::new("edit-store");
     {
         let mut primer = IncrementalChecker::with_dir(&store.0);
-        primer.set_persist_min(0);
         prime(&mut primer);
     }
     let from_store = IncrementalChecker::with_dir(&store.0);

@@ -163,13 +163,10 @@ pub fn cache(src: &str, scratch: &Path) -> Option<String> {
         return Some("warm in-memory cache replay diverges from fresh check".into());
     }
     let _ = std::fs::remove_dir_all(scratch);
-    {
-        let mut disk = sjava_cache::IncrementalChecker::with_dir(scratch);
-        disk.set_persist_min(0);
-        if render_session(&mut disk) != fresh {
-            return Some("disk-backed cold check diverges from fresh check".into());
-        }
-    } // drop persists cache.bin
+    let mut disk = sjava_cache::IncrementalChecker::with_dir(scratch);
+    if render_session(&mut disk) != fresh {
+        return Some("disk-backed cold check diverges from fresh check".into());
+    }
     let mut reloaded = sjava_cache::IncrementalChecker::with_dir(scratch);
     let replay = render_session(&mut reloaded);
     let _ = std::fs::remove_dir_all(scratch);

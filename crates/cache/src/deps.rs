@@ -1,4 +1,4 @@
-//! Fact fingerprints, position-free diagnostics, and the `.deps` wire
+//! Fact fingerprints, position-free diagnostics, and the read-set wire
 //! codec behind red-green revalidation.
 //!
 //! The recording layer (`sjava_syntax::track`) captures *which* facts a
@@ -32,11 +32,10 @@
 //! green means every rebased span is byte-right. A span with no such
 //! anchor leaves the result uncached.
 //!
-//! The wire form (`.deps` objects in the artifact store) pairs the dep
-//! list with the FNV-64 checksum of the entry payload it was recorded
-//! for. A reader adopts a persisted entry only when that pairing matches
-//! the entry object it actually read — two independently-published
-//! objects cannot be combined across a torn update.
+//! In the artifact store a read-set travels inside the object it
+//! validates ([`put_dep_list`] after an entry or a callee set), so one
+//! atomic publish writes both and no reader can pair a result with a
+//! read-set recorded for another.
 
 use crate::fingerprints::{Digests, Slot};
 use sjava_analysis::callgraph::MethodRef;
@@ -694,7 +693,7 @@ impl DeclAnchor {
     }
 }
 
-// ---- .deps wire codec --------------------------------------------------
+// ---- read-set wire codec -----------------------------------------------
 
 fn tag_of(key: &DepKey) -> u8 {
     match key {
@@ -756,24 +755,6 @@ pub(crate) fn read_dep_list(r: &mut Reader<'_>) -> Option<Vec<(DepKey, u64)>> {
     Some(deps)
 }
 
-/// Deterministic encoding of an entry's recorded read-set: the checksum
-/// of the entry payload it pairs with, then the read-set.
-pub(crate) fn encode_deps(deps: &[(DepKey, u64)], entry_fp: u64) -> Vec<u8> {
-    let mut buf = Vec::new();
-    wire::put_u64(&mut buf, entry_fp);
-    put_dep_list(&mut buf, deps);
-    buf
-}
-
-/// Decodes a read-set payload into the dep list and the paired entry
-/// checksum; `None` on any truncation, bad tag, or trailing garbage.
-pub(crate) fn decode_deps(payload: &[u8]) -> Option<(Vec<(DepKey, u64)>, u64)> {
-    let mut r = Reader::new(payload);
-    let entry_fp = r.u64()?;
-    let deps = read_dep_list(&mut r)?;
-    r.is_exhausted().then_some((deps, entry_fp))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -828,16 +809,21 @@ mod tests {
             (DepKey::SharedGate, 8),
             (DepKey::Completion(99), 9),
         ];
-        let buf = encode_deps(&deps, 0xFEED);
-        assert_eq!(decode_deps(&buf), Some((deps, 0xFEED)));
+        let mut buf = Vec::new();
+        put_dep_list(&mut buf, &deps);
+        let read = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            read_dep_list(&mut r).filter(|_| r.is_exhausted())
+        };
+        assert_eq!(read(&buf), Some(deps));
         // Any truncation reads as None.
         for cut in 0..buf.len() {
-            assert_eq!(decode_deps(&buf[..cut]), None, "truncation at {cut}");
+            assert_eq!(read(&buf[..cut]), None, "truncation at {cut}");
         }
-        // Trailing garbage reads as None.
-        let mut long = buf.clone();
-        long.push(0);
-        assert_eq!(decode_deps(&long), None);
+        // A tag outside the vocabulary reads as None.
+        let mut bad = buf.clone();
+        bad[8] = 0;
+        assert_eq!(read(&bad), None);
     }
 
     #[test]

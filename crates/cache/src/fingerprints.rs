@@ -244,16 +244,6 @@ pub(crate) fn hash_members(h: &mut Fnv64, members: &BTreeSet<SharedMember>) {
     }
 }
 
-/// Position-independent digest of a method's *name*: the key for
-/// persisted per-method check-time measurements, which must survive body
-/// and interface edits (a renamed method simply starts a fresh series).
-pub fn name_hash(mref: &MethodRef) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_str(&mref.0);
-    h.write_str(&mref.1);
-    h.finish()
-}
-
 /// Digest of one method reference's resolved declaration: the reference
 /// itself, the declaring class it resolves to, and the digest of the full
 /// `MethodDecl` (annotations, body, spans relative to the header's start

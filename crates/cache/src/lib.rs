@@ -36,8 +36,8 @@
 //! interface facts the analyses consulted (as
 //! [`sjava_syntax::track::DepKey`]s). The read-set is fingerprinted
 //! (`deps` module) and stored alongside the entry — in memory and, for
-//! store-backed sessions, as a checksummed `.deps` object published with
-//! the same atomic-rename discipline as entries. On the next check, an
+//! store-backed sessions, inside the entry's own store object, so one
+//! atomic rename publishes both. On the next check, an
 //! entry whose key matches is **green** (replayed) iff every recorded
 //! fact re-fingerprints byte-identically on the new program, and **red**
 //! (rechecked) otherwise. An interface edit therefore re-analyzes only
@@ -68,17 +68,18 @@
 //! per-declaration digests of its classes, so the next text re-parses
 //! and re-hashes only the compilation units whose bytes changed.
 //!
-//! Setting `SJAVA_CACHE_DIR` (see [`CACHE_DIR_ENV`]) backs the session
-//! with the concurrent content-addressed [`store::ArtifactStore`]:
-//! per-method results publish as individual objects with atomic renames,
-//! so any number of processes — successive `sjava check` runs, parallel
-//! CI jobs — can share one store directory, and a fresh process starts
-//! warm from whatever an earlier one published. Corrupt or
-//! foreign-format objects (and old monolithic `cache.bin` files from
-//! format v3 and earlier) degrade to cache misses, never to an error or
-//! a stale result. An unwritable cache directory or a malformed
-//! environment value warns once on stderr and degrades to an uncached
-//! session.
+//! [`IncrementalChecker::with_dir`] backs the session with the concurrent
+//! content-addressed [`store::ArtifactStore`] (`sjava check` does so when
+//! `SJAVA_CACHE_DIR`, [`CACHE_DIR_ENV`], is set): each fresh per-method
+//! result and callee set publishes as one object carrying its read-set,
+//! with an atomic rename, so any number of processes — successive
+//! `sjava check` runs, parallel CI jobs — can share one store directory,
+//! and a fresh process starts warm from whatever an earlier one
+//! published. Corrupt or foreign-format objects (and old monolithic
+//! `cache.bin` files from format v3 and earlier) degrade to cache misses,
+//! never to an error or a stale result. An unwritable cache directory or
+//! a malformed `SJAVA_CACHE_MAX_BYTES` warns once on stderr and degrades
+//! to an uncached session or an unbounded store.
 //!
 //! ```
 //! let program = sjava_syntax::parse(
@@ -118,34 +119,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use deps::{Anchor, Anchors, DeclAnchor, FactDb, FactId, FactTable, Relative};
-use fingerprints::{hash_members, hash_summary, name_hash, Digests};
+use fingerprints::{hash_members, hash_summary, Digests};
 pub use store::ArtifactStore;
 
-/// Environment variable naming the on-disk cache directory. When set,
-/// [`IncrementalChecker::from_env`] opens the content-addressed artifact
-/// store under it and serves cross-process warm hits from it. An
-/// unwritable directory warns once on stderr and degrades to an uncached
-/// session.
+/// Environment variable naming the on-disk cache directory: `sjava check`
+/// with it set checks through [`IncrementalChecker::with_dir`] and serves
+/// cross-process warm hits from the store under it.
 pub const CACHE_DIR_ENV: &str = "SJAVA_CACHE_DIR";
 
-/// Environment variable overriding [`PERSIST_MIN_WEIGHT`]. A malformed
-/// value warns once on stderr and falls back to the default rather than
-/// being silently swallowed.
-pub const PERSIST_MIN_ENV: &str = "SJAVA_CACHE_PERSIST_MIN";
-
-/// Minimum total statement weight of the fingerprinted method set before
-/// a store-backed session publishes artifacts after a check.
-/// Persisting costs a fixed encode + write per fresh entry; a paper-sized
-/// app re-checks from scratch faster than that, so persisting it makes
-/// every *warm* check slower than a cold one (the `windsensor`
-/// warm_speedup-0.72 regression). Below this weight the publish is
-/// skipped — the in-memory session still replays hits, and a future
-/// process can re-check the tiny program cheaply anyway.
-pub const PERSIST_MIN_WEIGHT: u64 = 256;
-
 /// One-time warning latches for environment misconfiguration (one per
-/// concern, so a bad cache dir does not mask a bad threshold).
-static WARNED_PERSIST_MIN: AtomicBool = AtomicBool::new(false);
+/// concern, so a bad cache dir does not mask a bad byte budget).
 static WARNED_CACHE_DIR: AtomicBool = AtomicBool::new(false);
 static WARNED_MAX_BYTES: AtomicBool = AtomicBool::new(false);
 
@@ -153,28 +136,6 @@ static WARNED_MAX_BYTES: AtomicBool = AtomicBool::new(false);
 /// `None` means "malformed" (empty is malformed, padding is trimmed).
 fn parse_env_u64(raw: &str) -> Option<u64> {
     raw.trim().parse::<u64>().ok()
-}
-
-/// The effective persistence threshold: [`PERSIST_MIN_WEIGHT`] unless
-/// overridden via [`PERSIST_MIN_ENV`]. `0` persists everything; a
-/// malformed value warns once and keeps the default.
-fn persist_min_weight() -> u64 {
-    match std::env::var(PERSIST_MIN_ENV) {
-        Ok(raw) => match parse_env_u64(&raw) {
-            Some(v) => v,
-            None => {
-                if !WARNED_PERSIST_MIN.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "sjava-cache: warning: ignoring malformed {PERSIST_MIN_ENV}={raw:?} \
-                         (expected a non-negative integer); using the default \
-                         ({PERSIST_MIN_WEIGHT})"
-                    );
-                }
-                PERSIST_MIN_WEIGHT
-            }
-        },
-        Err(_) => PERSIST_MIN_WEIGHT,
-    }
 }
 
 /// The store byte budget from `SJAVA_CACHE_MAX_BYTES`: `None` when unset
@@ -306,19 +267,22 @@ struct SourceState {
 /// from `program`, where the declarations may have moved since the model
 /// was built: the span of the method's effective `@LATTICE`
 /// (`effective_method_annots`), its own or the class `@METHODDEFAULT`.
+/// Like [`Lattices::build`], it reads the first declaration of a repeated
+/// class or method name.
 fn refresh_lattice_spans(lattices: &mut Lattices, program: &Program) {
-    for class in &program.classes {
-        let default = class
+    for ((class, method), info) in &mut lattices.methods {
+        let Some(c) = program.class_untracked(class) else {
+            continue;
+        };
+        let Some(m) = c.methods.iter().find(|m| m.name == *method) else {
+            continue;
+        };
+        let default = c
             .annots
             .method_default
             .as_ref()
             .and_then(|d| d.lattice.as_ref());
-        for method in &class.methods {
-            let key = (class.name.clone(), method.name.clone());
-            if let Some(info) = lattices.methods.get_mut(&key) {
-                info.lattice_span = method.annots.lattice.as_ref().or(default).map(|d| d.span);
-            }
-        }
+        info.lattice_span = m.annots.lattice.as_ref().or(default).map(|d| d.span);
     }
 }
 
@@ -333,18 +297,16 @@ fn refresh_lattice_spans(lattices: &mut Lattices, program: &Program) {
 /// are rebased onto the method's new position when they replay.
 ///
 /// The session is bounded: after each check it keeps only the entries,
-/// read-sets, callee sets and timings that this check or the previous one
-/// used, so a long editing session holds at most two revisions' worth
-/// (and an edit that is reverted straight away still hits the old
-/// entries).
+/// read-sets and callee sets that this check or the previous one used, so
+/// a long editing session holds at most two revisions' worth (and an edit
+/// that is reverted straight away still hits the old entries).
 ///
-/// A store-backed session ([`IncrementalChecker::with_dir`] /
-/// [`IncrementalChecker::from_env`]) additionally probes the shared
-/// artifact store for every fingerprint it has not seen in memory, so
-/// warm hits flow across processes — `sjava check` runs and CI jobs
-/// sharing one `SJAVA_CACHE_DIR` replay each other's results. A store
-/// entry is trusted exactly like an in-memory one: green only while its
-/// recorded read-set revalidates, red (and re-checked) otherwise.
+/// A store-backed session ([`IncrementalChecker::with_dir`]) additionally
+/// probes the shared artifact store for every fingerprint it has not seen
+/// in memory, so warm hits flow across processes — `sjava check` runs and
+/// CI jobs sharing one `SJAVA_CACHE_DIR` replay each other's results. A
+/// store entry is trusted exactly like an in-memory one: green only while
+/// its recorded read-set revalidates, red (and re-checked) otherwise.
 pub struct IncrementalChecker {
     entries: HashMap<u64, Cached>,
     callee_cache: HashMap<u64, Callees<FactId>>,
@@ -361,16 +323,11 @@ pub struct IncrementalChecker {
     /// depend on it; tests use it to prove the re-check set is a subset
     /// of the coarse fingerprint-dirty cone.
     last_rechecked: Vec<MethodRef>,
-    /// Measured flow-check nanoseconds per method-name hash; preferred
-    /// over the static statement-weight estimate when scheduling warm
-    /// fan-outs (scheduling only — results never depend on timings).
-    times: HashMap<u64, u64>,
     /// The last text [`IncrementalChecker::check_source`] parsed through
     /// the unit-indexed front end, kept so the next text re-parses and
     /// re-hashes only the compilation units that changed.
     source: Option<SourceState>,
     store: Option<ArtifactStore>,
-    persist_min: u64,
 }
 
 impl Default for IncrementalChecker {
@@ -390,10 +347,8 @@ impl IncrementalChecker {
             lattice_cache: None,
             last_keys: BTreeMap::new(),
             last_rechecked: Vec::new(),
-            times: HashMap::new(),
             source: None,
             store: None,
-            persist_min: persist_min_weight(),
         }
     }
 
@@ -418,34 +373,9 @@ impl IncrementalChecker {
                 None
             }
         };
-        IncrementalChecker {
-            entries: HashMap::new(),
-            callee_cache: HashMap::new(),
-            facts: FactTable::default(),
-            last_callees: HashSet::new(),
-            lattice_cache: None,
-            last_keys: BTreeMap::new(),
-            last_rechecked: Vec::new(),
-            times: HashMap::new(),
-            source: None,
+        Self {
             store,
-            persist_min: persist_min_weight(),
-        }
-    }
-
-    /// Overrides the persistence weight threshold for this session (`0`
-    /// persists every program). Tests use this instead of mutating
-    /// [`PERSIST_MIN_ENV`], which would race across test threads.
-    pub fn set_persist_min(&mut self, weight: u64) {
-        self.persist_min = weight;
-    }
-
-    /// [`IncrementalChecker::with_dir`] when [`CACHE_DIR_ENV`] is set,
-    /// otherwise [`IncrementalChecker::new`].
-    pub fn from_env() -> Self {
-        match std::env::var(CACHE_DIR_ENV) {
-            Ok(dir) if !dir.trim().is_empty() => Self::with_dir(dir.trim()),
-            _ => Self::new(),
+            ..Self::new()
         }
     }
 
@@ -491,7 +421,6 @@ impl IncrementalChecker {
         self.lattice_cache = None;
         self.last_keys.clear();
         self.last_rechecked.clear();
-        self.times.clear();
         self.source = None;
     }
 
@@ -717,7 +646,7 @@ impl IncrementalChecker {
             /// In-memory entry, read-set verified green: replay, with its
             /// kept wave hash.
             MemGreen(u64),
-            /// Store entry + paired read-set verified green: adopt and
+            /// Store entry whose read-set verified green: adopt and
             /// replay. Boxed: an entry is ~200 bytes and this variant is
             /// rare relative to the green/fresh ones sized per wave slot.
             StoreGreen(Box<MethodEntry>, Vec<(DepKey, u64)>),
@@ -810,31 +739,22 @@ impl IncrementalChecker {
                 }
                 // Cross-process warm path: another session (an earlier
                 // `sjava check`, a parallel CI job) may have published this
-                // fingerprint; one lock-free store read replays it — but
-                // only with its paired read-set (entry checksums must
-                // match, so a torn entry/deps update can never combine)
-                // and only after that read-set verifies green. A paired
-                // read-set that went stale is red, exactly as an in-memory
-                // entry would be; an unpaired or unreadable one is a plain
-                // miss — the store is never trusted without its deps.
-                let mut red = false;
-                if let Some((e, efp)) = self.store.as_ref().and_then(|s| s.get_entry_with_fp(key)) {
-                    if let Some((deps, rec_efp)) = self.store.as_ref().and_then(|s| s.get_deps(key))
-                    {
-                        if rec_efp == efp {
-                            if factdb.keys_green(&deps) {
-                                let sh = e
-                                    .shared_present
-                                    .then(|| (e.shared_clears.clone(), e.shared_reads.clone()));
-                                return (
-                                    Some(Arc::clone(&e.summary)),
-                                    sh,
-                                    Outcome::StoreGreen(Box::new(e), deps),
-                                );
-                            }
-                            red = true;
-                        }
-                    }
+                // fingerprint; one lock-free store read fetches the entry
+                // with the read-set it was published with, and it replays
+                // only after that read-set verifies green. A stale one is
+                // red, exactly as an in-memory entry would be; an
+                // unreadable object is a plain miss.
+                let stored = self.store.as_ref().and_then(|s| s.get_entry(key));
+                let red = stored.is_some();
+                if let Some((e, deps)) = stored.filter(|(_, deps)| factdb.keys_green(deps)) {
+                    let sh = e
+                        .shared_present
+                        .then(|| (e.shared_clears.clone(), e.shared_reads.clone()));
+                    return (
+                        Some(Arc::clone(&e.summary)),
+                        sh,
+                        Outcome::StoreGreen(Box::new(e), deps),
+                    );
                 }
                 let (summary, sh, deps) = fresh();
                 (summary, sh, Outcome::Fresh { red, deps })
@@ -906,54 +826,33 @@ impl IncrementalChecker {
 
         // Flow check: fan out over the dirty indices only, then merge
         // cached and fresh buffers in topological order — the same order
-        // the full pipeline merges, so output bytes match. Scheduling
-        // prefers each method's *measured* duration from a prior run
-        // (session- or store-recorded) over the static statement-weight
-        // estimate; timings only order the work queue, never the output.
+        // the full pipeline merges, so output bytes match. Work is ordered
+        // by the same static cost model as the cold `check_flows`; it
+        // orders the work queue, never the output.
         let mut diags = Diagnostics::new();
         let t = Instant::now();
-        let mut cost: Vec<u64> = Vec::with_capacity(missing.len());
-        for &i in &missing {
-            let nh = name_hash(&cg.topo[i]);
-            let measured = match self.times.get(&nh) {
-                Some(&ns) => Some(ns),
-                None => {
-                    let fetched = self.store.as_ref().and_then(|s| s.get_time(nh));
-                    if let Some(ns) = fetched {
-                        self.times.insert(nh, ns);
-                    }
-                    fetched
-                }
-            };
-            cost.push(match measured {
-                Some(ns) => ns.max(1),
-                None => checker::method_cost(&whole, &lattices, &cg.topo[i]),
-            });
-        }
-        let mut flow_nanos: Vec<(u64, u64)> = Vec::with_capacity(missing.len());
+        let cost: Vec<u64> = missing
+            .iter()
+            .map(|&i| checker::method_cost(&whole, &lattices, &cg.topo[i]))
+            .collect();
         let mut flow_deps: BTreeMap<usize, Vec<DepKey>> = BTreeMap::new();
         let fresh_flow: BTreeMap<usize, Diagnostics> =
             sjava_par::run_sparse_weighted(&missing, &cost, |i| {
                 let scope = ReadScope::begin();
-                let t0 = Instant::now();
                 let d = checker::check_method_flows(
                     &whole,
                     &lattices,
                     &cg.topo[i],
                     &eviction.summaries,
                 );
-                (d, t0.elapsed().as_nanos() as u64, scope.finish())
+                (d, scope.finish())
             })
             .into_iter()
-            .map(|(i, (d, ns, deps))| {
-                flow_nanos.push((name_hash(&cg.topo[i]), ns));
+            .map(|(i, (d, deps))| {
                 flow_deps.insert(i, deps);
                 (i, d)
             })
             .collect();
-        for &(nh, ns) in &flow_nanos {
-            self.times.insert(nh, ns);
-        }
         // Replayed diagnostics are rebased onto where their anchors sit in
         // this program; most entries carry none and skip the lookup.
         let replay = |rel: &Relative<Anchor>, mref: &MethodRef, out: &mut Diagnostics| {
@@ -1079,47 +978,28 @@ impl IncrementalChecker {
         }
         if let Some(store) = &self.store {
             // Publication is best-effort: an unwritable store must not
-            // fail the check. Tiny programs skip the round-trip entirely —
-            // below the weight threshold the encode+write costs more than
-            // the re-check it would save, turning warm checks slower than
-            // cold ones.
-            let weight: u64 = cg
-                .topo
-                .iter()
-                .filter_map(|mref| program.resolve_method(&mref.0, &mref.1))
-                .map(|(_, m)| checker::block_weight(&m.body))
-                .sum();
-            if weight >= self.persist_min {
-                for &i in &missing {
-                    let key = keys[&cg.topo[i]];
-                    let Some(c) = self.entries.get(&key) else {
-                        continue;
-                    };
-                    // The deps object embeds the entry payload's checksum,
-                    // pairing the two publishes: a reader that observes
-                    // mismatched halves treats the key as a miss.
-                    if let Ok(efp) = store.put_entry(key, &c.entry) {
-                        let _ = store.put_deps(key, &factdb.keyed(&c.deps), efp);
-                    }
+            // fail the check. Each object carries its read-set, so one
+            // atomic rename publishes both.
+            for &i in &missing {
+                let key = keys[&cg.topo[i]];
+                if let Some(c) = self.entries.get(&key) {
+                    let _ = store.put_entry(key, &c.entry, &factdb.keyed(&c.deps));
                 }
-                for lfp in &fresh_callees {
-                    let c = &self.callee_cache[lfp];
-                    let callees = Callees {
-                        set: c.set.clone(),
-                        deps: factdb.keyed(&c.deps),
-                    };
-                    let _ = store.put_callees(*lfp, &callees);
-                }
-                for &(nh, ns) in &flow_nanos {
-                    let _ = store.put_time(nh, ns);
-                }
-                if let Some(max) = max_bytes_budget() {
-                    store.evict_to(max);
-                }
+            }
+            for lfp in &fresh_callees {
+                let c = &self.callee_cache[lfp];
+                let callees = Callees {
+                    set: c.set.clone(),
+                    deps: factdb.keyed(&c.deps),
+                };
+                let _ = store.put_callees(*lfp, &callees);
+            }
+            if let Some(max) = max_bytes_budget() {
+                store.evict_to(max);
             }
         }
         // The session bound: keep only what this check and the previous
-        // one used. Entries and read-sets go by key, timings by name.
+        // one used, by key.
         let live: HashSet<u64> = keys
             .values()
             .chain(self.last_keys.values())
@@ -1127,12 +1007,6 @@ impl IncrementalChecker {
             .collect();
         self.entries.retain(|k, _| live.contains(k));
         self.prune_facts();
-        let names: HashSet<u64> = keys
-            .keys()
-            .chain(self.last_keys.keys())
-            .map(name_hash)
-            .collect();
-        self.times.retain(|n, _| names.contains(n));
         self.last_keys = keys;
 
         diags.extend(global);
@@ -1194,23 +1068,10 @@ mod tests {
     }
 
     #[test]
-    fn malformed_persist_min_env_falls_back_to_default() {
-        // The latch only suppresses the warning, never the fallback. This
-        // test owns PERSIST_MIN_ENV (no other test in this crate mutates
-        // it), so the mutation cannot race.
-        std::env::set_var(PERSIST_MIN_ENV, "not-a-number");
-        assert_eq!(persist_min_weight(), PERSIST_MIN_WEIGHT);
-        assert!(WARNED_PERSIST_MIN.load(Ordering::Relaxed));
-        assert_eq!(persist_min_weight(), PERSIST_MIN_WEIGHT);
-        std::env::set_var(PERSIST_MIN_ENV, "512");
-        assert_eq!(persist_min_weight(), 512);
-        std::env::remove_var(PERSIST_MIN_ENV);
-        assert_eq!(persist_min_weight(), PERSIST_MIN_WEIGHT);
-    }
-
-    #[test]
     fn malformed_max_bytes_env_leaves_store_unbounded() {
-        // This test owns MAX_BYTES_ENV; see above.
+        // The latch only suppresses the warning, never the fallback. This
+        // test owns MAX_BYTES_ENV (no other test in this crate mutates
+        // it), so the mutation cannot race.
         std::env::set_var(store::MAX_BYTES_ENV, "a-lot");
         assert_eq!(max_bytes_budget(), None);
         assert!(WARNED_MAX_BYTES.load(Ordering::Relaxed));

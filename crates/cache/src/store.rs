@@ -2,11 +2,11 @@
 //! directory-backed [`crate::IncrementalChecker`] sessions. Any number
 //! of `sjava check` processes may share one store directory.
 //!
-//! ## Layout (format v7)
+//! ## Layout (format v8)
 //!
 //! Earlier formats serialized the whole session into one monolithic
 //! `cache.bin` rewritten after every check — a design that cannot be
-//! shared by concurrent processes (last writer wins, droppings half of
+//! shared by concurrent processes (last writer wins, dropping half of
 //! each worker's entries) and that forces a full decode up front. Version
 //! 4 introduced **one object per artifact** under a fan-out directory;
 //! version 5 re-keyed entries for dependency-tracked revalidation (the
@@ -17,31 +17,31 @@
 //! anchors, so one object serves a method wherever its text sits;
 //! version 7 hashes callee summaries and resolved locations by value
 //! instead of through their `Debug` text, and folds each method's
-//! declaration digest into its local fingerprint as one sub-digest:
+//! declaration digest into its local fingerprint as one sub-digest;
+//! version 8 stores each cached result in one object that carries its
+//! own read-set, and persists no timings:
 //!
 //! ```text
-//! <dir>/v7/objects/<hh>/<16-hex-key>.<kind>
+//! <dir>/v8/objects/<hh>/<16-hex-key>.<kind>
 //! ```
 //!
 //! where `<hh>` is the first byte of the key in hex (256-way fan-out) and
 //! `<kind>` is one of:
 //!
-//! - `entry` — a per-method analysis result (the crate's `MethodEntry`),
-//!   keyed by the method's position-free content fingerprint (body +
-//!   callee summaries; interface facts live in the paired `deps`
-//!   object). Each diagnostic span is stored as an offset from its
-//!   anchor, with one anchor tag per span after each diagnostic list;
-//!   a tag count that does not match the spans reads as corrupt;
-//! - `deps` — the read-set recorded while that entry was computed:
-//!   `(DepKey, fingerprint)` pairs plus the checksum of the entry
-//!   payload they were recorded for, so readers never combine an entry
-//!   and a read-set from different publishes;
-//! - `callees` — a method's direct-callee set with the read-set it was
-//!   computed under, keyed on the method's position-free `local_fp` and
-//!   revalidated like an entry;
-//! - `time` — the method's last measured flow-check duration in
-//!   nanoseconds, keyed by the *name* hash (stable across edits), feeding
-//!   the fan-out cost model on warm runs.
+//! - `entry` — a per-method analysis result (the crate's `MethodEntry`)
+//!   and the read-set recorded while it was computed, keyed by the
+//!   method's position-free content fingerprint (body + callee
+//!   summaries; the interface facts it read are in the read-set). Each
+//!   diagnostic span is stored as an offset from its anchor, with one
+//!   anchor tag per span after each diagnostic list; a tag count that
+//!   does not match the spans reads as corrupt;
+//! - `callees` — a method's direct-callee set and the read-set it was
+//!   computed under, keyed on the method's position-free `local_fp`.
+//!
+//! A read-set is a list of `(DepKey, fingerprint)` pairs, and an object
+//! replays only while every pair re-evaluates identically on the program
+//! being checked. One atomic rename publishes a result together with its
+//! read-set, so no reader can combine halves from different publishes.
 //!
 //! Each object file is `MAGIC ‖ version ‖ FNV-64(payload) ‖ payload`.
 //!
@@ -60,19 +60,20 @@
 //!   checker trusts verbatim, so "mostly intact" is not good enough.
 //! - **Size-bounded**: [`ArtifactStore::evict_to`] deletes
 //!   oldest-modified objects first until the store fits a byte budget
-//!   (`SJAVA_CACHE_MAX_BYTES` wires this to every persisting check).
+//!   (`SJAVA_CACHE_MAX_BYTES` wires this to every store-backed check).
 //!
 //! Entries are content-addressed and valid forever, so eviction is purely
 //! a disk-space policy, never a correctness event. A v3 (or older)
-//! `cache.bin` in the same directory is ignored wholesale, and a v4–v6
+//! `cache.bin` in the same directory is ignored wholesale, and a v4–v7
 //! object tree lives at a different path and is never read — old formats
 //! degrade to clean misses.
 
-use crate::deps::Relative;
+use crate::deps::{put_dep_list, read_dep_list, Relative};
 use crate::{Callees, MethodEntry};
 use sjava_analysis::heappath::HeapPath;
 use sjava_analysis::written::MethodSummary;
 use sjava_core::shared::SharedMember;
+use sjava_syntax::track::DepKey;
 use sjava_syntax::wire::{self, Reader};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -88,37 +89,33 @@ const MAGIC: &[u8; 10] = b"SJAVACACHE";
 /// fingerprints position-free and stores diagnostics relative to their
 /// anchors; version 7 hashes summaries and resolved locations by value
 /// and folds method declaration digests as sub-digests, which changes
-/// what every key means. Old formats live at different paths entirely
-/// and are never read — a v7 store opened over an older directory starts
-/// from clean misses.
-const VERSION: u32 = 7;
+/// what every key means; version 8 folds each entry's read-set into the
+/// entry object and drops the `deps` and `time` kinds. Old formats live
+/// at different paths entirely and are never read — a v8 store opened
+/// over an older directory starts from clean misses.
+const VERSION: u32 = 8;
 
 /// Environment variable bounding the store's total size in bytes. When
-/// set, every persisting check evicts oldest-modified objects until the
+/// set, every store-backed check evicts oldest-modified objects until the
 /// store fits. Malformed values warn once on stderr and leave the store
 /// unbounded.
 pub const MAX_BYTES_ENV: &str = "SJAVA_CACHE_MAX_BYTES";
 
 /// Distinguishes the artifact kinds sharing one store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    /// Per-method analysis result, keyed by content fingerprint.
+pub(crate) enum Kind {
+    /// Per-method analysis result and its read-set, keyed by content
+    /// fingerprint.
     Entry,
-    /// Recorded read-set of an entry, under the same key as the entry.
-    Deps,
     /// Direct-callee set and its read-set, keyed by `local_fp`.
     Callees,
-    /// Measured flow-check nanoseconds, keyed by method-name hash.
-    Time,
 }
 
 impl Kind {
     fn ext(self) -> &'static str {
         match self {
             Kind::Entry => "entry",
-            Kind::Deps => "deps",
             Kind::Callees => "callees",
-            Kind::Time => "time",
         }
     }
 }
@@ -143,7 +140,7 @@ impl ArtifactStore {
     ///
     /// Propagates the I/O error when the directory cannot be created —
     /// callers degrade to a no-cache session (see
-    /// [`crate::IncrementalChecker::from_env`]).
+    /// [`crate::IncrementalChecker::with_dir`]).
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<ArtifactStore> {
         let root = dir.into().join(format!("v{VERSION}")).join("objects");
         std::fs::create_dir_all(&root)?;
@@ -160,14 +157,14 @@ impl ArtifactStore {
         Ok(ArtifactStore { root })
     }
 
-    /// The object-tree root (`<dir>/v6/objects`), exposed for tests and
+    /// The object-tree root (`<dir>/v8/objects`), exposed for tests and
     /// maintenance tooling.
     pub fn objects_root(&self) -> &Path {
         &self.root
     }
 
     /// Path of the object holding `kind`/`key`.
-    pub fn object_path(&self, kind: Kind, key: u64) -> PathBuf {
+    pub(crate) fn object_path(&self, kind: Kind, key: u64) -> PathBuf {
         let hex = format!("{key:016x}");
         self.root
             .join(&hex[..2])
@@ -178,7 +175,7 @@ impl ArtifactStore {
     /// truncated, bit-flipped, or foreign-format file reads as `None`;
     /// verifiably corrupt files are best-effort deleted so the next
     /// writer republishes them.
-    pub fn get(&self, kind: Kind, key: u64) -> Option<Vec<u8>> {
+    pub(crate) fn get(&self, kind: Kind, key: u64) -> Option<Vec<u8>> {
         let path = self.object_path(kind, key);
         let buf = std::fs::read(&path).ok()?;
         match decode_object(&buf) {
@@ -191,20 +188,15 @@ impl ArtifactStore {
     }
 
     /// Publishes `payload` under `kind`/`key` atomically (temp file +
-    /// rename). With `replace: false` an existing object is left
-    /// untouched — entries are content-addressed, so the bytes on disk
-    /// are already the right ones and skipping the write is the fast
-    /// path. `replace: true` overwrites (used for `time` objects, whose
-    /// measurements refresh on every run).
+    /// rename), replacing any object already there: no key folds the
+    /// interface facts, so after an interface edit the same key can
+    /// legitimately hold another result (its read-set tells them apart).
     ///
     /// # Errors
     ///
     /// Propagates I/O failures; callers treat persistence as best-effort.
-    pub fn put(&self, kind: Kind, key: u64, payload: &[u8], replace: bool) -> std::io::Result<()> {
+    pub(crate) fn put(&self, kind: Kind, key: u64, payload: &[u8]) -> std::io::Result<()> {
         let path = self.object_path(kind, key);
-        if !replace && path.exists() {
-            return Ok(());
-        }
         let dir = path.parent().expect("object path has a fan-out parent");
         std::fs::create_dir_all(dir)?;
         let mut buf = Vec::with_capacity(MAGIC.len() + 12 + payload.len());
@@ -243,10 +235,9 @@ impl ArtifactStore {
     /// Deletes oldest-modified objects until the store holds at most
     /// `max_bytes`, returning the number of objects evicted. Eviction is
     /// approximate LRU: publish time stands in for use time, which is
-    /// exact for `time` objects (rewritten each run) and conservative for
-    /// content-addressed entries (old-but-hot entries may be evicted and
-    /// will simply be recomputed and republished — a disk-space policy,
-    /// never a correctness event).
+    /// conservative for content-addressed objects (old-but-hot ones may
+    /// be evicted and will simply be recomputed and republished — a
+    /// disk-space policy, never a correctness event).
     pub fn evict_to(&self, max_bytes: u64) -> usize {
         let mut objects = self.walk();
         let mut total: u64 = objects.iter().map(|(_, len, _)| len).sum();
@@ -298,49 +289,19 @@ impl ArtifactStore {
 
     // ---- typed helpers over the raw object API -------------------------
 
-    /// Fetches and decodes a per-method entry together with the checksum
-    /// of its raw payload — the handle that pairs it with a `deps`
-    /// object published for the same bytes.
-    pub(crate) fn get_entry_with_fp(&self, key: u64) -> Option<(MethodEntry, u64)> {
-        let payload = self.get(Kind::Entry, key)?;
-        Some((decode_entry(&payload)?, checksum(&payload)))
+    /// Fetches and decodes a per-method entry with its recorded read-set.
+    pub(crate) fn get_entry(&self, key: u64) -> Option<(MethodEntry, Vec<(DepKey, u64)>)> {
+        decode_entry(&self.get(Kind::Entry, key)?)
     }
 
-    /// Publishes a per-method entry, returning the payload checksum to
-    /// pair with its read-set. Always replaces: since the key no longer
-    /// folds interface facts, the same key can legitimately hold a
-    /// different result after an interface edit (the paired `deps`
-    /// object is what distinguishes them).
-    pub(crate) fn put_entry(&self, key: u64, entry: &MethodEntry) -> std::io::Result<u64> {
-        let payload = encode_entry(entry);
-        let fp = checksum(&payload);
-        self.put(Kind::Entry, key, &payload, true)?;
-        Ok(fp)
-    }
-
-    /// Fetches and decodes an entry's recorded read-set, returning the
-    /// dep list and the entry-payload checksum it was recorded for.
-    pub(crate) fn get_deps(
+    /// Publishes a per-method entry with its recorded read-set.
+    pub(crate) fn put_entry(
         &self,
         key: u64,
-    ) -> Option<(Vec<(sjava_syntax::track::DepKey, u64)>, u64)> {
-        crate::deps::decode_deps(&self.get(Kind::Deps, key)?)
-    }
-
-    /// Publishes an entry's recorded read-set, paired (via `entry_fp`)
-    /// with the entry payload it was recorded alongside.
-    pub(crate) fn put_deps(
-        &self,
-        key: u64,
-        deps: &[(sjava_syntax::track::DepKey, u64)],
-        entry_fp: u64,
+        entry: &MethodEntry,
+        deps: &[(DepKey, u64)],
     ) -> std::io::Result<()> {
-        self.put(
-            Kind::Deps,
-            key,
-            &crate::deps::encode_deps(deps, entry_fp),
-            true,
-        )
+        self.put(Kind::Entry, key, &encode_entry(entry, deps))
     }
 
     /// Fetches and decodes a callee set with its recorded read-set.
@@ -348,25 +309,9 @@ impl ArtifactStore {
         decode_callees(&self.get(Kind::Callees, key)?)
     }
 
-    /// Publishes a callee set with its read-set. Always replaces: the
-    /// key folds no interface fact, so after an interface edit the same
-    /// key can hold another set (the read-set tells them apart).
+    /// Publishes a callee set with its read-set.
     pub(crate) fn put_callees(&self, key: u64, callees: &Callees) -> std::io::Result<()> {
-        self.put(Kind::Callees, key, &encode_callees(callees), true)
-    }
-
-    /// Fetches a recorded flow-check duration in nanoseconds.
-    pub(crate) fn get_time(&self, key: u64) -> Option<u64> {
-        let payload = self.get(Kind::Time, key)?;
-        Reader::new(&payload).u64()
-    }
-
-    /// Publishes a flow-check duration (always replaces — measurements
-    /// refresh every run).
-    pub(crate) fn put_time(&self, key: u64, nanos: u64) -> std::io::Result<()> {
-        let mut payload = Vec::with_capacity(8);
-        wire::put_u64(&mut payload, nanos);
-        self.put(Kind::Time, key, &payload, true)
+        self.put(Kind::Callees, key, &encode_callees(callees))
     }
 }
 
@@ -409,9 +354,9 @@ fn put_members(buf: &mut Vec<u8>, members: &BTreeSet<SharedMember>) {
     }
 }
 
-/// Deterministic encoding of one per-method entry (equal entries produce
-/// equal bytes — all sets are ordered).
-pub(crate) fn encode_entry(e: &MethodEntry) -> Vec<u8> {
+/// Deterministic encoding of one per-method entry and its read-set (equal
+/// entries produce equal bytes — all sets are ordered).
+fn encode_entry(e: &MethodEntry, deps: &[(DepKey, u64)]) -> Vec<u8> {
     let mut buf = Vec::new();
     put_paths(&mut buf, &e.summary.reads);
     put_paths(&mut buf, &e.summary.may_writes);
@@ -423,6 +368,7 @@ pub(crate) fn encode_entry(e: &MethodEntry) -> Vec<u8> {
     put_members(&mut buf, &e.shared_reads);
     wire::put_u64(&mut buf, e.term_failures as u64);
     e.term.put(&mut buf);
+    put_dep_list(&mut buf, deps);
     buf
 }
 
@@ -449,9 +395,9 @@ fn members(r: &mut Reader<'_>) -> Option<BTreeSet<SharedMember>> {
     Some(out)
 }
 
-/// Decodes one per-method entry; `None` on any truncation, bad tag, or
-/// trailing garbage.
-pub(crate) fn decode_entry(payload: &[u8]) -> Option<MethodEntry> {
+/// Decodes one per-method entry and its read-set; `None` on any
+/// truncation, bad tag, or trailing garbage.
+fn decode_entry(payload: &[u8]) -> Option<(MethodEntry, Vec<(DepKey, u64)>)> {
     let mut r = Reader::new(payload);
     let entry = MethodEntry {
         summary: Arc::new(MethodSummary {
@@ -471,30 +417,31 @@ pub(crate) fn decode_entry(payload: &[u8]) -> Option<MethodEntry> {
         term_failures: r.u64()? as usize,
         term: Relative::read(&mut r)?,
     };
-    r.is_exhausted().then_some(entry)
+    let deps = read_dep_list(&mut r)?;
+    r.is_exhausted().then_some((entry, deps))
 }
 
 /// Deterministic encoding of a direct-callee set and its read-set.
-pub(crate) fn encode_callees(callees: &Callees) -> Vec<u8> {
+fn encode_callees(callees: &Callees) -> Vec<u8> {
     let mut buf = Vec::new();
     wire::put_u64(&mut buf, callees.set.len() as u64);
     for mref in &callees.set {
         wire::put_str(&mut buf, &mref.0);
         wire::put_str(&mut buf, &mref.1);
     }
-    crate::deps::put_dep_list(&mut buf, &callees.deps);
+    put_dep_list(&mut buf, &callees.deps);
     buf
 }
 
 /// Decodes a direct-callee set and its read-set.
-pub(crate) fn decode_callees(payload: &[u8]) -> Option<Callees> {
+fn decode_callees(payload: &[u8]) -> Option<Callees> {
     let mut r = Reader::new(payload);
     let n = r.count()?;
     let mut set = BTreeSet::new();
     for _ in 0..n {
         set.insert((r.string()?, r.string()?));
     }
-    let deps = crate::deps::read_dep_list(&mut r)?;
+    let deps = read_dep_list(&mut r)?;
     r.is_exhausted().then_some(Callees { set, deps })
 }
 
@@ -548,52 +495,39 @@ mod tests {
         }
     }
 
+    /// A read-set as an entry records one, with facts named by one name,
+    /// by two, by none and by a number.
+    fn sample_deps() -> Vec<(DepKey, u64)> {
+        vec![
+            (DepKey::Iface("A".into()), 11),
+            (DepKey::MethodFacts("A".into(), "main".into()), 22),
+            (DepKey::SharedGate, 33),
+            (DepKey::Completion(44), 55),
+        ]
+    }
+
     #[test]
     fn objects_round_trip() {
         let dir = scratch("roundtrip");
         let store = ArtifactStore::open(&dir).expect("open");
-        let entry = sample_entry();
-        let efp = store.put_entry(42, &entry).expect("put entry");
-        assert_eq!(store.get_entry_with_fp(42).expect("hit"), (entry, efp));
-        assert_eq!(store.get_entry_with_fp(43), None, "unrelated key misses");
-
-        let deps = vec![
-            (sjava_syntax::track::DepKey::Iface("A".into()), 11u64),
-            (sjava_syntax::track::DepKey::SharedGate, 22u64),
-        ];
-        store.put_deps(42, &deps, efp).expect("put deps");
-        assert_eq!(store.get_deps(42).expect("hit"), (deps, efp));
+        let (entry, deps) = (sample_entry(), sample_deps());
+        store.put_entry(42, &entry, &deps).expect("put entry");
+        assert_eq!(store.get_entry(42).expect("hit"), (entry, deps));
+        assert_eq!(store.get_entry(43), None, "unrelated key misses");
+        // A re-publish under the same key replaces result and read-set
+        // together.
+        let mut other = sample_entry();
+        other.term_failures = 9;
+        store.put_entry(42, &other, &[]).expect("re-put entry");
+        assert_eq!(store.get_entry(42).expect("hit"), (other, Vec::new()));
 
         let callees = Callees {
             set: [("A".to_string(), "f".to_string())].into(),
-            deps: vec![(
-                sjava_syntax::track::DepKey::Resolve("A".into(), "f".into()),
-                5,
-            )],
+            deps: vec![(DepKey::Resolve("A".into(), "f".into()), 5)],
         };
         store.put_callees(9, &callees).expect("put callees");
         assert_eq!(store.get_callees(9).expect("hit"), callees);
-
-        store.put_time(7, 123_456).expect("put time");
-        assert_eq!(store.get_time(7), Some(123_456));
-        store.put_time(7, 999).expect("replace time");
-        assert_eq!(store.get_time(7), Some(999), "time objects replace");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn entry_replace_repairs_the_pairing_checksum() {
-        // The same key can hold a different result after an interface
-        // edit; re-publishing must both rewrite the bytes and hand back
-        // the new checksum so the paired deps object follows.
-        let dir = scratch("replace");
-        let store = ArtifactStore::open(&dir).expect("open");
-        let fp1 = store.put_entry(3, &sample_entry()).expect("put");
-        let mut other = sample_entry();
-        other.term_failures = 9;
-        let fp2 = store.put_entry(3, &other).expect("re-put");
-        assert_ne!(fp1, fp2);
-        assert_eq!(store.get_entry_with_fp(3).expect("hit"), (other, fp2));
+        assert_eq!(store.get_entry(9), None, "kinds do not share keys");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -601,7 +535,9 @@ mod tests {
     fn every_flipped_bit_reads_as_a_miss() {
         let dir = scratch("bitflip");
         let store = ArtifactStore::open(&dir).expect("open");
-        store.put_entry(1, &sample_entry()).expect("put");
+        store
+            .put_entry(1, &sample_entry(), &sample_deps())
+            .expect("put");
         let path = store.object_path(Kind::Entry, 1);
         let clean = std::fs::read(&path).expect("read");
         for pos in 0..clean.len() {
@@ -609,7 +545,7 @@ mod tests {
             corrupt[pos] ^= 0x10;
             std::fs::write(&path, &corrupt).expect("write");
             assert_eq!(
-                store.get_entry_with_fp(1),
+                store.get_entry(1),
                 None,
                 "flipped byte at {pos} must invalidate the object"
             );
@@ -624,30 +560,30 @@ mod tests {
     fn truncations_and_foreign_files_read_as_misses() {
         let dir = scratch("truncate");
         let store = ArtifactStore::open(&dir).expect("open");
-        store.put_entry(5, &sample_entry()).expect("put");
+        store
+            .put_entry(5, &sample_entry(), &sample_deps())
+            .expect("put");
         let path = store.object_path(Kind::Entry, 5);
         let clean = std::fs::read(&path).expect("read");
         for cut in 0..clean.len() {
             std::fs::write(&path, &clean[..cut]).expect("truncate");
-            assert_eq!(
-                store.get_entry_with_fp(5),
-                None,
-                "truncation at {cut} must miss"
-            );
+            assert_eq!(store.get_entry(5), None, "truncation at {cut} must miss");
         }
         std::fs::write(&path, b"NOTANOBJECT").expect("foreign");
-        assert_eq!(store.get_entry_with_fp(5), None);
+        assert_eq!(store.get_entry(5), None);
         // Old monolithic formats (a `cache.bin` beside the object tree)
         // are ignored wholesale — the store never even opens them.
         std::fs::write(dir.join("cache.bin"), b"SJAVACACHE old format").expect("v3 file");
-        assert_eq!(store.get_entry_with_fp(5), None);
-        assert_eq!(store.get_entry_with_fp(6), None);
-        // A well-formed v5 object (its entries keyed on absolute spans) or
-        // v6 object (its keys folding `Debug` text) in its own tree beside
+        assert_eq!(store.get_entry(5), None);
+        assert_eq!(store.get_entry(6), None);
+        // A well-formed v5 object (its entries keyed on absolute spans),
+        // v6 object (its keys folding `Debug` text) or v7 object (its
+        // read-set in a separate `deps` object) in its own tree beside
         // this one is never read: it lives at another path, and its
-        // header names another version.
-        let payload = encode_entry(&sample_entry());
-        for old in [5u32, 6] {
+        // header names another version. The current payload stands in
+        // for each old one, so only the version can reject it.
+        let payload = encode_entry(&sample_entry(), &sample_deps());
+        for old in [5u32, 6, 7] {
             let mut bytes = MAGIC.to_vec();
             wire::put_u32(&mut bytes, old);
             wire::put_u64(&mut bytes, checksum(&payload));
@@ -660,41 +596,12 @@ mod tests {
             );
             std::fs::create_dir_all(old_path.parent().expect("fan-out dir")).expect("old tree");
             std::fs::write(&old_path, &bytes).expect("old object");
-            assert_eq!(
-                store.get_entry_with_fp(6),
-                None,
-                "a v{old} tree is never read"
-            );
+            assert_eq!(store.get_entry(6), None, "a v{old} tree is never read");
             // Copied into the current tree it still misses, on its
             // version field.
             std::fs::write(store.object_path(Kind::Entry, 6), &bytes).expect("old bytes");
-            assert_eq!(
-                store.get_entry_with_fp(6),
-                None,
-                "a v{old} header is rejected"
-            );
+            assert_eq!(store.get_entry(6), None, "a v{old} header is rejected");
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn skip_if_exists_does_not_rewrite() {
-        let dir = scratch("skip");
-        let store = ArtifactStore::open(&dir).expect("open");
-        // With `replace: false` an existing object keeps its bytes and
-        // its mtime.
-        store.put(Kind::Callees, 3, b"first", false).expect("put");
-        let path = store.object_path(Kind::Callees, 3);
-        let before = std::fs::metadata(&path).expect("meta").modified().ok();
-        let marker = std::fs::read(&path).expect("read");
-        store
-            .put(Kind::Callees, 3, b"second", false)
-            .expect("re-put");
-        assert_eq!(std::fs::read(&path).expect("read"), marker);
-        assert_eq!(
-            std::fs::metadata(&path).expect("meta").modified().ok(),
-            before
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -703,9 +610,13 @@ mod tests {
         let dir = scratch("evict");
         let store = ArtifactStore::open(&dir).expect("open");
         // Three objects with strictly increasing mtimes.
+        let entry = |n: u64| MethodEntry {
+            term_failures: n as usize,
+            ..sample_entry()
+        };
         for key in 0..3u64 {
-            store.put_time(key, key).expect("put");
-            let path = store.object_path(Kind::Time, key);
+            store.put_entry(key, &entry(key), &[]).expect("put");
+            let path = store.object_path(Kind::Entry, key);
             // Space the mtimes out explicitly — filesystem timestamp
             // granularity can be coarse.
             let t = std::time::SystemTime::UNIX_EPOCH
@@ -721,9 +632,9 @@ mod tests {
         // Budget for two objects: the oldest (key 0) must go.
         let evicted = store.evict_to(per_object * 2);
         assert_eq!(evicted, 1);
-        assert_eq!(store.get_time(0), None, "oldest object evicted");
-        assert_eq!(store.get_time(1), Some(1));
-        assert_eq!(store.get_time(2), Some(2));
+        assert_eq!(store.get_entry(0), None, "oldest object evicted");
+        assert_eq!(store.get_entry(1), Some((entry(1), Vec::new())));
+        assert_eq!(store.get_entry(2), Some((entry(2), Vec::new())));
         // Already under budget: no-op.
         assert_eq!(store.evict_to(u64::MAX), 0);
         // Zero budget clears everything.
@@ -752,7 +663,7 @@ mod tests {
                 let store = &store;
                 s.spawn(move || {
                     for _ in 0..50 {
-                        store.put(Kind::Entry, 77, p, true).expect("put");
+                        store.put(Kind::Entry, 77, p).expect("put");
                     }
                 });
             }

@@ -140,10 +140,8 @@ fn corrupt_disk_cache_degrades_to_misses() {
     let program = sjava_syntax::parse(sjava_apps::eyetrack::SOURCE).expect("parses");
 
     // Populate the artifact store, then destroy the tail of every
-    // object. The paper app is below the persistence weight threshold,
-    // so force the write.
+    // object.
     let mut writer = IncrementalChecker::with_dir(&dir);
-    writer.set_persist_min(0);
     let cold = writer.check(&program);
     let root = writer
         .store()
@@ -182,7 +180,6 @@ fn disk_round_trip_serves_warm_hits_across_sessions() {
     let program = sjava_syntax::parse(sjava_apps::sumobot::SOURCE).expect("parses");
 
     let mut first = IncrementalChecker::with_dir(&dir);
-    first.set_persist_min(0);
     let cold = first.check(&program);
     assert!(cold.cache.expect("stats").misses > 0);
     drop(first);
@@ -203,8 +200,8 @@ fn disk_round_trip_serves_warm_hits_across_sessions() {
 
 #[test]
 fn store_backed_session_counts_red_like_an_in_memory_one() {
-    // A store entry whose paired read-set went stale is red, exactly like
-    // a stale in-memory entry: after the same interface edit, a fresh
+    // A store entry whose read-set went stale is red, exactly like a
+    // stale in-memory entry: after the same interface edit, a fresh
     // session over a primed store and a warm in-memory session must
     // report the same (green, red, misses).
     let dir = std::env::temp_dir().join("sjava-cache-correctness-red");
@@ -216,7 +213,6 @@ fn store_backed_session_counts_red_like_an_in_memory_one() {
     assert!(shift_method_span(&mut edited, &class, &method));
 
     let mut primer = IncrementalChecker::with_dir(&dir);
-    primer.set_persist_min(0);
     primer.check(&pristine);
     drop(primer);
     let mut memory = IncrementalChecker::new();
@@ -236,26 +232,32 @@ fn store_backed_session_counts_red_like_an_in_memory_one() {
 }
 
 #[test]
-fn tiny_programs_skip_the_disk_round_trip() {
-    // A paper-sized app is cheaper to re-check than to round-trip through
-    // the store, so a directory-backed session must not publish objects
-    // for it — those writes are exactly what made warm checks slower than
-    // cold ones.
-    let dir = std::env::temp_dir().join("sjava-cache-correctness-skip");
+fn small_programs_round_trip_through_the_store() {
+    // Every store-backed check publishes its fresh results, however small
+    // the program: a fresh session over windsensor's objects replays
+    // every method and publishes nothing new.
+    let dir = std::env::temp_dir().join("sjava-cache-correctness-small");
     let _ = std::fs::remove_dir_all(&dir);
     let program = sjava_syntax::parse(sjava_apps::windsensor::SOURCE).expect("parses");
 
-    let mut session = IncrementalChecker::with_dir(&dir);
-    let first = session.check(&program);
+    let mut writer = IncrementalChecker::with_dir(&dir);
+    let cold = writer.check(&program);
+    let published = writer.store().expect("store opened").object_count();
+    assert!(published > 0, "windsensor must publish store objects");
+    drop(writer);
+
+    let mut reader = IncrementalChecker::with_dir(&dir);
+    let warm = reader.check(&program);
+    assert_eq!(digest(&warm), digest(&cold));
+    assert_eq!(digest(&warm), digest(&check_program(&program)));
+    let stats = warm.cache.expect("stats");
+    assert_eq!(stats.misses, 0, "every method replays from the store");
+    assert_eq!(stats.hits, cold.cache.expect("stats").misses);
     assert_eq!(
-        session.store().expect("store opened").object_count(),
-        0,
-        "windsensor is below the persistence threshold; no objects expected"
+        reader.store().expect("store opened").object_count(),
+        published,
+        "a full replay publishes nothing"
     );
-    // The in-memory session still replays everything.
-    let warm = session.check(&program);
-    assert_eq!(digest(&first), digest(&warm));
-    assert_eq!(warm.cache.expect("stats").misses, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -430,6 +432,45 @@ fn moved_duplicated_and_reverted_units_check_like_cold() {
             );
             assert_eq!(warm.termination_failures, cold.termination_failures);
         }
+    }
+}
+
+/// A second class `A` whose `main` declares a lattice of its own: a model
+/// that read it instead of the first `A` would label `main`'s flow error
+/// at the wrong `@LATTICE`.
+const SECOND_A: &str =
+    "@LATTICE(\"P<Q\")\nclass A {\n    @LATTICE(\"S<T\") @THISLOC(\"S\")\n    void main() { }\n}\n";
+
+#[test]
+fn adding_and_removing_a_repeated_class_checks_like_cold() {
+    // The duplicate is added and moved on its own. The interface is then
+    // unchanged, so the cached lattice model is reused with its spans
+    // re-read, and an edit to the first `main` re-checks it against
+    // them. Then everything moves, and the duplicate is removed.
+    let moved = format!("{OUTREACH}\n// moved\n{SECOND_A}");
+    let edited = moved.replace("Out.emit(lo);", "Out.emit(lo + 1);");
+    let texts = [
+        OUTREACH.to_string(),
+        format!("{OUTREACH}\n{SECOND_A}"),
+        moved,
+        edited.clone(),
+        format!("// moved\n{edited}"),
+        OUTREACH.to_string(),
+    ];
+    let mut session = IncrementalChecker::new();
+    for (n, text) in texts.iter().enumerate() {
+        let warm = session.check_source(text).expect("parses");
+        let cold = sjava_core::check_source(text).expect("parses");
+        assert_eq!(
+            renderings(text, &warm.diagnostics),
+            renderings(text, &cold.diagnostics),
+            "step {n}"
+        );
+        assert!(
+            warm.diagnostics.iter().any(|d| !d.labels.is_empty()),
+            "step {n}: {}",
+            warm.diagnostics
+        );
     }
 }
 

@@ -50,7 +50,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// session, asserting it does not panic whatever the store holds.
 fn render_via_dir(dir: &Path) -> String {
     let mut session = IncrementalChecker::with_dir(dir);
-    session.set_persist_min(0);
     let report = session.check_source(PROBE).expect("probe parses");
     format!("{}", report.diagnostics)
 }
@@ -59,7 +58,6 @@ fn render_via_dir(dir: &Path) -> String {
 /// `.entry` object path (the payloads a wrong replay would surface from).
 fn seeded_entries(dir: &Path) -> Vec<PathBuf> {
     let mut session = IncrementalChecker::with_dir(dir);
-    session.set_persist_min(0);
     let report = session.check_source(PROBE).expect("probe parses");
     assert!(
         report.diagnostics.has_errors(),
@@ -122,10 +120,11 @@ fn foreign_format_versions_degrade_to_misses() {
     let dir = scratch_dir("versions");
     let entries = seeded_entries(&dir);
     let expected = fresh_rendering();
-    // Every version but the current v7: the older formats (v5 keyed
-    // entries on absolute spans, v6 folded `Debug` text into keys) and a
-    // future one.
-    for version in [0u32, 1, 2, 3, 4, 5, 6, 8, u32::MAX] {
+    // Every version but the current v8: the older formats (v5 keyed
+    // entries on absolute spans, v6 folded `Debug` text into keys, v7
+    // kept each entry's read-set in a separate `deps` object) and future
+    // ones.
+    for version in [0u32, 1, 2, 3, 4, 5, 6, 7, 9, u32::MAX] {
         // Same payloads, forged version fields: every object must be
         // ignored wholesale.
         for path in &entries {
@@ -136,7 +135,6 @@ fn foreign_format_versions_degrade_to_misses() {
             std::fs::write(path, &forged).expect("write forged version");
         }
         let mut session = IncrementalChecker::with_dir(&dir);
-        session.set_persist_min(0);
         let report = session.check_source(PROBE).expect("probe parses");
         assert_eq!(
             format!("{}", report.diagnostics),
@@ -238,7 +236,6 @@ fn v3_monolithic_cache_degrades_to_clean_misses() {
     std::fs::write(&old, &v3).expect("write v3 file");
 
     let mut session = IncrementalChecker::with_dir(&dir);
-    session.set_persist_min(0);
     let report = session.check_source(PROBE).expect("probe parses");
     assert_eq!(format!("{}", report.diagnostics), fresh_rendering());
     let stats = report.cache.expect("incremental");
@@ -253,7 +250,6 @@ fn v3_monolithic_cache_degrades_to_clean_misses() {
     // And the store it *did* open works: a second session over the same
     // directory serves everything warm.
     let mut second = IncrementalChecker::with_dir(&dir);
-    second.set_persist_min(0);
     let warm = second.check_source(PROBE).expect("probe parses");
     assert_eq!(format!("{}", warm.diagnostics), fresh_rendering());
     assert_eq!(warm.cache.expect("incremental").misses, 0);

@@ -63,12 +63,18 @@ impl Lattices {
     /// Builds the model from a program, validating lattice declarations
     /// and inheritance. Each distinct declaration is built once; an
     /// invalid one is reported at every use, each at that use's span.
+    /// Where a class name, or a method name within a class, repeats, the
+    /// model holds the first declaration, the one [`Program::class`] and
+    /// [`Program::method`] find; every later one is still validated.
     pub fn build(program: &Program, diags: &mut Diagnostics) -> Self {
         let mut model = Lattices::default();
         let mut memo = DeclMemo::default();
         for class in &program.classes {
             let lat = memo.lattice(class.annots.lattice.as_ref(), diags);
-            model.fields.insert(class.name.clone(), lat);
+            let first = !model.fields.contains_key(&class.name);
+            if first {
+                model.fields.insert(class.name.clone(), lat);
+            }
             for method in &class.methods {
                 let annots = EffectiveAnnots::of(class, method);
                 let lat = memo.lattice(annots.lattice, diags);
@@ -82,9 +88,12 @@ impl Lattices {
                     lattice_span: annots.lattice.map(|d| d.span),
                     lattice: lat,
                 };
-                model
-                    .methods
-                    .insert((class.name.clone(), method.name.clone()), info);
+                if first {
+                    model
+                        .methods
+                        .entry((class.name.clone(), method.name.clone()))
+                        .or_insert(info);
+                }
             }
         }
         model.check_inheritance(program, diags);
@@ -446,6 +455,42 @@ mod tests {
             .lattice
             .get("H")
             .is_none());
+    }
+
+    #[test]
+    fn a_repeated_class_name_checks_like_its_renamed_twin() {
+        // A second `A` must not replace the first in the model: the
+        // checker reads the first declaration, as every chain walk does,
+        // so the program reports exactly what it reports with the second
+        // class renamed. An invalid lattice on it is still reported.
+        let first = r#"@LATTICE("LO<HI") @METHODDEFAULT("V<IN") @THISLOC("V")
+class A {
+    @LOC("HI") int hi; @LOC("LO") int lo;
+    void main() {
+        SSJAVA: while (true) {
+            @LOC("IN") int x = Device.read();
+            hi = x;
+            lo = hi;
+            Out.emit(lo);
+        }
+    }
+}
+"#;
+        for (second, diagnostics) in [(r#"@LATTICE("P<Q")"#, 0), (r#"@LATTICE("P<Q,Q<P")"#, 1)] {
+            let [repeated, renamed] = ["A", "B"].map(|name| {
+                let text = format!("{first}{second} class {name} {{ }}\n");
+                let file = sjava_syntax::SourceFile::new("twin.sj", text.clone());
+                let report = crate::check_source(&text).expect("parses");
+                let json = sjava_syntax::emit::to_json(&file, &report.diagnostics);
+                (
+                    report.diagnostics.to_string(),
+                    json,
+                    report.diagnostics.len(),
+                )
+            });
+            assert_eq!(repeated, renamed, "{second}");
+            assert_eq!(repeated.2, diagnostics, "{second}: {}", repeated.0);
+        }
     }
 
     #[test]

@@ -44,6 +44,12 @@
 #  10. a fixed-seed differential fuzz smoke: 500 generated cases
 #      (adversarial stress shapes + mutations) through all five
 #      engine-pair oracles; any mismatch fails the build
+#  11. the repository benchmark's self-test (`perfbench/run.py
+#      --self-test`): builds the CLI and the benchmark harness against the
+#      workspace crates, runs every workload at a tiny size, and checks
+#      every metric and answer. It is the one step that builds the
+#      harness, so a change to an API the harness uses fails here rather
+#      than in the benchmark
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -100,5 +106,10 @@ echo "== differential fuzz smoke (seed 1, 500 cases, all oracles) =="
 # disagreement, not flakiness. Re-run a failing case interactively with
 #   target/release/sjava fuzz --seed=1 --cases=500 --minimize --fixtures-dir=findings/
 target/release/sjava fuzz --seed=1 --cases=500
+
+echo "== benchmark self-test (builds the perfbench harness, tiny workloads) =="
+# Builds into the workspace target directory, which already holds the
+# release CLI, so only the harness is compiled here.
+CARGO_TARGET_DIR=target python3 perfbench/run.py --self-test
 
 echo "CI green"

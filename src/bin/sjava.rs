@@ -732,12 +732,11 @@ fn cmd_check(args: &[String]) -> ExitCode {
     let checked = parsed.as_ref().map(|program| {
         // With `SJAVA_CACHE_DIR` set the check goes through the artifact
         // store, sharing warm hits with every process that uses it.
-        if std::env::var(sjava::cache::CACHE_DIR_ENV).is_ok_and(|v| !v.trim().is_empty()) {
-            session
-                .insert(sjava::cache::IncrementalChecker::from_env())
-                .check(program)
-        } else {
-            sjava::check(program)
+        match std::env::var(sjava::cache::CACHE_DIR_ENV) {
+            Ok(dir) if !dir.trim().is_empty() => session
+                .insert(sjava::cache::IncrementalChecker::with_dir(dir.trim()))
+                .check(program),
+            _ => sjava::check(program),
         }
     });
     let diagnostics = match &checked {

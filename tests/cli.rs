@@ -318,8 +318,7 @@ fn check_processes_share_one_store() {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_sjava"));
         cmd.arg("check").arg(&path);
         if store {
-            cmd.env("SJAVA_CACHE_DIR", &dir)
-                .env("SJAVA_CACHE_PERSIST_MIN", "0");
+            cmd.env("SJAVA_CACHE_DIR", &dir);
         }
         let out = cmd.output().expect("binary runs");
         (out.status.code(), out.stdout, out.stderr)
@@ -337,6 +336,53 @@ fn check_processes_share_one_store() {
         cold,
         "store-backed output differs from uncached"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn store_holds_one_entry_and_one_callee_set_per_method() {
+    // A store-backed `sjava check` of the 201-method stress corpus writes
+    // one object per cached result: each reachable method's entry (which
+    // carries its read-set) and its callee set, and nothing else.
+    use sjava_bench::stressgen::{generate, StressConfig};
+    let source = generate(&StressConfig::large());
+    let path = write_temp("store-layout.sj", &source);
+    let program = sjava::parse(&source).expect("the corpus parses");
+    let stats = sjava::cache::IncrementalChecker::new()
+        .check(&program)
+        .cache
+        .expect("incremental stats");
+    let reachable = stats.hits + stats.misses;
+    assert!(reachable >= 200, "{reachable} reachable methods");
+    let dir = std::env::temp_dir().join("sjava-cli-tests-layout");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_sjava"))
+        .arg("check")
+        .arg(&path)
+        .env("SJAVA_CACHE_DIR", &dir)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let store = sjava::cache::ArtifactStore::open(&dir).expect("store opens");
+    let mut kinds = std::collections::BTreeMap::<String, usize>::new();
+    for fanout in std::fs::read_dir(store.objects_root()).expect("objects root") {
+        for object in std::fs::read_dir(fanout.expect("fan-out").path()).expect("fan-out dir") {
+            let name = object.expect("object").file_name();
+            let name = name.to_string_lossy();
+            let kind = name.rsplit_once('.').map_or(&*name, |(_, ext)| ext);
+            *kinds.entry(kind.to_string()).or_default() += 1;
+        }
+    }
+    let expected: std::collections::BTreeMap<String, usize> = [
+        ("callees".to_string(), reachable),
+        ("entry".to_string(), reachable),
+    ]
+    .into();
+    assert_eq!(kinds, expected);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
