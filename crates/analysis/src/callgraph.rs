@@ -335,9 +335,10 @@ fn collect_calls_expr(
     out: &mut BTreeSet<MethodRef>,
 ) {
     match expr {
-        Expr::Call {
-            recv, name, args, ..
-        } => {
+        Expr::Call(call) => {
+            let CallExpr {
+                recv, name, args, ..
+            } = &**call;
             if let Some(class) = env.call_target_class(expr) {
                 if program.resolve_method(&class, name).is_some() {
                     out.insert((class, name.clone()));

@@ -15,7 +15,7 @@
 
 use crate::cfg::{BasicBlock, BlockId, Cfg, Instr};
 use crate::dense::{solve_gen_kill, BitSet, Interner, VarInterner};
-use sjava_syntax::ast::{Expr, LValue};
+use sjava_syntax::ast::{CallExpr, Expr, LValue};
 use std::collections::BTreeSet;
 
 /// Per-block input/output facts after solving.
@@ -44,7 +44,8 @@ pub fn expr_uses_with<F: FnMut(&str)>(e: &Expr, visit: &mut F) {
             expr_uses_with(base, visit);
             expr_uses_with(index, visit);
         }
-        Expr::Call { recv, args, .. } => {
+        Expr::Call(call) => {
+            let CallExpr { recv, args, .. } = &**call;
             if let Some(r) = recv {
                 expr_uses_with(r, visit);
             }

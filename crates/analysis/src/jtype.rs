@@ -111,12 +111,13 @@ impl<'p> TypeEnv<'p> {
                 _ => None,
             },
             Expr::Length { .. } => Some(Type::Int),
-            Expr::Call {
-                recv,
-                class_recv,
-                name,
-                ..
-            } => {
+            Expr::Call(call) => {
+                let CallExpr {
+                    recv,
+                    class_recv,
+                    name,
+                    ..
+                } = &**call;
                 let class = match (recv, class_recv) {
                     (Some(r), _) => match self.ty(r)? {
                         Type::Class(c) => c,
@@ -158,12 +159,12 @@ impl<'p> TypeEnv<'p> {
     /// Resolves the class whose method a call targets (`None` for
     /// intrinsics or unresolvable receivers).
     pub fn call_target_class(&self, expr: &Expr) -> Option<String> {
-        let Expr::Call {
-            recv, class_recv, ..
-        } = expr
-        else {
+        let Expr::Call(call) = expr else {
             return None;
         };
+        let CallExpr {
+            recv, class_recv, ..
+        } = &**call;
         match (recv, class_recv) {
             (Some(r), _) => match self.ty(r)? {
                 Type::Class(c) => Some(c),

@@ -126,7 +126,8 @@ impl Cx<'_> {
                 self.scan_expr(base, Escape::Local);
                 self.scan_expr(index, Escape::Local);
             }
-            Expr::Call { recv, args, .. } => {
+            Expr::Call(call) => {
+                let CallExpr { recv, args, .. } = &**call;
                 if let Some(r) = recv {
                     self.scan_expr(r, Escape::Local);
                 }

@@ -92,7 +92,7 @@ fn lint_method(class: &str, method: &MethodDecl, diags: &mut Diagnostics) -> usi
 fn has_calls(i: &Instr) -> bool {
     fn expr_has_call(e: &Expr) -> bool {
         match e {
-            Expr::Call { .. } => true,
+            Expr::Call(_) => true,
             Expr::Field { base, .. } | Expr::Length { base, .. } => expr_has_call(base),
             Expr::Index { base, index, .. } => expr_has_call(base) || expr_has_call(index),
             Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => expr_has_call(operand),

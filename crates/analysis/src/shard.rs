@@ -32,7 +32,8 @@
 use sjava_lattice::Fnv64;
 use sjava_syntax::annot::{ClassAnnots, CompositeLocAnnot, LatticeDecl, MethodAnnots, VarAnnots};
 use sjava_syntax::ast::{
-    Block, ClassDecl, Expr, FieldDecl, LValue, LoopKind, MethodDecl, Param, Program, Stmt, Type,
+    Block, CallExpr, ClassDecl, Expr, FieldDecl, LValue, LoopKind, MethodDecl, Param, Program,
+    Stmt, Type,
 };
 use sjava_syntax::span::Span;
 use std::collections::BTreeMap;
@@ -554,13 +555,14 @@ fn hash_expr(h: &mut Fnv64, e: &Expr, anchor: u32) {
             hash_expr(h, base, anchor);
             h.write_u64(rel(*span, anchor));
         }
-        Expr::Call {
-            recv,
-            class_recv,
-            name,
-            args,
-            span,
-        } => {
+        Expr::Call(call) => {
+            let CallExpr {
+                recv,
+                class_recv,
+                name,
+                args,
+                span,
+            } = &**call;
             h.write_u64(12);
             match recv {
                 Some(r) => {

@@ -507,7 +507,7 @@ impl<'p> BodyAnalyzer<'p> {
                 }
             }
             Expr::Length { base, .. } => self.read_expr(base, st),
-            Expr::Call { .. } => self.call_effects(e, st),
+            Expr::Call(_) => self.call_effects(e, st),
             Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => self.read_expr(operand, st),
             Expr::Binary { lhs, rhs, .. } => {
                 self.read_expr(lhs, st);
@@ -521,16 +521,16 @@ impl<'p> BodyAnalyzer<'p> {
     /// Applies a call's effects: argument reads plus the callee's
     /// translated `R`/`OW`/`WT` (§4.2.1 call-site rule).
     fn call_effects(&mut self, e: &Expr, st: &mut FlowState) {
-        let Expr::Call {
+        let Expr::Call(call) = e else {
+            return;
+        };
+        let CallExpr {
             recv,
             class_recv,
             name,
             args,
             span,
-        } = e
-        else {
-            return;
-        };
+        } = &**call;
         for a in args {
             self.read_expr(a, st);
         }
@@ -830,7 +830,7 @@ fn full_array_clear(
             ..
         } = s
         {
-            if matches!(index, Expr::Var { name, .. } if *name == idx) {
+            if matches!(&**index, Expr::Var { name, .. } if *name == idx) {
                 let (paths, definite) = an.paths_of(base, st);
                 if definite && paths.count() == 1 {
                     let base_id = paths.iter().next().expect("count checked") as PathId;

@@ -17,7 +17,7 @@
 //! edit that does: whitespace or a line comment at a token boundary,
 //! which changes no token and shifts every span after it.
 
-use sjava_syntax::ast::{Block, Expr, LValue, Program, Stmt};
+use sjava_syntax::ast::{Block, CallExpr, Expr, LValue, Program, Stmt};
 use sjava_syntax::diag::Diagnostics;
 
 /// Increments the first integer literal (in statement order) found in the
@@ -208,7 +208,8 @@ fn walk_expr(expr: &mut Expr, mutate: &mut dyn FnMut(&mut Expr) -> bool) -> bool
         | Expr::New { .. } => false,
         Expr::Field { base, .. } | Expr::Length { base, .. } => walk_expr(base, mutate),
         Expr::Index { base, index, .. } => walk_expr(base, mutate) || walk_expr(index, mutate),
-        Expr::Call { recv, args, .. } => {
+        Expr::Call(call) => {
+            let CallExpr { recv, args, .. } = &mut **call;
             recv.as_mut().is_some_and(|r| walk_expr(r, mutate))
                 || args.iter_mut().any(|a| walk_expr(a, mutate))
         }
@@ -281,7 +282,7 @@ mod tests {
         let tokens = |s: &str| {
             sjava_syntax::lexer::lex(s, &mut Diagnostics::new())
                 .into_iter()
-                .map(|t| t.kind)
+                .map(|t| (t.kind, t.text(s).to_string()))
                 .collect::<Vec<_>>()
         };
         for pick in 0..20 {

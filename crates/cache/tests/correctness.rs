@@ -507,7 +507,7 @@ fn session_keeps_at_most_two_checks_of_entries() {
     for step in 0..240 {
         let literals: Vec<_> = sjava_syntax::lexer::lex(&text, &mut Diagnostics::new())
             .into_iter()
-            .filter(|t| matches!(t.kind, TokenKind::IntLit(_)))
+            .filter(|t| t.kind == TokenKind::IntLit)
             .map(|t| t.span)
             .collect();
         let lit = literals[step * 7 % literals.len()];

@@ -525,7 +525,7 @@ impl<'p> MethodChecker<'p> {
             }
             // Array lengths are fixed at allocation time: constants.
             Expr::Length { .. } => self.top,
-            Expr::Call { .. } => self.check_call(e, self.top, true, diags),
+            Expr::Call(_) => self.check_call(e, self.top, true, diags),
             // Fresh allocations are owned and may be placed anywhere.
             Expr::New { .. } | Expr::NewArray { .. } => self.top,
             Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => {
@@ -794,10 +794,11 @@ impl<'p> MethodChecker<'p> {
                 }
             }
             Stmt::ExprStmt { expr, .. } => {
-                if matches!(expr, Expr::Call { .. }) {
+                if matches!(expr, Expr::Call(_)) {
                     self.check_call(expr, pc, false, diags);
                     // Argument sub-expressions still need checking.
-                    if let Expr::Call { args, recv, .. } = expr {
+                    if let Expr::Call(call) = expr {
+                        let CallExpr { args, recv, .. } = &**call;
                         for a in args {
                             self.check_subexprs(a, pc, diags);
                         }
@@ -817,7 +818,8 @@ impl<'p> MethodChecker<'p> {
     /// Checks calls nested inside an expression tree.
     fn check_subexprs(&self, e: &Expr, pc: LocRef, diags: &mut Diagnostics) {
         match e {
-            Expr::Call { args, recv, .. } => {
+            Expr::Call(call) => {
+                let CallExpr { args, recv, .. } = &**call;
                 self.check_call(e, pc, false, diags);
                 for a in args {
                     self.check_subexprs(a, pc, diags);
@@ -849,16 +851,16 @@ impl<'p> MethodChecker<'p> {
     /// the program-counter constraint, and computes the caller-side
     /// return-value location.
     fn check_call(&self, e: &Expr, pc: LocRef, _as_value: bool, diags: &mut Diagnostics) -> LocRef {
-        let Expr::Call {
+        let Expr::Call(call) = e else {
+            return self.top;
+        };
+        let CallExpr {
             recv,
             class_recv,
             name,
             args,
             span,
-        } = e
-        else {
-            return self.top;
-        };
+        } = &**call;
         // Intrinsics.
         if let Some(c) = class_recv {
             match c.as_str() {

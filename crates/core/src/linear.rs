@@ -122,7 +122,7 @@ fn rhs_ownership(e: &Expr, st: &HashMap<String, Own>) -> Own {
         Expr::New { .. } | Expr::NewArray { .. } => Own::Owned,
         Expr::Null { .. } => Own::Owned,
         // Methods return owned references (§4.1.6).
-        Expr::Call { .. } => Own::Owned,
+        Expr::Call(_) => Own::Owned,
         Expr::Var { name, .. } => st.get(name).copied().unwrap_or(Own::Borrowed),
         // Reading a reference out of the heap borrows it.
         Expr::Field { .. } | Expr::StaticField { .. } | Expr::Index { .. } => Own::Borrowed,
@@ -159,7 +159,8 @@ fn scan_uses(e: &Expr, st: &HashMap<String, Own>, cx: &mut Cx<'_, '_>) {
             scan_uses(lhs, st, cx);
             scan_uses(rhs, st, cx);
         }
-        Expr::Call { recv, args, .. } => {
+        Expr::Call(call) => {
+            let CallExpr { recv, args, .. } = &**call;
             if let Some(r) = recv {
                 scan_uses(r, st, cx);
             }
@@ -175,16 +176,16 @@ fn scan_uses(e: &Expr, st: &HashMap<String, Own>, cx: &mut Cx<'_, '_>) {
 /// Handles a call's `@DELEGATE` parameters: arguments must be owned
 /// variables, which die afterwards.
 fn handle_call(e: &Expr, st: &mut HashMap<String, Own>, cx: &mut Cx<'_, '_>) {
-    let Expr::Call {
+    let Expr::Call(call) = e else {
+        return;
+    };
+    let CallExpr {
         recv,
         class_recv: _,
         name,
         args,
         span,
-    } = e
-    else {
-        return;
-    };
+    } = &**call;
     if let Some(r) = recv {
         scan_uses(r, st, cx);
         handle_nested_calls(r, st, cx);
@@ -217,7 +218,7 @@ fn handle_call(e: &Expr, st: &mut HashMap<String, Own>, cx: &mut Cx<'_, '_>) {
                 }
                 st.insert(vn.clone(), Own::Dead);
             }
-            Expr::New { .. } | Expr::NewArray { .. } | Expr::Call { .. } => {}
+            Expr::New { .. } | Expr::NewArray { .. } | Expr::Call(_) => {}
             other => cx.diags.push(Diag::delegate(
                 "only owned variables or fresh values may be passed to @DELEGATE parameters",
                 other.span(),
@@ -228,7 +229,7 @@ fn handle_call(e: &Expr, st: &mut HashMap<String, Own>, cx: &mut Cx<'_, '_>) {
 
 fn handle_nested_calls(e: &Expr, st: &mut HashMap<String, Own>, cx: &mut Cx<'_, '_>) {
     match e {
-        Expr::Call { .. } => handle_call(e, st, cx),
+        Expr::Call(_) => handle_call(e, st, cx),
         Expr::Field { base, .. } | Expr::Length { base, .. } => handle_nested_calls(base, st, cx),
         Expr::Index { base, index, .. } => {
             handle_nested_calls(base, st, cx);
@@ -316,7 +317,7 @@ fn walk_stmt(stmt: &Stmt, st: &mut HashMap<String, Own>, cx: &mut Cx<'_, '_>) {
                             Expr::Null { .. }
                             | Expr::New { .. }
                             | Expr::NewArray { .. }
-                            | Expr::Call { .. } => {}
+                            | Expr::Call(_) => {}
                             Expr::Field { .. } | Expr::Index { .. } | Expr::StaticField { .. } => {
                                 cx.diags.push(Diag::alias(
                                     "moving a reference between heap locations requires detaching it into an owned variable first",

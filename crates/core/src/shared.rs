@@ -251,7 +251,7 @@ impl Walker<'_, '_> {
             LValue::Index { base, .. } => {
                 // Arrays with shared locations: the member is the array
                 // field itself.
-                match base {
+                match &**base {
                     Expr::Field {
                         base: b2, field, ..
                     } => {
@@ -315,7 +315,8 @@ impl Walker<'_, '_> {
                 self.scan_reads(lhs);
                 self.scan_reads(rhs);
             }
-            Expr::Call { recv, args, .. } => {
+            Expr::Call(call) => {
+                let CallExpr { recv, args, .. } = &**call;
                 if let Some(r) = recv {
                     self.scan_reads(r);
                 }
@@ -324,7 +325,8 @@ impl Walker<'_, '_> {
                 }
                 // Callee shared reads propagate.
                 if let Some(target) = self.tenv.call_target_class(e) {
-                    if let Expr::Call { name, .. } = e {
+                    if let Expr::Call(call) = e {
+                        let CallExpr { name, .. } = &**call;
                         if let Some((dc, dm)) = self.program.resolve_method(&target, name) {
                             let key = (dc.name.clone(), dm.name.clone());
                             if let Some(rs) = self.reads_summary.get(&key) {
@@ -443,9 +445,10 @@ impl Walker<'_, '_> {
         mut cleared: BTreeSet<SharedMember>,
     ) -> BTreeSet<SharedMember> {
         match e {
-            Expr::Call {
-                recv, args, name, ..
-            } => {
+            Expr::Call(call) => {
+                let CallExpr {
+                    recv, args, name, ..
+                } = &**call;
                 if let Some(r) = recv {
                     cleared = self.apply_calls(r, cleared);
                 }

@@ -590,7 +590,7 @@ impl<'p> DenseBuilder<'p> {
                 set_union(&mut s, &r);
                 s
             }
-            Expr::Call { .. } => self.call_sources(e),
+            Expr::Call(_) => self.call_sources(e),
             // Literals, null, fresh allocations: top — no source node.
             _ => Vec::new(),
         }
@@ -599,16 +599,16 @@ impl<'p> DenseBuilder<'p> {
     /// Handles a call: translates callee interface flows into this graph
     /// and returns the caller-side sources of the return value.
     fn call_sources(&mut self, e: &Expr) -> Vec<TupleId> {
-        let Expr::Call {
+        let Expr::Call(call) = e else {
+            return Vec::new();
+        };
+        let CallExpr {
             recv,
             class_recv,
             name,
             args,
             ..
-        } = e
-        else {
-            return Vec::new();
-        };
+        } = &**call;
         // Intrinsics: Device/new input = top; Math = args' sources.
         if let Some(c) = class_recv {
             match c.as_str() {

@@ -289,7 +289,7 @@ impl<'p> Builder<'p> {
                 s.extend(self.sources(rhs));
                 s
             }
-            Expr::Call { .. } => self.call_sources(e),
+            Expr::Call(_) => self.call_sources(e),
             // Literals, null, fresh allocations: top — no source node.
             _ => BTreeSet::new(),
         }
@@ -298,16 +298,16 @@ impl<'p> Builder<'p> {
     /// Handles a call: translates callee interface flows into this graph
     /// and returns the caller-side sources of the return value.
     fn call_sources(&mut self, e: &Expr) -> BTreeSet<Tuple> {
-        let Expr::Call {
+        let Expr::Call(call) = e else {
+            return BTreeSet::new();
+        };
+        let CallExpr {
             recv,
             class_recv,
             name,
             args,
             ..
-        } = e
-        else {
-            return BTreeSet::new();
-        };
+        } = &**call;
         // Intrinsics: Device/new input = top; Math = args' sources.
         if let Some(c) = class_recv {
             match c.as_str() {

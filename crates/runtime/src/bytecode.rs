@@ -16,7 +16,8 @@
 use crate::inject::{lex_nth_index, InjectableHeap};
 use crate::value::{identical_values, Value};
 use sjava_syntax::ast::{
-    BinOp, Block, ClassDecl, Expr, LValue, LoopKind, MethodDecl, Program, Stmt, Type, UnOp,
+    BinOp, Block, CallExpr, ClassDecl, Expr, LValue, LoopKind, MethodDecl, Program, Stmt, Type,
+    UnOp,
 };
 use std::collections::HashMap;
 
@@ -889,7 +890,8 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
                 self.collect_expr(base);
                 self.collect_expr(index);
             }
-            Expr::Call { recv, args, .. } => {
+            Expr::Call(call) => {
+                let CallExpr { recv, args, .. } = &**call;
                 if let Some(r) = recv {
                     self.collect_expr(r);
                 }
@@ -1336,7 +1338,7 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
                 self.emit(Op::ArrLen { dst, arr: b });
                 self.tmp = b;
             }
-            Expr::Call { .. } => self.compile_call(e, dst),
+            Expr::Call(_) => self.compile_call(e, dst),
             Expr::New { class, .. } => {
                 let cid = self.c.class_id_or_synth(class);
                 self.emit(Op::NewObj { dst, class: cid });
@@ -1445,17 +1447,17 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
     }
 
     fn compile_call(&mut self, e: &Expr, dst: u16) {
-        let Expr::Call {
+        let Expr::Call(call) = e else {
+            self.const_into(dst, Value::Null);
+            return;
+        };
+        let CallExpr {
             recv,
             class_recv,
             name,
             args,
             ..
-        } = e
-        else {
-            self.const_into(dst, Value::Null);
-            return;
-        };
+        } = &**call;
         // Intrinsic class receivers (checked before user classes).
         if let Some(cr) = class_recv {
             match cr.as_str() {

@@ -570,7 +570,7 @@ impl<'p, I: InputProvider> Interpreter<'p, I> {
                     _ => self.soft_error("length of null", Value::Int(0)),
                 }
             }
-            Expr::Call { .. } => self.eval_call(e, frame),
+            Expr::Call(_) => self.eval_call(e, frame),
             Expr::New { class, .. } => {
                 let id = self.instantiate(class).map_err(StopKind::Error)?;
                 Ok(Value::Ref(id))
@@ -653,16 +653,16 @@ impl<'p, I: InputProvider> Interpreter<'p, I> {
     }
 
     fn eval_call(&mut self, e: &Expr, frame: &mut Frame) -> Result<Value, StopKind> {
-        let Expr::Call {
+        let Expr::Call(call) = e else {
+            return Ok(Value::Null);
+        };
+        let CallExpr {
             recv,
             class_recv,
             name,
             args,
             ..
-        } = e
-        else {
-            return Ok(Value::Null);
-        };
+        } = &**call;
         // Intrinsics.
         if let Some(c) = class_recv {
             match c.as_str() {

@@ -15,6 +15,7 @@
 
 use crate::diag::{Diag, Diagnostics};
 use crate::span::Span;
+use std::borrow::Cow;
 use std::fmt;
 
 /// One element of a composite location: an optional class qualifier and a
@@ -198,13 +199,14 @@ pub struct VarAnnots {
     pub delegate: bool,
 }
 
-/// A raw annotation as parsed: `@NAME` or `@NAME("payload")`.
+/// A raw annotation as parsed: `@NAME` or `@NAME("payload")`, borrowing
+/// its name and, unless it holds an escape, its payload from the source.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RawAnnot {
+pub struct RawAnnot<'s> {
     /// Annotation name without the `@`.
-    pub name: String,
+    pub name: &'s str,
     /// Optional string payload.
-    pub payload: Option<String>,
+    pub payload: Option<Cow<'s, str>>,
     /// Span of the whole annotation.
     pub span: Span,
 }
@@ -263,16 +265,14 @@ pub fn parse_composite_loc(
 ) -> CompositeLocAnnot {
     let mut delta = 0usize;
     let mut rest = payload.trim();
-    loop {
-        let upper = rest.to_ascii_uppercase();
-        if upper.starts_with("DELTA(") && rest.ends_with(')') {
-            delta += 1;
-            rest = rest[6..rest.len() - 1].trim();
-        } else {
-            break;
-        }
+    while rest.len() > 6
+        && rest.as_bytes()[..6].eq_ignore_ascii_case(b"DELTA(")
+        && rest.ends_with(')')
+    {
+        delta += 1;
+        rest = rest[6..rest.len() - 1].trim();
     }
-    let mut elems = Vec::new();
+    let mut elems = Vec::with_capacity(split_top_commas(rest).count());
     for part in split_top_commas(rest) {
         let part = part.trim();
         if part.is_empty() {
@@ -303,23 +303,28 @@ pub fn parse_composite_loc(
     CompositeLocAnnot { delta, elems }
 }
 
-fn split_top_commas(s: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
+/// The comma-separated parts of `s`, leaving commas inside parentheses
+/// in their part.
+fn split_top_commas(s: &str) -> impl Iterator<Item = &str> {
     let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in s.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                parts.push(&s[start..i]);
-                start = i + 1;
+    let mut start = Some(0);
+    let mut bytes = s.bytes().enumerate();
+    std::iter::from_fn(move || {
+        let from = start?;
+        for (i, b) in bytes.by_ref() {
+            match b {
+                b'(' => depth += 1,
+                b')' => depth = depth.saturating_sub(1),
+                b',' if depth == 0 => {
+                    start = Some(i + 1);
+                    return Some(&s[from..i]);
+                }
+                _ => {}
             }
-            _ => {}
         }
-    }
-    parts.push(&s[start..]);
-    parts
+        start = None;
+        Some(&s[from..])
+    })
 }
 
 fn is_location_name(s: &str) -> bool {

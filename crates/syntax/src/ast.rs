@@ -396,8 +396,10 @@ pub enum LValue {
     },
     /// A field of an object: `base.field`.
     Field {
-        /// Receiver expression.
-        base: Expr,
+        /// Receiver expression. Boxed, as are both expressions of
+        /// [`LValue::Index`], so that a target costs what a variable
+        /// target costs, and a statement what its common kinds cost.
+        base: Box<Expr>,
         /// Field name.
         field: String,
         /// Span.
@@ -406,9 +408,9 @@ pub enum LValue {
     /// An array element: `base[index]`.
     Index {
         /// Array expression.
-        base: Expr,
+        base: Box<Expr>,
         /// Index expression.
-        index: Expr,
+        index: Box<Expr>,
         /// Span.
         span: Span,
     },
@@ -603,19 +605,9 @@ pub enum Expr {
         /// Span.
         span: Span,
     },
-    /// A method call. `recv` is `None` for unqualified calls on `this`.
-    Call {
-        /// Explicit receiver expression (`e.m(...)`).
-        recv: Option<Box<Expr>>,
-        /// Static receiver class (`Class.m(...)`).
-        class_recv: Option<String>,
-        /// Method name.
-        name: String,
-        /// Arguments.
-        args: Vec<Expr>,
-        /// Span.
-        span: Span,
-    },
+    /// A method call. Boxed: the largest variant, it would otherwise set
+    /// the size of every expression, and calls are a small share of them.
+    Call(Box<CallExpr>),
     /// Object allocation `new C()`.
     New {
         /// Class name.
@@ -678,12 +670,12 @@ impl Expr {
             | Expr::StaticField { span, .. }
             | Expr::Index { span, .. }
             | Expr::Length { span, .. }
-            | Expr::Call { span, .. }
             | Expr::New { span, .. }
             | Expr::NewArray { span, .. }
             | Expr::Unary { span, .. }
             | Expr::Binary { span, .. }
             | Expr::Cast { span, .. } => *span,
+            Expr::Call(call) => call.span,
         }
     }
 
@@ -700,6 +692,22 @@ impl Expr {
     }
 }
 
+/// A method call: `m(...)`, `e.m(...)` or `Class.m(...)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CallExpr {
+    /// Explicit receiver expression (`e.m(...)`); `None` for an
+    /// unqualified call on `this` and for a static call.
+    pub recv: Option<Box<Expr>>,
+    /// Static receiver class (`Class.m(...)`).
+    pub class_recv: Option<String>,
+    /// Method name.
+    pub name: String,
+    /// Arguments.
+    pub args: Vec<Expr>,
+    /// Span.
+    pub span: Span,
+}
+
 /// Names of the built-in intrinsic classes understood by the runtime and
 /// trusted by the checker.
 pub const INTRINSIC_CLASSES: &[&str] = &["Device", "Out", "Math", "SSJavaArray", "System"];
@@ -707,4 +715,25 @@ pub const INTRINSIC_CLASSES: &[&str] = &["Device", "Out", "Math", "SSJavaArray",
 /// Whether `name` is an intrinsic class.
 pub fn is_intrinsic_class(name: &str) -> bool {
     INTRINSIC_CLASSES.contains(&name)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::token::Token;
+    use std::mem::size_of;
+
+    /// Upper bounds on the sizes of the front end's most numerous nodes.
+    /// An enum is as large as its largest variant, and every statement of
+    /// every block, every boxed operand and every token pays that size,
+    /// so a field that regrows a rare variant costs memory and time on
+    /// every pass over the AST. Box such a field rather than raise a
+    /// bound.
+    #[test]
+    fn node_sizes_stay_bounded() {
+        assert!(size_of::<Token>() <= 12, "Token: {}", size_of::<Token>());
+        assert!(size_of::<LValue>() <= 56, "LValue: {}", size_of::<LValue>());
+        assert!(size_of::<Expr>() <= 56, "Expr: {}", size_of::<Expr>());
+        assert!(size_of::<Stmt>() <= 152, "Stmt: {}", size_of::<Stmt>());
+    }
 }

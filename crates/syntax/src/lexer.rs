@@ -41,7 +41,9 @@ impl<'a> Lexer<'a> {
     }
 
     fn run(mut self, diags: &mut Diagnostics) -> Vec<Token> {
-        let mut out = Vec::new();
+        // Code runs at ~4 bytes per token; one growth step covers denser
+        // text.
+        let mut out = Vec::with_capacity(self.src.len() / 3 + 1);
         loop {
             self.skip_trivia(diags);
             let start = self.pos;
@@ -54,20 +56,16 @@ impl<'a> Lexer<'a> {
                 b'"' => self.string(diags),
                 b'@' => {
                     self.bump();
-                    let name = self.ident_text();
-                    if name.is_empty() {
+                    if self.ident_text().is_empty() {
                         diags.push(Diag::lex(
                             "expected annotation name after `@`",
                             self.span_from(start),
                         ));
                         continue;
                     }
-                    TokenKind::AtIdent(name)
+                    TokenKind::AtIdent
                 }
-                b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
-                    let text = self.ident_text();
-                    keyword_or_ident(text)
-                }
+                b'A'..=b'Z' | b'a'..=b'z' | b'_' => keyword_or_ident(self.ident_text()),
                 _ => match self.operator() {
                     Some(k) => k,
                     None => {
@@ -102,6 +100,9 @@ impl<'a> Lexer<'a> {
         Span::new(self.base + start as u32, self.base + self.pos as u32)
     }
 
+    // Comments and string literals are scanned byte by byte: no byte of
+    // a multi-byte UTF-8 scalar is ASCII, so none is mistaken for `*`,
+    // `/`, `"`, `\` or a newline.
     fn skip_trivia(&mut self, diags: &mut Diagnostics) {
         loop {
             match self.peek() {
@@ -140,7 +141,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn ident_text(&mut self) -> String {
+    fn ident_text(&mut self) -> &'a str {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_alphanumeric() || b == b'_' {
@@ -149,9 +150,12 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        self.src[start..self.pos].to_string()
+        &self.src[start..self.pos]
     }
 
+    /// Scans a number and checks that its value is in range; the parser
+    /// reads the value from the token's text ([`Token::int_value`],
+    /// [`Token::float_value`]).
     fn number(&mut self, diags: &mut Diagnostics) -> TokenKind {
         let start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
@@ -187,34 +191,29 @@ impl<'a> Lexer<'a> {
             is_float = true;
         }
         if is_float {
-            match text.parse::<f64>() {
-                Ok(v) => TokenKind::FloatLit(v),
-                Err(_) => {
-                    diags.push(Diag::lex(
-                        format!("invalid float literal `{text}`"),
-                        self.span_from(start),
-                    ));
-                    TokenKind::FloatLit(0.0)
-                }
+            if text.parse::<f64>().is_err() {
+                diags.push(Diag::lex(
+                    format!("invalid float literal `{text}`"),
+                    self.span_from(start),
+                ));
             }
+            TokenKind::FloatLit
         } else {
-            match text.parse::<i64>() {
-                Ok(v) => TokenKind::IntLit(v),
-                Err(_) => {
-                    diags.push(Diag::lex(
-                        format!("integer literal `{text}` out of range"),
-                        self.span_from(start),
-                    ));
-                    TokenKind::IntLit(0)
-                }
+            if text.parse::<i64>().is_err() {
+                diags.push(Diag::lex(
+                    format!("integer literal `{text}` out of range"),
+                    self.span_from(start),
+                ));
             }
+            TokenKind::IntLit
         }
     }
 
+    /// Scans a string literal and checks its escapes; the parser reads
+    /// the value from the token's text ([`Token::str_value`]).
     fn string(&mut self, diags: &mut Diagnostics) -> TokenKind {
         let start = self.pos;
         self.bump(); // opening quote
-        let mut value = String::new();
         loop {
             match self.peek() {
                 None | Some(b'\n') => {
@@ -222,11 +221,11 @@ impl<'a> Lexer<'a> {
                         "unterminated string literal",
                         self.span_from(start),
                     ));
-                    return TokenKind::StrLit(value);
+                    return TokenKind::StrLit;
                 }
                 Some(b'"') => {
                     self.bump();
-                    return TokenKind::StrLit(value);
+                    return TokenKind::StrLit;
                 }
                 Some(b'\\') => {
                     self.bump();
@@ -235,28 +234,14 @@ impl<'a> Lexer<'a> {
                     if let Some(c) = esc {
                         self.pos += c.len_utf8();
                     }
-                    match esc {
-                        Some('n') => value.push('\n'),
-                        Some('t') => value.push('\t'),
-                        Some('r') => value.push('\r'),
-                        Some('\\') => value.push('\\'),
-                        Some('"') => value.push('"'),
-                        Some('0') => value.push('\0'),
-                        other => {
-                            diags.push(Diag::lex(
-                                format!("unknown escape `\\{}`", other.unwrap_or(' ')),
-                                self.span_from(start),
-                            ));
-                        }
+                    if esc.and_then(escape).is_none() {
+                        diags.push(Diag::lex(
+                            format!("unknown escape `\\{}`", esc.unwrap_or(' ')),
+                            self.span_from(start),
+                        ));
                     }
                 }
-                Some(_) => {
-                    // Consume a full UTF-8 scalar value.
-                    let ch_start = self.pos;
-                    let ch = self.src[ch_start..].chars().next().expect("valid utf8");
-                    self.pos += ch.len_utf8();
-                    value.push(ch);
-                }
+                Some(_) => self.bump(),
             }
         }
     }
@@ -314,14 +299,28 @@ impl<'a> Lexer<'a> {
     }
 }
 
-fn keyword_or_ident(text: String) -> TokenKind {
+/// The character an escape `\c` stands for, or `None` for an unknown
+/// escape.
+pub(crate) fn escape(c: char) -> Option<char> {
+    match c {
+        'n' => Some('\n'),
+        't' => Some('\t'),
+        'r' => Some('\r'),
+        '\\' => Some('\\'),
+        '"' => Some('"'),
+        '0' => Some('\0'),
+        _ => None,
+    }
+}
+
+fn keyword_or_ident(text: &str) -> TokenKind {
     use TokenKind::*;
-    match text.as_str() {
+    match text {
         "class" => Class,
         "extends" => Extends,
         "static" => Static,
         "final" => Final,
-        "public" | "private" | "protected" => Visibility(text),
+        "public" | "private" | "protected" => Visibility,
         "int" | "long" | "short" | "byte" | "char" => Int,
         "float" | "double" => Float,
         "boolean" => Boolean,
@@ -339,7 +338,7 @@ fn keyword_or_ident(text: String) -> TokenKind {
         "null" => Null,
         "true" => True,
         "false" => False,
-        _ => Ident(text),
+        _ => Ident,
     }
 }
 
@@ -347,24 +346,74 @@ fn keyword_or_ident(text: String) -> TokenKind {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    /// The tokens of `src` as (kind, source text) pairs, `Eof` left out.
+    fn pairs(src: &str) -> Vec<(TokenKind, &str)> {
         let mut d = Diagnostics::new();
         let toks = lex(src, &mut d);
         assert!(!d.has_errors(), "unexpected lex errors: {d}");
-        toks.into_iter().map(|t| t.kind).collect()
+        assert_eq!(toks.last().map(|t| t.kind), Some(TokenKind::Eof));
+        toks[..toks.len() - 1]
+            .iter()
+            .map(|t| (t.kind, t.text(src)))
+            .collect()
+    }
+
+    /// The tokens of `src`, `Eof` included, and its diagnostics as
+    /// (message, start, end).
+    fn lexed(src: &str) -> (Vec<Token>, Vec<(String, u32, u32)>) {
+        let mut d = Diagnostics::new();
+        let toks = lex(src, &mut d);
+        let diags = d
+            .iter()
+            .map(|x| {
+                assert_eq!(x.code, crate::Code::Lex);
+                (x.message.clone(), x.span.start, x.span.end)
+            })
+            .collect();
+        (toks, diags)
+    }
+
+    fn diag(message: &str, start: u32, end: u32) -> (String, u32, u32) {
+        (message.to_string(), start, end)
     }
 
     #[test]
     fn lexes_keywords_and_idents() {
         use TokenKind::*;
         assert_eq!(
-            kinds("class Foo extends Bar"),
+            pairs("class Foo extends Bar"),
             vec![
-                Class,
-                Ident("Foo".into()),
-                Extends,
-                Ident("Bar".into()),
-                Eof
+                (Class, "class"),
+                (Ident, "Foo"),
+                (Extends, "extends"),
+                (Ident, "Bar")
+            ]
+        );
+        // Java's other primitive spellings lex as the dialect's two
+        // numeric types, and print as them.
+        let src = "public private protected long double char";
+        assert_eq!(
+            pairs(src),
+            vec![
+                (Visibility, "public"),
+                (Visibility, "private"),
+                (Visibility, "protected"),
+                (Int, "long"),
+                (Float, "double"),
+                (Int, "char")
+            ]
+        );
+        let shown: Vec<String> = lexed(src).0.iter().map(|t| t.describe(src)).collect();
+        assert_eq!(
+            shown,
+            [
+                "public",
+                "private",
+                "protected",
+                "int",
+                "float",
+                "int",
+                "<eof>"
             ]
         );
     }
@@ -372,56 +421,111 @@ mod tests {
     #[test]
     fn lexes_numbers() {
         use TokenKind::*;
+        let src = "42 3.5 1e3 2.5f 7f";
         assert_eq!(
-            kinds("42 3.5 1e3 2.5f 7f"),
+            pairs(src),
             vec![
-                IntLit(42),
-                FloatLit(3.5),
-                FloatLit(1000.0),
-                FloatLit(2.5),
-                FloatLit(7.0),
-                Eof
+                (IntLit, "42"),
+                (FloatLit, "3.5"),
+                (FloatLit, "1e3"),
+                (FloatLit, "2.5f"),
+                (FloatLit, "7f")
             ]
         );
+        let toks = lexed(src).0;
+        assert_eq!(toks[0].int_value(src), 42);
+        let floats: Vec<f64> = toks[1..5].iter().map(|t| t.float_value(src)).collect();
+        assert_eq!(floats, [3.5, 1000.0, 2.5, 7.0]);
     }
 
     #[test]
     fn lexes_negative_exponent() {
+        let src = "1e-3";
+        assert_eq!(pairs(src), vec![(TokenKind::FloatLit, "1e-3")]);
+        assert_eq!(lexed(src).0[0].float_value(src), 0.001);
+    }
+
+    #[test]
+    fn lexes_every_float_form() {
         use TokenKind::*;
-        assert_eq!(kinds("1e-3"), vec![FloatLit(0.001), Eof]);
+        let src = "3.5 1e3 1e-3 2.5f 7f 1e 2.50f 1E+2 4d";
+        assert_eq!(
+            pairs(src),
+            vec![
+                (FloatLit, "3.5"),
+                (FloatLit, "1e3"),
+                (FloatLit, "1e-3"),
+                (FloatLit, "2.5f"),
+                (FloatLit, "7f"),
+                // An exponent needs digits: `1e` is an integer and a name.
+                (IntLit, "1"),
+                (Ident, "e"),
+                (FloatLit, "2.50f"),
+                (FloatLit, "1E+2"),
+                (FloatLit, "4d")
+            ]
+        );
+        // Diagnostics print a number as its value.
+        let shown: Vec<String> = lexed(src).0.iter().map(|t| t.describe(src)).collect();
+        assert_eq!(
+            shown,
+            ["3.5", "1000", "0.001", "2.5", "7", "1", "e", "2.5", "100", "4", "<eof>"]
+        );
+    }
+
+    #[test]
+    fn reports_out_of_range_integers() {
+        let src = "99999999999999999999 9223372036854775807 9223372036854775808";
+        let (toks, diags) = lexed(src);
+        let values: Vec<i64> = toks[..3].iter().map(|t| t.int_value(src)).collect();
+        assert_eq!(values, [0, i64::MAX, 0]);
+        assert_eq!(
+            diags,
+            [
+                diag("integer literal `99999999999999999999` out of range", 0, 20),
+                diag("integer literal `9223372036854775808` out of range", 41, 60),
+            ]
+        );
     }
 
     #[test]
     fn lexes_annotations() {
         use TokenKind::*;
+        let src = "@LATTICE(\"A<B\")";
         assert_eq!(
-            kinds("@LATTICE(\"A<B\")"),
+            pairs(src),
             vec![
-                AtIdent("LATTICE".into()),
-                LParen,
-                StrLit("A<B".into()),
-                RParen,
-                Eof
+                (AtIdent, "@LATTICE"),
+                (LParen, "("),
+                (StrLit, "\"A<B\""),
+                (RParen, ")")
             ]
         );
+        assert_eq!(lexed(src).0[2].str_value(src), "A<B");
+        // A name is any identifier-like run, digits first included.
+        let (toks, diags) = lexed("@ x @1");
+        let kinds: Vec<TokenKind> = toks.iter().map(|t| t.kind).collect();
+        assert_eq!(kinds, [Ident, AtIdent, Eof]);
+        assert_eq!(diags, [diag("expected annotation name after `@`", 0, 1)]);
     }
 
     #[test]
     fn lexes_operators() {
         use TokenKind::*;
         assert_eq!(
-            kinds("a<=b && c++ != --d"),
+            pairs("a<=b && c++ != --d += e"),
             vec![
-                Ident("a".into()),
-                Le,
-                Ident("b".into()),
-                AndAnd,
-                Ident("c".into()),
-                PlusPlus,
-                Ne,
-                MinusMinus,
-                Ident("d".into()),
-                Eof
+                (Ident, "a"),
+                (Le, "<="),
+                (Ident, "b"),
+                (AndAnd, "&&"),
+                (Ident, "c"),
+                (PlusPlus, "++"),
+                (Ne, "!="),
+                (MinusMinus, "--"),
+                (Ident, "d"),
+                (OpAssign('+'), "+="),
+                (Ident, "e")
             ]
         );
     }
@@ -430,22 +534,92 @@ mod tests {
     fn skips_comments() {
         use TokenKind::*;
         assert_eq!(
-            kinds("a // line\n /* block\n more */ b"),
-            vec![Ident("a".into()), Ident("b".into()), Eof]
+            pairs("a // line\n /* block\n more */ b"),
+            vec![(Ident, "a"), (Ident, "b")]
         );
     }
 
     #[test]
     fn string_escapes() {
-        use TokenKind::*;
-        assert_eq!(kinds(r#""a\nb""#), vec![StrLit("a\nb".into()), Eof]);
+        let src = r#""a\nb""#;
+        assert_eq!(pairs(src), vec![(TokenKind::StrLit, src)]);
+        assert_eq!(lexed(src).0[0].str_value(src), "a\nb");
+    }
+
+    #[test]
+    fn resolves_every_escape() {
+        let src = r#""\n" "\t" "\r" "\\" "\"" "\0""#;
+        let (toks, diags) = lexed(src);
+        assert!(diags.is_empty());
+        let values: Vec<String> = toks[..6]
+            .iter()
+            .map(|t| t.str_value(src).into_owned())
+            .collect();
+        assert_eq!(values, ["\n", "\t", "\r", "\\", "\"", "\0"]);
+        // Diagnostics print a string literal as its value's `Debug` form.
+        assert_eq!(toks[4].describe(src), r#""\"""#);
+    }
+
+    #[test]
+    fn reports_unknown_escapes() {
+        // An unknown escape stands for nothing.
+        let src = r#""a\qb""#;
+        let (toks, diags) = lexed(src);
+        assert_eq!(toks[0].str_value(src), "ab");
+        assert_eq!(diags, [diag("unknown escape `\\q`", 0, 4)]);
+        // An escaped newline continues the literal on the next line.
+        let src = "\"ab\\\ncd\"";
+        let (toks, diags) = lexed(src);
+        assert_eq!(
+            (toks[0].span.end, toks[0].str_value(src)),
+            (8, "abcd".into())
+        );
+        assert_eq!(diags, [diag("unknown escape `\\\n`", 0, 5)]);
+        // A backslash at the end of input escapes nothing.
+        let src = "\"ab\\";
+        let (toks, diags) = lexed(src);
+        assert_eq!(toks[0].str_value(src), "ab");
+        assert_eq!(
+            diags,
+            [
+                diag("unknown escape `\\ `", 0, 4),
+                diag("unterminated string literal", 0, 4),
+            ]
+        );
+    }
+
+    #[test]
+    fn reads_non_ascii_text() {
+        let src = "\"é→\" // é\n/* ü */ x";
+        assert_eq!(
+            pairs(src),
+            vec![(TokenKind::StrLit, "\"é→\""), (TokenKind::Ident, "x")]
+        );
+        assert_eq!(lexed(src).0[0].str_value(src), "é→");
+        // Where no token may start, the whole scalar is skipped.
+        let (toks, diags) = lexed("a é b");
+        assert_eq!(toks.len(), 3); // a, b, eof
+        assert_eq!(diags, [diag("unrecognized character `é`", 2, 4)]);
     }
 
     #[test]
     fn reports_unterminated_string() {
-        let mut d = Diagnostics::new();
-        lex("\"oops", &mut d);
-        assert!(d.has_errors());
+        let src = "\"oops";
+        let (toks, diags) = lexed(src);
+        assert_eq!(toks[0].str_value(src), "oops");
+        assert_eq!(diags, [diag("unterminated string literal", 0, 5)]);
+        // A newline ends the literal too; the next line lexes on.
+        let (toks, diags) = lexed("\"ab\nc");
+        assert_eq!(toks.len(), 3);
+        assert_eq!(diags, [diag("unterminated string literal", 0, 3)]);
+    }
+
+    #[test]
+    fn reports_unterminated_block_comment() {
+        let (toks, diags) = lexed("a /* abc");
+        assert_eq!(toks.len(), 2); // a, eof
+        assert_eq!(toks[1].span, Span::new(8, 8));
+        assert_eq!(diags, [diag("unterminated block comment", 2, 8)]);
     }
 
     #[test]
@@ -462,5 +636,18 @@ mod tests {
         let toks = lex("ab cd", &mut d);
         assert_eq!(toks[0].span, Span::new(0, 2));
         assert_eq!(toks[1].span, Span::new(3, 5));
+    }
+
+    #[test]
+    fn a_unit_lexes_at_its_absolute_offset() {
+        let src = "class A { } class B { int x = \"s\"; }";
+        let mut d = Diagnostics::new();
+        let whole = lex(src, &mut d);
+        let unit = lex_at(&src[12..], 12, &mut d);
+        assert!(d.is_empty());
+        // The unit's tokens are the whole file's from offset 12 on, and
+        // read their text from the whole file.
+        assert_eq!(unit[..], whole[4..]);
+        assert_eq!(unit[6].str_value(src), "s");
     }
 }

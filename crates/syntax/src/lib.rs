@@ -43,8 +43,8 @@ pub mod wire;
 
 pub use annot::{ClassAnnots, CompositeLocAnnot, LatticeDecl, LocElem, MethodAnnots, VarAnnots};
 pub use ast::{
-    BinOp, Block, ClassDecl, Expr, FieldDecl, LValue, LoopKind, MethodDecl, Param, Program, Stmt,
-    Type, UnOp,
+    BinOp, Block, CallExpr, ClassDecl, Expr, FieldDecl, LValue, LoopKind, MethodDecl, Param,
+    Program, Stmt, Type, UnOp,
 };
 pub use codes::Code;
 pub use diag::{Diag, Diagnostic, Diagnostics, Label, Severity, Suggestion};
@@ -82,7 +82,7 @@ pub fn parse(src: &str) -> Result<Program, Diagnostics> {
 pub fn parse_sequential(src: &str) -> Result<Program, Diagnostics> {
     let mut diags = Diagnostics::new();
     let tokens = lexer::lex(src, &mut diags);
-    let classes = parser::parse_unit(tokens, &mut diags);
+    let classes = parser::parse_unit(src, tokens, &mut diags);
     let program = resolve::resolve_reporting(Program::new(classes), &mut diags);
     if diags.has_errors() {
         diags.sort_stable();

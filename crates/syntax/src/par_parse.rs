@@ -52,7 +52,9 @@
 //! sequential front end computes.
 
 use crate::annot::{ClassAnnots, LatticeDecl, MethodAnnots};
-use crate::ast::{Block, ClassDecl, Expr, FieldDecl, LValue, MethodDecl, Param, Program, Stmt};
+use crate::ast::{
+    Block, CallExpr, ClassDecl, Expr, FieldDecl, LValue, MethodDecl, Param, Program, Stmt,
+};
 use crate::diag::Diagnostics;
 use crate::lexer::lex_at;
 use crate::resolve::{inheritance_cycles, Context};
@@ -241,7 +243,7 @@ fn parse_units(
         let r = units[which[k]].clone();
         let mut diags = Diagnostics::new();
         let tokens = lex_at(&src[r.clone()], r.start as u32, &mut diags);
-        let classes = crate::parser::parse_unit(tokens, &mut diags);
+        let classes = crate::parser::parse_unit(src, tokens, &mut diags);
         // Any diagnostic ⇒ the sequential re-parse owns the wording.
         diags.is_empty().then_some(classes)
     })
@@ -680,13 +682,14 @@ fn shift_expr(expr: &mut Expr, delta: u32) {
             shift_expr(base, delta);
             shift_expr(index, delta);
         }
-        Expr::Call {
-            recv,
-            class_recv: _,
-            name: _,
-            args,
-            span,
-        } => {
+        Expr::Call(call) => {
+            let CallExpr {
+                recv,
+                class_recv: _,
+                name: _,
+                args,
+                span,
+            } = &mut **call;
             shift(span, delta);
             if let Some(r) = recv {
                 shift_expr(r, delta);
@@ -806,7 +809,7 @@ class B { }"#;
         let mut seq_diags = Diagnostics::new();
         let tokens = crate::lexer::lex(&src, &mut seq_diags);
         let seq = {
-            let classes = crate::parser::parse_unit(tokens, &mut seq_diags);
+            let classes = crate::parser::parse_unit(&src, tokens, &mut seq_diags);
             crate::resolve::resolve_statics(Program::new(classes))
         };
         assert!(seq_diags.is_empty());

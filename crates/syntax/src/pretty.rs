@@ -1,7 +1,9 @@
 //! Pretty-printer: renders an AST back to parseable SJava source.
 //!
 //! Used by the inference tool to emit inferred annotations (§5) and by
-//! round-trip tests.
+//! round-trip tests. Everything is written straight into one output
+//! buffer, reserved up front from the size of the source the AST came
+//! from.
 
 use crate::annot::{ClassAnnots, MethodAnnots, VarAnnots};
 use crate::ast::*;
@@ -9,7 +11,10 @@ use std::fmt::Write;
 
 /// Renders a whole program.
 pub fn print_program(program: &Program) -> String {
-    let mut p = Printer::default();
+    let mut p = Printer {
+        out: String::with_capacity(estimate(program)),
+        indent: 0,
+    };
     for class in &program.classes {
         p.class(class);
         p.out.push('\n');
@@ -17,41 +22,67 @@ pub fn print_program(program: &Program) -> String {
     p.out
 }
 
-#[derive(Default)]
+/// Renders an expression.
+pub fn expr(e: &Expr) -> String {
+    let mut out = String::new();
+    write_expr(&mut out, e);
+    out
+}
+
+/// The printed size of `program`, guessed from the source text its
+/// method bodies came from plus room for each declaration's header and
+/// annotations. A guess that falls short only costs the buffer's usual
+/// growth.
+fn estimate(program: &Program) -> usize {
+    program
+        .classes
+        .iter()
+        .map(|c| {
+            let bodies: usize = c.methods.iter().map(|m| m.body.span.len() as usize).sum();
+            bodies + bodies / 2 + 96 * (1 + c.fields.len() + c.methods.len())
+        })
+        .sum()
+}
+
 struct Printer {
     out: String,
     indent: usize,
 }
 
 impl Printer {
-    fn line(&mut self, text: &str) {
+    /// Starts a line at the current indentation; the caller writes its
+    /// text and ends it with [`Printer::end`].
+    fn start(&mut self) -> &mut String {
         for _ in 0..self.indent {
             self.out.push_str("  ");
         }
-        self.out.push_str(text);
+        &mut self.out
+    }
+
+    fn end(&mut self) {
         self.out.push('\n');
+    }
+
+    fn line(&mut self, text: &str) {
+        self.start().push_str(text);
+        self.end();
+    }
+
+    /// A line `@NAME("payload")`.
+    fn annot_line(&mut self, name: &str, payload: &dyn std::fmt::Display) {
+        let _ = write!(self.start(), "@{name}(\"{payload}\")");
+        self.end();
     }
 
     fn class_annots(&mut self, a: &ClassAnnots) {
         if let Some(l) = &a.lattice {
-            self.line(&format!("@LATTICE(\"{l}\")"));
+            self.annot_line("LATTICE", l);
         }
         if let Some(md) = &a.method_default {
             if let Some(l) = &md.lattice {
-                self.line(&format!("@METHODDEFAULT(\"{l}\")"));
+                self.annot_line("METHODDEFAULT", l);
             }
-            if let Some(t) = &md.this_loc {
-                self.line(&format!("@THISLOC(\"{t}\")"));
-            }
-            if let Some(g) = &md.global_loc {
-                self.line(&format!("@GLOBALLOC(\"{g}\")"));
-            }
-            if let Some(r) = &md.return_loc {
-                self.line(&format!("@RETURNLOC(\"{r}\")"));
-            }
-            if let Some(p) = &md.pc_loc {
-                self.line(&format!("@PCLOC(\"{p}\")"));
-            }
+            self.location_annots(md);
         }
         if a.trusted {
             self.line("@TRUSTED");
@@ -60,133 +91,117 @@ impl Printer {
 
     fn method_annots(&mut self, a: &MethodAnnots) {
         if let Some(l) = &a.lattice {
-            self.line(&format!("@LATTICE(\"{l}\")"));
+            self.annot_line("LATTICE", l);
         }
-        if let Some(t) = &a.this_loc {
-            self.line(&format!("@THISLOC(\"{t}\")"));
-        }
-        if let Some(g) = &a.global_loc {
-            self.line(&format!("@GLOBALLOC(\"{g}\")"));
-        }
-        if let Some(r) = &a.return_loc {
-            self.line(&format!("@RETURNLOC(\"{r}\")"));
-        }
-        if let Some(p) = &a.pc_loc {
-            self.line(&format!("@PCLOC(\"{p}\")"));
-        }
+        self.location_annots(a);
         if a.trusted {
             self.line("@TRUSTED");
         }
     }
 
-    fn var_annots_inline(a: &VarAnnots) -> String {
-        let mut s = String::new();
-        if let Some(l) = &a.loc {
-            let _ = write!(s, "@LOC(\"{l}\") ");
+    /// `@THISLOC`, `@GLOBALLOC`, `@RETURNLOC` and `@PCLOC`, in that order.
+    fn location_annots(&mut self, a: &MethodAnnots) {
+        if let Some(t) = &a.this_loc {
+            self.annot_line("THISLOC", t);
         }
-        if a.delegate {
-            s.push_str("@DELEGATE ");
+        if let Some(g) = &a.global_loc {
+            self.annot_line("GLOBALLOC", g);
         }
-        s
+        if let Some(r) = &a.return_loc {
+            self.annot_line("RETURNLOC", r);
+        }
+        if let Some(p) = &a.pc_loc {
+            self.annot_line("PCLOC", p);
+        }
     }
 
     fn class(&mut self, c: &ClassDecl) {
         self.class_annots(&c.annots);
-        let ext = c
-            .superclass
-            .as_ref()
-            .map(|s| format!(" extends {s}"))
-            .unwrap_or_default();
-        self.line(&format!("class {}{ext} {{", c.name));
+        let out = self.start();
+        let _ = write!(out, "class {}", c.name);
+        if let Some(s) = &c.superclass {
+            let _ = write!(out, " extends {s}");
+        }
+        out.push_str(" {");
+        self.end();
         self.indent += 1;
         for f in &c.fields {
-            let ann = Self::var_annots_inline(&f.annots);
-            let st = if f.is_static { "static " } else { "" };
-            let fi = if f.is_final { "final " } else { "" };
-            let init = f
-                .init
-                .as_ref()
-                .map(|e| format!(" = {}", expr(e)))
-                .unwrap_or_default();
-            self.line(&format!("{ann}{st}{fi}{} {}{init};", f.ty, f.name));
+            let out = self.start();
+            write_var_annots(out, &f.annots);
+            if f.is_static {
+                out.push_str("static ");
+            }
+            if f.is_final {
+                out.push_str("final ");
+            }
+            let _ = write!(out, "{} {}", f.ty, f.name);
+            write_init(out, &f.init);
+            out.push(';');
+            self.end();
         }
         for m in &c.methods {
             self.out.push('\n');
             self.method_annots(&m.annots);
-            let st = if m.is_static { "static " } else { "" };
-            let params: Vec<String> = m
-                .params
-                .iter()
-                .map(|p| format!("{}{} {}", Self::var_annots_inline(&p.annots), p.ty, p.name))
-                .collect();
-            self.line(&format!(
-                "{st}{} {}({}) {{",
-                m.ret,
-                m.name,
-                params.join(", ")
-            ));
-            self.indent += 1;
-            for s in &m.body.stmts {
-                self.stmt(s);
+            let out = self.start();
+            if m.is_static {
+                out.push_str("static ");
             }
-            self.indent -= 1;
+            let _ = write!(out, "{} {}(", m.ret, m.name);
+            for (i, p) in m.params.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_var_annots(out, &p.annots);
+                let _ = write!(out, "{} {}", p.ty, p.name);
+            }
+            out.push_str(") {");
+            self.end();
+            self.body(&m.body);
             self.line("}");
         }
         self.indent -= 1;
         self.line("}");
     }
 
+    /// A block's statements, one level in.
+    fn body(&mut self, b: &Block) {
+        self.indent += 1;
+        for s in &b.stmts {
+            self.stmt(s);
+        }
+        self.indent -= 1;
+    }
+
     fn stmt(&mut self, s: &Stmt) {
         match s {
-            Stmt::VarDecl {
-                annots,
-                ty,
-                name,
-                init,
-                ..
-            } => {
-                let ann = Self::var_annots_inline(annots);
-                let init = init
-                    .as_ref()
-                    .map(|e| format!(" = {}", expr(e)))
-                    .unwrap_or_default();
-                self.line(&format!("{ann}{ty} {name}{init};"));
-            }
-            Stmt::Assign { lhs, rhs, .. } => {
-                self.line(&format!("{} = {};", lvalue(lhs), expr(rhs)));
-            }
             Stmt::If {
                 cond,
                 then_blk,
                 else_blk,
                 ..
             } => {
-                self.line(&format!("if ({}) {{", expr(cond)));
-                self.indent += 1;
-                for s in &then_blk.stmts {
-                    self.stmt(s);
-                }
-                self.indent -= 1;
+                let out = self.start();
+                out.push_str("if (");
+                write_expr(out, cond);
+                out.push_str(") {");
+                self.end();
+                self.body(then_blk);
                 if let Some(e) = else_blk {
                     self.line("} else {");
-                    self.indent += 1;
-                    for s in &e.stmts {
-                        self.stmt(s);
-                    }
-                    self.indent -= 1;
+                    self.body(e);
                 }
                 self.line("}");
             }
             Stmt::While {
                 kind, cond, body, ..
             } => {
-                let label = label_text(kind);
-                self.line(&format!("{label}while ({}) {{", expr(cond)));
-                self.indent += 1;
-                for s in &body.stmts {
-                    self.stmt(s);
-                }
-                self.indent -= 1;
+                let out = self.start();
+                write_label(out, kind);
+                out.push_str("while (");
+                write_expr(out, cond);
+                out.push_str(") {");
+                self.end();
+                self.body(body);
                 self.line("}");
             }
             Stmt::For {
@@ -197,48 +212,80 @@ impl Printer {
                 body,
                 ..
             } => {
-                let label = label_text(kind);
-                let i = init.as_ref().map(|s| stmt_inline(s)).unwrap_or_default();
-                let c = cond.as_ref().map(expr).unwrap_or_default();
-                let u = update.as_ref().map(|s| stmt_inline(s)).unwrap_or_default();
-                self.line(&format!("{label}for ({i}; {c}; {u}) {{"));
-                self.indent += 1;
-                for s in &body.stmts {
-                    self.stmt(s);
+                let out = self.start();
+                write_label(out, kind);
+                out.push_str("for (");
+                if let Some(s) = init {
+                    write_stmt_inline(out, s);
                 }
-                self.indent -= 1;
+                out.push_str("; ");
+                if let Some(c) = cond {
+                    write_expr(out, c);
+                }
+                out.push_str("; ");
+                if let Some(s) = update {
+                    write_stmt_inline(out, s);
+                }
+                out.push_str(") {");
+                self.end();
+                self.body(body);
                 self.line("}");
             }
-            Stmt::Return { value, .. } => match value {
-                Some(v) => self.line(&format!("return {};", expr(v))),
-                None => self.line("return;"),
-            },
+            Stmt::Return { value, .. } => {
+                let out = self.start();
+                out.push_str("return");
+                if let Some(v) = value {
+                    out.push(' ');
+                    write_expr(out, v);
+                }
+                out.push(';');
+                self.end();
+            }
             Stmt::Break { .. } => self.line("break;"),
             Stmt::Continue { .. } => self.line("continue;"),
-            Stmt::ExprStmt { expr: e, .. } => self.line(&format!("{};", expr(e))),
             Stmt::Block(b) => {
                 self.line("{");
-                self.indent += 1;
-                for s in &b.stmts {
-                    self.stmt(s);
-                }
-                self.indent -= 1;
+                self.body(b);
                 self.line("}");
+            }
+            Stmt::VarDecl { .. } | Stmt::Assign { .. } | Stmt::ExprStmt { .. } => {
+                let out = self.start();
+                write_stmt_inline(out, s);
+                out.push(';');
+                self.end();
             }
         }
     }
 }
 
-fn label_text(kind: &LoopKind) -> String {
-    match kind {
-        LoopKind::Plain => String::new(),
-        LoopKind::EventLoop => "SSJAVA: ".to_string(),
-        LoopKind::Trusted(n) => format!("TERMINATE_{n}: "),
-        LoopKind::MaxLoop(n) => format!("MAXLOOP_{n}: "),
+fn write_label(out: &mut String, kind: &LoopKind) {
+    let _ = match kind {
+        LoopKind::Plain => Ok(()),
+        LoopKind::EventLoop => out.write_str("SSJAVA: "),
+        LoopKind::Trusted(n) => write!(out, "TERMINATE_{n}: "),
+        LoopKind::MaxLoop(n) => write!(out, "MAXLOOP_{n}: "),
+    };
+}
+
+fn write_var_annots(out: &mut String, a: &VarAnnots) {
+    if let Some(l) = &a.loc {
+        let _ = write!(out, "@LOC(\"{l}\") ");
+    }
+    if a.delegate {
+        out.push_str("@DELEGATE ");
     }
 }
 
-fn stmt_inline(s: &Stmt) -> String {
+fn write_init(out: &mut String, init: &Option<Expr>) {
+    if let Some(e) = init {
+        out.push_str(" = ");
+        write_expr(out, e);
+    }
+}
+
+/// A simple statement without its `;`, as it also appears in a `for`
+/// header.
+fn write_stmt_inline(out: &mut String, s: &Stmt) {
     match s {
         Stmt::VarDecl {
             annots,
@@ -247,76 +294,136 @@ fn stmt_inline(s: &Stmt) -> String {
             init,
             ..
         } => {
-            let ann = Printer::var_annots_inline(annots);
-            let init = init
-                .as_ref()
-                .map(|e| format!(" = {}", expr(e)))
-                .unwrap_or_default();
-            format!("{ann}{ty} {name}{init}")
+            write_var_annots(out, annots);
+            let _ = write!(out, "{ty} {name}");
+            write_init(out, init);
         }
-        Stmt::Assign { lhs, rhs, .. } => format!("{} = {}", lvalue(lhs), expr(rhs)),
-        Stmt::ExprStmt { expr: e, .. } => expr(e),
-        other => format!("/* {other:?} */"),
+        Stmt::Assign { lhs, rhs, .. } => {
+            write_lvalue(out, lhs);
+            out.push_str(" = ");
+            write_expr(out, rhs);
+        }
+        Stmt::ExprStmt { expr: e, .. } => write_expr(out, e),
+        other => {
+            let _ = write!(out, "/* {other:?} */");
+        }
     }
 }
 
-fn lvalue(lv: &LValue) -> String {
+fn write_lvalue(out: &mut String, lv: &LValue) {
     match lv {
-        LValue::Var { name, .. } => name.clone(),
-        LValue::Field { base, field, .. } => format!("{}.{field}", expr(base)),
-        LValue::StaticField { class, field, .. } => format!("{class}.{field}"),
-        LValue::Index { base, index, .. } => format!("{}[{}]", expr(base), expr(index)),
+        LValue::Var { name, .. } => out.push_str(name),
+        LValue::Field { base, field, .. } => {
+            write_expr(out, base);
+            out.push('.');
+            out.push_str(field);
+        }
+        LValue::StaticField { class, field, .. } => {
+            let _ = write!(out, "{class}.{field}");
+        }
+        LValue::Index { base, index, .. } => write_index(out, base, index),
     }
 }
 
-/// Renders an expression.
-pub fn expr(e: &Expr) -> String {
+fn write_index(out: &mut String, base: &Expr, index: &Expr) {
+    write_expr(out, base);
+    out.push('[');
+    write_expr(out, index);
+    out.push(']');
+}
+
+fn write_expr(out: &mut String, e: &Expr) {
+    // Writing into a `String` cannot fail.
     match e {
-        Expr::IntLit { value, .. } => value.to_string(),
+        Expr::IntLit { value, .. } => {
+            let _ = write!(out, "{value}");
+        }
         Expr::FloatLit { value, .. } => {
-            if value.fract() == 0.0 && value.is_finite() {
-                format!("{value:.1}")
+            let _ = if value.fract() == 0.0 && value.is_finite() {
+                write!(out, "{value:.1}")
             } else {
-                format!("{value}")
+                write!(out, "{value}")
+            };
+        }
+        Expr::BoolLit { value, .. } => {
+            let _ = write!(out, "{value}");
+        }
+        Expr::StrLit { value, .. } => {
+            let _ = write!(out, "{value:?}");
+        }
+        Expr::Null { .. } => out.push_str("null"),
+        Expr::This { .. } => out.push_str("this"),
+        Expr::Var { name, .. } => out.push_str(name),
+        Expr::Field { base, field, .. } => {
+            write_expr(out, base);
+            out.push('.');
+            out.push_str(field);
+        }
+        Expr::StaticField { class, field, .. } => {
+            let _ = write!(out, "{class}.{field}");
+        }
+        Expr::Index { base, index, .. } => write_index(out, base, index),
+        Expr::Length { base, .. } => {
+            write_expr(out, base);
+            out.push_str(".length");
+        }
+        Expr::Call(call) => {
+            let CallExpr {
+                recv,
+                class_recv,
+                name,
+                args,
+                ..
+            } = &**call;
+            match (recv, class_recv) {
+                (Some(r), _) => {
+                    write_expr(out, r);
+                    out.push('.');
+                }
+                (None, Some(c)) => {
+                    out.push_str(c);
+                    out.push('.');
+                }
+                (None, None) => {}
             }
+            out.push_str(name);
+            out.push('(');
+            for (i, a) in args.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_expr(out, a);
+            }
+            out.push(')');
         }
-        Expr::BoolLit { value, .. } => value.to_string(),
-        Expr::StrLit { value, .. } => format!("{value:?}"),
-        Expr::Null { .. } => "null".to_string(),
-        Expr::This { .. } => "this".to_string(),
-        Expr::Var { name, .. } => name.clone(),
-        Expr::Field { base, field, .. } => format!("{}.{field}", expr(base)),
-        Expr::StaticField { class, field, .. } => format!("{class}.{field}"),
-        Expr::Index { base, index, .. } => format!("{}[{}]", expr(base), expr(index)),
-        Expr::Length { base, .. } => format!("{}.length", expr(base)),
-        Expr::Call {
-            recv,
-            class_recv,
-            name,
-            args,
-            ..
-        } => {
-            let args: Vec<String> = args.iter().map(expr).collect();
-            let prefix = match (recv, class_recv) {
-                (Some(r), _) => format!("{}.", expr(r)),
-                (None, Some(c)) => format!("{c}."),
-                (None, None) => String::new(),
-            };
-            format!("{prefix}{name}({})", args.join(", "))
+        Expr::New { class, .. } => {
+            let _ = write!(out, "new {class}()");
         }
-        Expr::New { class, .. } => format!("new {class}()"),
-        Expr::NewArray { elem, len, .. } => format!("new {elem}[{}]", expr(len)),
+        Expr::NewArray { elem, len, .. } => {
+            let _ = write!(out, "new {elem}[");
+            write_expr(out, len);
+            out.push(']');
+        }
         Expr::Unary { op, operand, .. } => {
-            let sym = match op {
-                UnOp::Neg => "-",
-                UnOp::Not => "!",
-            };
-            format!("{sym}({})", expr(operand))
+            out.push_str(match op {
+                UnOp::Neg => "-(",
+                UnOp::Not => "!(",
+            });
+            write_expr(out, operand);
+            out.push(')');
         }
         Expr::Binary { op, lhs, rhs, .. } => {
-            format!("({} {op} {})", expr(lhs), expr(rhs))
+            out.push('(');
+            write_expr(out, lhs);
+            let _ = write!(out, " {op} ");
+            write_expr(out, rhs);
+            out.push(')');
         }
-        Expr::Cast { ty, operand, .. } => format!("({ty}) ({})", expr(operand)),
+        Expr::Cast { ty, operand, .. } => {
+            let _ = write!(out, "({ty}) (");
+            write_expr(out, operand);
+            out.push(')');
+        }
     }
 }
 

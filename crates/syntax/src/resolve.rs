@@ -95,9 +95,11 @@ pub(crate) fn inheritance_cycles(classes: &[&ClassDecl]) -> Diagnostics {
 
 /// What resolving the classes of one program reads beyond each class
 /// itself: the set of class names (declared and intrinsic) and, per
-/// class, the fields visible in it, own and inherited. A class resolves
-/// the same way under two programs exactly when its context is the same
-/// in both ([`Context::same_for`]).
+/// class, the fields visible in it, own and inherited, that are named
+/// like a class. Only a name in scope that is also a class name can
+/// shadow a class reference, so scopes keep no other name. A class
+/// resolves the same way under two programs exactly when its context is
+/// the same in both ([`Context::same_for`]).
 #[derive(Debug, Default)]
 pub(crate) struct Context {
     names: HashSet<String>,
@@ -109,7 +111,7 @@ pub(crate) struct Context {
 impl Context {
     /// The context of a program's class list.
     pub(crate) fn of(classes: &[&ClassDecl]) -> Context {
-        let names = classes
+        let names: HashSet<String> = classes
             .iter()
             .map(|c| c.name.clone())
             .chain(INTRINSIC_CLASSES.iter().map(|s| s.to_string()))
@@ -122,7 +124,9 @@ impl Context {
                 let mut cur = first(&c.name);
                 while let Some(cd) = cur {
                     for f in &cd.fields {
-                        fields.insert(f.name.clone());
+                        if names.contains(&f.name) {
+                            fields.insert(f.name.clone());
+                        }
                     }
                     cur = cd.superclass.as_deref().and_then(first);
                 }
@@ -145,9 +149,11 @@ impl Context {
         for method in &mut class.methods {
             let mut scope: HashSet<String> = fields.clone();
             for p in &method.params {
-                scope.insert(p.name.clone());
+                if self.names.contains(&p.name) {
+                    scope.insert(p.name.clone());
+                }
             }
-            collect_locals(&method.body, &mut scope);
+            collect_locals(&method.body, &self.names, &mut scope);
             let cx = Cx {
                 classes: &self.names,
                 scope: &scope,
@@ -178,37 +184,36 @@ impl Cx<'_> {
     }
 }
 
-fn collect_locals(block: &Block, scope: &mut HashSet<String>) {
+/// Adds to `scope` every local of `block` named like a class.
+fn collect_locals(block: &Block, classes: &HashSet<String>, scope: &mut HashSet<String>) {
+    let declare = |name: &String, scope: &mut HashSet<String>| {
+        if classes.contains(name) {
+            scope.insert(name.clone());
+        }
+    };
     for s in &block.stmts {
         match s {
-            Stmt::VarDecl { name, .. } => {
-                scope.insert(name.clone());
-            }
+            Stmt::VarDecl { name, .. } => declare(name, scope),
             Stmt::If {
                 then_blk, else_blk, ..
             } => {
-                collect_locals(then_blk, scope);
+                collect_locals(then_blk, classes, scope);
                 if let Some(e) = else_blk {
-                    collect_locals(e, scope);
+                    collect_locals(e, classes, scope);
                 }
             }
-            Stmt::While { body, .. } => collect_locals(body, scope),
+            Stmt::While { body, .. } => collect_locals(body, classes, scope),
             Stmt::For {
                 init, update, body, ..
             } => {
-                if let Some(i) = init {
-                    if let Stmt::VarDecl { name, .. } = i.as_ref() {
-                        scope.insert(name.clone());
+                for s in [init, update].into_iter().flatten() {
+                    if let Stmt::VarDecl { name, .. } = s.as_ref() {
+                        declare(name, scope);
                     }
                 }
-                if let Some(u) = update {
-                    if let Stmt::VarDecl { name, .. } = u.as_ref() {
-                        scope.insert(name.clone());
-                    }
-                }
-                collect_locals(body, scope);
+                collect_locals(body, classes, scope);
             }
-            Stmt::Block(b) => collect_locals(b, scope),
+            Stmt::Block(b) => collect_locals(b, classes, scope),
             _ => {}
         }
     }
@@ -280,11 +285,11 @@ fn resolve_lvalue(lv: &mut LValue, cx: &Cx<'_>) {
     match lv {
         LValue::Var { .. } | LValue::StaticField { .. } => {}
         LValue::Field { base, field, span } => {
-            if let Expr::Var { name, .. } = base {
+            if let Expr::Var { name, .. } = &mut **base {
                 if cx.is_class_ref(name) {
                     *lv = LValue::StaticField {
-                        class: name.clone(),
-                        field: field.clone(),
+                        class: std::mem::take(name),
+                        field: std::mem::take(field),
                         span: *span,
                     };
                     return;
@@ -302,11 +307,11 @@ fn resolve_lvalue(lv: &mut LValue, cx: &Cx<'_>) {
 fn resolve_expr(expr: &mut Expr, cx: &Cx<'_>) {
     match expr {
         Expr::Field { base, field, span } => {
-            if let Expr::Var { name, .. } = base.as_ref() {
+            if let Expr::Var { name, .. } = &mut **base {
                 if cx.is_class_ref(name) {
                     *expr = Expr::StaticField {
-                        class: name.clone(),
-                        field: field.clone(),
+                        class: std::mem::take(name),
+                        field: std::mem::take(field),
                         span: *span,
                     };
                     return;
@@ -314,17 +319,18 @@ fn resolve_expr(expr: &mut Expr, cx: &Cx<'_>) {
             }
             resolve_expr(base, cx);
         }
-        Expr::Call {
-            recv,
-            class_recv,
-            args,
-            ..
-        } => {
+        Expr::Call(call) => {
+            let CallExpr {
+                recv,
+                class_recv,
+                args,
+                ..
+            } = &mut **call;
             if class_recv.is_none() {
                 if let Some(r) = recv {
-                    if let Expr::Var { name, .. } = r.as_ref() {
+                    if let Expr::Var { name, .. } = &mut **r {
                         if cx.is_class_ref(name) {
-                            *class_recv = Some(name.clone());
+                            *class_recv = Some(std::mem::take(name));
                             *recv = None;
                         }
                     }

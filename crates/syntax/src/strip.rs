@@ -2,15 +2,22 @@
 //!
 //! The paper's inference evaluation "took the modified versions of the SJava
 //! benchmark and removed all of the location type annotations". This module
-//! clones a program with location-type annotations erased while keeping
-//! behavioural annotations (loop labels, `@TRUSTED`, `@DELEGATE`) intact.
+//! erases location-type annotations while keeping behavioural annotations
+//! (loop labels, `@TRUSTED`, `@DELEGATE`) intact: in place, or on a copy.
 
 use crate::ast::*;
 
 /// Returns a copy of `program` with all location-type annotations removed.
 pub fn strip_location_annotations(program: &Program) -> Program {
     let mut p = program.clone();
-    for class in &mut p.classes {
+    strip_in_place(&mut p);
+    p
+}
+
+/// Removes all location-type annotations from `program` itself, for a
+/// caller that has no further use for the annotated program.
+pub fn strip_in_place(program: &mut Program) {
+    for class in &mut program.classes {
         class.annots.lattice = None;
         if let Some(md) = &mut class.annots.method_default {
             md.lattice = None;
@@ -37,7 +44,6 @@ pub fn strip_location_annotations(program: &Program) -> Program {
             strip_block(&mut method.body);
         }
     }
-    p
 }
 
 fn strip_block(block: &mut Block) {
@@ -189,6 +195,11 @@ mod tests {
         let s = strip_location_annotations(&p);
         let counts = count_annotations(&s);
         assert_eq!(counts, AnnotationCounts::default());
+        // The copy leaves the original annotated; in place, it is the copy.
+        assert_eq!(count_annotations(&p).locations, 4);
+        let mut q = p.clone();
+        strip_in_place(&mut q);
+        assert_eq!(q, s);
         // Event loop label preserved.
         let m = &s.classes[0].methods[0];
         assert!(matches!(

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use sjava_syntax::ast::*;
 use sjava_syntax::diag::Diagnostics;
 use sjava_syntax::pretty::print_program;
+use sjava_syntax::token::TokenKind;
 
 /// Strips spans so ASTs can be compared structurally.
 fn normalize(mut p: Program) -> Program {
@@ -37,9 +38,10 @@ fn normalize(mut p: Program) -> Program {
                 ne(base);
                 ne(index);
             }
-            Expr::Call {
-                recv, args, span, ..
-            } => {
+            Expr::Call(call) => {
+                let CallExpr {
+                    recv, args, span, ..
+                } = &mut **call;
                 *span = Default::default();
                 if let Some(r) = recv {
                     ne(r);
@@ -264,6 +266,15 @@ proptest! {
         let mut d = Diagnostics::new();
         let toks = sjava_syntax::lexer::lex(&input, &mut d);
         prop_assert!(!toks.is_empty(), "always at least EOF");
+        // Every span covers whole scalars, so every token's text, value
+        // and diagnostic form can be read back from the input.
+        for t in &toks {
+            let text = t.text(&input);
+            let _ = t.describe(&input);
+            if t.kind == TokenKind::StrLit {
+                prop_assert!(t.str_value(&input).len() <= text.len());
+            }
+        }
     }
 
     #[test]

@@ -512,7 +512,7 @@ where
 fn stress_infer(cfg: &sjava_bench::stressgen::StressConfig, src: &str) -> ExitCode {
     let label = cfg.label();
     let file = SourceFile::new(format!("<{label}>"), src.to_string());
-    let program = match sjava::parse(&file.text) {
+    let mut program = match sjava::parse(&file.text) {
         Ok(p) => p,
         Err(diags) => {
             for d in diags.iter() {
@@ -521,8 +521,8 @@ fn stress_infer(cfg: &sjava_bench::stressgen::StressConfig, src: &str) -> ExitCo
             return ExitCode::FAILURE;
         }
     };
-    let stripped = sjava::syntax::strip::strip_location_annotations(&program);
-    match sjava::infer_annotations(&stripped, sjava::Mode::SInfer) {
+    sjava::syntax::strip::strip_in_place(&mut program);
+    match sjava::infer_annotations(&program, sjava::Mode::SInfer) {
         Ok(result) => {
             let t = &result.timings;
             let phase_list: Vec<String> = t
@@ -823,17 +823,17 @@ fn cmd_infer(args: &[String]) -> ExitCode {
         eprintln!("error: `sjava infer` needs a file");
         return ExitCode::from(EXIT_USAGE);
     };
-    let (file, program) = match load(path) {
+    let (file, mut program) = match load(path) {
         Ok(x) => x,
         Err(c) => return c,
     };
-    let stripped = sjava::syntax::strip::strip_location_annotations(&program);
+    sjava::syntax::strip::strip_in_place(&mut program);
     let mode = if naive {
         sjava::Mode::Naive
     } else {
         sjava::Mode::SInfer
     };
-    let code = match sjava::infer_annotations(&stripped, mode) {
+    let code = match sjava::infer_annotations(&program, mode) {
         Ok(result) => {
             print!("{}", print_program(&result.annotated));
             eprintln!(
@@ -867,7 +867,6 @@ fn cmd_infer(args: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     };
-    std::mem::forget(stripped);
     std::mem::forget(program);
     code
 }

@@ -431,3 +431,125 @@ fn check_rejects_cyclic_inheritance_in_bounded_time() {
         }
     }
 }
+
+/// `sjava` with `SJAVA_THREADS` set to `threads`.
+fn sjava_at(threads: &str, args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_sjava"))
+        .env("SJAVA_THREADS", threads)
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
+
+/// A file of 24 small classes, enough units for the front end to parse
+/// them on the worker pool at two threads, and a class `Deep` whose event
+/// loop calls each of them and three methods. Each method's deepest node
+/// sits as many nesting levels down as `levels` gives for its shape:
+/// parentheses, blocks and an `if` chain.
+fn nested_program([parens, blocks, ifs]: [u32; 3]) -> String {
+    let n = |levels: u32, outer: u32| (levels - outer) as usize;
+    let mut src = String::new();
+    let mut calls = String::new();
+    for k in 0..24 {
+        src.push_str(&format!(
+            "class K{k} {{\n  static int step{k}(int v) {{ int r = v + {k}; return r; }}\n}}\n"
+        ));
+        calls.push_str(&format!("      s = K{k}.step{k}(s);\n"));
+    }
+    src.push_str(&format!(
+        "class Deep {{\n  int total;\n  void main() {{\n    SSJAVA: while (true) {{\n      \
+         int s = Device.read();\n{calls}      s = parens(s);\n      s = blocks(s);\n      \
+         s = ifs(s);\n      total = s;\n      Out.emit(total);\n    }}\n  }}\n"
+    ));
+    // The body and the initializer take two levels.
+    let p = n(parens, 2);
+    src.push_str(&format!(
+        "  int parens(int v) {{\n    int r = {}v{};\n    return r;\n  }}\n",
+        "(".repeat(p),
+        ")".repeat(p)
+    ));
+    // The body takes one.
+    let b = n(blocks, 1);
+    src.push_str(&format!(
+        "  int blocks(int v) {{\n    int r = v;\n    {}{}\n    return r;\n  }}\n",
+        "{ ".repeat(b),
+        "} ".repeat(b)
+    ));
+    // The body and the innermost statement's expressions take two.
+    src.push_str(&format!(
+        "  int ifs(int v) {{\n    int r = 0;\n    boolean p = v > 0;\n    {}r = v;\n    \
+         return r;\n  }}\n}}\n",
+        "if (p) ".repeat(n(ifs, 2))
+    ));
+    src
+}
+
+#[test]
+fn nesting_at_the_limit_checks_infers_and_runs_at_every_width() {
+    let limit = sjava::syntax::parser::MAX_NESTING;
+    let path = write_temp("nested_at_limit.sj", &nested_program([limit; 3]));
+    let path = path.to_str().expect("utf8");
+    let inferred = write_temp("nested_at_limit_inferred.sj", "");
+    let inferred = inferred.to_str().expect("utf8");
+    let mut first: Option<Vec<Vec<u8>>> = None;
+    for threads in ["1", "2"] {
+        // Unannotated, so rejected, but checked to the end.
+        let check = sjava_at(threads, &["check", "--format=json", path]);
+        assert_eq!(check.status.code(), Some(1), "{threads} threads");
+        assert!(!String::from_utf8_lossy(&check.stdout).contains("SJ0002"));
+        let infer = sjava_at(threads, &["infer", path]);
+        assert!(infer.status.success(), "{threads} threads");
+        // The printed annotations parse, at the same depths, and check.
+        std::fs::write(inferred, &infer.stdout).expect("write");
+        let recheck = sjava_at(threads, &["check", inferred]);
+        assert!(
+            recheck.status.success(),
+            "{threads} threads: {}",
+            String::from_utf8_lossy(&recheck.stderr)
+        );
+        let run = sjava_at(threads, &["run", path, "Deep.main", "3"]);
+        assert!(run.status.success(), "{threads} threads");
+        let outputs = vec![check.stdout, infer.stdout, recheck.stdout, run.stdout];
+        match &first {
+            None => first = Some(outputs),
+            Some(at_one) => assert!(*at_one == outputs, "output differs at {threads} threads"),
+        }
+    }
+}
+
+#[test]
+fn nesting_past_the_limit_is_one_sj0002_at_every_width() {
+    let limit = sjava::syntax::parser::MAX_NESTING;
+    let report = format!("error[SJ0002]: nesting exceeds the limit of {limit} levels");
+    for (shape, name) in ["parens", "blocks", "ifs"].into_iter().enumerate() {
+        let mut levels = [limit; 3];
+        levels[shape] += 1;
+        let path = write_temp(&format!("nested_{name}.sj"), &nested_program(levels));
+        let path = path.to_str().expect("utf8");
+        let mut first: Option<Vec<Vec<u8>>> = None;
+        for threads in ["1", "2"] {
+            let text = sjava_at(threads, &["check", path]);
+            let json = sjava_at(threads, &["check", "--format=json", path]);
+            assert_eq!(text.status.code(), Some(1), "{name} at {threads} threads");
+            assert_eq!(json.status.code(), Some(1), "{name} at {threads} threads");
+            let stderr = String::from_utf8_lossy(&text.stderr);
+            assert_eq!(stderr.matches("error[").count(), 1, "{name}: {stderr}");
+            assert!(stderr.contains(&report), "{name}: {stderr}");
+            let stdout = String::from_utf8_lossy(&json.stdout);
+            assert!(
+                stdout.contains("\"errors\":1,") && stdout.contains("\"code\":\"SJ0002\""),
+                "{name}: {stdout}"
+            );
+            let outputs = vec![text.stdout, text.stderr, json.stdout];
+            match &first {
+                None => first = Some(outputs),
+                Some(at_one) => {
+                    assert!(
+                        *at_one == outputs,
+                        "{name}: output differs at {threads} threads"
+                    )
+                }
+            }
+        }
+    }
+}
