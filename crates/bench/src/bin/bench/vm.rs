@@ -5,9 +5,10 @@
 //!   (outputs, step counts, error logs, injection points) must match on
 //!   the five apps, and on the small, default and adversarial stress
 //!   presets, plain and with 16 injected faults each.
-//! - Single-thread runs/sec of both engines per app, execution only. The
-//!   VM must be ≥ 5x faster on mp3dec (skipped below 4 cores, where the
-//!   measurement is too noisy).
+//! - Single-thread runs/sec of both engines per app, execution only, and
+//!   the VM's step rate (the run's steps over its fastest rep's `run`,
+//!   in Msteps/s). The VM must be ≥ 5x faster on mp3dec (skipped below 4
+//!   cores, where the measurement is too noisy).
 //! - Campaign: mp3dec Monte-Carlo trials on the VM (48 under `--gate`,
 //!   2000 otherwise). The first 48 (200) are replayed from scratch on
 //!   the interpreter with each trial's own injector; the fire step and
@@ -53,8 +54,9 @@ where
             .run(entry.0, entry.1, iterations)
     };
     let mut vm = Vm::new(&module, make_inputs(), ExecOptions::default());
-    let identical =
-        format!("{:?}", interp()) == format!("{:?}", vm.run(entry.0, entry.1, iterations));
+    let golden = vm.run(entry.0, entry.1, iterations);
+    let steps = golden.as_ref().map_or(0, |r| r.steps);
+    let identical = format!("{:?}", interp()) == format!("{golden:?}");
     gate.check(identical, || {
         format!("{name}: VM and interpreter traces differ")
     });
@@ -64,20 +66,26 @@ where
         let _ = interp();
     }
     let interp_rps = reps as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-    let t0 = Instant::now();
+    // Runs/sec count each rep's fresh inputs, as the interpreter's do;
+    // the step rate times `run` alone.
+    let (t0, mut best) = (Instant::now(), f64::INFINITY);
     for _ in 0..reps {
         vm.set_inputs(make_inputs());
+        let t1 = Instant::now();
         let _ = vm.run(entry.0, entry.1, iterations);
+        best = best.min(t1.elapsed().as_secs_f64());
     }
     let vm_rps = reps as f64 / t0.elapsed().as_secs_f64().max(1e-12);
+    let msteps = steps as f64 / best.max(1e-12) / 1e6;
     let speedup = vm_rps / interp_rps;
     let same = if identical { "yes" } else { "NO" };
     println!(
-        "{name:<12} {iterations:>6} {same:>9} {interp_rps:>14.1} {vm_rps:>14.1} {speedup:>8.2}x"
+        "{name:<12} {iterations:>6} {same:>9} {interp_rps:>14.1} {vm_rps:>14.1} {msteps:>12.1} {speedup:>8.2}x"
     );
     let row = obj! {
         "app" => name, "iterations" => iterations, "identical" => identical,
-        "interp_runs_per_sec" => interp_rps, "vm_runs_per_sec" => vm_rps, "speedup" => speedup,
+        "interp_runs_per_sec" => interp_rps, "vm_runs_per_sec" => vm_rps,
+        "vm_steps" => steps, "vm_msteps_per_sec" => msteps, "speedup" => speedup,
     };
     (row, speedup)
 }
@@ -162,8 +170,8 @@ pub fn run(mode: Mode, gate: &mut Gate) {
     println!("\nbench vm — tree-walking interpreter vs register-bytecode VM");
     println!("host: {cores} core(s); {reps} timing rep(s) per engine\n");
     println!(
-        "{:<12} {:>6} {:>9} {:>14} {:>14} {:>9}",
-        "app", "iters", "identical", "interp runs/s", "vm runs/s", "speedup"
+        "{:<12} {:>6} {:>9} {:>14} {:>14} {:>12} {:>9}",
+        "app", "iters", "identical", "interp runs/s", "vm runs/s", "vm Msteps/s", "speedup"
     );
     let rows = [
         bench_app(

@@ -1,9 +1,12 @@
 //! The figure binaries, end to end: `eval_eye`, `eval_robot` and
 //! `ablation_sticky` must reproduce the committed `results/*.csv` byte
-//! for byte. Each binary also asserts its own recovery bound before it
-//! exits (eye ≤ 3 iterations, robot ≤ 1, the sticky accumulator mostly
-//! never recovers), so those run here too. A malformed scaling setting
-//! must stop a binary before it writes anything.
+//! for byte, and `fig6_1` at 2,000 trials its fixture under
+//! `tests/fixtures/` (the committed CSV is the 100,000-trial default,
+//! minutes of work). Each binary also asserts its own recovery bound
+//! before it exits (eye ≤ 3 iterations, robot ≤ 1, mp3dec ≤ ~2 frames,
+//! the sticky accumulator mostly never recovers), so those run here too.
+//! A malformed scaling setting must stop a binary before it writes
+//! anything.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -29,20 +32,24 @@ fn run(bin: &str, dir: &Path, env: &[(&str, &str)]) -> Output {
     cmd.envs(env.iter().copied()).output().expect("binary runs")
 }
 
-fn assert_reproduces(bin: &str, csv: &str) {
+/// Runs `bin` with `env` and compares the `results/{csv}` it writes
+/// with `expected`, relative to this crate.
+fn assert_writes(bin: &str, env: &[(&str, &str)], csv: &str, expected: &str) {
     let dir = TempDir::new(&format!("figures-{csv}"));
-    let out = run(bin, &dir.0, &[]);
+    let out = run(bin, &dir.0, env);
     assert!(
         out.status.success(),
         "{bin} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let written = std::fs::read_to_string(dir.0.join("results").join(csv)).expect("csv written");
-    let committed = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results")
-        .join(csv);
-    let committed = std::fs::read_to_string(committed).expect("committed csv");
-    assert_eq!(written, committed, "{csv} differs from the committed file");
+    let expected = Path::new(env!("CARGO_MANIFEST_DIR")).join(expected);
+    let expected = std::fs::read_to_string(expected).expect("expected csv");
+    assert_eq!(written, expected, "{csv} differs from the expected file");
+}
+
+fn assert_reproduces(bin: &str, csv: &str) {
+    assert_writes(bin, &[], csv, &format!("../../results/{csv}"));
 }
 
 #[test]
@@ -58,6 +65,16 @@ fn eval_robot_reproduces_its_csv() {
 #[test]
 fn ablation_sticky_reproduces_its_csv() {
     assert_reproduces(env!("CARGO_BIN_EXE_ablation_sticky"), "ablation_sticky.csv");
+}
+
+#[test]
+fn fig6_1_reproduces_its_ci_size_csv() {
+    assert_writes(
+        env!("CARGO_BIN_EXE_fig6_1"),
+        &[("SJAVA_TRIALS", "2000")],
+        "fig6_1.csv",
+        "tests/fixtures/fig6_1_2000.csv",
+    );
 }
 
 #[test]

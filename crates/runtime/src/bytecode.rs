@@ -46,9 +46,17 @@ pub(crate) enum Op {
         slot: u16,
         src: u16,
     },
-    /// Bare-name assign: local if defined, else `store_fbs[fb]` when
-    /// `this` is bound, else define a local (§interp `assign`).
-    StoreLocalOrField {
+    /// Count a step on the value in `src` (budget + injector), then
+    /// store the result as [`Op::StoreLocal`] does: an assignment to a
+    /// local in one op. `src` keeps the value from before the step.
+    StepStore {
+        slot: u16,
+        src: u16,
+    },
+    /// Count a step on the value in `src`, then a bare-name assign:
+    /// local if defined, else `store_fbs[fb]` when `this` is bound, else
+    /// define a local (§interp `assign`).
+    StepStoreOrField {
         slot: u16,
         src: u16,
         fb: u32,
@@ -65,12 +73,34 @@ pub(crate) enum Op {
         b: u16,
         op: BinOp,
     },
+    /// [`Op::Arith`] with a literal right operand `consts[k]`.
+    ArithK {
+        dst: u16,
+        a: u16,
+        k: u32,
+        op: BinOp,
+    },
     /// Comparison via the shared kernel (no step).
     Cmp {
         dst: u16,
         a: u16,
         b: u16,
         op: BinOp,
+    },
+    /// [`Op::Cmp`] with a literal right operand `consts[k]`.
+    CmpK {
+        dst: u16,
+        a: u16,
+        k: u32,
+        op: BinOp,
+    },
+    /// [`Op::CmpK`] then [`Op::JumpIfFalse`] on its result, which is
+    /// never stored: a plain-loop or `&&`/`||` condition.
+    JumpCmpK {
+        a: u16,
+        k: u32,
+        op: BinOp,
+        to: u32,
     },
     /// `==` / `!=` over any values (no step).
     EqCmp {
@@ -948,6 +978,7 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
             Op::Jump { to }
             | Op::JumpIfFalse { to, .. }
             | Op::BranchCond { to, .. }
+            | Op::JumpCmpK { to, .. }
             | Op::JumpCounterGe { to, .. }
             | Op::ArgSkip { to, .. } => *to = target,
             Op::VPrep { end, .. } => *end = target,
@@ -1007,8 +1038,7 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
                 match init {
                     Some(e) => {
                         let t = self.expr(e);
-                        self.emit(Op::StepVal { r: t });
-                        self.emit(Op::StoreLocal { slot, src: t });
+                        self.emit(Op::StepStore { slot, src: t });
                     }
                     None => {
                         let t = self.alloc();
@@ -1020,7 +1050,6 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
             }
             Stmt::Assign { lhs, rhs, .. } => {
                 let t = self.expr(rhs);
-                self.emit(Op::StepVal { r: t });
                 self.compile_assign(lhs, t);
             }
             Stmt::If {
@@ -1075,13 +1104,7 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
                         to: u32::MAX,
                     })
                 });
-                let mark = self.tmp;
-                let cr = self.expr(cond);
-                let jf = self.emit(Op::JumpIfFalse {
-                    c: cr,
-                    to: u32::MAX,
-                });
-                self.tmp = mark;
+                let jf = self.jump_unless(cond);
                 self.loops.push(LoopCtx::Plain {
                     brks: Vec::new(),
                     conts: Vec::new(),
@@ -1139,16 +1162,7 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
                         to: u32::MAX,
                     })
                 });
-                let jf = cond.as_ref().map(|cexpr| {
-                    let mark = self.tmp;
-                    let cr = self.expr(cexpr);
-                    let j = self.emit(Op::JumpIfFalse {
-                        c: cr,
-                        to: u32::MAX,
-                    });
-                    self.tmp = mark;
-                    j
-                });
+                let jf = cond.as_ref().map(|cexpr| self.jump_unless(cexpr));
                 self.loops.push(LoopCtx::Plain {
                     brks: Vec::new(),
                     conts: Vec::new(),
@@ -1244,7 +1258,13 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
         self.emit(Op::Jump { to: head });
     }
 
+    /// Steps the assigned value in `src`, then stores it to `lhs`.
     fn compile_assign(&mut self, lhs: &LValue, src: u16) {
+        if !matches!(lhs, LValue::Var { .. }) {
+            // The step comes before the target's own base and index
+            // are evaluated.
+            self.emit(Op::StepVal { r: src });
+        }
         match lhs {
             LValue::Var { name, .. } => {
                 let slot = self.named[name];
@@ -1257,9 +1277,9 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
                     };
                     let fbi = self.c.store_fbs.len() as u32;
                     self.c.store_fbs.push(fb);
-                    self.emit(Op::StoreLocalOrField { slot, src, fb: fbi });
+                    self.emit(Op::StepStoreOrField { slot, src, fb: fbi });
                 } else {
-                    self.emit(Op::StoreLocal { slot, src });
+                    self.emit(Op::StepStore { slot, src });
                 }
             }
             LValue::Field { base, field, .. } => {
@@ -1296,13 +1316,44 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
         self.emit(Op::Const { dst, c });
     }
 
+    /// Evaluates `cond` and emits a jump (to be patched) taken unless
+    /// it is `true`; an ordering comparison with a literal right operand
+    /// jumps on its own result.
+    fn jump_unless(&mut self, cond: &Expr) -> usize {
+        let mark = self.tmp;
+        let fused = match cond {
+            Expr::Binary { op, lhs, rhs, .. }
+                if op.is_comparison() && !matches!(op, BinOp::Eq | BinOp::Ne) =>
+            {
+                literal(rhs).map(|v| (*op, lhs, v))
+            }
+            _ => None,
+        };
+        let j = match fused {
+            Some((op, lhs, v)) => {
+                let (a, to) = (self.expr(lhs), u32::MAX);
+                let k = self.konst(v);
+                self.emit(Op::JumpCmpK { a, k, op, to })
+            }
+            None => {
+                let c = self.expr(cond);
+                self.emit(Op::JumpIfFalse { c, to: u32::MAX })
+            }
+        };
+        self.tmp = mark;
+        j
+    }
+
     fn expr_into(&mut self, e: &Expr, dst: u16) {
         match e {
-            Expr::IntLit { value, .. } => self.const_into(dst, Value::Int(*value)),
-            Expr::FloatLit { value, .. } => self.const_into(dst, Value::Float(*value)),
-            Expr::BoolLit { value, .. } => self.const_into(dst, Value::Bool(*value)),
-            Expr::StrLit { value, .. } => self.const_into(dst, Value::Str(value.clone())),
-            Expr::Null { .. } => self.const_into(dst, Value::Null),
+            Expr::IntLit { .. }
+            | Expr::FloatLit { .. }
+            | Expr::BoolLit { .. }
+            | Expr::StrLit { .. }
+            | Expr::Null { .. } => {
+                let v = literal(e).expect("a literal");
+                self.const_into(dst, v);
+            }
             Expr::This { .. } => {
                 self.emit(Op::LoadThis { dst });
             }
@@ -1359,9 +1410,7 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
             }
             Expr::Binary { op, lhs, rhs, .. } => match op {
                 BinOp::And => {
-                    let a = self.expr(lhs);
-                    let jf = self.emit(Op::JumpIfFalse { c: a, to: u32::MAX });
-                    self.tmp = a;
+                    let jf = self.jump_unless(lhs);
                     self.expr_into(rhs, dst);
                     let j2 = self.emit(Op::Jump { to: u32::MAX });
                     let f = self.here();
@@ -1371,9 +1420,7 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
                     self.patch(j2, end);
                 }
                 BinOp::Or => {
-                    let a = self.expr(lhs);
-                    let jf = self.emit(Op::JumpIfFalse { c: a, to: u32::MAX });
-                    self.tmp = a;
+                    let jf = self.jump_unless(lhs);
                     self.const_into(dst, Value::Bool(true));
                     let j2 = self.emit(Op::Jump { to: u32::MAX });
                     let f = self.here();
@@ -1393,16 +1440,28 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
                     });
                     self.tmp = a;
                 }
-                _ if op.is_comparison() => {
-                    let a = self.expr(lhs);
-                    let b = self.expr(rhs);
-                    self.emit(Op::Cmp { dst, a, b, op: *op });
-                    self.tmp = a;
-                }
                 _ => {
+                    let (op, cmp) = (*op, op.is_comparison());
                     let a = self.expr(lhs);
-                    let b = self.expr(rhs);
-                    self.emit(Op::Arith { dst, a, b, op: *op });
+                    let ins = match literal(rhs) {
+                        Some(v) => {
+                            let k = self.konst(v);
+                            if cmp {
+                                Op::CmpK { dst, a, k, op }
+                            } else {
+                                Op::ArithK { dst, a, k, op }
+                            }
+                        }
+                        None => {
+                            let b = self.expr(rhs);
+                            if cmp {
+                                Op::Cmp { dst, a, b, op }
+                            } else {
+                                Op::Arith { dst, a, b, op }
+                            }
+                        }
+                    };
+                    self.emit(ins);
                     self.tmp = a;
                 }
             },
@@ -1606,6 +1665,19 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
     }
 }
 
+/// The value of a literal expression, which evaluates to a constant
+/// without a step.
+fn literal(e: &Expr) -> Option<Value> {
+    Some(match e {
+        Expr::IntLit { value, .. } => Value::Int(*value),
+        Expr::FloatLit { value, .. } => Value::Float(*value),
+        Expr::BoolLit { value, .. } => Value::Bool(*value),
+        Expr::StrLit { value, .. } => Value::Str(value.clone()),
+        Expr::Null { .. } => Value::Null,
+        _ => return None,
+    })
+}
+
 // ---- flat heap ------------------------------------------------------
 
 /// Typed metadata for one flat-heap entry.
@@ -1630,17 +1702,13 @@ pub(crate) struct FlatEntry {
     pub(crate) kind: FlatKind,
 }
 
-impl FlatEntry {
-    pub(crate) fn is_array(&self) -> bool {
-        matches!(self.kind, FlatKind::Array { .. })
-    }
-
-    pub(crate) fn array_default(&self) -> Option<&Value> {
-        match &self.kind {
-            FlatKind::Array { default } => Some(default),
-            FlatKind::Object { .. } => None,
-        }
-    }
+/// Why an indexed access found no element.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ArrayMiss {
+    /// The index is outside the array.
+    OutOfBounds,
+    /// The reference is not to an array.
+    NotArray,
 }
 
 /// A copy of a [`FlatHeap`]'s state, for O(live-cells) per-trial reset
@@ -1748,10 +1816,6 @@ impl<'m> FlatHeap<'m> {
         self.entries.len() - 1
     }
 
-    pub(crate) fn entry(&self, id: usize) -> Option<&FlatEntry> {
-        self.entries.get(id)
-    }
-
     /// The dynamic class of an object entry (`None` for arrays).
     pub(crate) fn obj_class(&self, id: usize) -> Option<u32> {
         match self.entries.get(id)?.kind {
@@ -1830,20 +1894,52 @@ impl<'m> FlatHeap<'m> {
         true
     }
 
-    pub(crate) fn array_get(&self, id: usize, ix: usize) -> Option<&Value> {
-        let e = self.entries.get(id)?;
-        if ix >= e.len as usize {
-            return None;
+    /// The arena slot of element `ix` of array `id`: one entry lookup.
+    #[inline(always)]
+    fn array_slot(&self, id: usize, ix: i64) -> Result<usize, ArrayMiss> {
+        match self.entries.get(id) {
+            Some(FlatEntry {
+                base,
+                len,
+                kind: FlatKind::Array { .. },
+            }) => match usize::try_from(ix) {
+                Ok(ix) if ix < *len as usize => Ok(*base as usize + ix),
+                _ => Err(ArrayMiss::OutOfBounds),
+            },
+            _ => Err(ArrayMiss::NotArray),
         }
-        self.slots.get(e.base as usize + ix)
     }
 
-    pub(crate) fn array_set(&mut self, id: usize, ix: usize, v: Value) {
-        if let Some(e) = self.entries.get(id) {
-            if ix < e.len as usize {
-                let s = e.base as usize + ix;
-                self.slots[s] = v;
-            }
+    #[inline(always)]
+    pub(crate) fn array_get(&self, id: usize, ix: i64) -> Result<&Value, ArrayMiss> {
+        self.array_slot(id, ix).map(|s| &self.slots[s])
+    }
+
+    /// Stores element `ix` of array `id`; on a miss `v` is dropped.
+    #[inline(always)]
+    pub(crate) fn array_set(&mut self, id: usize, ix: i64, v: Value) -> Result<(), ArrayMiss> {
+        let s = self.array_slot(id, ix)?;
+        self.slots[s] = v;
+        Ok(())
+    }
+
+    /// The length of array `id` (`None` when `id` is no array).
+    pub(crate) fn array_len(&self, id: usize) -> Option<u32> {
+        match self.entries.get(id)? {
+            FlatEntry {
+                len,
+                kind: FlatKind::Array { .. },
+                ..
+            } => Some(*len),
+            _ => None,
+        }
+    }
+
+    /// The element default of array `id` (out-of-bounds reads).
+    pub(crate) fn array_default(&self, id: usize) -> Option<&Value> {
+        match &self.entries.get(id)?.kind {
+            FlatKind::Array { default } => Some(default),
+            FlatKind::Object { .. } => None,
         }
     }
 

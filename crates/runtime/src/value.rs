@@ -106,6 +106,8 @@ impl SoftFail {
 /// Applies a binary operator to two values. This is the single source
 /// of truth for operator semantics — the interpreter and the VM both
 /// delegate here and only differ in how they report the `SoftFail`.
+/// The numeric cases go through [`int_binop`] and [`float_binop`],
+/// which the VM's dispatch loop also calls directly.
 pub(crate) fn binop_values(op: BinOp, l: &Value, r: &Value) -> Result<Value, SoftFail> {
     use BinOp::*;
     // String concatenation.
@@ -132,60 +134,71 @@ pub(crate) fn binop_values(op: BinOp, l: &Value, r: &Value) -> Result<Value, Sof
                 Value::Float(0.0),
             ));
         };
-        Ok(match op {
-            Add => Value::Float(a + b),
-            Sub => Value::Float(a - b),
-            Mul => Value::Float(a * b),
-            Div => {
-                if b == 0.0 {
-                    return Err(SoftFail::new("float division by zero", Value::Float(0.0)));
-                }
-                Value::Float(a / b)
-            }
-            Rem => {
-                if b == 0.0 {
-                    return Err(SoftFail::new("float modulo by zero", Value::Float(0.0)));
-                }
-                Value::Float(a % b)
-            }
-            Lt => Value::Bool(a < b),
-            Le => Value::Bool(a <= b),
-            Gt => Value::Bool(a > b),
-            Ge => Value::Bool(a >= b),
-            _ => return Err(SoftFail::new("bitwise op on floats", Value::Float(0.0))),
+        float_binop(op, a, b).ok_or_else(|| {
+            let msg = match op {
+                Div => "float division by zero",
+                Rem => "float modulo by zero",
+                _ => "bitwise op on floats",
+            };
+            SoftFail::new(msg, Value::Float(0.0))
         })
     } else {
         let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) else {
             return Err(SoftFail::new("arithmetic on non-numbers", Value::Int(0)));
         };
-        Ok(match op {
-            Add => Value::Int(a.wrapping_add(b)),
-            Sub => Value::Int(a.wrapping_sub(b)),
-            Mul => Value::Int(a.wrapping_mul(b)),
-            Div => {
-                if b == 0 {
-                    return Err(SoftFail::new("division by zero", Value::Int(0)));
-                }
-                Value::Int(a.wrapping_div(b))
-            }
-            Rem => {
-                if b == 0 {
-                    return Err(SoftFail::new("modulo by zero", Value::Int(0)));
-                }
-                Value::Int(a.wrapping_rem(b))
-            }
-            Lt => Value::Bool(a < b),
-            Le => Value::Bool(a <= b),
-            Gt => Value::Bool(a > b),
-            Ge => Value::Bool(a >= b),
-            BitAnd => Value::Int(a & b),
-            BitOr => Value::Int(a | b),
-            BitXor => Value::Int(a ^ b),
-            Shl => Value::Int(a.wrapping_shl((b & 63) as u32)),
-            Shr => Value::Int(a.wrapping_shr((b & 63) as u32)),
-            And | Or | Eq | Ne => unreachable!("handled above"),
+        int_binop(op, a, b).ok_or_else(|| {
+            let msg = match op {
+                Div => "division by zero",
+                Rem => "modulo by zero",
+                _ => unreachable!("only a zero divisor fails on ints"),
+            };
+            SoftFail::new(msg, Value::Int(0))
         })
     }
+}
+
+/// `op` on two ints: wrapping arithmetic, shift counts masked to 6
+/// bits. `None` for a zero divisor, which [`binop_values`] reports.
+#[inline(always)]
+pub(crate) fn int_binop(op: BinOp, a: i64, b: i64) -> Option<Value> {
+    use BinOp::*;
+    Some(match op {
+        Add => Value::Int(a.wrapping_add(b)),
+        Sub => Value::Int(a.wrapping_sub(b)),
+        Mul => Value::Int(a.wrapping_mul(b)),
+        Div if b != 0 => Value::Int(a.wrapping_div(b)),
+        Rem if b != 0 => Value::Int(a.wrapping_rem(b)),
+        Div | Rem => return None,
+        Lt => Value::Bool(a < b),
+        Le => Value::Bool(a <= b),
+        Gt => Value::Bool(a > b),
+        Ge => Value::Bool(a >= b),
+        BitAnd => Value::Int(a & b),
+        BitOr => Value::Int(a | b),
+        BitXor => Value::Int(a ^ b),
+        Shl => Value::Int(a.wrapping_shl((b & 63) as u32)),
+        Shr => Value::Int(a.wrapping_shr((b & 63) as u32)),
+        And | Or | Eq | Ne => unreachable!("lowered apart from arithmetic"),
+    })
+}
+
+/// `op` on two floats. `None` for a zero divisor or a bitwise
+/// operator, which [`binop_values`] reports.
+#[inline(always)]
+pub(crate) fn float_binop(op: BinOp, a: f64, b: f64) -> Option<Value> {
+    use BinOp::*;
+    Some(match op {
+        Add => Value::Float(a + b),
+        Sub => Value::Float(a - b),
+        Mul => Value::Float(a * b),
+        Div if b != 0.0 => Value::Float(a / b),
+        Rem if b != 0.0 => Value::Float(a % b),
+        Lt => Value::Bool(a < b),
+        Le => Value::Bool(a <= b),
+        Gt => Value::Bool(a > b),
+        Ge => Value::Bool(a >= b),
+        _ => return None,
+    })
 }
 
 /// Evaluates a `Math.*` intrinsic over already-evaluated arguments.
@@ -379,6 +392,31 @@ mod tests {
             panic!()
         };
         assert_eq!(data, &vec![Value::Float(0.0); 3]);
+    }
+
+    #[test]
+    fn operator_kernel_edges() {
+        let ok = |op, l, r| binop_values(op, &l, &r).expect("computes");
+        let fail = |op, l, r| binop_values(op, &l, &r).expect_err("fails").msg;
+        use BinOp::*;
+        use Value::{Float, Int};
+        assert_eq!(ok(Add, Int(i64::MAX), Int(1)), Int(i64::MIN));
+        assert_eq!(ok(Div, Int(i64::MIN), Int(-1)), Int(i64::MIN));
+        assert_eq!(ok(Rem, Int(i64::MIN), Int(-1)), Int(0));
+        assert_eq!(ok(Shl, Int(1), Int(64)), Int(1));
+        assert_eq!(ok(Shl, Int(1), Int(63)), Int(i64::MIN));
+        assert_eq!(ok(Shr, Int(i64::MIN), Int(-1)), Int(-1));
+        assert_eq!(ok(Add, Int(1), Float(0.5)), Float(1.5));
+        assert_eq!(fail(Div, Int(5), Int(0)), "division by zero");
+        assert_eq!(fail(Rem, Int(5), Int(0)), "modulo by zero");
+        assert_eq!(fail(Div, Float(1.0), Float(-0.0)), "float division by zero");
+        assert_eq!(fail(Rem, Int(1), Float(0.0)), "float modulo by zero");
+        assert_eq!(fail(BitAnd, Float(1.0), Int(1)), "bitwise op on floats");
+        assert_eq!(fail(Add, Value::Null, Int(1)), "arithmetic on non-numbers");
+        assert_eq!(
+            ok(Add, Value::Null, Value::Str("s".into())),
+            Value::Str("nulls".into())
+        );
     }
 
     #[test]

@@ -23,12 +23,14 @@
 //! injector does nothing, so from an equal state the trial would repeat
 //! the golden run to the end.
 
-use crate::bytecode::{FlatHeap, FlatHeapSnapshot};
+use crate::bytecode::{ArrayMiss, FlatHeap, FlatHeapSnapshot};
 use crate::bytecode::{Module, Op, StoreFallback, VarFallback};
 use crate::inject::Injector;
 use crate::input::InputProvider;
 use crate::interp::{ExecOptions, RunResult, RuntimeError};
-use crate::value::{identical_values, ObjId, Value};
+use crate::value::{binop_values, float_binop, identical_values, int_binop, math_values};
+use crate::value::{ObjId, SoftFail, Value};
+use sjava_syntax::ast::BinOp;
 
 /// Why the dispatch loop stopped executing ops.
 enum OpStop {
@@ -36,14 +38,19 @@ enum OpStop {
     Err(RuntimeError),
     /// The event loop finished its scheduled iterations.
     LoopDone,
-    /// An iteration started while `Vm::watch` was set.
-    Pause,
 }
 
+#[cold]
 fn stop(msg: impl Into<String>) -> OpStop {
     OpStop::Err(RuntimeError {
         message: msg.into(),
     })
+}
+
+/// The right operand of an arithmetic or comparison op.
+enum Rhs<'a> {
+    Reg(usize),
+    Lit(&'a Value),
 }
 
 /// One activation record. Registers live in the shared `Vm::regs`
@@ -614,6 +621,7 @@ impl<'m, I: InputProvider> Vm<'m, I> {
 
     /// Counts one step: budget check, then the injector's chance to
     /// corrupt the heap and/or this value (the interpreter's `step`).
+    #[inline(always)]
     fn step(&mut self, v: Value) -> Result<Value, OpStop> {
         self.steps += 1;
         if self.steps - self.iter_start_step > self.options.max_steps_per_iter {
@@ -635,18 +643,46 @@ impl<'m, I: InputProvider> Vm<'m, I> {
         }
     }
 
+    /// `op` on register `a` and `rhs`: int×int and float×float through
+    /// the shared kernels inline, every other pair and every soft
+    /// failure through `binop_values`. The fast path returns the op's
+    /// own result type: merging it into `binop_values`' `Result<Value,
+    /// SoftFail>` first makes it store and reload each result.
+    #[inline(always)]
+    fn binop(&mut self, op: BinOp, a: usize, rhs: Rhs) -> Result<Value, OpStop> {
+        let l = &self.regs[a];
+        let r = match rhs {
+            Rhs::Reg(b) => &self.regs[b],
+            Rhs::Lit(k) => k,
+        };
+        let fast = match (l, r) {
+            (Value::Int(a), Value::Int(b)) => int_binop(op, *a, *b),
+            (Value::Float(a), Value::Float(b)) => float_binop(op, *a, *b),
+            _ => None,
+        };
+        if let Some(v) = fast {
+            return Ok(v);
+        }
+        let res = binop_values(op, l, r);
+        self.or_soft(res)
+    }
+
+    fn or_soft(&mut self, r: Result<Value, SoftFail>) -> Result<Value, OpStop> {
+        match r {
+            Ok(v) => Ok(v),
+            Err(sf) => self.soft(&sf.msg, sf.default),
+        }
+    }
+
     /// Runs ops until the machine stops: `Ok(true)` when it paused at
     /// an iteration start (only while `watch` is set), `Ok(false)` when
     /// the event loop completed its iterations or the frame stack
-    /// drained (entry returned before/without an event loop).
+    /// drained (entry returned before/without an event loop). A hard
+    /// error inside an armed event-loop body is caught here (§4.4).
     fn dispatch(&mut self) -> Result<bool, RuntimeError> {
         loop {
-            if self.frames.is_empty() {
-                return Ok(false);
-            }
-            match self.exec_next() {
-                Ok(()) => {}
-                Err(OpStop::Pause) => return Ok(true),
+            match self.exec() {
+                Ok(paused) => return Ok(paused),
                 Err(OpStop::LoopDone) => {
                     // The interpreter's `instantiate`/`static_value`
                     // hit `unreachable!` when a LoopDone unwinds into
@@ -663,297 +699,312 @@ impl<'m, I: InputProvider> Vm<'m, I> {
                         .as_ref()
                         .filter(|el| el.armed && self.options.ignore_errors)
                         .map(|el| (el.frame, el.head_pc, el.regs_len, el.pending_len));
-                    match catch {
-                        Some((frame, head_pc, regs_len, pending_len)) => {
-                            // §4.4: log and continue into the next
-                            // iteration, unwinding callee frames.
-                            self.log.push(format!("iteration aborted: {e}"));
-                            self.frames.truncate(frame + 1);
-                            self.regs.truncate(regs_len);
-                            self.defined.truncate(regs_len);
-                            self.pending.truncate(pending_len);
-                            self.frames[frame].pc = head_pc;
-                        }
-                        None => return Err(e),
-                    }
+                    let Some((frame, head_pc, regs_len, pending_len)) = catch else {
+                        return Err(e);
+                    };
+                    // §4.4: log and continue into the next iteration,
+                    // unwinding callee frames.
+                    self.log.push(format!("iteration aborted: {e}"));
+                    self.frames.truncate(frame + 1);
+                    self.regs.truncate(regs_len);
+                    self.defined.truncate(regs_len);
+                    self.pending.truncate(pending_len);
+                    self.frames[frame].pc = head_pc;
                 }
             }
         }
     }
 
-    /// Fetch–decode–execute for one op.
+    /// The dispatch loop: `Ok(true)` on a pause, `Ok(false)` once the
+    /// frame stack drains.
+    ///
+    /// The running frame's `pc`, register base, `this` and op slice live
+    /// in locals. `pc` goes back into the frame only where control
+    /// leaves it and comes back: before a frame push (a call, an
+    /// object's field initializers, a static's lazy initializer) and at
+    /// the pause at `IterStart`. Every other exit discards it: `Ret`
+    /// pops the frame, `LoopDone` clears the stack, and an error either
+    /// ends the run or is caught by [`Vm::dispatch`], which truncates
+    /// the stack to the event-loop frame and sets that frame's `pc` to
+    /// the loop head.
     #[allow(clippy::too_many_lines)]
-    fn exec_next(&mut self) -> Result<(), OpStop> {
+    fn exec(&mut self) -> Result<bool, OpStop> {
         let module = self.module;
-        let fi = self.frames.len() - 1;
-        let (cid, pc, base, this) = {
-            let f = &self.frames[fi];
-            (f.chunk, f.pc, f.base, f.this)
-        };
-        let chunk = &module.chunks[cid as usize];
-        let op = chunk.ops[pc];
-        self.frames[fi].pc = pc + 1;
-        let r = |x: u16| base + x as usize;
-        match op {
-            Op::Const { dst, c } => {
-                self.regs[r(dst)] = chunk.consts[c as usize].clone();
-            }
-            Op::LoadThis { dst } => {
-                let v = match this {
-                    Some(id) => Value::Ref(ObjId(id)),
-                    None => self.soft("`this` in static context", Value::Null)?,
-                };
-                self.regs[r(dst)] = v;
-            }
-            Op::LoadLocal { dst, slot, fb } => {
-                if self.defined[r(slot)] {
-                    self.regs[r(dst)] = self.regs[r(slot)].clone();
-                } else {
-                    self.load_fallback(fb, this, r(dst))?;
-                }
-            }
-            Op::StoreLocal { slot, src } => {
-                self.regs[r(slot)] = self.regs[r(src)].clone();
-                self.defined[r(slot)] = true;
-            }
-            Op::StoreLocalOrField { slot, src, fb } => {
-                if self.defined[r(slot)] {
-                    self.regs[r(slot)] = self.regs[r(src)].clone();
-                } else if let Some(id) = this {
-                    let v = self.regs[r(src)].clone();
-                    match module.store_fbs[fb as usize] {
-                        // Dropped silently when `this` is an array,
-                        // like the legacy `write_field`.
-                        StoreFallback::Field { off } => {
-                            self.heap.layout_write(id, off, v);
+        'frames: loop {
+            let Some(f) = self.frames.last() else {
+                return Ok(false);
+            };
+            let fi = self.frames.len() - 1;
+            let chunk = &module.chunks[f.chunk as usize];
+            let (ops, consts) = (&chunk.ops[..], &chunk.consts[..]);
+            let (base, this, mut pc) = (f.base, f.this, f.pc);
+            let r = |x: u16| base + x as usize;
+            loop {
+                let op = ops[pc];
+                pc += 1;
+                match op {
+                    Op::Const { dst, c } => {
+                        self.regs[r(dst)] = consts[c as usize].clone();
+                    }
+                    Op::LoadThis { dst } => {
+                        let v = match this {
+                            Some(id) => Value::Ref(ObjId(id)),
+                            None => self.soft("`this` in static context", Value::Null)?,
+                        };
+                        self.regs[r(dst)] = v;
+                    }
+                    Op::LoadLocal { dst, slot, fb } => {
+                        if self.defined[r(slot)] {
+                            self.regs[r(dst)] = self.regs[r(slot)].clone();
+                        } else if self.load_fallback(fb, this, r(dst))? {
+                            self.frames[fi].pc = pc;
+                            continue 'frames;
                         }
-                        StoreFallback::Overflow { name } => {
+                    }
+                    Op::StoreLocal { slot, src } => {
+                        self.regs[r(slot)] = self.regs[r(src)].clone();
+                        self.defined[r(slot)] = true;
+                    }
+                    Op::StepStore { slot, src } => {
+                        let v = self.step(self.regs[r(src)].clone())?;
+                        self.regs[r(slot)] = v;
+                        self.defined[r(slot)] = true;
+                    }
+                    Op::StepStoreOrField { slot, src, fb } => {
+                        let v = self.step(self.regs[r(src)].clone())?;
+                        if self.defined[r(slot)] {
+                            self.regs[r(slot)] = v;
+                        } else if let Some(id) = this {
+                            match module.store_fbs[fb as usize] {
+                                // Dropped silently when `this` is an
+                                // array, like the legacy `write_field`.
+                                StoreFallback::Field { off } => {
+                                    self.heap.layout_write(id, off, v);
+                                }
+                                StoreFallback::Overflow { name } => {
+                                    self.heap.write_field(id, name, v);
+                                }
+                            }
+                        } else {
+                            self.regs[r(slot)] = v;
+                            self.defined[r(slot)] = true;
+                        }
+                    }
+                    Op::InitField { off, src } => {
+                        let id = this.expect("initializer has this");
+                        let v = self.regs[r(src)].clone();
+                        self.heap.layout_write(id, off, v);
+                    }
+                    Op::Arith { dst, a, b, op } => {
+                        let v = self.binop(op, r(a), Rhs::Reg(r(b)))?;
+                        self.regs[r(dst)] = self.step(v)?;
+                    }
+                    Op::ArithK { dst, a, k, op } => {
+                        let v = self.binop(op, r(a), Rhs::Lit(&consts[k as usize]))?;
+                        self.regs[r(dst)] = self.step(v)?;
+                    }
+                    Op::Cmp { dst, a, b, op } => {
+                        self.regs[r(dst)] = self.binop(op, r(a), Rhs::Reg(r(b)))?;
+                    }
+                    Op::CmpK { dst, a, k, op } => {
+                        self.regs[r(dst)] = self.binop(op, r(a), Rhs::Lit(&consts[k as usize]))?;
+                    }
+                    Op::JumpCmpK { a, k, op, to } => {
+                        let v = self.binop(op, r(a), Rhs::Lit(&consts[k as usize]))?;
+                        if !v.as_bool().unwrap_or(false) {
+                            pc = to as usize;
+                        }
+                    }
+                    Op::EqCmp { dst, a, b, ne } => {
+                        let eq = self.regs[r(a)] == self.regs[r(b)];
+                        self.regs[r(dst)] = Value::Bool(eq != ne);
+                    }
+                    Op::Neg { dst, src } => {
+                        let v = match &self.regs[r(src)] {
+                            Value::Int(i) => Value::Int(i.wrapping_neg()),
+                            Value::Float(f) => Value::Float(-f),
+                            _ => self.soft("negation of non-number", Value::Int(0))?,
+                        };
+                        self.regs[r(dst)] = self.step(v)?;
+                    }
+                    Op::Not { dst, src } => {
+                        let b = self.regs[r(src)].as_bool().unwrap_or(false);
+                        self.regs[r(dst)] = Value::Bool(!b);
+                    }
+                    Op::CastInt { dst, src } => {
+                        let v = match &self.regs[r(src)] {
+                            Value::Float(f) => Value::Int(*f as i64),
+                            other => other.clone(),
+                        };
+                        self.regs[r(dst)] = v;
+                    }
+                    Op::CastFloat { dst, src } => {
+                        let v = match &self.regs[r(src)] {
+                            Value::Int(i) => Value::Float(*i as f64),
+                            other => other.clone(),
+                        };
+                        self.regs[r(dst)] = v;
+                    }
+                    Op::StepVal { r: x } => {
+                        self.regs[r(x)] = self.step(self.regs[r(x)].clone())?;
+                    }
+                    Op::Jump { to } => pc = to as usize,
+                    Op::JumpIfFalse { c, to } => {
+                        if !self.regs[r(c)].as_bool().unwrap_or(false) {
+                            pc = to as usize;
+                        }
+                    }
+                    Op::BranchCond { c, to } => {
+                        let b = match self.regs[r(c)].as_bool() {
+                            Some(b) => b,
+                            None => self
+                                .soft("non-boolean condition", Value::Bool(false))?
+                                .as_bool()
+                                .unwrap_or(false),
+                        };
+                        if !b {
+                            pc = to as usize;
+                        }
+                    }
+                    Op::SetCounter { r: x } => self.regs[r(x)] = Value::Int(0),
+                    Op::IncCounter { r: x } => {
+                        if let Value::Int(i) = &mut self.regs[r(x)] {
+                            *i = i.wrapping_add(1);
+                        }
+                    }
+                    Op::JumpCounterGe { r: x, bound, to } => {
+                        if let Value::Int(i) = self.regs[r(x)] {
+                            if i >= 0 && (i as u64) >= bound {
+                                pc = to as usize;
+                            }
+                        }
+                    }
+                    Op::NewObj { dst, class } => {
+                        let id = self.heap.alloc_object(class);
+                        self.regs[r(dst)] = Value::Ref(ObjId(id));
+                        if let Some(ic) = module.classes[class as usize].init_chunk {
+                            // Return value (null) discarded into the
+                            // scratch register.
+                            self.frames[fi].pc = pc;
+                            self.push_frame(ic, Some(id), 0, None, 0, true);
+                            continue 'frames;
+                        }
+                    }
+                    Op::NewArr { dst, len, c } => {
+                        let n = self.regs[r(len)].as_i64().unwrap_or(0).max(0) as usize;
+                        let id = self.heap.alloc_array(&consts[c as usize], n);
+                        self.regs[r(dst)] = Value::Ref(ObjId(id));
+                    }
+                    Op::LoadField { dst, obj, name } => {
+                        let v = match self.regs[r(obj)] {
+                            Value::Ref(ObjId(id)) => match self.heap.read_field(id, name) {
+                                Some(v) => v.clone(),
+                                None => {
+                                    let d = self.field_miss_default(id, name);
+                                    let msg =
+                                        format!("missing field `{}`", module.names[name as usize]);
+                                    self.soft(&msg, d)?
+                                }
+                            },
+                            _ => self.soft("null dereference on field read", Value::Null)?,
+                        };
+                        self.regs[r(dst)] = v;
+                    }
+                    Op::StoreField { obj, src, name } => match self.regs[r(obj)] {
+                        Value::Ref(ObjId(id)) => {
+                            let v = self.regs[r(src)].clone();
                             self.heap.write_field(id, name, v);
                         }
-                    }
-                } else {
-                    self.regs[r(slot)] = self.regs[r(src)].clone();
-                    self.defined[r(slot)] = true;
-                }
-            }
-            Op::InitField { off, src } => {
-                let id = this.expect("initializer has this");
-                let v = self.regs[r(src)].clone();
-                self.heap.layout_write(id, off, v);
-            }
-            Op::Arith { dst, a, b, op } => {
-                let v = match crate::value::binop_values(op, &self.regs[r(a)], &self.regs[r(b)]) {
-                    Ok(v) => v,
-                    Err(sf) => self.soft(&sf.msg, sf.default)?,
-                };
-                let v = self.step(v)?;
-                self.regs[r(dst)] = v;
-            }
-            Op::Cmp { dst, a, b, op } => {
-                let v = match crate::value::binop_values(op, &self.regs[r(a)], &self.regs[r(b)]) {
-                    Ok(v) => v,
-                    Err(sf) => self.soft(&sf.msg, sf.default)?,
-                };
-                self.regs[r(dst)] = v;
-            }
-            Op::EqCmp { dst, a, b, ne } => {
-                let eq = self.regs[r(a)] == self.regs[r(b)];
-                self.regs[r(dst)] = Value::Bool(eq != ne);
-            }
-            Op::Neg { dst, src } => {
-                let v = match &self.regs[r(src)] {
-                    Value::Int(i) => Value::Int(i.wrapping_neg()),
-                    Value::Float(f) => Value::Float(-f),
-                    _ => self.soft("negation of non-number", Value::Int(0))?,
-                };
-                let v = self.step(v)?;
-                self.regs[r(dst)] = v;
-            }
-            Op::Not { dst, src } => {
-                let b = self.regs[r(src)].as_bool().unwrap_or(false);
-                self.regs[r(dst)] = Value::Bool(!b);
-            }
-            Op::CastInt { dst, src } => {
-                let v = match &self.regs[r(src)] {
-                    Value::Float(f) => Value::Int(*f as i64),
-                    other => other.clone(),
-                };
-                self.regs[r(dst)] = v;
-            }
-            Op::CastFloat { dst, src } => {
-                let v = match &self.regs[r(src)] {
-                    Value::Int(i) => Value::Float(*i as f64),
-                    other => other.clone(),
-                };
-                self.regs[r(dst)] = v;
-            }
-            Op::StepVal { r: x } => {
-                let v = self.regs[r(x)].clone();
-                let v = self.step(v)?;
-                self.regs[r(x)] = v;
-            }
-            Op::Jump { to } => self.frames[fi].pc = to as usize,
-            Op::JumpIfFalse { c, to } => {
-                if !self.regs[r(c)].as_bool().unwrap_or(false) {
-                    self.frames[fi].pc = to as usize;
-                }
-            }
-            Op::BranchCond { c, to } => {
-                let b = match self.regs[r(c)].as_bool() {
-                    Some(b) => b,
-                    None => self
-                        .soft("non-boolean condition", Value::Bool(false))?
-                        .as_bool()
-                        .unwrap_or(false),
-                };
-                if !b {
-                    self.frames[fi].pc = to as usize;
-                }
-            }
-            Op::SetCounter { r: x } => self.regs[r(x)] = Value::Int(0),
-            Op::IncCounter { r: x } => {
-                if let Value::Int(i) = &self.regs[r(x)] {
-                    self.regs[r(x)] = Value::Int(i.wrapping_add(1));
-                }
-            }
-            Op::JumpCounterGe { r: x, bound, to } => {
-                if let Value::Int(i) = &self.regs[r(x)] {
-                    if *i >= 0 && (*i as u64) >= bound {
-                        self.frames[fi].pc = to as usize;
-                    }
-                }
-            }
-            Op::NewObj { dst, class } => {
-                let id = self.heap.alloc_object(class);
-                self.regs[r(dst)] = Value::Ref(ObjId(id));
-                if let Some(ic) = module.classes[class as usize].init_chunk {
-                    // Return value (null) discarded into the scratch
-                    // register.
-                    self.push_frame(ic, Some(id), 0, None, 0, true);
-                }
-            }
-            Op::NewArr { dst, len, c } => {
-                let n = self.regs[r(len)].as_i64().unwrap_or(0).max(0) as usize;
-                let id = self.heap.alloc_array(&chunk.consts[c as usize], n);
-                self.regs[r(dst)] = Value::Ref(ObjId(id));
-            }
-            Op::LoadField { dst, obj, name } => {
-                let v = match self.regs[r(obj)] {
-                    Value::Ref(ObjId(id)) => match self.heap.read_field(id, name) {
-                        Some(v) => v.clone(),
-                        None => {
-                            let d = self.field_miss_default(id, name);
-                            let msg = format!("missing field `{}`", module.names[name as usize]);
-                            self.soft(&msg, d)?
-                        }
-                    },
-                    _ => self.soft("null dereference on field read", Value::Null)?,
-                };
-                self.regs[r(dst)] = v;
-            }
-            Op::StoreField { obj, src, name } => match self.regs[r(obj)] {
-                Value::Ref(ObjId(id)) => {
-                    let v = self.regs[r(src)].clone();
-                    self.heap.write_field(id, name, v);
-                }
-                _ => {
-                    self.soft("null dereference on field store", Value::Null)?;
-                }
-            },
-            Op::LoadIndex { dst, arr, idx } => {
-                let target = match (&self.regs[r(arr)], self.regs[r(idx)].as_i64()) {
-                    (Value::Ref(ObjId(id)), Some(ix)) => Some((*id, ix)),
-                    _ => None,
-                };
-                let v = match target {
-                    None => self.soft("bad array read", Value::Int(0))?,
-                    Some((id, ix)) => match self.heap.entry(id) {
-                        Some(e) if e.is_array() => {
-                            if ix >= 0 && (ix as usize) < e.len as usize {
-                                self.heap
-                                    .array_get(id, ix as usize)
-                                    .expect("bounds")
-                                    .clone()
-                            } else {
-                                let d = e.array_default().expect("array").clone();
-                                self.soft("array read out of bounds", d)?
-                            }
-                        }
-                        _ => self.soft("array read on non-array", Value::Int(0))?,
-                    },
-                };
-                self.regs[r(dst)] = v;
-            }
-            Op::StoreIndex { arr, idx, src } => {
-                let target = match (&self.regs[r(arr)], self.regs[r(idx)].as_i64()) {
-                    (Value::Ref(ObjId(id)), Some(ix)) => Some((*id, ix)),
-                    _ => None,
-                };
-                match target {
-                    None => {
-                        self.soft("bad array store target", Value::Null)?;
-                    }
-                    Some((id, ix)) => match self.heap.entry(id) {
-                        Some(e) if e.is_array() => {
-                            if ix >= 0 && (ix as usize) < e.len as usize {
-                                let v = self.regs[r(src)].clone();
-                                self.heap.array_set(id, ix as usize, v);
-                            } else {
-                                self.soft("array store out of bounds", Value::Null)?;
-                            }
-                        }
                         _ => {
-                            self.soft("array store on non-array", Value::Null)?;
+                            self.soft("null dereference on field store", Value::Null)?;
                         }
                     },
-                }
-            }
-            Op::ArrLen { dst, arr } => {
-                let v = match &self.regs[r(arr)] {
-                    Value::Ref(ObjId(id)) => match self.heap.entry(*id) {
-                        Some(e) if e.is_array() => Value::Int(e.len as i64),
-                        _ => self.soft("length of non-array", Value::Int(0))?,
-                    },
-                    _ => self.soft("length of null", Value::Int(0))?,
-                };
-                self.regs[r(dst)] = v;
-            }
-            Op::LoadStatic { dst, slot } => self.load_static(slot, r(dst))?,
-            Op::CacheStatic { slot, src } => {
-                self.statics[slot as usize] = Some(self.regs[r(src)].clone());
-            }
-            Op::StoreStatic { slot, src } => {
-                // Unconditional, declaration or not — a later read of
-                // an undeclared static then succeeds from the cache,
-                // exactly like the interpreter's `statics` map.
-                self.statics[slot as usize] = Some(self.regs[r(src)].clone());
-            }
-            Op::CallDirect {
-                dst,
-                chunk: target,
-                argbase,
-                argc,
-                pass_this,
-            } => {
-                let callee_this = if pass_this { this } else { None };
-                self.push_frame(
-                    target,
-                    callee_this,
-                    r(dst),
-                    Some((r(argbase), argc)),
-                    0,
-                    false,
-                );
-            }
-            Op::VPrep {
-                recv,
-                dst,
-                name,
-                argc,
-                end,
-            } => {
-                match self.regs[r(recv)] {
-                    Value::Ref(ObjId(id)) => {
+                    Op::LoadIndex { dst, arr, idx } => {
+                        let v = match (&self.regs[r(arr)], self.regs[r(idx)].as_i64()) {
+                            (&Value::Ref(ObjId(id)), Some(ix)) => match self.heap.array_get(id, ix)
+                            {
+                                Ok(v) => v.clone(),
+                                Err(miss) => self.array_read_miss(id, miss)?,
+                            },
+                            _ => self.soft("bad array read", Value::Int(0))?,
+                        };
+                        self.regs[r(dst)] = v;
+                    }
+                    Op::StoreIndex { arr, idx, src } => {
+                        match (&self.regs[r(arr)], self.regs[r(idx)].as_i64()) {
+                            (&Value::Ref(ObjId(id)), Some(ix)) => {
+                                let v = self.regs[r(src)].clone();
+                                if let Err(miss) = self.heap.array_set(id, ix, v) {
+                                    let msg = match miss {
+                                        ArrayMiss::OutOfBounds => "array store out of bounds",
+                                        ArrayMiss::NotArray => "array store on non-array",
+                                    };
+                                    self.soft(msg, Value::Null)?;
+                                }
+                            }
+                            _ => {
+                                self.soft("bad array store target", Value::Null)?;
+                            }
+                        }
+                    }
+                    Op::ArrLen { dst, arr } => {
+                        let v = match self.regs[r(arr)] {
+                            Value::Ref(ObjId(id)) => match self.heap.array_len(id) {
+                                Some(n) => Value::Int(i64::from(n)),
+                                None => self.soft("length of non-array", Value::Int(0))?,
+                            },
+                            _ => self.soft("length of null", Value::Int(0))?,
+                        };
+                        self.regs[r(dst)] = v;
+                    }
+                    Op::LoadStatic { dst, slot } => {
+                        if self.load_static(slot, r(dst))? {
+                            self.frames[fi].pc = pc;
+                            continue 'frames;
+                        }
+                    }
+                    Op::CacheStatic { slot, src } => {
+                        self.statics[slot as usize] = Some(self.regs[r(src)].clone());
+                    }
+                    Op::StoreStatic { slot, src } => {
+                        // Unconditional, declaration or not — a later
+                        // read of an undeclared static then succeeds
+                        // from the cache, exactly like the
+                        // interpreter's `statics` map.
+                        self.statics[slot as usize] = Some(self.regs[r(src)].clone());
+                    }
+                    Op::CallDirect {
+                        dst,
+                        chunk: target,
+                        argbase,
+                        argc,
+                        pass_this,
+                    } => {
+                        let callee_this = if pass_this { this } else { None };
+                        self.frames[fi].pc = pc;
+                        self.push_frame(
+                            target,
+                            callee_this,
+                            r(dst),
+                            Some((r(argbase), argc)),
+                            0,
+                            false,
+                        );
+                        continue 'frames;
+                    }
+                    Op::VPrep {
+                        recv,
+                        dst,
+                        name,
+                        argc,
+                        end,
+                    } => {
+                        let Value::Ref(ObjId(id)) = self.regs[r(recv)] else {
+                            let v = self.soft("virtual call on null receiver", Value::Null)?;
+                            self.regs[r(dst)] = v;
+                            pc = end as usize;
+                            continue;
+                        };
                         // Arrays have no class: dispatch falls back to
                         // the caller's context class, like the
                         // interpreter.
@@ -974,155 +1025,155 @@ impl<'m, I: InputProvider> Vm<'m, I> {
                                 );
                                 let v = self.soft(&msg, Value::Null)?;
                                 self.regs[r(dst)] = v;
-                                self.frames[fi].pc = end as usize;
+                                pc = end as usize;
                             }
                         }
                     }
-                    _ => {
-                        let v = self.soft("virtual call on null receiver", Value::Null)?;
+                    Op::ArgSkip { j, to } => {
+                        if j >= self.pending.last().expect("pending call").k {
+                            pc = to as usize;
+                        }
+                    }
+                    Op::VCallGo { recv, dst, argbase } => {
+                        let p = self.pending.pop().expect("pending call");
+                        let Value::Ref(ObjId(id)) = self.regs[r(recv)] else {
+                            unreachable!("VPrep checked the receiver");
+                        };
+                        let callee_this = if module.chunks[p.chunk as usize].is_static {
+                            None
+                        } else {
+                            Some(id)
+                        };
+                        self.frames[fi].pc = pc;
+                        self.push_frame(
+                            p.chunk,
+                            callee_this,
+                            r(dst),
+                            Some((r(argbase), p.k)),
+                            0,
+                            false,
+                        );
+                        continue 'frames;
+                    }
+                    Op::Ret { src } => {
+                        let f = self.frames.pop().expect("frame");
+                        let v = std::mem::replace(&mut self.regs[r(src)], Value::Null);
+                        self.regs.truncate(base);
+                        self.defined.truncate(base);
+                        if !self.frames.is_empty() {
+                            self.regs[f.dst] = v;
+                        }
+                        continue 'frames;
+                    }
+                    Op::DeviceRead { dst, chan } => {
+                        let v = self.inputs.next(&module.names[chan as usize]);
+                        self.regs[r(dst)] = self.step(v)?;
+                    }
+                    Op::Emit { dst, argbase, argc } => {
+                        let s = r(argbase);
+                        // Emissions outside any iteration are dropped,
+                        // like `outputs.last_mut()` on an empty vec.
+                        if let Some(last) = self.outputs.last_mut() {
+                            last.extend_from_slice(&self.regs[s..s + argc as usize]);
+                        }
+                        self.regs[r(dst)] = Value::Null;
+                    }
+                    Op::MathCall {
+                        dst,
+                        name,
+                        argbase,
+                        argc,
+                    } => {
+                        let s = r(argbase);
+                        let v = math_values(
+                            &module.names[name as usize],
+                            &self.regs[s..s + argc as usize],
+                        );
+                        let v = self.or_soft(v)?;
+                        self.regs[r(dst)] = self.step(v)?;
+                    }
+                    Op::SSInsert { dst, arr, val } => {
+                        let v = match self.regs[r(arr)] {
+                            Value::Ref(ObjId(id)) => {
+                                // The inserted value is stepped (and
+                                // possibly corrupted) before the shift.
+                                let v = self.step(self.regs[r(val)].clone())?;
+                                self.heap.ss_insert(id, v);
+                                Value::Null
+                            }
+                            _ => self.soft("bad SSJavaArray intrinsic `insert`", Value::Null)?,
+                        };
                         self.regs[r(dst)] = v;
-                        self.frames[fi].pc = end as usize;
                     }
-                }
-            }
-            Op::ArgSkip { j, to } => {
-                let k = self.pending.last().expect("pending call").k;
-                if j >= k {
-                    self.frames[fi].pc = to as usize;
-                }
-            }
-            Op::VCallGo { recv, dst, argbase } => {
-                let p = self.pending.pop().expect("pending call");
-                let Value::Ref(ObjId(id)) = self.regs[r(recv)] else {
-                    unreachable!("VPrep checked the receiver");
-                };
-                let callee_this = if module.chunks[p.chunk as usize].is_static {
-                    None
-                } else {
-                    Some(id)
-                };
-                self.push_frame(
-                    p.chunk,
-                    callee_this,
-                    r(dst),
-                    Some((r(argbase), p.k)),
-                    0,
-                    false,
-                );
-            }
-            Op::Ret { src } => {
-                let f = self.frames.pop().expect("frame");
-                let v = std::mem::replace(&mut self.regs[f.base + src as usize], Value::Null);
-                self.regs.truncate(f.base);
-                self.defined.truncate(f.base);
-                if !self.frames.is_empty() {
-                    self.regs[f.dst] = v;
-                }
-            }
-            Op::DeviceRead { dst, chan } => {
-                let v = self.inputs.next(&module.names[chan as usize]);
-                let v = self.step(v)?;
-                self.regs[r(dst)] = v;
-            }
-            Op::Emit { dst, argbase, argc } => {
-                let s = r(argbase);
-                let vals = self.regs[s..s + argc as usize].to_vec();
-                // Emissions outside any iteration are dropped, like
-                // `outputs.last_mut()` on an empty vec.
-                if let Some(last) = self.outputs.last_mut() {
-                    last.extend(vals);
-                }
-                self.regs[r(dst)] = Value::Null;
-            }
-            Op::MathCall {
-                dst,
-                name,
-                argbase,
-                argc,
-            } => {
-                let s = r(argbase);
-                let v = match crate::value::math_values(
-                    &module.names[name as usize],
-                    &self.regs[s..s + argc as usize],
-                ) {
-                    Ok(v) => v,
-                    Err(sf) => self.soft(&sf.msg, sf.default)?,
-                };
-                let v = self.step(v)?;
-                self.regs[r(dst)] = v;
-            }
-            Op::SSInsert { dst, arr, val } => {
-                let v = match self.regs[r(arr)] {
-                    Value::Ref(ObjId(id)) => {
-                        // The inserted value is stepped (and possibly
-                        // corrupted) before the shift.
-                        let v = self.regs[r(val)].clone();
-                        let v = self.step(v)?;
-                        self.heap.ss_insert(id, v);
-                        Value::Null
+                    Op::SSClear { dst, arr } => {
+                        let v = match self.regs[r(arr)] {
+                            Value::Ref(ObjId(id)) => {
+                                self.heap.ss_clear(id);
+                                Value::Null
+                            }
+                            _ => self.soft("bad SSJavaArray intrinsic `clear`", Value::Null)?,
+                        };
+                        self.regs[r(dst)] = v;
                     }
-                    _ => self.soft("bad SSJavaArray intrinsic `insert`", Value::Null)?,
-                };
-                self.regs[r(dst)] = v;
-            }
-            Op::SSClear { dst, arr } => {
-                let v = match self.regs[r(arr)] {
-                    Value::Ref(ObjId(id)) => {
-                        self.heap.ss_clear(id);
-                        Value::Null
+                    Op::SoftNull { dst, msg } => {
+                        let v = self.soft(&module.msgs[msg as usize], Value::Null)?;
+                        self.regs[r(dst)] = v;
                     }
-                    _ => self.soft("bad SSJavaArray intrinsic `clear`", Value::Null)?,
-                };
-                self.regs[r(dst)] = v;
-            }
-            Op::SoftNull { dst, msg } => {
-                let m = module.msgs[msg as usize].clone();
-                let v = self.soft(&m, Value::Null)?;
-                self.regs[r(dst)] = v;
-            }
-            Op::ElHead => {
-                let f = &mut self.frames[fi];
-                if f.iterations_left == 0 {
-                    return Err(OpStop::LoopDone);
-                }
-                f.iterations_left -= 1;
-                self.el = Some(ElCtx {
-                    frame: fi,
-                    head_pc: pc,
-                    regs_len: self.regs.len(),
-                    pending_len: self.pending.len(),
-                    armed: false,
-                });
-            }
-            Op::ElCond { c } => {
-                if !self.regs[r(c)].as_bool().unwrap_or(true) {
-                    return Err(OpStop::LoopDone);
-                }
-            }
-            Op::IterStart => {
-                self.outputs.push(Vec::new());
-                self.iter_start_step = self.steps;
-                if let Some(el) = &mut self.el {
-                    el.armed = true;
-                }
-                if self.watch {
-                    return Err(OpStop::Pause);
+                    Op::ElHead => {
+                        let f = &mut self.frames[fi];
+                        if f.iterations_left == 0 {
+                            return Err(OpStop::LoopDone);
+                        }
+                        f.iterations_left -= 1;
+                        self.el = Some(ElCtx {
+                            frame: fi,
+                            head_pc: pc - 1,
+                            regs_len: self.regs.len(),
+                            pending_len: self.pending.len(),
+                            armed: false,
+                        });
+                    }
+                    Op::ElCond { c } => {
+                        if !self.regs[r(c)].as_bool().unwrap_or(true) {
+                            return Err(OpStop::LoopDone);
+                        }
+                    }
+                    Op::IterStart => {
+                        self.outputs.push(Vec::new());
+                        self.iter_start_step = self.steps;
+                        if let Some(el) = &mut self.el {
+                            el.armed = true;
+                        }
+                        if self.watch {
+                            self.frames[fi].pc = pc;
+                            return Ok(true);
+                        }
+                    }
+                    Op::LoopDone => return Err(OpStop::LoopDone),
                 }
             }
-            Op::LoopDone => return Err(OpStop::LoopDone),
         }
-        Ok(())
+    }
+
+    /// The soft failure of an array read that found no element.
+    #[cold]
+    fn array_read_miss(&mut self, id: usize, miss: ArrayMiss) -> Result<Value, OpStop> {
+        match miss {
+            ArrayMiss::OutOfBounds => {
+                let d = self.heap.array_default(id).expect("array").clone();
+                self.soft("array read out of bounds", d)
+            }
+            ArrayMiss::NotArray => self.soft("array read on non-array", Value::Int(0)),
+        }
     }
 
     /// Reads an undefined local via its compile-time fallback (the
-    /// interpreter's `Expr::Var` miss path).
-    fn load_fallback(&mut self, fb: u32, this: Option<usize>, dst: usize) -> Result<(), OpStop> {
-        match &self.module.var_fbs[fb as usize] {
-            VarFallback::Unbound { msg } => {
-                let m = self.module.msgs[*msg as usize].clone();
-                let v = self.soft(&m, Value::Null)?;
-                self.regs[dst] = v;
-            }
+    /// interpreter's `Expr::Var` miss path); `true` when that pushed a
+    /// static's initializer frame.
+    fn load_fallback(&mut self, fb: u32, this: Option<usize>, dst: usize) -> Result<bool, OpStop> {
+        let module = self.module;
+        let v = match &module.var_fbs[fb as usize] {
+            VarFallback::Unbound { msg } => self.soft(&module.msgs[*msg as usize], Value::Null)?,
             VarFallback::ThisField {
                 off,
                 miss_msg,
@@ -1131,57 +1182,44 @@ impl<'m, I: InputProvider> Vm<'m, I> {
             } => match this {
                 // A field fallback needs a bound `this` — even a
                 // static field read goes unbound without one.
-                None => {
-                    let m = self.module.msgs[*unbound_msg as usize].clone();
-                    let v = self.soft(&m, Value::Null)?;
-                    self.regs[dst] = v;
-                }
+                None => self.soft(&module.msgs[*unbound_msg as usize], Value::Null)?,
                 Some(id) => match self.heap.layout_read(id, *off) {
-                    Some(v) => self.regs[dst] = v.clone(),
+                    Some(v) => v.clone(),
                     // Reachable when `this` is an array (virtual call
                     // on an array reference).
-                    None => {
-                        let (m, d) = (
-                            self.module.msgs[*miss_msg as usize].clone(),
-                            miss_default.clone(),
-                        );
-                        let v = self.soft(&m, d)?;
-                        self.regs[dst] = v;
-                    }
+                    None => self.soft(&module.msgs[*miss_msg as usize], miss_default.clone())?,
                 },
             },
             VarFallback::StaticRead { slot, unbound_msg } => {
                 if this.is_some() {
-                    self.load_static(*slot, dst)?;
-                } else {
-                    let m = self.module.msgs[*unbound_msg as usize].clone();
-                    let v = self.soft(&m, Value::Null)?;
-                    self.regs[dst] = v;
+                    return self.load_static(*slot, dst);
                 }
+                self.soft(&module.msgs[*unbound_msg as usize], Value::Null)?
             }
-        }
-        Ok(())
+        };
+        self.regs[dst] = v;
+        Ok(false)
     }
 
-    /// Reads a static slot, scheduling its lazy initializer chunk when
-    /// uncached (the interpreter's `static_value`).
-    fn load_static(&mut self, slot: u32, dst: usize) -> Result<(), OpStop> {
+    /// Reads a static slot into `dst`; when it is uncached and has an
+    /// initializer, pushes the initializer's frame instead (the
+    /// interpreter's `static_value`) and returns `true`.
+    fn load_static(&mut self, slot: u32, dst: usize) -> Result<bool, OpStop> {
         if let Some(v) = &self.statics[slot as usize] {
             self.regs[dst] = v.clone();
-            return Ok(());
+            return Ok(false);
         }
         let s = &self.module.statics[slot as usize];
         match (s.init_chunk, &s.default) {
             (Some(ic), _) => {
                 // The chunk ends with CacheStatic + Ret into `dst`.
                 self.push_frame(ic, None, dst, None, 0, true);
-                Ok(())
+                Ok(true)
             }
             (None, Some(d)) => {
-                let d = d.clone();
                 self.statics[slot as usize] = Some(d.clone());
-                self.regs[dst] = d;
-                Ok(())
+                self.regs[dst] = d.clone();
+                Ok(false)
             }
             // Hard error in both modes, like the interpreter.
             (None, None) => Err(stop(self.module.msgs[s.err as usize].clone())),

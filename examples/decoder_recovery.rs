@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example decoder_recovery`
 
 use sjava::apps::mp3dec;
-use sjava::{check, compare_runs, parse, ExecOptions, Injector, Interpreter};
+use sjava::{check, compare_runs, compile, parse, ExecOptions, Injector, Vm};
 
 fn main() {
     let granule = 64;
@@ -22,13 +22,15 @@ fn main() {
     );
 
     let frames = 8;
-    let golden = Interpreter::new(
-        &program,
+    let module = compile(&program);
+    let mut vm = Vm::new(
+        &module,
         mp3dec::inputs_for(0, granule),
         ExecOptions::default(),
-    )
-    .run(mp3dec::ENTRY.0, mp3dec::ENTRY.1, frames)
-    .expect("golden run");
+    );
+    let golden = vm
+        .run(mp3dec::ENTRY.0, mp3dec::ENTRY.1, frames)
+        .expect("golden run");
     println!(
         "golden run: {} PCM samples over {frames} frames\n",
         golden.outputs().len()
@@ -37,14 +39,11 @@ fn main() {
     println!("seed  injected@step   recovery(samples)  recovery(frames)");
     for seed in 0..12u64 {
         let trigger = 1 + seed * golden.steps / 14;
-        let run = Interpreter::new(
-            &program,
-            mp3dec::inputs_for(0, granule),
-            ExecOptions::default(),
-        )
-        .with_injector(Injector::new(seed, trigger))
-        .run(mp3dec::ENTRY.0, mp3dec::ENTRY.1, frames)
-        .expect("injected run");
+        vm.set_inputs(mp3dec::inputs_for(0, granule));
+        vm.set_injector(Some(Injector::new(seed, trigger)));
+        let run = vm
+            .run(mp3dec::ENTRY.0, mp3dec::ENTRY.1, frames)
+            .expect("injected run");
         let stats = compare_runs(&golden.iteration_outputs, &run.iteration_outputs, 1e-9);
         println!(
             "{seed:>4}  {trigger:>13}   {:>17}  {:>16.2}",

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use sjava::{check, compare_runs, parse, ExecOptions, Injector, Interpreter, ScriptedInput, Value};
+use sjava::{check, compare_runs, compile, parse, ExecOptions, Injector, ScriptedInput, Value, Vm};
 
 const SOURCE: &str = r#"
 @LATTICE("OLD<CUR")
@@ -30,18 +30,17 @@ fn main() {
     assert!(report.is_ok(), "checker says:\n{}", report.diagnostics);
     println!("checker: program is self-stabilizing ✓");
 
-    // 2. Golden run.
+    // 2. Compile once, then the golden run on the bytecode VM.
+    let module = compile(&program);
     let inputs = || ScriptedInput::new().channel("read", (1..=10).map(Value::Int).collect());
-    let golden = Interpreter::new(&program, inputs(), ExecOptions::default())
-        .run("Sensor", "run", 10)
-        .expect("runs");
+    let mut vm = Vm::new(&module, inputs(), ExecOptions::default());
+    let golden = vm.run("Sensor", "run", 10).expect("runs");
     println!("golden outputs:   {:?}", golden.outputs());
 
     // 3. Corrupt one value mid-run and watch the outputs re-converge.
-    let injected = Interpreter::new(&program, inputs(), ExecOptions::default())
-        .with_injector(Injector::new(7, 9))
-        .run("Sensor", "run", 10)
-        .expect("runs");
+    vm.set_inputs(inputs());
+    vm.set_injector(Some(Injector::new(7, 9)));
+    let injected = vm.run("Sensor", "run", 10).expect("runs");
     println!("injected outputs: {:?}", injected.outputs());
 
     let stats = compare_runs(&golden.iteration_outputs, &injected.iteration_outputs, 0.0);

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example robot_fault_injection`
 
 use sjava::apps::sumobot;
-use sjava::{check, compare_runs, parse, ExecOptions, Injector, Interpreter, Value};
+use sjava::{check, compare_runs, compile, parse, ExecOptions, Injector, Value, Vm};
 
 fn main() {
     let program = parse(sumobot::SOURCE).expect("parses");
@@ -15,7 +15,9 @@ fn main() {
     println!("robot controller verified self-stabilizing ✓\n");
 
     let iterations = 30;
-    let golden = Interpreter::new(&program, sumobot::inputs(0), ExecOptions::default())
+    let module = compile(&program);
+    let mut vm = Vm::new(&module, sumobot::inputs(0), ExecOptions::default());
+    let golden = vm
         .run(sumobot::ENTRY.0, sumobot::ENTRY.1, iterations)
         .expect("golden");
 
@@ -36,8 +38,9 @@ fn main() {
     let mut corrupted = 0;
     for seed in 0..25u64 {
         let trigger = 5 + seed * 23;
-        let run = Interpreter::new(&program, sumobot::inputs(0), ExecOptions::default())
-            .with_injector(Injector::new(seed, trigger))
+        vm.set_inputs(sumobot::inputs(0));
+        vm.set_injector(Some(Injector::new(seed, trigger)));
+        let run = vm
             .run(sumobot::ENTRY.0, sumobot::ENTRY.1, iterations)
             .expect("injected");
         let stats = compare_runs(&golden.iteration_outputs, &run.iteration_outputs, 0.0);
