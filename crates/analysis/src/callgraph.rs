@@ -60,27 +60,6 @@ impl CallGraph {
         }
         out
     }
-
-    /// The upward closure of a locally-dirty method set: every method
-    /// that is dirty itself or (transitively) calls a dirty method. An
-    /// incremental re-check only needs to re-analyze this cone; results
-    /// for everything outside it can be replayed from cache.
-    pub fn dirty_cone(&self, dirty: &BTreeSet<MethodRef>) -> BTreeSet<MethodRef> {
-        let mut cone: BTreeSet<MethodRef> = BTreeSet::new();
-        // `topo` is callees-first, so by the time we reach a caller every
-        // callee's cone membership is already decided.
-        for m in &self.topo {
-            let hit = dirty.contains(m)
-                || self
-                    .calls
-                    .get(m)
-                    .is_some_and(|cs| cs.iter().any(|c| cone.contains(c)));
-            if hit {
-                cone.insert(m.clone());
-            }
-        }
-        cone
-    }
 }
 
 /// Locates the unique `SSJAVA:`-labeled event loop.

@@ -47,5 +47,5 @@ pub use heappath::HeapPath;
 pub use jtype::TypeEnv;
 pub use lifetime::{analyze_lifetimes, AllocationSite, Escape};
 pub use lint::lint_program;
-pub use shard::{InterfaceSummary, ShardInput};
+pub use shard::ShardInput;
 pub use written::{analyze as analyze_eviction, EvictionResult, MethodSummary};

@@ -6,8 +6,8 @@
 //! `@DELTA` / `@DELEGATE` annotations, and callee effect summaries. This
 //! module makes that dependency explicit: the per-method checkers take a
 //! [`ShardInput`] program view rather than a bare `Program`, and every
-//! interface fact they consult about another class goes through its
-//! content-addressed [`InterfaceSummary`] hash. That contract — a
+//! interface fact they consult about another class is one its
+//! content-addressed [`class_interface_hash`] covers. That contract — a
 //! per-method check reads no foreign method body — is what lets
 //! `sjava-cache` key a method's cached result on its own body and its
 //! callees' summary hashes alone; `crates/bench/tests/body_isolation.rs`
@@ -36,8 +36,6 @@ use sjava_syntax::ast::{
     Stmt, Type,
 };
 use sjava_syntax::span::Span;
-use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 /// A span as its offset from `anchor` (the start of the declaration that
 /// holds it, wrapping for annotations written before it) and its length.
@@ -200,36 +198,8 @@ pub fn hash_method(h: &mut Fnv64, m: &MethodDecl) {
     hash_block(h, &m.body, m.span.start);
 }
 
-/// A content-addressed, body-stripped class declaration: everything a
-/// per-method check of some other class may learn about this one.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InterfaceSummary {
-    /// The declaration with every method body emptied (spans retained).
-    pub class: ClassDecl,
-    /// [`class_interface_hash`] of the original declaration. Stripping
-    /// only removes bodies, which the hash never covered, so hashing
-    /// before or after stripping yields the same value.
-    pub hash: u64,
-}
-
-/// Extracts the interface summary of a class declaration.
-pub fn interface_of(class: &ClassDecl) -> InterfaceSummary {
-    let hash = class_interface_hash(class);
-    let mut stripped = class.clone();
-    for m in &mut stripped.methods {
-        m.body = Block {
-            stmts: Vec::new(),
-            span: m.body.span,
-        };
-    }
-    InterfaceSummary {
-        class: stripped,
-        hash,
-    }
-}
-
 /// The explicit input the per-method checkers run against: a program
-/// view plus the content hashes of every class interface it exposes.
+/// view.
 ///
 /// Per-method check paths (`check_method_flows`, `check_method_aliasing`,
 /// `summarize`, `method_shared_summary`, `termination::check_method`)
@@ -238,43 +208,17 @@ pub fn interface_of(class: &ClassDecl) -> InterfaceSummary {
 #[derive(Debug)]
 pub struct ShardInput<'p> {
     program: &'p Program,
-    /// Lazily-computed per-class interface hashes of the view.
-    hashes: OnceLock<BTreeMap<String, u64>>,
 }
 
 impl<'p> ShardInput<'p> {
     /// The input view over a whole program.
     pub fn whole(program: &'p Program) -> Self {
-        ShardInput {
-            program,
-            hashes: OnceLock::new(),
-        }
+        ShardInput { program }
     }
 
     /// The program view.
     pub fn program(&self) -> &'p Program {
         self.program
-    }
-
-    /// Content-addressed interface summary hashes per class name,
-    /// computed on first use.
-    pub fn summary_hashes(&self) -> &BTreeMap<String, u64> {
-        self.hashes.get_or_init(|| {
-            self.program
-                .classes
-                .iter()
-                .map(|c| (c.name.clone(), class_interface_hash(c)))
-                .collect()
-        })
-    }
-
-    /// The interface summary hash of one class, if declared. This is a
-    /// tracked read: inside a [`sjava_syntax::track::ReadScope`] it
-    /// records a whole-interface dependency on `class`, since the summary
-    /// hash covers every interface fact of the class.
-    pub fn summary_hash(&self, class: &str) -> Option<u64> {
-        sjava_syntax::track::record_iface(class);
-        self.summary_hashes().get(class).copied()
     }
 }
 
@@ -665,27 +609,5 @@ mod tests {
             class_interface_hash(&p1.classes[0]),
             hash(&SRC.replace("void helper()", "void helper( )"))
         );
-    }
-
-    #[test]
-    fn interface_of_strips_bodies_and_keeps_hash() {
-        let p = parse(SRC).expect("parses");
-        let iface = interface_of(&p.classes[0]);
-        assert!(iface.class.methods.iter().all(|m| m.body.stmts.is_empty()));
-        assert_eq!(iface.hash, class_interface_hash(&p.classes[0]));
-        // Hashing the stripped declaration reproduces the hash: the
-        // interface digest never covered bodies.
-        assert_eq!(iface.hash, class_interface_hash(&iface.class));
-    }
-
-    #[test]
-    fn whole_view_exposes_every_summary_hash() {
-        let p = parse(SRC).expect("parses");
-        let shard = ShardInput::whole(&p);
-        assert_eq!(
-            shard.summary_hash("A"),
-            Some(class_interface_hash(&p.classes[0])),
-        );
-        assert_eq!(shard.summary_hash("Nope"), None);
     }
 }

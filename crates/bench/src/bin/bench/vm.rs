@@ -7,8 +7,11 @@
 //!   presets, plain and with 16 injected faults each.
 //! - Single-thread runs/sec of both engines per app, execution only, and
 //!   the VM's step rate (the run's steps over its fastest rep's `run`,
-//!   in Msteps/s). The VM must be ≥ 5x faster on mp3dec (skipped below 4
-//!   cores, where the measurement is too noisy).
+//!   in Msteps/s). Each rep times one run of each engine, alternating
+//!   which goes first, so host drift lands on both engines alike.
+//!   Runs/sec count each run with its fresh inputs, on both engines. The
+//!   VM must be ≥ 5x faster on mp3dec (skipped below 4 cores, where the
+//!   measurement is too noisy).
 //! - Campaign: mp3dec Monte-Carlo trials on the VM (48 under `--gate`,
 //!   2000 otherwise). The first 48 (200) are replayed from scratch on
 //!   the interpreter with each trial's own injector; the fire step and
@@ -61,21 +64,26 @@ where
         format!("{name}: VM and interpreter traces differ")
     });
 
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        let _ = interp();
+    // Even reps run the interpreter first, odd reps the VM. The step
+    // rate times the VM's `run` alone.
+    let (mut interp_s, mut vm_s, mut best) = (0.0, 0.0, f64::INFINITY);
+    for rep in 0..reps {
+        for vm_turn in [rep % 2 == 1, rep % 2 == 0] {
+            let t0 = Instant::now();
+            if vm_turn {
+                vm.set_inputs(make_inputs());
+                let t1 = Instant::now();
+                let _ = vm.run(entry.0, entry.1, iterations);
+                best = best.min(t1.elapsed().as_secs_f64());
+                vm_s += t0.elapsed().as_secs_f64();
+            } else {
+                let _ = interp();
+                interp_s += t0.elapsed().as_secs_f64();
+            }
+        }
     }
-    let interp_rps = reps as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-    // Runs/sec count each rep's fresh inputs, as the interpreter's do;
-    // the step rate times `run` alone.
-    let (t0, mut best) = (Instant::now(), f64::INFINITY);
-    for _ in 0..reps {
-        vm.set_inputs(make_inputs());
-        let t1 = Instant::now();
-        let _ = vm.run(entry.0, entry.1, iterations);
-        best = best.min(t1.elapsed().as_secs_f64());
-    }
-    let vm_rps = reps as f64 / t0.elapsed().as_secs_f64().max(1e-12);
+    let interp_rps = reps as f64 / interp_s.max(1e-12);
+    let vm_rps = reps as f64 / vm_s.max(1e-12);
     let msteps = steps as f64 / best.max(1e-12) / 1e6;
     let speedup = vm_rps / interp_rps;
     let same = if identical { "yes" } else { "NO" };

@@ -124,19 +124,6 @@ pub struct CacheStats {
     pub revalidated: usize,
 }
 
-impl CacheStats {
-    /// Fraction of per-method results served from cache (`0.0` when
-    /// nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Outcome of checking a program for self-stabilization.
 #[derive(Debug)]
 pub struct CheckReport {

@@ -394,14 +394,6 @@ impl LatticeCtx for ModelCtx<'_> {
     }
 }
 
-/// Convenience for diagnostics: span of a method's header.
-pub fn method_span(program: &Program, class: &str, method: &str) -> Span {
-    program
-        .method(class, method)
-        .map(|m| m.span)
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

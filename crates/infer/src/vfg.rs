@@ -165,19 +165,6 @@ impl FlowGraph {
         s.push_str("}\n");
         s
     }
-
-    /// Parameter roots with incoming flows (for PC inference, §5.2.3).
-    pub fn params_with_inflow(&self, params: &BTreeSet<String>) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for (_, tos) in self.edges.iter() {
-            for t in tos {
-                if params.contains(t.root_name()) {
-                    out.insert(t.root_name().to_string());
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Builds flow graphs for every reachable method, bottom-up.

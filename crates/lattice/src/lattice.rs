@@ -26,18 +26,12 @@ pub enum LatticeError {
         /// A location on the cycle.
         at: String,
     },
-    /// A named location was not declared.
-    Unknown {
-        /// The missing name.
-        name: String,
-    },
 }
 
 impl fmt::Display for LatticeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LatticeError::Cycle { at } => write!(f, "ordering cycle through location `{at}`"),
-            LatticeError::Unknown { name } => write!(f, "unknown location `{name}`"),
         }
     }
 }
@@ -149,17 +143,6 @@ impl Lattice {
     /// Looks up a location by name.
     pub fn get(&self, name: &str) -> Option<LocId> {
         self.by_name.get(name).copied()
-    }
-
-    /// Looks up a location by name, erroring when missing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LatticeError::Unknown`] when the name is not declared.
-    pub fn require(&self, name: &str) -> Result<LocId, LatticeError> {
-        self.get(name).ok_or_else(|| LatticeError::Unknown {
-            name: name.to_string(),
-        })
     }
 
     /// Interns a location name, adding it if new. Call

@@ -29,8 +29,8 @@
 //! set (clamped to ≥1), otherwise from `std::thread::available_parallelism`.
 //! Malformed values of `SJAVA_THREADS` / `SJAVA_PAR_THRESHOLD` fall back
 //! to the documented defaults with a one-time stderr warning rather than
-//! being silently swallowed. Compiling without the `parallel` feature
-//! (enabled by default) turns every fan-out into a sequential loop.
+//! being silently swallowed. `SJAVA_THREADS=1` turns every fan-out
+//! into a sequential loop.
 
 #![warn(missing_docs)]
 
@@ -91,15 +91,11 @@ pub fn par_threshold() -> usize {
 }
 
 /// The number of worker threads fan-outs will use: `SJAVA_THREADS` when
-/// set, otherwise the machine's available parallelism. Always ≥1; always
-/// 1 when the `parallel` feature is disabled. A malformed `SJAVA_THREADS`
-/// warns once on stderr and pins the pool to 1 worker (the conservative
-/// reading of "the user asked for explicit control but we could not
-/// parse the request").
+/// set, otherwise the machine's available parallelism. Always ≥1. A
+/// malformed `SJAVA_THREADS` warns once on stderr and pins the pool to 1
+/// worker (the conservative reading of "the user asked for explicit
+/// control but we could not parse the request").
 pub fn num_threads() -> usize {
-    if !cfg!(feature = "parallel") {
-        return 1;
-    }
     match std::env::var(THREADS_ENV) {
         Ok(raw) => match parse_env_usize(&raw) {
             Some(n) => n.max(1),
@@ -210,7 +206,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if threads <= 1 || n <= 1 || !cfg!(feature = "parallel") {
+    if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
     // Longest-processing-time-first deal order: sort indices by
@@ -228,7 +224,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if threads <= 1 || n <= 1 || !cfg!(feature = "parallel") {
+    if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
     let order: Vec<usize> = (0..n).collect();
@@ -332,28 +328,6 @@ where
     pairs
 }
 
-/// Partitions `0..n` into contiguous chunks, one per worker, and runs
-/// `f(chunk_range)` on each; chunk results are concatenated in order.
-/// Useful when per-index closures are too fine-grained to amortize.
-pub fn run_chunked<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
-{
-    let threads = num_threads();
-    if threads <= 1 || n <= 1 {
-        return f(0..n);
-    }
-    let workers = threads.min(n);
-    let chunk = n.div_ceil(workers);
-    let ranges: Vec<std::ops::Range<usize>> = (0..workers)
-        .map(|w| (w * chunk).min(n)..((w + 1) * chunk).min(n))
-        .filter(|r| !r.is_empty())
-        .collect();
-    let per_chunk = run_indexed_with(ranges.len(), workers, |i| f(ranges[i].clone()));
-    per_chunk.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,12 +380,6 @@ mod tests {
             run_sparse_weighted(&[], &[], |i: usize| i),
             Vec::<(usize, usize)>::new()
         );
-    }
-
-    #[test]
-    fn chunked_concatenates_in_order() {
-        let out = run_chunked(37, |r| r.map(|i| i * 2).collect());
-        assert_eq!(out, (0..37).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -221,11 +221,6 @@ pub enum Type {
 }
 
 impl Type {
-    /// Whether the type is a primitive (non-reference) type.
-    pub fn is_primitive(&self) -> bool {
-        matches!(self, Type::Int | Type::Float | Type::Boolean | Type::Str)
-    }
-
     /// Whether the type is a reference (class or array) type.
     pub fn is_reference(&self) -> bool {
         matches!(self, Type::Class(_) | Type::Array(_))

@@ -451,11 +451,6 @@ impl Diagnostics {
         self.items.iter()
     }
 
-    /// Consumes the sink, returning all diagnostics.
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.items
-    }
-
     /// Merges another sink into this one.
     pub fn extend(&mut self, other: Diagnostics) {
         self.items.extend(other.items);

@@ -1,190 +1,305 @@
 //! `sjava` — command-line front end for the Self-Stabilizing Java tools.
 //!
-//! ```text
-//! sjava check <file.sj> [--format=text|json|sarif] [--deny-warnings]
-//!                                       verify self-stabilization
-//! sjava check --explain SJ0xxx          describe a diagnostic code
-//! sjava infer <file.sj> [--naive] [--timings]
-//!                                       infer annotations, print source
-//! sjava run <file.sj> <Class.method> N  run the event loop N iterations
-//! sjava lattice <file.sj>               print declared lattices as DOT
-//! sjava stress [--preset=small|large|adversarial] [--classes=N]
-//!              [--methods=N] [--fields=N] [--depth=N] [--stmts=N]
-//!              [--seed=N] [--delta-depth=N] [--degenerate=N]
-//!              [--cyclic-delegates=N]
-//!              [--check] [--infer]      emit a synthetic stress program
-//! sjava fuzz [--seed=N] [--cases=N] [--oracle=all|check|infer|cache|parse|emit]
-//!            [--minimize] [--fixtures-dir=DIR]
-//!                                       differential-fuzz the engine pairs
-//! sjava campaign --app=<windsensor|weather|sumobot|eyetrack|mp3dec|stress>
-//!                [--trials=N] [--grid=mc|lattice:SEEDSxTRIGGERS] [--iters=N]
-//!                [--window=F] [--eps=F] [--threads=N] [--out=PATH]
-//!                                       batched fault-injection campaign on
-//!                                       the register-bytecode VM; prints the
-//!                                       recovery histogram, optional CSV out
-//! ```
+//! Each command is one entry of [`COMMANDS`]: its usage line, which is
+//! also its grammar, and the function that runs it. `sjava` alone prints
+//! every usage line. [`parse_args`] reads a command line against its
+//! grammar before any work starts:
+//!
+//! - the leading bare words name the command (`check`, `check --explain`);
+//! - `<x>` is an operand: each must be given, and no more;
+//! - `[--f]` is a switch, which takes no value;
+//! - `--f=N` takes a non-negative integer, `--f=F` a number, `--f=a|b`
+//!   one of the listed words, and `--f=PATH` (any value spec with a
+//!   capital letter) a non-empty string that the command reads itself;
+//! - a flag in brackets is optional, one without them is required.
+//!
+//! Flags may come before or after operands, always as `--name=value`; a
+//! repeated flag keeps its last value.
 //!
 //! Exit codes: `0` success, `1` the check (or another command) failed
 //! with diagnostics, `2` usage or I/O error. Usage errors are reported
 //! before any work starts.
 
+use std::fmt::Display;
 use std::process::ExitCode;
 
+use sjava::analysis::CallGraph;
 use sjava::syntax::codes::Code;
 use sjava::syntax::pretty::print_program;
 use sjava::syntax::{emit, SourceFile};
+use sjava::{Diagnostics, InferenceResult, Program};
 
 /// Exit status for usage and I/O errors, distinct from check failures.
 const EXIT_USAGE: u8 = 2;
 
+/// What a command returns: `Err` is an early exit whose cause has
+/// already been reported on stderr.
+type Outcome = Result<ExitCode, ExitCode>;
+
+/// A command's body, run once its command line matched its grammar.
+type Run = fn(&Args) -> Outcome;
+
+/// Every command: its usage line, which [`parse_args`] reads as its
+/// grammar, and the function that runs it. A continuation line is
+/// indented to sit under the first flag when printed after `  sjava `.
+const COMMANDS: &[(&str, Run)] = &[
+    (
+        "check <file.sj> [--format=text|json|sarif] [--deny-warnings]",
+        cmd_check,
+    ),
+    ("check --explain <SJ0xxx>", cmd_explain),
+    ("infer <file.sj> [--naive] [--timings]", cmd_infer),
+    ("run <file.sj> <Class.method> <iterations>", cmd_run),
+    ("lattice <file.sj>", cmd_lattice),
+    ("lifetimes <file.sj>", cmd_lifetimes),
+    ("lint <file.sj>", cmd_lint),
+    ("vfg <file.sj>", cmd_vfg),
+    (
+        "stress [--preset=small|default|large|adversarial] [--classes=N] [--methods=N]
+               [--fields=N] [--depth=N] [--stmts=N] [--seed=N] [--delta-depth=N]
+               [--degenerate=N] [--cyclic-delegates=N] [--check] [--infer]",
+        cmd_stress,
+    ),
+    (
+        "fuzz [--seed=N] [--cases=N] [--oracle=all|check|infer|cache|parse|emit]
+             [--minimize] [--fixtures-dir=DIR]",
+        cmd_fuzz,
+    ),
+    (
+        "campaign --app=windsensor|weather|sumobot|eyetrack|mp3dec|stress
+                 [--trials=N] [--grid=mc|lattice:SEEDSxTRIGGERS] [--iters=N]
+                 [--window=F] [--eps=F] [--threads=N] [--out=PATH]",
+        cmd_campaign,
+    ),
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(|s| s.as_str()) {
-        Some("check") if args.len() >= 2 => cmd_check(&args[1..]),
-        Some("infer") if args.len() >= 2 => cmd_infer(&args[1..]),
-        Some("run") if args.len() == 4 => cmd_run(&args[1], &args[2], &args[3]),
-        Some("lattice") if args.len() == 2 => cmd_lattice(&args[1]),
-        Some("lifetimes") if args.len() == 2 => cmd_lifetimes(&args[1]),
-        Some("lint") if args.len() == 2 => cmd_lint(&args[1]),
-        Some("vfg") if args.len() == 2 => cmd_vfg(&args[1]),
-        Some("stress") => cmd_stress(&args[1..]),
-        Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("campaign") if args.len() >= 2 => cmd_campaign(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage:\n  sjava check <file.sj> [--format=text|json|sarif] [--deny-warnings]\n  sjava check --explain SJ0xxx\n  sjava infer <file.sj> [--naive] [--timings]\n  sjava run <file.sj> <Class.method> <iterations>\n  sjava lattice <file.sj>\n  sjava lifetimes <file.sj>\n  sjava lint <file.sj>\n  sjava vfg <file.sj>\n  sjava stress [--preset=small|large|adversarial] [--classes=N] [--methods=N]\n               [--fields=N] [--depth=N] [--stmts=N] [--seed=N] [--delta-depth=N]\n               [--degenerate=N] [--cyclic-delegates=N] [--check] [--infer]\n  sjava fuzz [--seed=N] [--cases=N] [--oracle=all|check|infer|cache|parse|emit]\n             [--minimize] [--fixtures-dir=DIR]\n  sjava campaign --app=<windsensor|weather|sumobot|eyetrack|mp3dec|stress>\n                 [--trials=N] [--grid=mc|lattice:SEEDSxTRIGGERS] [--iters=N]\n                 [--window=F] [--eps=F] [--threads=N] [--out=PATH]"
-            );
-            ExitCode::from(EXIT_USAGE)
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+    // The longest match wins, so `check --explain` is not read as `check`.
+    let Some((usage, run)) = COMMANDS
+        .iter()
+        .filter(|(usage, _)| argv.starts_with(&words(usage)))
+        .max_by_key(|(usage, _)| words(usage).len())
+    else {
+        eprintln!("usage:");
+        for (usage, _) in COMMANDS {
+            eprintln!("  sjava {usage}");
         }
+        return ExitCode::from(EXIT_USAGE);
+    };
+    match parse_args(usage, &argv) {
+        Ok(args) => run(&args).unwrap_or_else(|code| code),
+        Err(e) => usage_error(format!("{e}\nusage:\n  sjava {usage}")),
     }
 }
 
+/// The leading bare words of a usage line, which name its command.
+fn words(usage: &str) -> Vec<&str> {
+    usage
+        .split_whitespace()
+        .take_while(|t| !t.starts_with(['<', '[']) && !t.contains('='))
+        .collect()
+}
+
+/// A command line that matched its command's grammar: the operands in
+/// order, and each flag as given, with its value (empty for a switch).
+struct Args<'a> {
+    operands: Vec<&'a str>,
+    flags: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    /// Whether switch `flag` was given.
+    fn on(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// The value `flag` was last given.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+    }
+
+    /// The value of an `=N` or `=F` flag, which [`parse_args`] checked.
+    fn number<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        let value = self.value(flag)?;
+        Some(value.parse().ok().expect("parse_args checked the value"))
+    }
+}
+
+/// Reads `argv`, which starts with the command's words, against the
+/// grammar `usage`. The error names what is wrong or missing.
+fn parse_args<'a>(usage: &str, argv: &[&'a str]) -> Result<Args<'a>, String> {
+    let words = words(usage);
+    let command = words.join(" ");
+    let grammar = usage.split_whitespace().skip(words.len());
+    let (operands, flags): (Vec<&str>, Vec<&str>) = grammar.partition(|t| t.starts_with('<'));
+    // Each flag as (name, value spec, required); a switch has no spec.
+    let flags: Vec<(&str, Option<&str>, bool)> = flags
+        .into_iter()
+        .map(|token| {
+            let flag = token.trim_start_matches('[').trim_end_matches(']');
+            let (name, spec) = flag
+                .split_once('=')
+                .map_or((flag, None), |(n, s)| (n, Some(s)));
+            (name, spec, !token.starts_with('['))
+        })
+        .collect();
+    let mut args = Args {
+        operands: Vec::new(),
+        flags: Vec::new(),
+    };
+    for &arg in &argv[words.len()..] {
+        if !arg.starts_with("--") {
+            args.operands.push(arg);
+            continue;
+        }
+        let (name, value) = arg
+            .split_once('=')
+            .map_or((arg, None), |(n, v)| (n, Some(v)));
+        let Some(&(_, spec, _)) = flags.iter().find(|(flag, _, _)| *flag == name) else {
+            return Err(format!("unknown flag `{name}` for `sjava {command}`"));
+        };
+        match spec {
+            None if value.is_some() => return Err(format!("`{name}` takes no value")),
+            Some(spec) if !value.is_some_and(|v| fits(spec, v)) => {
+                let note = match spec {
+                    "N" => ", a non-negative integer",
+                    "F" => ", a number",
+                    _ => "",
+                };
+                return Err(format!("`{arg}`: expected `{name}={spec}`{note}"));
+            }
+            _ => args.flags.push((name, value.unwrap_or(""))),
+        }
+    }
+    if let Some(missing) = operands.get(args.operands.len()) {
+        return Err(format!("`sjava {command}` needs {missing}"));
+    }
+    if let Some(extra) = args.operands.get(operands.len()) {
+        return Err(format!(
+            "unexpected extra argument `{extra}` for `sjava {command}`"
+        ));
+    }
+    for (name, spec, required) in flags {
+        if required && !args.on(name) {
+            let spec = spec.unwrap_or_default();
+            return Err(format!("`sjava {command}` needs `{name}={spec}`"));
+        }
+    }
+    Ok(args)
+}
+
+/// Whether `value` fits the value spec `spec`: `N` a non-negative
+/// integer, `F` a number, a spec with a capital letter any non-empty
+/// string, and otherwise one of its `|`-separated words.
+fn fits(spec: &str, value: &str) -> bool {
+    match spec {
+        "N" => value.parse::<usize>().is_ok(),
+        "F" => value.parse::<f64>().is_ok(),
+        _ if spec.contains(|c: char| c.is_ascii_uppercase()) => !value.is_empty(),
+        _ => spec.split('|').any(|word| word == value),
+    }
+}
+
+/// Reports a usage error; returns the exit status for it.
+fn usage_error(message: impl Display) -> ExitCode {
+    eprintln!("error: {message}");
+    ExitCode::from(EXIT_USAGE)
+}
+
 /// `sjava stress`: prints a deterministic synthetic stress program to
-/// stdout (the same generator the benchmark harness uses). With
+/// stdout (the same generator the benchmark harness uses). `--preset`
+/// applies first, then the size flags, whatever their order. With
 /// `--check`, runs the whole-program checker over it instead and reports
 /// pass/fail — handy for timing the checker on arbitrary scales. With
 /// `--infer`, strips the generated annotations and runs the inference
-/// engine over the bare program instead:
+/// engine over the bare program instead, reporting per-phase timings:
 ///
 /// ```text
 /// sjava stress --classes=50 --methods=10 > big.sj
 /// sjava stress --preset=large --check
 /// sjava stress --preset=large --infer
 /// ```
-fn cmd_stress(args: &[String]) -> ExitCode {
+fn cmd_stress(args: &Args) -> Outcome {
     use sjava_bench::stressgen::StressConfig;
 
-    let mut cfg = StressConfig::default();
-    let mut check = false;
-    let mut infer = false;
-    for a in args {
-        let numeric = |v: &str| -> Result<usize, ExitCode> {
-            v.parse().map_err(|_| {
-                eprintln!("error: `{a}` needs a non-negative integer value");
-                ExitCode::from(EXIT_USAGE)
-            })
-        };
-        let (flag, value) = match a.split_once('=') {
-            Some((f, v)) => (f, v),
-            None => (a.as_str(), ""),
-        };
-        match flag {
-            "--preset" => match value {
-                "small" => cfg = StressConfig::small(),
-                "large" => cfg = StressConfig::large(),
-                "default" => cfg = StressConfig::default(),
-                "adversarial" => cfg = StressConfig::adversarial(),
-                other => {
-                    eprintln!(
-                        "error: unknown preset `{other}` (expected small, default, large, or adversarial)"
-                    );
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--classes" => match numeric(value) {
-                Ok(n) => cfg.classes = n,
-                Err(c) => return c,
-            },
-            "--methods" => match numeric(value) {
-                Ok(n) => cfg.methods = n,
-                Err(c) => return c,
-            },
-            "--fields" => match numeric(value) {
-                Ok(n) => cfg.fields = n,
-                Err(c) => return c,
-            },
-            "--depth" => match numeric(value) {
-                Ok(n) => cfg.loop_depth = n,
-                Err(c) => return c,
-            },
-            "--stmts" => match numeric(value) {
-                Ok(n) => cfg.stmts = n,
-                Err(c) => return c,
-            },
-            "--seed" => match numeric(value) {
-                Ok(n) => cfg.seed = n as u64,
-                Err(c) => return c,
-            },
-            "--delta-depth" => match numeric(value) {
-                Ok(n) => cfg.delta_depth = n,
-                Err(c) => return c,
-            },
-            "--degenerate" => match numeric(value) {
-                Ok(n) => cfg.degenerate = n,
-                Err(c) => return c,
-            },
-            "--cyclic-delegates" => match numeric(value) {
-                Ok(n) => cfg.cyclic_delegates = n,
-                Err(c) => return c,
-            },
-            "--check" => check = true,
-            "--infer" => infer = true,
-            other => {
-                eprintln!("error: unknown flag `{other}` for `sjava stress`");
-                return ExitCode::from(EXIT_USAGE);
-            }
+    if args.on("--check") && args.on("--infer") {
+        return Err(usage_error(
+            "`sjava stress` takes `--check` or `--infer`, not both",
+        ));
+    }
+    let mut cfg = match args.value("--preset") {
+        Some("small") => StressConfig::small(),
+        Some("large") => StressConfig::large(),
+        Some("adversarial") => StressConfig::adversarial(),
+        _ => StressConfig::default(),
+    };
+    for (flag, knob) in [
+        ("--classes", &mut cfg.classes),
+        ("--methods", &mut cfg.methods),
+        ("--fields", &mut cfg.fields),
+        ("--depth", &mut cfg.loop_depth),
+        ("--stmts", &mut cfg.stmts),
+        ("--delta-depth", &mut cfg.delta_depth),
+        ("--degenerate", &mut cfg.degenerate),
+        ("--cyclic-delegates", &mut cfg.cyclic_delegates),
+    ] {
+        if let Some(n) = args.number(flag) {
+            *knob = n;
         }
     }
-    if check && infer {
-        eprintln!("error: `sjava stress` takes `--check` or `--infer`, not both");
-        return ExitCode::from(EXIT_USAGE);
+    if let Some(seed) = args.number("--seed") {
+        cfg.seed = seed;
     }
 
+    let label = cfg.label();
     let src = sjava_bench::stressgen::generate(&cfg);
-    if infer {
-        return stress_infer(&cfg, &src);
-    }
-    if !check {
+    if !args.on("--check") && !args.on("--infer") {
         print!("{src}");
         eprintln!(
-            "// {}: {} methods, {} bytes",
-            cfg.label(),
+            "// {label}: {} methods, {} bytes",
             cfg.method_count(),
             src.len()
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
+    }
+    let file = SourceFile::new(format!("<{label}>"), src);
+    if args.on("--infer") {
+        let (_, result) = infer(&file, sjava::Mode::SInfer).inspect_err(|_| {
+            println!("{label}: inference failed ✗");
+        })?;
+        println!(
+            "{label}: inferred {} locations, {} paths over {} methods ✓ ({:.2?})",
+            result.metrics.total_locations(),
+            result.metrics.total_paths(),
+            cfg.method_count(),
+            result.elapsed
+        );
+        println!("{}", phases(&result));
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let file = SourceFile::new(format!("<{}>", cfg.label()), src);
     let started = std::time::Instant::now();
     let diagnostics = match sjava::parse(&file.text) {
         Ok(program) => sjava::check(&program).diagnostics,
         Err(diags) => diags,
     };
     let elapsed = started.elapsed();
-    for d in diagnostics.iter() {
-        eprintln!("{}", d.render(&file));
-    }
-    let label = cfg.label();
+    report(&file, &diagnostics);
     if diagnostics.has_errors() {
         println!("{label}: NOT verified self-stabilizing ✗ ({elapsed:.2?})");
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     } else {
         println!(
             "{label}: {} methods self-stabilizing ✓ ({elapsed:.2?})",
             cfg.method_count()
         );
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     }
 }
 
@@ -200,61 +315,29 @@ fn cmd_stress(args: &[String]) -> ExitCode {
 ///
 /// Exit code `0` when every case agreed, `1` when any oracle found a
 /// mismatch. The run is byte-reproducible per `(seed, cases)`.
-fn cmd_fuzz(args: &[String]) -> ExitCode {
+fn cmd_fuzz(args: &Args) -> Outcome {
     use sjava_bench::fuzz::{self, FuzzConfig, Oracle};
 
     let mut cfg = FuzzConfig::default();
-    for a in args {
-        let (flag, value) = match a.split_once('=') {
-            Some((f, v)) => (f, v),
-            None => (a.as_str(), ""),
-        };
-        let numeric = |v: &str| -> Result<u64, ExitCode> {
-            v.parse().map_err(|_| {
-                eprintln!("error: `{a}` needs a non-negative integer value");
-                ExitCode::from(EXIT_USAGE)
-            })
-        };
-        match flag {
-            "--seed" => match numeric(value) {
-                Ok(n) => cfg.seed = n,
-                Err(c) => return c,
-            },
-            "--cases" => match numeric(value) {
-                Ok(n) => cfg.cases = n as usize,
-                Err(c) => return c,
-            },
-            "--oracle" => match Oracle::parse_set(value) {
-                Some(set) => cfg.oracles = set,
-                None => {
-                    eprintln!(
-                        "error: unknown oracle `{value}` (expected all, check, infer, cache, parse, or emit)"
-                    );
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--minimize" => cfg.minimize = true,
-            "--fixtures-dir" => {
-                if value.is_empty() {
-                    eprintln!("error: `--fixtures-dir` needs a directory path");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                cfg.fixtures_dir = Some(value.into());
-            }
-            other => {
-                eprintln!("error: unknown flag `{other}` for `sjava fuzz`");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
+    if let Some(seed) = args.number("--seed") {
+        cfg.seed = seed;
     }
+    if let Some(cases) = args.number("--cases") {
+        cfg.cases = cases;
+    }
+    if let Some(oracle) = args.value("--oracle") {
+        cfg.oracles = Oracle::parse_set(oracle).expect("the usage lists only oracle names");
+    }
+    cfg.minimize = args.on("--minimize");
+    cfg.fixtures_dir = args.value("--fixtures-dir").map(Into::into);
 
     let report = fuzz::run(&cfg);
     print!("{}", report.render());
-    if report.findings.is_empty() {
+    Ok(if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// `sjava campaign`: runs a batched Monte-Carlo (or exhaustive-lattice)
@@ -266,121 +349,54 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
 /// sjava campaign --app=mp3dec --trials=100000
 /// sjava campaign --app=windsensor --grid=lattice:4x32 --out=hist.csv
 /// ```
-fn cmd_campaign(args: &[String]) -> ExitCode {
+fn cmd_campaign(args: &Args) -> Outcome {
     use sjava::runtime::Grid;
 
-    let mut app: Option<String> = None;
-    let mut trials = 1000usize;
-    let mut grid = Grid::MonteCarlo;
-    let mut iters: Option<usize> = None;
-    let mut window = 0.8f64;
-    let mut eps = 1e-9f64;
-    let mut threads: Option<usize> = None;
-    let mut out: Option<String> = None;
-    for a in args {
-        let (flag, value) = match a.split_once('=') {
-            Some((f, v)) => (f, v),
-            None => (a.as_str(), ""),
-        };
-        let numeric = |v: &str| -> Result<usize, ExitCode> {
-            v.parse().map_err(|_| {
-                eprintln!("error: `{a}` needs a non-negative integer value");
-                ExitCode::from(EXIT_USAGE)
-            })
-        };
-        let float = |v: &str| -> Result<f64, ExitCode> {
-            v.parse().map_err(|_| {
-                eprintln!("error: `{a}` needs a number");
-                ExitCode::from(EXIT_USAGE)
-            })
-        };
-        match flag {
-            "--app" => app = Some(value.to_string()),
-            "--trials" => match numeric(value) {
-                Ok(n) => trials = n,
-                Err(c) => return c,
-            },
-            "--iters" => match numeric(value) {
-                Ok(n) => iters = Some(n),
-                Err(c) => return c,
-            },
-            "--threads" => match numeric(value) {
-                Ok(n) => threads = Some(n),
-                Err(c) => return c,
-            },
-            "--window" => match float(value) {
-                Ok(f) => window = f,
-                Err(c) => return c,
-            },
-            "--eps" => match float(value) {
-                Ok(f) => eps = f,
-                Err(c) => return c,
-            },
-            "--grid" => {
-                grid = if value == "mc" {
-                    Grid::MonteCarlo
-                } else if let Some(spec) = value.strip_prefix("lattice:") {
-                    let parsed = spec.split_once('x').and_then(|(s, t)| {
-                        Some(Grid::Lattice {
-                            seeds: s.parse().ok()?,
-                            triggers: t.parse().ok()?,
-                        })
-                    });
-                    match parsed {
-                        Some(g) => g,
-                        None => {
-                            eprintln!(
-                                "error: --grid=lattice needs `lattice:SEEDSxTRIGGERS`, e.g. `lattice:4x32`"
-                            );
-                            return ExitCode::from(EXIT_USAGE);
-                        }
-                    }
-                } else {
-                    eprintln!("error: unknown grid `{value}` (expected mc or lattice:SxT)");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-            }
-            "--out" => {
-                if value.is_empty() {
-                    eprintln!("error: `--out` needs a file path, e.g. `--out=hist.csv`");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                out = Some(value.to_string());
-            }
-            other => {
-                eprintln!("error: unknown flag `{other}` for `sjava campaign`");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    }
-    let Some(app) = app else {
-        eprintln!("error: `sjava campaign` needs `--app=<name>`");
-        return ExitCode::from(EXIT_USAGE);
-    };
+    let window = args.number("--window").unwrap_or(0.8f64);
+    let eps = args.number("--eps").unwrap_or(1e-9f64);
+    let iters: Option<usize> = args.number("--iters");
     // `!(x > 0)` rather than `x <= 0` so that NaN is rejected too.
     if !(window > 0.0 && window <= 1.0) {
-        eprintln!("error: `--window` must be in (0, 1], got {window}");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage_error(format!(
+            "`--window` must be in (0, 1], got {window}"
+        )));
     }
     if !(eps.is_finite() && eps >= 0.0) {
-        eprintln!("error: `--eps` must be a finite number ≥ 0, got {eps}");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage_error(format!(
+            "`--eps` must be a finite number ≥ 0, got {eps}"
+        )));
     }
     if iters == Some(0) {
-        eprintln!("error: `--iters` must be at least 1");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage_error("`--iters` must be at least 1"));
     }
+    let grid = match args.value("--grid") {
+        None | Some("mc") => Grid::MonteCarlo,
+        Some(value) => value
+            .strip_prefix("lattice:")
+            .and_then(|spec| spec.split_once('x'))
+            .and_then(|(s, t)| {
+                Some(Grid::Lattice {
+                    seeds: s.parse().ok()?,
+                    triggers: t.parse().ok()?,
+                })
+            })
+            .ok_or_else(|| {
+                usage_error(format!(
+                    "unknown grid `{value}` (expected mc or lattice:SEEDSxTRIGGERS, e.g. lattice:4x32)"
+                ))
+            })?,
+    };
 
     let cfg = CampaignCfg {
-        trials,
+        trials: args.number("--trials").unwrap_or(1000),
         grid,
         window,
         eps,
-        threads,
-        out,
+        threads: args.number("--threads"),
+        out: args.value("--out"),
     };
     use sjava::apps::{eyetrack, mp3dec, sumobot, weather, windsensor};
-    match app.as_str() {
+    match args.value("--app").expect("the usage requires `--app`") {
         "windsensor" => run_campaign(
             windsensor::SOURCE,
             windsensor::ENTRY,
@@ -423,23 +439,18 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
             iters.unwrap_or(20),
             &cfg,
         ),
-        other => {
-            eprintln!(
-                "error: unknown app `{other}` (expected windsensor, weather, sumobot, eyetrack, mp3dec, or stress)"
-            );
-            ExitCode::from(EXIT_USAGE)
-        }
+        other => unreachable!("the usage lists no app `{other}`"),
     }
 }
 
 /// Flag bundle for [`run_campaign`], so the per-app dispatch stays flat.
-struct CampaignCfg {
+struct CampaignCfg<'a> {
     trials: usize,
     grid: sjava::runtime::Grid,
     window: f64,
     eps: f64,
     threads: Option<usize>,
-    out: Option<String>,
+    out: Option<&'a str>,
 }
 
 fn run_campaign<I, F>(
@@ -448,31 +459,25 @@ fn run_campaign<I, F>(
     make_inputs: F,
     iterations: usize,
     cfg: &CampaignCfg,
-) -> ExitCode
+) -> Outcome
 where
     I: sjava::runtime::InputProvider + Clone + Sync,
     F: Fn() -> I + Sync,
 {
-    let program = match sjava::parse(src) {
-        Ok(p) => p,
-        Err(diags) => {
-            eprintln!("error: app source does not parse: {diags}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let program = sjava::parse(src).map_err(|diags| {
+        eprintln!("error: app source does not parse: {diags}");
+        ExitCode::FAILURE
+    })?;
     let mut campaign = sjava::runtime::Campaign::new(&program, entry, iterations);
     campaign.trials = cfg.trials;
     campaign.grid = cfg.grid;
     campaign.inject_window = cfg.window;
     campaign.eps = cfg.eps;
     campaign.threads = cfg.threads;
-    let outcome = match campaign.run(make_inputs) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("runtime error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let outcome = campaign.run(make_inputs).map_err(|e| {
+        eprintln!("runtime error: {e}");
+        ExitCode::FAILURE
+    })?;
 
     println!(
         "{}.{}: {} trials in {:.2}s ({:.0} trials/sec), {} iterations/run, {} live heap cells",
@@ -496,91 +501,26 @@ where
     println!("\nrecovery time, iterations until re-convergence:");
     print!("{}", outcome.hist_iterations.render());
 
-    if let Some(path) = &cfg.out {
+    if let Some(path) = cfg.out {
         if let Err(e) = std::fs::write(path, outcome.hist_samples.to_csv()) {
-            eprintln!("error: cannot write `{path}`: {e}");
-            return ExitCode::from(EXIT_USAGE);
+            return Err(usage_error(format!("cannot write `{path}`: {e}")));
         }
         println!("histogram written to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `sjava stress --infer`: strip the generated corpus's annotations and
-/// run the inference engine over the bare program, reporting per-phase
-/// timings — the inference analogue of `--check`.
-fn stress_infer(cfg: &sjava_bench::stressgen::StressConfig, src: &str) -> ExitCode {
-    let label = cfg.label();
-    let file = SourceFile::new(format!("<{label}>"), src.to_string());
-    let mut program = match sjava::parse(&file.text) {
-        Ok(p) => p,
-        Err(diags) => {
-            for d in diags.iter() {
-                eprintln!("{}", d.render(&file));
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-    sjava::syntax::strip::strip_in_place(&mut program);
-    match sjava::infer_annotations(&program, sjava::Mode::SInfer) {
-        Ok(result) => {
-            let t = &result.timings;
-            let phase_list: Vec<String> = t
-                .phases()
-                .iter()
-                .map(|(name, d)| format!("{name} {:.3} ms", d.as_secs_f64() * 1000.0))
-                .collect();
-            println!(
-                "{label}: inferred {} locations, {} paths over {} methods ✓ ({:.2?})",
-                result.metrics.total_locations(),
-                result.metrics.total_paths(),
-                cfg.method_count(),
-                result.elapsed
-            );
-            println!(
-                "phases: {} ({} worker thread{})",
-                phase_list.join(", "),
-                t.threads,
-                if t.threads == 1 { "" } else { "s" }
-            );
-            ExitCode::SUCCESS
-        }
-        Err(diags) => {
-            for d in diags.iter() {
-                eprintln!("{}", d.render(&file));
-            }
-            println!("{label}: inference failed ✗");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn cmd_lint(path: &str) -> ExitCode {
-    let (file, program) = match load(path) {
-        Ok(x) => x,
-        Err(c) => return c,
-    };
-    let mut diags = sjava::Diagnostics::new();
+fn cmd_lint(args: &Args) -> Outcome {
+    let (file, program) = load(args.operands[0])?;
+    let mut diags = Diagnostics::new();
     let findings = sjava::analysis::lint_program(&program, &mut diags);
-    for d in diags.iter() {
-        eprintln!("{}", d.render(&file));
-    }
+    report(&file, &diags);
     println!("{findings} finding(s)");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_lifetimes(path: &str) -> ExitCode {
-    let (file, program) = match load(path) {
-        Ok(x) => x,
-        Err(c) => return c,
-    };
-    let mut diags = sjava::Diagnostics::new();
-    let Some(cg) = sjava::analysis::callgraph::build(&program, &mut diags) else {
-        for d in diags.iter() {
-            eprintln!("{}", d.render(&file));
-        }
-        return ExitCode::FAILURE;
-    };
+fn cmd_lifetimes(args: &Args) -> Outcome {
+    let (file, program, cg) = load_with_callgraph(args.operands[0])?;
     let sites = sjava::analysis::analyze_lifetimes(&program, &cg);
     println!(
         "{:<24}{:<12}{:<10}{:<12}at",
@@ -602,130 +542,66 @@ fn cmd_lifetimes(path: &str) -> ExitCode {
             lc
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_vfg(path: &str) -> ExitCode {
-    let (file, program) = match load(path) {
-        Ok(x) => x,
-        Err(c) => return c,
-    };
-    let mut diags = sjava::Diagnostics::new();
-    let Some(cg) = sjava::analysis::callgraph::build(&program, &mut diags) else {
-        for d in diags.iter() {
-            eprintln!("{}", d.render(&file));
-        }
-        return ExitCode::FAILURE;
-    };
+fn cmd_vfg(args: &Args) -> Outcome {
+    let (_, program, cg) = load_with_callgraph(args.operands[0])?;
     let graphs = sjava::infer::build_flow_graphs(&program, &cg);
     for ((class, method), g) in &graphs {
         print!("{}", g.to_dot(&format!("{class}.{method}")));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Renders diagnostics to stderr.
+fn report(file: &SourceFile, diags: &Diagnostics) {
+    for d in diags.iter() {
+        eprintln!("{}", d.render(file));
+    }
 }
 
 /// Reads a source file; an unreadable path is an I/O error (exit 2).
 fn read_source(path: &str) -> Result<SourceFile, ExitCode> {
     match std::fs::read_to_string(path) {
         Ok(text) => Ok(SourceFile::new(path, text)),
-        Err(e) => {
-            eprintln!("error: cannot read `{path}`: {e}");
-            Err(ExitCode::from(EXIT_USAGE))
-        }
+        Err(e) => Err(usage_error(format!("cannot read `{path}`: {e}"))),
     }
 }
 
-/// Reads and parses a source file; parse errors are rendered and exit 1.
-fn load(path: &str) -> Result<(SourceFile, sjava::Program), ExitCode> {
+/// Parses a source file; parse errors are rendered and exit 1.
+fn parse(file: &SourceFile) -> Result<Program, ExitCode> {
+    sjava::parse(&file.text).map_err(|diags| {
+        report(file, &diags);
+        ExitCode::FAILURE
+    })
+}
+
+/// Reads and parses a source file.
+fn load(path: &str) -> Result<(SourceFile, Program), ExitCode> {
     let file = read_source(path)?;
-    match sjava::parse(&file.text) {
-        Ok(p) => Ok((file, p)),
-        Err(diags) => {
-            for d in diags.iter() {
-                eprintln!("{}", d.render(&file));
-            }
+    let program = parse(&file)?;
+    Ok((file, program))
+}
+
+/// Reads and parses a source file and builds its call graph; a call
+/// graph that cannot be built is reported and exits 1.
+fn load_with_callgraph(path: &str) -> Result<(SourceFile, Program, CallGraph), ExitCode> {
+    let (file, program) = load(path)?;
+    let mut diags = Diagnostics::new();
+    match sjava::analysis::callgraph::build(&program, &mut diags) {
+        Some(cg) => Ok((file, program, cg)),
+        None => {
+            report(&file, &diags);
             Err(ExitCode::FAILURE)
         }
     }
 }
 
-/// Output format of `sjava check`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
-
-fn cmd_check(args: &[String]) -> ExitCode {
-    // `sjava check --explain SJ0xxx` prints the long-form text of a code.
-    if args.iter().any(|a| a == "--explain") {
-        let code_arg = match args {
-            [flag, code] if flag == "--explain" => code,
-            _ => {
-                eprintln!(
-                    "error: --explain takes exactly one code, e.g. `sjava check --explain SJ0101`"
-                );
-                return ExitCode::from(EXIT_USAGE);
-            }
-        };
-        let Some(code) = Code::parse(code_arg) else {
-            eprintln!("error: unknown diagnostic code `{code_arg}`");
-            eprintln!("known codes:");
-            for &c in Code::ALL {
-                eprintln!("  {c} ({}): {}", c.name(), c.summary());
-            }
-            return ExitCode::from(EXIT_USAGE);
-        };
-        println!(
-            "{code} ({}): {}\n\n{}",
-            code.name(),
-            code.summary(),
-            code.explain()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let mut format = Format::Text;
-    let mut deny_warnings = false;
-    let mut path: Option<&str> = None;
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
-            "--deny-warnings" => deny_warnings = true,
-            "--format" => {
-                let Some(f) = iter.next() else {
-                    eprintln!("error: --format requires a value: text, json, or sarif");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                match parse_format(f) {
-                    Some(fm) => format = fm,
-                    None => return bad_format(f),
-                }
-            }
-            f if f.starts_with("--format=") => {
-                let v = &f["--format=".len()..];
-                match parse_format(v) {
-                    Some(fm) => format = fm,
-                    None => return bad_format(v),
-                }
-            }
-            f if f.starts_with("--") => {
-                eprintln!("error: unknown flag `{f}`");
-                return ExitCode::from(EXIT_USAGE);
-            }
-            p if path.is_some() => return extra_file("check", p),
-            p => path = Some(p),
-        }
-    }
-    let Some(path) = path else {
-        eprintln!("error: `sjava check` needs a file");
-        return ExitCode::from(EXIT_USAGE);
-    };
-    let file = match read_source(path) {
-        Ok(f) => f,
-        Err(c) => return c,
-    };
+fn cmd_check(args: &Args) -> Outcome {
+    let path = args.operands[0];
+    let format = args.value("--format").unwrap_or("text");
+    let file = read_source(path)?;
 
     let parsed = sjava::parse(&file.text);
     let mut session = None;
@@ -745,32 +621,48 @@ fn cmd_check(args: &[String]) -> ExitCode {
     };
 
     match format {
-        Format::Text => {
-            for d in diagnostics.iter() {
-                eprintln!("{}", d.render(&file));
-            }
-        }
-        Format::Json => print!("{}", emit::to_json(&file, diagnostics)),
-        Format::Sarif => print!("{}", emit::to_sarif(&file, diagnostics)),
+        "json" => print!("{}", emit::to_json(&file, diagnostics)),
+        "sarif" => print!("{}", emit::to_sarif(&file, diagnostics)),
+        _ => report(&file, diagnostics),
     }
-
-    let failed = diagnostics.has_errors() || (deny_warnings && diagnostics.has_warnings());
-    let code = if failed {
-        if format == Format::Text {
-            println!("{path}: NOT verified self-stabilizing ✗");
-        }
-        ExitCode::FAILURE
-    } else {
-        if format == Format::Text {
-            println!("{path}: self-stabilizing ✓");
-        }
-        ExitCode::SUCCESS
-    };
+    let failed =
+        diagnostics.has_errors() || (args.on("--deny-warnings") && diagnostics.has_warnings());
+    if format == "text" {
+        let verdict = if failed {
+            "NOT verified self-stabilizing ✗"
+        } else {
+            "self-stabilizing ✓"
+        };
+        println!("{path}: {verdict}");
+    }
     flush_stdout();
     std::mem::forget(checked);
     std::mem::forget(session);
     std::mem::forget(parsed);
-    code
+    Ok(if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    })
+}
+
+/// `sjava check --explain SJ0xxx` prints the long-form text of a code.
+fn cmd_explain(args: &Args) -> Outcome {
+    let Some(code) = Code::parse(args.operands[0]) else {
+        eprintln!("error: unknown diagnostic code `{}`", args.operands[0]);
+        eprintln!("known codes:");
+        for &c in Code::ALL {
+            eprintln!("  {c} ({}): {}", c.name(), c.summary());
+        }
+        return Err(ExitCode::from(EXIT_USAGE));
+    };
+    println!(
+        "{code} ({}): {}\n\n{}",
+        code.name(),
+        code.summary(),
+        code.explain()
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Flushes stdout before a command returns without freeing what it built.
@@ -783,148 +675,110 @@ fn flush_stdout() {
     let _ = std::io::stdout().flush();
 }
 
-/// A second file argument: each command takes one.
-fn extra_file(command: &str, arg: &str) -> ExitCode {
-    eprintln!("error: `sjava {command}` takes one file; unexpected extra argument `{arg}`");
-    ExitCode::from(EXIT_USAGE)
-}
-
-fn parse_format(s: &str) -> Option<Format> {
-    match s {
-        "text" => Some(Format::Text),
-        "json" => Some(Format::Json),
-        "sarif" => Some(Format::Sarif),
-        _ => None,
-    }
-}
-
-fn bad_format(s: &str) -> ExitCode {
-    eprintln!("error: unknown format `{s}` (expected text, json, or sarif)");
-    ExitCode::from(EXIT_USAGE)
-}
-
-fn cmd_infer(args: &[String]) -> ExitCode {
-    let mut naive = false;
-    let mut timings = false;
-    let mut path: Option<&str> = None;
-    for a in args {
-        match a.as_str() {
-            "--naive" => naive = true,
-            "--timings" => timings = true,
-            f if f.starts_with("--") => {
-                eprintln!("error: unknown flag `{f}` for `sjava infer`");
-                return ExitCode::from(EXIT_USAGE);
-            }
-            p if path.is_some() => return extra_file("infer", p),
-            p => path = Some(p),
+/// Parses `file`, strips its annotations in place and infers them again:
+/// the path of `sjava infer` and `sjava stress --infer`. Diagnostics are
+/// rendered, and a failure exits 1.
+fn infer(file: &SourceFile, mode: sjava::Mode) -> Result<(Program, InferenceResult), ExitCode> {
+    let mut program = parse(file)?;
+    sjava::syntax::strip::strip_in_place(&mut program);
+    match sjava::infer_annotations(&program, mode) {
+        Ok(result) => Ok((program, result)),
+        Err(diags) => {
+            report(file, &diags);
+            Err(ExitCode::FAILURE)
         }
     }
-    let Some(path) = path else {
-        eprintln!("error: `sjava infer` needs a file");
-        return ExitCode::from(EXIT_USAGE);
-    };
-    let (file, mut program) = match load(path) {
-        Ok(x) => x,
-        Err(c) => return c,
-    };
-    sjava::syntax::strip::strip_in_place(&mut program);
-    let mode = if naive {
+}
+
+/// The per-phase line of an inference: `phases: vfg 1.234 ms, …
+/// (N worker threads)`.
+fn phases(result: &InferenceResult) -> String {
+    let t = &result.timings;
+    let phase_list: Vec<String> = t
+        .phases()
+        .iter()
+        .map(|(name, d)| format!("{name} {:.3} ms", d.as_secs_f64() * 1000.0))
+        .collect();
+    format!(
+        "phases: {} ({} worker thread{})",
+        phase_list.join(", "),
+        t.threads,
+        if t.threads == 1 { "" } else { "s" }
+    )
+}
+
+fn cmd_infer(args: &Args) -> Outcome {
+    let file = read_source(args.operands[0])?;
+    let mode = if args.on("--naive") {
         sjava::Mode::Naive
     } else {
         sjava::Mode::SInfer
     };
-    let code = match sjava::infer_annotations(&program, mode) {
-        Ok(result) => {
-            print!("{}", print_program(&result.annotated));
-            eprintln!(
-                "// inferred {} locations, {} paths in {:?}",
-                result.metrics.total_locations(),
-                result.metrics.total_paths(),
-                result.elapsed
-            );
-            if timings {
-                let t = &result.timings;
-                let phase_list: Vec<String> = t
-                    .phases()
-                    .iter()
-                    .map(|(name, d)| format!("{name} {:.3} ms", d.as_secs_f64() * 1000.0))
-                    .collect();
-                eprintln!(
-                    "// phases: {} ({} worker thread{})",
-                    phase_list.join(", "),
-                    t.threads,
-                    if t.threads == 1 { "" } else { "s" }
-                );
-            }
-            flush_stdout();
-            std::mem::forget(result);
-            ExitCode::SUCCESS
-        }
-        Err(diags) => {
-            for d in diags.iter() {
-                eprintln!("{}", d.render(&file));
-            }
-            ExitCode::FAILURE
-        }
-    };
+    let (program, result) = infer(&file, mode)?;
+    print!("{}", print_program(&result.annotated));
+    eprintln!(
+        "// inferred {} locations, {} paths in {:?}",
+        result.metrics.total_locations(),
+        result.metrics.total_paths(),
+        result.elapsed
+    );
+    if args.on("--timings") {
+        eprintln!("// {}", phases(&result));
+    }
+    flush_stdout();
+    std::mem::forget(result);
     std::mem::forget(program);
-    code
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_run(path: &str, entry: &str, iters: &str) -> ExitCode {
-    let Some((class, method)) = entry
+fn cmd_run(args: &Args) -> Outcome {
+    let Some((class, method)) = args.operands[1]
         .split_once('.')
         .filter(|(c, m)| !c.is_empty() && !m.is_empty())
     else {
-        eprintln!("error: entry must be `Class.method`");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage_error("entry must be `Class.method`"));
     };
-    let Ok(iters) = iters.parse::<usize>() else {
-        eprintln!("error: iterations must be a non-negative integer");
-        return ExitCode::from(EXIT_USAGE);
+    let Ok(iters) = args.operands[2].parse::<usize>() else {
+        return Err(usage_error("iterations must be a non-negative integer"));
     };
-    let (_, program) = match load(path) {
-        Ok(x) => x,
-        Err(c) => return c,
-    };
+    let (_, program) = load(args.operands[0])?;
     let module = sjava::runtime::compile(&program);
     let inputs = sjava::runtime::SeededInput::new(0);
-    match sjava::runtime::Vm::new(&module, inputs, sjava::ExecOptions::default())
+    let result = sjava::runtime::Vm::new(&module, inputs, sjava::ExecOptions::default())
         .run(class, method, iters)
-    {
-        Ok(result) => {
-            for (i, outs) in result.iteration_outputs.iter().enumerate() {
-                let rendered: Vec<String> = outs.iter().map(|v| v.to_string()).collect();
-                println!("iter {i}: {}", rendered.join(" "));
-            }
-            if !result.error_log.is_empty() {
-                eprintln!(
-                    "// {} errors ignored (crash avoidance)",
-                    result.error_log.len()
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
+        .map_err(|e| {
             eprintln!("runtime error: {e}");
             ExitCode::FAILURE
-        }
+        })?;
+    for (i, outs) in result.iteration_outputs.iter().enumerate() {
+        let rendered: Vec<String> = outs.iter().map(|v| v.to_string()).collect();
+        println!("iter {i}: {}", rendered.join(" "));
     }
+    if !result.error_log.is_empty() {
+        eprintln!(
+            "// {} errors ignored (crash avoidance)",
+            result.error_log.len()
+        );
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_lattice(path: &str) -> ExitCode {
-    let (_, program) = match load(path) {
-        Ok(x) => x,
-        Err(c) => return c,
-    };
-    let mut diags = sjava::Diagnostics::new();
+/// `sjava lattice`: each declared lattice as DOT, field lattices by class
+/// and then method lattices by class and method.
+fn cmd_lattice(args: &Args) -> Outcome {
+    let (_, program) = load(args.operands[0])?;
+    let mut diags = Diagnostics::new();
     let lattices = sjava::core::Lattices::build(&program, &mut diags);
-    for (class, lat) in &lattices.fields {
+    let mut fields: Vec<_> = lattices.fields.iter().collect();
+    fields.sort_unstable_by_key(|(class, _)| *class);
+    let mut methods: Vec<_> = lattices.methods.iter().collect();
+    methods.sort_unstable_by_key(|(key, _)| *key);
+    for (class, lat) in fields {
         if lat.named_len() > 0 {
             print!("{}", sjava::lattice::lattice_to_dot(lat, class));
         }
     }
-    for ((class, method), info) in &lattices.methods {
+    for ((class, method), info) in methods {
         if info.lattice.named_len() > 0 {
             print!(
                 "{}",
@@ -932,5 +786,5 @@ fn cmd_lattice(path: &str) -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

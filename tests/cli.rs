@@ -553,3 +553,133 @@ fn nesting_past_the_limit_is_one_sj0002_at_every_width() {
         }
     }
 }
+
+#[test]
+fn switches_take_no_value() {
+    // Both used to run: `--minimize=false` switched the minimizer on and
+    // `--check=no` ran the check.
+    for args in [
+        ["fuzz", "--cases=1", "--minimize=false"],
+        ["stress", "--preset=small", "--check=no"],
+    ] {
+        let out = sjava(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran before rejecting");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("takes no value"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn preset_applies_before_size_flags_in_any_order() {
+    // `--preset` used to reset the size flags given before it.
+    let before = sjava(&["stress", "--classes=5", "--preset=small"]);
+    let after = sjava(&["stress", "--preset=small", "--classes=5"]);
+    assert!(before.status.success() && after.status.success());
+    assert!(before.stdout == after.stdout, "the two orders differ");
+    let stderr = String::from_utf8_lossy(&before.stderr);
+    assert!(stderr.contains(": 21 methods,"), "{stderr}");
+}
+
+#[test]
+fn format_takes_its_value_after_an_equals_sign() {
+    let path = write_temp("format.sj", sjava::apps::weather::SOURCE);
+    let path = path.to_str().expect("utf8");
+    let spaced = sjava(&["check", "--format", "json", path]);
+    assert_eq!(spaced.status.code(), Some(2));
+    assert!(spaced.stdout.is_empty(), "ran before rejecting");
+    let joined = sjava(&["check", "--format=json", path]);
+    assert_eq!(joined.status.code(), Some(1));
+    let file = sjava::syntax::SourceFile::new(path, sjava::apps::weather::SOURCE.to_string());
+    let program = sjava::parse(&file.text).expect("parses");
+    let expected = sjava::syntax::emit::to_json(&file, &sjava::check(&program).diagnostics);
+    assert_eq!(String::from_utf8_lossy(&joined.stdout), expected);
+}
+
+#[test]
+fn missing_operands_and_flags_are_named() {
+    let path = write_temp("missing.sj", sjava::apps::windsensor::SOURCE);
+    let path = path.to_str().expect("utf8");
+    for (args, missing) in [
+        (vec!["campaign", "--trials=4"], "--app="),
+        (vec!["run", path, "WDSensor.windDirection"], "<iterations>"),
+        (vec!["check"], "<file.sj>"),
+    ] {
+        let out = sjava(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran before rejecting");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let error = stderr.lines().next().unwrap_or_default();
+        assert!(error.starts_with("error:"), "{args:?}: {stderr}");
+        assert!(error.contains(missing), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn bare_sjava_prints_the_usage_of_every_command() {
+    let out = sjava(&[]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for command in [
+        "check <file.sj>",
+        "check --explain",
+        "infer",
+        "run",
+        "lattice",
+        "lifetimes",
+        "lint",
+        "vfg",
+        "stress",
+        "fuzz",
+        "campaign",
+    ] {
+        assert!(
+            stderr.contains(&format!("  sjava {command} ")),
+            "{command}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn every_listed_oracle_and_preset_is_accepted() {
+    for oracle in ["all", "check", "infer", "cache", "parse", "emit"] {
+        let out = sjava(&["fuzz", "--cases=0", &format!("--oracle={oracle}")]);
+        assert!(out.status.success(), "--oracle={oracle}");
+    }
+    for preset in ["small", "default", "large", "adversarial"] {
+        let out = sjava(&["stress", &format!("--preset={preset}")]);
+        assert!(out.status.success(), "--preset={preset}");
+    }
+}
+
+#[test]
+fn lattice_prints_the_same_bytes_in_a_fixed_order() {
+    // Field lattices by class, then method lattices by (class, method).
+    use sjava_bench::stressgen::{generate, StressConfig};
+    let path = write_temp("lattice-order.sj", &generate(&StressConfig::large()));
+    let path = path.to_str().expect("utf8");
+    let first = sjava(&["lattice", path]);
+    let second = sjava(&["lattice", path]);
+    assert!(first.status.success());
+    assert!(
+        first.stdout == second.stdout,
+        "two runs printed different bytes"
+    );
+    let stdout = String::from_utf8_lossy(&first.stdout);
+    let titles: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("digraph \"")?.strip_suffix("\" {"))
+        .collect();
+    let fields = titles.iter().take_while(|t| !t.contains('.')).count();
+    assert!(fields > 1 && titles.len() > fields + 1, "{titles:?}");
+    assert!(titles[..fields].is_sorted(), "field lattices out of order");
+    let methods: Vec<(&str, &str)> = titles[fields..]
+        .iter()
+        .map(|t| {
+            t.split_once('.')
+                .expect("a method lattice is titled Class.method")
+        })
+        .collect();
+    assert!(methods.is_sorted(), "method lattices out of order");
+}
