@@ -1,8 +1,8 @@
 //! Control-flow graphs over method bodies.
 //!
 //! The eviction and termination analyses are syntax-directed (the paper's
-//! transfer functions are given per statement form), but classic dataflow
-//! problems — liveness, reaching definitions — want an explicit CFG. This
+//! transfer functions are given per statement form), but a classic
+//! dataflow problem — the lint pass's liveness — wants an explicit CFG. This
 //! module lowers structured control flow (including `break`/`continue`
 //! and the labeled loop kinds) into basic blocks of flat instructions
 //! that reference the original AST expressions.

@@ -1,24 +1,12 @@
-//! Dense, integer-interned dataflow engine.
+//! Dense, integer-interned sets for the eviction analysis
+//! ([`crate::written`]) and the inference engine's value flow graphs.
 //!
-//! The original solver in [`crate::dataflow`] keeps per-block facts as
-//! `BTreeSet<String>`: every meet allocates a fresh tree and every
-//! transfer clones one, so fixpoint iteration spends its time in
-//! allocator traffic and string compares. This module is the
-//! production replacement: analysis entities (variable names, reaching
-//! definition sites, heap paths) are interned to dense `u32` ids once,
-//! facts become [`BitSet`]s (a `Vec<u64>` of machine words), meet is a
-//! word-wise OR, transfer is `gen ∪ (in − kill)` over precomputed
-//! per-block masks, and the worklist visits blocks in reverse postorder
-//! with an on-queue bitmask instead of a linear scan.
-//!
-//! The string-keyed solver stays available to tests as an oracle; the
-//! public liveness/reaching-defs entry points in `dataflow` convert
-//! bitset results back to `BTreeSet` at the boundary, so downstream
-//! consumers (the lint pass) see identical values.
+//! Names and heap paths are interned to dense `u32` ids once, so a set
+//! of them is a [`BitSet`] (a `Vec<u64>` of machine words): union and
+//! intersection are word-wise ORs and ANDs, and membership is one bit
+//! test instead of a string compare.
 
-use crate::cfg::{BlockId, Cfg};
 use sjava_lattice::FnvHashMap;
-use std::collections::HashMap;
 
 // ---------------------------------------------------------------------
 // BitSet
@@ -40,13 +28,6 @@ impl BitSet {
         BitSet::default()
     }
 
-    /// An empty set pre-sized for ids `0..nbits`.
-    pub fn with_capacity(nbits: usize) -> Self {
-        BitSet {
-            words: vec![0; nbits.div_ceil(BITS)],
-        }
-    }
-
     fn grow(&mut self, word: usize) {
         if word >= self.words.len() {
             self.words.resize(word + 1, 0);
@@ -60,17 +41,6 @@ impl BitSet {
         let had = self.words[w] & m != 0;
         self.words[w] |= m;
         !had
-    }
-
-    /// Removes `bit`; returns true when it was present.
-    pub fn remove(&mut self, bit: usize) -> bool {
-        let (w, m) = (bit / BITS, 1u64 << (bit % BITS));
-        if w >= self.words.len() {
-            return false;
-        }
-        let had = self.words[w] & m != 0;
-        self.words[w] &= !m;
-        had
     }
 
     /// Membership test.
@@ -103,13 +73,6 @@ impl BitSet {
             *a = next;
         }
         changed
-    }
-
-    /// `self −= other`.
-    pub fn subtract(&mut self, other: &BitSet) {
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
     }
 
     /// True when no bit is set.
@@ -167,56 +130,8 @@ impl FromIterator<usize> for BitSet {
 }
 
 // ---------------------------------------------------------------------
-// Interner
+// Name interner
 // ---------------------------------------------------------------------
-
-/// Interns values of any hashable type to dense `u32` ids.
-#[derive(Debug, Clone, Default)]
-pub struct Interner<T: std::hash::Hash + Eq + Clone> {
-    map: HashMap<T, u32>,
-    items: Vec<T>,
-}
-
-impl<T: std::hash::Hash + Eq + Clone> Interner<T> {
-    /// An empty interner.
-    pub fn new() -> Self {
-        Interner {
-            map: HashMap::new(),
-            items: Vec::new(),
-        }
-    }
-
-    /// Returns the id of `value`, interning it on first sight.
-    pub fn intern(&mut self, value: &T) -> u32 {
-        if let Some(&id) = self.map.get(value) {
-            return id;
-        }
-        let id = self.items.len() as u32;
-        self.items.push(value.clone());
-        self.map.insert(value.clone(), id);
-        id
-    }
-
-    /// The id of `value` when already interned.
-    pub fn get(&self, value: &T) -> Option<u32> {
-        self.map.get(value).copied()
-    }
-
-    /// The value behind an id.
-    pub fn resolve(&self, id: u32) -> &T {
-        &self.items[id as usize]
-    }
-
-    /// Number of interned values.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
 
 /// Interned local-variable name (per method).
 pub type VarId = u32;
@@ -374,110 +289,6 @@ impl PathInterner {
     }
 }
 
-// ---------------------------------------------------------------------
-// Block ordering + gen/kill solver
-// ---------------------------------------------------------------------
-
-/// Reverse postorder over the CFG's successor edges; unreachable blocks
-/// are appended afterwards in id order so every block still gets facts.
-pub fn reverse_postorder(cfg: &Cfg) -> Vec<BlockId> {
-    let n = cfg.len();
-    let mut seen = vec![false; n];
-    let mut post = Vec::with_capacity(n);
-    // Iterative DFS with explicit child cursors (no recursion limit).
-    let mut stack: Vec<(BlockId, usize)> = vec![(cfg.entry, 0)];
-    seen[cfg.entry.0] = true;
-    while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-        let succs = &cfg.block(b).succs;
-        if *next < succs.len() {
-            let s = succs[*next];
-            *next += 1;
-            if !seen[s.0] {
-                seen[s.0] = true;
-                stack.push((s, 0));
-            }
-        } else {
-            post.push(b);
-            stack.pop();
-        }
-    }
-    post.reverse();
-    for (i, visited) in seen.iter().enumerate() {
-        if !visited {
-            post.push(BlockId(i));
-        }
-    }
-    post
-}
-
-/// Per-block input/output bitsets after solving.
-#[derive(Debug, Clone)]
-pub struct DenseSolution {
-    /// Fact at block entry (in execution order).
-    pub inputs: Vec<BitSet>,
-    /// Fact at block exit.
-    pub outputs: Vec<BitSet>,
-}
-
-/// Solves a union-meet gen/kill problem to fixpoint.
-///
-/// `forward` chooses the edge direction; blocks are visited in reverse
-/// postorder (forward) or postorder (backward) so most functions settle
-/// in one or two sweeps. `out = gen ∪ (in − kill)` per block.
-pub fn solve_gen_kill(cfg: &Cfg, forward: bool, gen: &[BitSet], kill: &[BitSet]) -> DenseSolution {
-    let n = cfg.len();
-    let mut inputs = vec![BitSet::new(); n];
-    let mut outputs = vec![BitSet::new(); n];
-
-    let mut order = reverse_postorder(cfg);
-    if !forward {
-        order.reverse();
-    }
-    // priority[b] = position of b in the visit order, so re-queued blocks
-    // pop in a stable, convergence-friendly order.
-    let mut priority = vec![0usize; n];
-    for (i, &b) in order.iter().enumerate() {
-        priority[b.0] = i;
-    }
-
-    let mut queued = vec![true; n];
-    // Simple index-queue: a deque of priorities would also work, but a
-    // boolean mask plus repeated ordered sweeps keeps the hot loop free
-    // of heap traffic.
-    let mut work: std::collections::VecDeque<BlockId> = order.iter().copied().collect();
-    let mut scratch = BitSet::new();
-
-    while let Some(b) = work.pop_front() {
-        queued[b.0] = false;
-        let block = cfg.block(b);
-        let incoming = if forward { &block.preds } else { &block.succs };
-
-        scratch.clear();
-        for &p in incoming {
-            scratch.union_with(&outputs[p.0]);
-        }
-
-        // out = gen ∪ (in − kill)
-        let mut out = scratch.clone();
-        out.subtract(&kill[b.0]);
-        out.union_with(&gen[b.0]);
-
-        std::mem::swap(&mut inputs[b.0], &mut scratch);
-        if out != outputs[b.0] {
-            let dependents = if forward { &block.succs } else { &block.preds };
-            for &d in dependents {
-                if !queued[d.0] {
-                    queued[d.0] = true;
-                    work.push_back(d);
-                }
-            }
-            outputs[b.0] = out;
-        }
-    }
-
-    DenseSolution { inputs, outputs }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,26 +302,22 @@ mod tests {
         assert!(s.contains(3) && s.contains(130) && !s.contains(64));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 130]);
         assert_eq!(s.count(), 2);
-        assert!(s.remove(3));
-        assert!(!s.remove(3));
-        assert!(!s.contains(3));
+        s.clear();
+        assert!(s.is_empty() && !s.contains(3));
     }
 
     #[test]
     fn equality_ignores_capacity() {
-        let mut a = BitSet::new();
-        let mut b = BitSet::with_capacity(1024);
-        a.insert(5);
-        b.insert(5);
-        assert_eq!(a, b);
-        b.insert(900);
+        let a: BitSet = [5].into_iter().collect();
+        let mut b: BitSet = [5, 900].into_iter().collect();
         assert_ne!(a, b);
-        b.remove(900);
+        // Intersecting clears the high word but keeps it allocated.
+        b.intersect_with(&a);
         assert_eq!(a, b);
     }
 
     #[test]
-    fn union_intersect_subtract() {
+    fn union_and_intersect() {
         let a: BitSet = [1, 2, 3, 200].into_iter().collect();
         let b: BitSet = [2, 3, 4].into_iter().collect();
         let mut u = a.clone();
@@ -520,9 +327,6 @@ mod tests {
         let mut i = a.clone();
         assert!(i.intersect_with(&b));
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 3]);
-        let mut d = a.clone();
-        d.subtract(&b);
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 200]);
     }
 
     #[test]
@@ -535,11 +339,6 @@ mod tests {
         assert_eq!(vi.resolve(b), "beta");
         assert_eq!(vi.get("gamma"), None);
         assert_eq!(vi.len(), 2);
-
-        let mut gi: Interner<(usize, String)> = Interner::new();
-        let x = gi.intern(&(1, "x".into()));
-        assert_eq!(gi.intern(&(1, "x".into())), x);
-        assert_eq!(gi.resolve(x), &(1, "x".to_string()));
     }
 
     #[test]
@@ -566,20 +365,5 @@ mod tests {
         let spliced = pi.splice(bin, &callee);
         assert_eq!(pi.resolve(spliced).0, vec!["this", "bin", "v"]);
         assert_eq!(pi.splice(bin, &HeapPath(vec!["r".into()])), bin);
-    }
-
-    #[test]
-    fn rpo_visits_entry_first() {
-        let p = sjava_syntax::parse(
-            "class A { void f(int p) { if (p > 0) { p = 1; } else { p = 2; } p = 3; } }",
-        )
-        .expect("parses");
-        let cfg = crate::cfg::Cfg::build(&p.method("A", "f").expect("m").body);
-        let order = reverse_postorder(&cfg);
-        assert_eq!(order[0], cfg.entry);
-        assert_eq!(order.len(), cfg.len());
-        let mut sorted: Vec<usize> = order.iter().map(|b| b.0).collect();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..cfg.len()).collect::<Vec<_>>());
     }
 }

@@ -41,8 +41,8 @@ pub mod written;
 
 pub use callgraph::{build as build_callgraph, CallGraph, MethodRef};
 pub use cfg::{BasicBlock, BlockId, Cfg, Instr};
-pub use dataflow::{live_variables, liveness_per_instr, reaching_defs, Solution};
-pub use dense::{BitSet, Interner, VarId, VarInterner};
+pub use dataflow::{live_variables, liveness_per_instr};
+pub use dense::{BitSet, VarId, VarInterner};
 pub use heappath::HeapPath;
 pub use jtype::TypeEnv;
 pub use lifetime::{analyze_lifetimes, AllocationSite, Escape};

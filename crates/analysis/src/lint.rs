@@ -1,11 +1,11 @@
-//! Lint pass built on the CFG/dataflow framework: dead stores and unused
-//! locals. Purely advisory (warnings) — a dead store is often the symptom
+//! Lint pass built on the CFG and its live variables: dead stores and
+//! unused locals. Purely advisory (warnings) — a dead store is often the symptom
 //! of a value that *should* have flowed somewhere, which in a
 //! self-stabilizing program usually means a missing output or a stale
 //! location the eviction analysis will also complain about.
 
 use crate::cfg::{Cfg, Instr};
-use crate::dataflow::{expr_uses, instr_def, live_variables, liveness_per_instr};
+use crate::dataflow::{instr_def, instr_uses, live_variables, liveness_per_instr};
 use sjava_syntax::ast::*;
 use sjava_syntax::diag::{Diag, Diagnostics};
 use std::collections::BTreeSet;
@@ -30,7 +30,7 @@ pub fn lint_program(program: &Program, diags: &mut Diagnostics) -> usize {
 
 fn lint_method(class: &str, method: &MethodDecl, diags: &mut Diagnostics) -> usize {
     let cfg = Cfg::build(&method.body);
-    let sol = live_variables(&cfg);
+    let live_in = live_variables(&cfg);
     let mut findings = 0;
 
     // Genuine locals: parameters plus declared variables. An unqualified
@@ -42,7 +42,7 @@ fn lint_method(class: &str, method: &MethodDecl, diags: &mut Diagnostics) -> usi
 
     // Dead stores: a local assignment whose value is never read.
     for b in cfg.ids() {
-        let after = liveness_per_instr(&cfg, &sol, b);
+        let after = liveness_per_instr(&cfg, &live_in, b);
         for (idx, instr) in cfg.block(b).instrs.iter().enumerate() {
             let Some(def) = instr_def(instr) else {
                 continue;
@@ -74,7 +74,7 @@ fn lint_method(class: &str, method: &MethodDecl, diags: &mut Diagnostics) -> usi
     let mut read: BTreeSet<String> = BTreeSet::new();
     for b in cfg.ids() {
         for i in &cfg.block(b).instrs {
-            collect_reads(i, &mut read);
+            instr_uses(i, &mut read);
         }
     }
     for (name, span) in declared_all {
@@ -116,30 +116,6 @@ fn instr_span(i: &Instr) -> sjava_syntax::span::Span {
         Instr::Cond(e) | Instr::Eval(e) => e.span(),
         Instr::Return(Some(e)) => e.span(),
         _ => Default::default(),
-    }
-}
-
-fn collect_reads(i: &Instr, out: &mut BTreeSet<String>) {
-    match i {
-        Instr::Decl { init, .. } => {
-            if let Some(e) = init {
-                expr_uses(e, out);
-            }
-        }
-        Instr::Assign { lhs, rhs } => {
-            expr_uses(rhs, out);
-            match lhs {
-                LValue::Field { base, .. } => expr_uses(base, out),
-                LValue::Index { base, index, .. } => {
-                    expr_uses(base, out);
-                    expr_uses(index, out);
-                }
-                _ => {}
-            }
-        }
-        Instr::Cond(e) | Instr::Eval(e) => expr_uses(e, out),
-        Instr::Return(Some(e)) => expr_uses(e, out),
-        Instr::Return(None) => {}
     }
 }
 

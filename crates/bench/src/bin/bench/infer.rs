@@ -1,5 +1,6 @@
-//! `bench infer`: annotation inference, the dense engine against the
-//! legacy oracle, written to `results/BENCH_infer.json`. Every corpus
+//! `bench infer`: annotation inference, the dense engine
+//! ([`sjava_infer::infer`]) against the legacy oracle
+//! ([`sjava_infer::oracle::infer`]), written to `results/BENCH_infer.json`. Every corpus
 //! is stripped of its annotations first and inferred in SInfer mode
 //! unless stated otherwise.
 //!
@@ -14,7 +15,7 @@
 
 use sjava_bench::stressgen::{self, StressConfig};
 use sjava_bench::{obj, paper_apps, with_threads, Gate, Mode, Sample};
-use sjava_infer::{infer_with, Engine, InferenceResult, Mode as InferMode};
+use sjava_infer::{InferenceResult, Mode as InferMode};
 use sjava_syntax::ast::Program;
 use sjava_syntax::pretty::print_program;
 use sjava_syntax::strip::strip_location_annotations;
@@ -30,9 +31,15 @@ fn stripped(name: &str, source: &str) -> Program {
     strip_location_annotations(&program)
 }
 
-fn infer_once(name: &str, program: &Program, mode: InferMode, engine: Engine) -> InferenceResult {
-    infer_with(program, mode, engine)
-        .unwrap_or_else(|d| panic!("inference of `{name}` failed: {d}"))
+/// An inference pipeline: the engine or its oracle.
+type Pipeline = fn(&Program, InferMode) -> Result<InferenceResult, sjava_syntax::Diagnostics>;
+/// The engine every command runs.
+const DENSE: Pipeline = sjava_infer::infer;
+/// The legacy pipeline the engine must match.
+const LEGACY: Pipeline = sjava_infer::oracle::infer;
+
+fn infer_once(name: &str, program: &Program, mode: InferMode, engine: Pipeline) -> InferenceResult {
+    engine(program, mode).unwrap_or_else(|d| panic!("inference of `{name}` failed: {d}"))
 }
 
 /// `reps` timed inference runs at pool width `threads`.
@@ -40,7 +47,7 @@ fn time_infers(
     name: &str,
     program: &Program,
     mode: InferMode,
-    engine: Engine,
+    engine: Pipeline,
     reps: usize,
     threads: usize,
 ) -> Sample {
@@ -77,9 +84,9 @@ pub fn run(mode: Mode, gate: &mut Gate) {
     for (name, program) in corpora {
         for im in [InferMode::Naive, InferMode::SInfer] {
             let text = |engine| print_program(&infer_once(name, program, im, engine).annotated);
-            let oracle = with_threads(1, || text(Engine::Legacy));
+            let oracle = with_threads(1, || text(LEGACY));
             for &w in &widths {
-                let dense = with_threads(w, || text(Engine::Dense));
+                let dense = with_threads(w, || text(DENSE));
                 gate.check(dense == oracle, || {
                     format!(
                         "dense inference diverges from legacy on `{name}` ({im:?}, {w} workers)"
@@ -96,14 +103,14 @@ pub fn run(mode: Mode, gate: &mut Gate) {
 
     // Warm-up so no timed pass pays first-touch costs.
     for (name, program) in &apps {
-        infer_once(name, program, InferMode::SInfer, Engine::Dense);
+        infer_once(name, program, InferMode::SInfer, DENSE);
     }
-    infer_once(&stress_name, &stress, InferMode::SInfer, Engine::Dense);
+    infer_once(&stress_name, &stress, InferMode::SInfer, DENSE);
 
     let mut app_rows = Vec::new();
     for (name, program) in &apps {
-        let legacy = time_infers(name, program, InferMode::SInfer, Engine::Legacy, reps, 1);
-        let dense = time_infers(name, program, InferMode::SInfer, Engine::Dense, reps, 1);
+        let legacy = time_infers(name, program, InferMode::SInfer, LEGACY, reps, 1);
+        let dense = time_infers(name, program, InferMode::SInfer, DENSE, reps, 1);
         let speedup = legacy.median() / dense.median().max(1e-9);
         println!(
             "{name}: legacy {:.3} ms, dense {:.3} ms ({speedup:.2}x)",
@@ -120,11 +127,11 @@ pub fn run(mode: Mode, gate: &mut Gate) {
     let stress_run =
         |mode, engine, threads| time_infers(&stress_name, &stress, mode, engine, reps, threads);
     let four = 4.min(threads);
-    let legacy_seq = stress_run(InferMode::SInfer, Engine::Legacy, 1);
-    let dense1 = stress_run(InferMode::SInfer, Engine::Dense, 1);
-    let dense4 = stress_run(InferMode::SInfer, Engine::Dense, four);
-    let densen = stress_run(InferMode::SInfer, Engine::Dense, threads);
-    let naive1 = stress_run(InferMode::Naive, Engine::Dense, 1);
+    let legacy_seq = stress_run(InferMode::SInfer, LEGACY, 1);
+    let dense1 = stress_run(InferMode::SInfer, DENSE, 1);
+    let dense4 = stress_run(InferMode::SInfer, DENSE, four);
+    let densen = stress_run(InferMode::SInfer, DENSE, threads);
+    let naive1 = stress_run(InferMode::Naive, DENSE, 1);
     let speedup1 = legacy_seq.median() / dense1.median().max(1e-9);
     let speedup4 = dense1.median() / dense4.median().max(1e-9);
     let speedupn = dense1.median() / densen.median().max(1e-9);

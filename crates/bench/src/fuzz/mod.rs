@@ -1,9 +1,10 @@
 //! Structure-aware differential fuzzing harness.
 //!
-//! The repo carries several engine pairs that must agree observationally
-//! — dense vs. legacy dataflow, dense vs. legacy inference, cold vs.
-//! warm (and disk-replayed) cache, parallel vs. sequential front-end —
-//! plus emitters whose output must stay sorted and parseable. Nothing
+//! The repo carries several paths that must agree observationally — the
+//! checker at one and at several worker threads, the inference engine
+//! vs. its legacy oracle, cold vs. warm (and disk-replayed) cache,
+//! parallel vs. sequential front-end — plus emitters whose output must
+//! stay sorted and parseable. Nothing
 //! but hand-picked apps and the well-behaved `stressgen` shapes
 //! exercised them before this module: per "Ideal Stabilization", every
 //! state — including faulty ones — must yield specified behavior, so
@@ -37,15 +38,15 @@ pub mod oracles;
 
 use std::path::PathBuf;
 
-/// One differential oracle: a pair of implementations (or a set of
-/// output invariants) that must agree on every input.
+/// One differential oracle: runs that must agree on every input (or a
+/// set of output invariants that must hold on it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Oracle {
-    /// `check_source` at `SJAVA_THREADS=1/2/4` byte-identical, plus the
-    /// dense dataflow engine against the legacy worklist solver on
-    /// every method CFG.
+    /// `check_source` at `SJAVA_THREADS=1/2/4` byte-identical: worker
+    /// counts only, with one engine.
     Check,
-    /// Dense vs. legacy inference, both modes: agreement on
+    /// The inference engine vs. its legacy oracle
+    /// (`sjava_infer::oracle`), both modes: agreement on
     /// success/failure, re-annotated bytes, lattice keys and structural
     /// fingerprints (including generated `SH_*` names), and location
     /// assignments.

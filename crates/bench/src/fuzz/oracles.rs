@@ -1,13 +1,11 @@
 //! The five differential oracles. Each takes a source string and
-//! returns `Some(description)` on a mismatch, `None` when every paired
-//! engine agreed. None of them assumes the input is valid: parse
+//! returns `Some(description)` on a mismatch, `None` when every compared
+//! run agreed. None of them assumes the input is valid: parse
 //! failures are compared as rendered diagnostics, which is exactly the
 //! faulty-state surface the harness exists to pressure.
 
 use std::path::Path;
 
-use sjava_analysis::cfg::Cfg;
-use sjava_analysis::dataflow;
 use sjava_syntax::emit;
 use sjava_syntax::pretty::print_program;
 use sjava_syntax::strip::strip_location_annotations;
@@ -42,10 +40,9 @@ fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Check oracle: the full checker must render byte-identically at
-/// `SJAVA_THREADS=1/2/4`, and on every method CFG the dense dataflow
-/// kernels must equal the legacy worklist solver (the executable
-/// specification they were derived from).
+/// Check oracle, over worker counts (the checker has one engine): the
+/// full checker must render byte-identically at `SJAVA_THREADS=1`, `2`
+/// and `4`.
 pub fn check(src: &str) -> Option<String> {
     let base = with_threads(1, || render_check(src));
     for threads in [2usize, 4] {
@@ -56,34 +53,13 @@ pub fn check(src: &str) -> Option<String> {
             ));
         }
     }
-    if let Ok(program) = sjava_syntax::parse(src) {
-        for class in &program.classes {
-            for method in &class.methods {
-                let cfg = Cfg::build(&method.body);
-                let dense = dataflow::live_variables(&cfg);
-                let legacy = dataflow::solve(&cfg, &dataflow::LiveVariables);
-                if dense.inputs != legacy.inputs || dense.outputs != legacy.outputs {
-                    return Some(format!(
-                        "dense and legacy liveness diverge on `{}.{}`",
-                        class.name, method.name
-                    ));
-                }
-                let dense_rd = dataflow::reaching_defs(&cfg);
-                let legacy_rd = dataflow::solve(&cfg, &dataflow::ReachingDefs::prepare(&cfg));
-                if dense_rd.inputs != legacy_rd.inputs || dense_rd.outputs != legacy_rd.outputs {
-                    return Some(format!(
-                        "dense and legacy reaching-defs diverge on `{}.{}`",
-                        class.name, method.name
-                    ));
-                }
-            }
-        }
-    }
     None
 }
 
-/// Infer oracle: location annotations stripped, both engines run in
-/// both modes. They must agree on success/failure; on success the
+/// Infer oracle: location annotations stripped, the engine
+/// ([`sjava_infer::infer`]) and the legacy pipeline
+/// ([`sjava_infer::oracle::infer`]) run in both modes. They must agree
+/// on success/failure; on success the
 /// re-annotated bytes, the lattice keys plus structural fingerprints
 /// (including generated `SH_*` shared names), and both assignment maps
 /// must match; on failure the rendered diagnostics must match.
@@ -93,8 +69,8 @@ pub fn infer(src: &str) -> Option<String> {
     };
     let stripped = strip_location_annotations(&program);
     for mode in [sjava_infer::Mode::Naive, sjava_infer::Mode::SInfer] {
-        let legacy = sjava_infer::infer_with(&stripped, mode, sjava_infer::Engine::Legacy);
-        let dense = sjava_infer::infer_with(&stripped, mode, sjava_infer::Engine::Dense);
+        let legacy = sjava_infer::oracle::infer(&stripped, mode);
+        let dense = sjava_infer::infer(&stripped, mode);
         match (legacy, dense) {
             (Ok(l), Ok(d)) => {
                 if print_program(&l.annotated) != print_program(&d.annotated) {

@@ -76,9 +76,9 @@ fn golden(name: &str, source: &str) {
 /// Snapshots the inferred annotations for one source: the location
 /// annotations are stripped and both inference modes are run, pinning
 /// the exact bytes `sjava infer` would print plus the Table 6.1
-/// metrics line. The legacy (sequential, string-keyed) engine must
-/// produce the same bytes as the dense default, so the fixtures also
-/// pin the oracle equivalence.
+/// metrics line. The legacy (sequential, string-keyed) oracle must
+/// produce the same bytes as the engine, so the fixtures also pin the
+/// oracle equivalence.
 fn golden_infer(name: &str, source: &str) {
     let program = sjava_syntax::parse(source).expect("benchmark parses");
     let stripped = sjava_syntax::strip::strip_location_annotations(&program);
@@ -89,7 +89,7 @@ fn golden_infer(name: &str, source: &str) {
     ] {
         let dense = sjava_infer::infer(&stripped, mode)
             .unwrap_or_else(|d| panic!("{name} {label}: inference failed: {d}"));
-        let legacy = sjava_infer::infer_with(&stripped, mode, sjava_infer::Engine::Legacy)
+        let legacy = sjava_infer::oracle::infer(&stripped, mode)
             .unwrap_or_else(|d| panic!("{name} {label}: legacy inference failed: {d}"));
         let printed = sjava_syntax::pretty::print_program(&dense.annotated);
         assert_eq!(
@@ -105,6 +105,100 @@ fn golden_infer(name: &str, source: &str) {
         ));
     }
     assert_matches_fixture(&format!("infer_{name}"), &rendered);
+}
+
+/// What one `sjava` command prints, as one fixture: its stdout, then its
+/// stderr, each under a header line. `tests/cli.rs` at the repository
+/// root spawns the command on the same inputs and compares its output
+/// with these files.
+fn transcript(stdout: &str, stderr: &str) -> String {
+    format!("== stdout ==\n{stdout}== stderr ==\n{stderr}")
+}
+
+/// The sources `sjava lint` is pinned on: the six fuzz near-miss
+/// programs (read from their fixtures) and the five paper apps.
+fn lint_inputs() -> Vec<(String, String)> {
+    let fuzz_dir = fixture_dir().join("fuzz");
+    let mut near_misses: Vec<String> = fs::read_dir(&fuzz_dir)
+        .expect("fuzz fixture dir")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf8")
+        })
+        .filter_map(|name| name.strip_suffix(".sj").map(str::to_string))
+        .collect();
+    near_misses.sort();
+    let mut inputs: Vec<(String, String)> = near_misses
+        .into_iter()
+        .map(|name| {
+            let source = fs::read_to_string(fuzz_dir.join(format!("{name}.sj"))).expect("read");
+            (name, source)
+        })
+        .collect();
+    inputs.extend(paper_apps());
+    inputs
+}
+
+/// The five paper apps, the unannotated weather station included.
+fn paper_apps() -> Vec<(String, String)> {
+    sjava_bench::paper_apps()
+        .into_iter()
+        .chain([("weather", sjava_apps::weather::SOURCE)])
+        .map(|(name, source)| (name.to_string(), source.to_string()))
+        .collect()
+}
+
+/// What `sjava lint <name>.sj` prints for `source`.
+fn lint_transcript(name: &str, source: &str) -> String {
+    let file = sjava_syntax::SourceFile::new(format!("{name}.sj"), source);
+    let program = sjava_syntax::parse(source).expect("lint input parses");
+    let mut diags = sjava_syntax::diag::Diagnostics::new();
+    let findings = sjava_analysis::lint_program(&program, &mut diags);
+    let stderr: String = diags
+        .iter()
+        .map(|d| format!("{}\n", d.render(&file)))
+        .collect();
+    transcript(&format!("{findings} finding(s)\n"), &stderr)
+}
+
+/// What `sjava vfg` prints for `source`: every reachable method's value
+/// flow graph as DOT, by (class, method).
+fn vfg_transcript(source: &str) -> String {
+    let program = sjava_syntax::parse(source).expect("vfg input parses");
+    let mut diags = sjava_syntax::diag::Diagnostics::new();
+    let cg = sjava_analysis::callgraph::build(&program, &mut diags).expect("event loop");
+    let graphs = sjava_infer::build_dense_graphs(&program, &cg);
+    let stdout: String = graphs
+        .iter()
+        .map(|((class, method), g)| {
+            let title = format!("{class}.{method}");
+            g.graph.to_flow_graph(&g.table).to_dot(&title)
+        })
+        .collect();
+    transcript(&stdout, "")
+}
+
+#[test]
+fn lint_output_matches_golden() {
+    let inputs = lint_inputs();
+    assert_eq!(inputs.len(), 11, "six near-miss programs and five apps");
+    for (name, source) in inputs {
+        assert_matches_fixture(&format!("lint_{name}"), &lint_transcript(&name, &source));
+    }
+}
+
+#[test]
+fn vfg_output_matches_golden() {
+    let stress = sjava_bench::stressgen::generate(&sjava_bench::stressgen::StressConfig::small());
+    for (name, source) in paper_apps()
+        .into_iter()
+        .chain([("stress_small".into(), stress)])
+    {
+        assert_matches_fixture(&format!("vfg_{name}"), &vfg_transcript(&source));
+    }
 }
 
 #[test]
@@ -258,9 +352,10 @@ fn probe_unshared_accumulation_matches_golden() {
 fn probe_invalid_lattice_matches_golden() {
     // An invalid `@METHODDEFAULT` inherited by two methods, and a
     // method-level `@LATTICE` with the same content. The lattice model
-    // builds each distinct declaration once, yet reports SJ0004 at every
-    // use, each at that use's span: twice at the default, once at the
-    // method's own declaration. The JSON pins the spans byte for byte.
+    // builds each distinct content once and reports SJ0004 once per
+    // declaration, at its span: once at the default, though two methods
+    // inherit it, and once at the method's own declaration. The JSON pins
+    // the spans byte for byte.
     let source = r#"@METHODDEFAULT("LO<HI,HI<LO") @THISLOC("LO")
            class A {
                void main() {

@@ -1,6 +1,7 @@
 //! Engine-pin sweep: the dense inference engine (interned value-flow
 //! graphs, parallel decomposition, memoized completion) must be
-//! observationally identical to the legacy string-keyed engine on the
+//! observationally identical to the string-keyed oracle
+//! (`sjava_infer::oracle`) on the
 //! synthetic stress corpus, across a sweep of generator configurations
 //! and both inference modes. Compared per run: the re-annotated program
 //! bytes, the generated lattice orders (keys + structural
@@ -11,7 +12,7 @@
 //! whatever width the environment provides.
 
 use sjava_bench::stressgen::{generate, StressConfig};
-use sjava_infer::{infer_with, Engine, Mode};
+use sjava_infer::{infer, oracle, Mode};
 use sjava_syntax::pretty::print_program;
 use sjava_syntax::strip::strip_location_annotations;
 
@@ -67,8 +68,8 @@ fn pin(name: &str, cfg: &StressConfig) {
     let program = sjava_syntax::parse(&source).expect("stress corpus parses");
     let stripped = strip_location_annotations(&program);
     for mode in [Mode::Naive, Mode::SInfer] {
-        let legacy = infer_with(&stripped, mode, Engine::Legacy);
-        let dense = infer_with(&stripped, mode, Engine::Dense);
+        let legacy = oracle::infer(&stripped, mode);
+        let dense = infer(&stripped, mode);
         match (legacy, dense) {
             (Ok(l), Ok(d)) => {
                 assert_eq!(

@@ -14,7 +14,7 @@ use sjava_syntax::annot::{CompositeLocAnnot, LatticeDecl, MethodAnnots};
 use sjava_syntax::ast::*;
 use sjava_syntax::diag::{Diag, Diagnostics};
 use sjava_syntax::span::Span;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -62,7 +62,8 @@ pub struct Lattices {
 impl Lattices {
     /// Builds the model from a program, validating lattice declarations
     /// and inheritance. Each distinct declaration is built once; an
-    /// invalid one is reported at every use, each at that use's span.
+    /// invalid one is reported once, at its own span, even when several
+    /// methods inherit it.
     /// Where a class name, or a method name within a class, repeats, the
     /// model holds the first declaration, the one [`Program::class`] and
     /// [`Program::method`] find; every later one is still validated.
@@ -291,17 +292,20 @@ impl Hash for DeclContent<'_> {
 }
 
 /// The lattices of one model build, one per distinct declaration. An
-/// invalid declaration keeps its message, reported again at each use.
+/// invalid declaration keeps its message, reported once per declaration
+/// that holds it, however many methods inherit that declaration.
 #[derive(Default)]
 struct DeclMemo<'a> {
     built: HashMap<DeclContent<'a>, Result<Arc<Lattice>, String>>,
+    /// The invalid declarations already reported, by address.
+    reported: HashSet<*const LatticeDecl>,
     empty: Option<Arc<Lattice>>,
 }
 
 impl<'a> DeclMemo<'a> {
     /// The lattice `decl` declares, or the shared empty lattice when there
-    /// is none or it is invalid; an invalid one reports `SJ0004` at this
-    /// use's span.
+    /// is none or it is invalid; an invalid one reports `SJ0004` at its
+    /// span on its first use.
     fn lattice(&mut self, decl: Option<&'a LatticeDecl>, diags: &mut Diagnostics) -> Arc<Lattice> {
         if let Some(decl) = decl {
             let built = self.built.entry(DeclContent(decl)).or_insert_with(|| {
@@ -311,7 +315,11 @@ impl<'a> DeclMemo<'a> {
             });
             match built {
                 Ok(lattice) => return Arc::clone(lattice),
-                Err(message) => diags.push(Diag::lattice(message.clone(), decl.span)),
+                Err(message) => {
+                    if self.reported.insert(decl) {
+                        diags.push(Diag::lattice(message.clone(), decl.span));
+                    }
+                }
             }
         }
         Arc::clone(self.empty.get_or_insert_with(|| Arc::new(Lattice::new())))

@@ -1,31 +1,31 @@
-//! Dense interned inference engine: the parallel, `u32`-indexed
-//! counterpart of [`crate::vfg`] and [`crate::decompose`].
+//! The inference engine's value flow graphs and their decomposition,
+//! over interned `u32` ids: the stages [`crate::infer`] runs.
 //!
 //! Value-flow-graph tuples are interned into a per-method [`TupleTable`]
 //! (a path trie: each tuple is its parent tuple plus one atom), so flow
 //! graphs store `u32` successor lists plus adjacency [`BitSet`]s instead
 //! of `BTreeSet<(Tuple, Tuple)>` — and per-method construction fans out
-//! across call-graph waves via `sjava_par::run_indexed`, with callee
-//! summaries compiled into the caller's table once and reused across
-//! call sites.
+//! across call-graph waves via `sjava_par::run_indexed_weighted`, with
+//! callee summaries compiled into the caller's table once and reused
+//! across call sites.
 //!
-//! Decomposition classifies edges densely and replaces the legacy
-//! edge-by-edge `would_cycle`/`cycle_between` walks with a single Tarjan
+//! Decomposition classifies edges densely and, instead of an
+//! edge-by-edge `would_cycle`/`cycle_between` walk, runs a single Tarjan
 //! SCC pass over the candidate hierarchy (`HierarchyGraph::find_cycle`):
 //! when the full candidate edge set is acyclic — the common case — no
 //! incremental insertion could ever have observed a cycle, so bulk
-//! insertion is exactly the legacy result. Only genuinely cyclic
-//! hierarchies fall back to the legacy incremental loop, byte-for-byte
-//! reproducing its relocation choices, `SH_*` merge names, and alias
-//! chains.
+//! insertion gives exactly the edge-by-edge result. Only genuinely
+//! cyclic hierarchies take the incremental loop, which reproduces its
+//! relocation choices, `SH_*` merge names, and alias chains.
 //!
 //! Everything observable — the [`Decomposition`], and hence the emitted
-//! annotations and diagnostics — is byte-identical to the legacy string
-//! pipeline, which stays in place as the test oracle (see
-//! `tests/props.rs` and `crates/bench/tests/infer_pin.rs`).
+//! annotations and diagnostics — is byte-identical to the string
+//! pipeline in [`crate::oracle`], which the tests compare it with (see
+//! `tests/props.rs` and `crates/bench/tests/infer_pin.rs`). `sjava vfg`
+//! prints these graphs through [`DenseFlowGraph::to_flow_graph`].
 
-use crate::decompose::{cycle_between, resolve_alias, shared_name, Decomposition};
-use crate::vfg::{FlowGraph, Tuple, PC, RET};
+use crate::graph::{FlowGraph, Tuple, PC, RET};
+use crate::hierarchy::{cycle_between, resolve_alias, shared_name, Decomposition};
 use sjava_analysis::callgraph::{CallGraph, MethodRef};
 use sjava_analysis::dense::{BitSet, VarId, VarInterner};
 use sjava_analysis::jtype::TypeEnv;
@@ -339,8 +339,8 @@ impl DenseFlowGraph {
             .collect()
     }
 
-    /// Converts back to the legacy set-based representation (test oracle
-    /// comparisons and debugging).
+    /// Converts to the string form: what `sjava vfg` prints as DOT, and
+    /// what the tests compare with the oracle's graphs.
     pub fn to_flow_graph(&self, table: &TupleTable) -> FlowGraph {
         let mut g = FlowGraph {
             iloc_counter: self.iloc_counter,
@@ -488,9 +488,9 @@ fn compile_summary(table: &mut TupleTable, summary: &[(Tuple, Tuple)]) -> Compil
     CompiledSummary { roots, pairs }
 }
 
-/// The dense mirror of `vfg::Builder`: identical statement walk, identical
-/// ILOC numbering, identical set semantics — only the representation
-/// changes.
+/// The value-flow-graph builder: the same statement walk, ILOC numbering
+/// and set semantics as the oracle's string builder
+/// ([`crate::oracle::build_flow_graphs`]) over interned tuples.
 struct DenseBuilder<'p> {
     program: &'p Program,
     tenv: TypeEnv<'p>,
@@ -533,7 +533,13 @@ impl<'p> DenseBuilder<'p> {
     }
 
     fn finish(self) -> DenseMethodGraph {
-        // See `vfg::Builder::finish` for the §5.2.3 note on PC nodes.
+        // Note on §5.2.3 (program-counter locations): the paper infers a
+        // PC node above every written parameter so that conditional call
+        // sites type-check against a declared @PCLOC. Our checker instead
+        // verifies conditional calls directly against the callee's write
+        // summaries from the eviction analysis, so an inferred @PCLOC is
+        // unnecessary (and the paper itself elides it whenever all
+        // parameters have incoming flows). We therefore emit no PC node.
         DenseMethodGraph {
             table: self.table,
             graph: self.graph,
@@ -902,8 +908,8 @@ struct MethodOut {
 }
 
 /// Runs the decomposition over all reachable methods' dense flow graphs,
-/// producing a [`Decomposition`] byte-identical to the legacy
-/// `decompose::decompose`. Per-method work (relocation fixpoint, dense
+/// producing a [`Decomposition`] byte-identical to the oracle's
+/// [`crate::oracle::decompose`]. Per-method work (relocation fixpoint, dense
 /// edge classification, method-hierarchy construction) fans out across
 /// the worker pool; the global field hierarchies are then assembled
 /// sequentially in topological order from each method's recorded ops.
@@ -1329,7 +1335,7 @@ fn classify_dense(
 }
 
 /// The class owning the reference denoted by the (ancestor) tuple `anc`:
-/// the dense, memoized mirror of `decompose::class_of_prefix` — memoized
+/// the dense, memoized mirror of the oracle's `class_of_prefix` — memoized
 /// per trie node, so shared prefixes are resolved once per method.
 fn class_of_ancestor(
     table: &TupleTable,
@@ -1373,7 +1379,7 @@ fn class_of_ancestor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfg::build_flow_graphs;
+    use crate::oracle::{build_flow_graphs, decompose};
     use sjava_analysis::callgraph;
     use sjava_syntax::diag::Diagnostics;
     use sjava_syntax::parse;
@@ -1383,7 +1389,7 @@ mod tests {
         let mut diags = Diagnostics::new();
         let cg = callgraph::build(&p, &mut diags).expect("cg");
         let legacy_graphs = build_flow_graphs(&p, &cg);
-        let legacy = crate::decompose::decompose(&p, &cg, &legacy_graphs);
+        let legacy = decompose(&p, &cg, &legacy_graphs);
         let dense_graphs = build_dense_graphs(&p, &cg);
         // Graph-level pin: every dense graph converts back to the exact
         // legacy set representation.

@@ -1,9 +1,9 @@
 //! Emission of inferred annotations back into the program (producing the
 //! Fig 5.15-style annotated source).
 
-use crate::decompose::Decomposition;
+use crate::graph::RET;
+use crate::hierarchy::Decomposition;
 use crate::lattgen::GenLattices;
-use crate::vfg::RET;
 use sjava_analysis::callgraph::CallGraph;
 use sjava_lattice::{Lattice, BOTTOM, TOP};
 use sjava_syntax::annot::{CompositeLocAnnot, LatticeDecl, LocElem};

@@ -1,37 +1,14 @@
 //! Lattice generation: the naive maximally-precise conversion (§5.2.6)
 //! and the SInfer simplification (§5.3).
 
-use crate::decompose::Decomposition;
-use crate::vfg::{PC, RET};
+use crate::graph::{PC, RET};
+use crate::hierarchy::Decomposition;
 use sjava_analysis::callgraph::MethodRef;
 use sjava_lattice::{
     canonical_key, dedekind_macneille, Completion, CompletionCache, HierarchyGraph, Lattice,
     LatticeError, ShardedMemo, BOTTOM, TOP,
 };
 use std::collections::{BTreeMap, BTreeSet};
-
-/// How hierarchy graphs are turned into complete lattices.
-///
-/// The legacy engine completes every hierarchy from scratch with the
-/// string-based closure; the dense engine routes through a shared
-/// [`CompletionCache`] so structurally identical hierarchies (rampant in
-/// generated corpora, and the common case for naive mode) are completed
-/// once. Both produce byte-identical lattices.
-pub enum Completer<'a> {
-    /// Uncached string-based completion (the seed behavior).
-    Exact,
-    /// Memoized dense completion through a shared cache.
-    Cached(&'a CompletionCache),
-}
-
-impl Completer<'_> {
-    fn complete(&self, h: &HierarchyGraph) -> Result<Completion, LatticeError> {
-        match self {
-            Completer::Exact => dedekind_macneille(h),
-            Completer::Cached(cache) => cache.complete(h),
-        }
-    }
-}
 
 /// Inference mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,50 +35,54 @@ pub struct GenLattices {
     pub field_assign: BTreeMap<String, BTreeMap<String, String>>,
 }
 
-/// Generates lattices for every hierarchy in the decomposition.
+/// Generates lattices for every hierarchy in the decomposition, methods
+/// first and then classes, each in `BTreeMap` order.
+///
+/// Completions go through one [`CompletionCache`], so structurally
+/// identical hierarchies (rampant in generated corpora, and the common
+/// case in naive mode) are completed once, and a whole-conversion memo
+/// converts each distinct `(mode, hierarchy, interface)` once. The
+/// conversions fan out over the worker pool, and their results are
+/// merged (and the first error surfaced) in the order above, so the
+/// output is byte-identical at any thread count.
 ///
 /// # Errors
 ///
-/// Returns the underlying error when a hierarchy is cyclic (which would
-/// indicate a non-self-stabilizing flow that could not be merged, §5.2.7).
-pub fn generate(
-    d: &Decomposition,
-    mode: Mode,
-    program: &sjava_syntax::ast::Program,
-) -> Result<GenLattices, LatticeError> {
-    generate_with(d, mode, program, &Completer::Exact, false)
-}
-
-/// [`generate`] with an explicit completion strategy and optional fan-out.
-///
-/// With `parallel` set, per-hierarchy lattice generation is distributed
-/// via `sjava_par::run_indexed` — methods first, then classes, each in
-/// deterministic `BTreeMap` order, with results merged (and the first
-/// error surfaced) in that same order, so the output is byte-identical to
-/// the sequential path at any thread count.
-///
-/// # Errors
-///
-/// Same as [`generate`]: the first cyclic hierarchy in iteration order.
+/// The first hierarchy in that order that cannot be completed: a cyclic
+/// one indicates a non-self-stabilizing flow that could not be merged
+/// (§5.2.7).
 pub fn generate_with(
     d: &Decomposition,
     mode: Mode,
     program: &sjava_syntax::ast::Program,
-    completer: &Completer<'_>,
-    parallel: bool,
+) -> Result<GenLattices, LatticeError> {
+    let memos = Memos {
+        completions: CompletionCache::new(),
+        conversions: ShardedMemo::new(),
+    };
+    generate_in(d, mode, program, Some(&memos))
+}
+
+/// The oracle's lattice generation: [`generate_with`] with every
+/// hierarchy completed from scratch by `dedekind_macneille`, one after
+/// another. It produces the same lattices.
+pub(crate) fn generate_exact(
+    d: &Decomposition,
+    mode: Mode,
+    program: &sjava_syntax::ast::Program,
+) -> Result<GenLattices, LatticeError> {
+    generate_in(d, mode, program, None)
+}
+
+/// [`generate_with`] with `memos`, or [`generate_exact`] without.
+fn generate_in(
+    d: &Decomposition,
+    mode: Mode,
+    program: &sjava_syntax::ast::Program,
+    memos: Option<&Memos>,
 ) -> Result<GenLattices, LatticeError> {
     let mut out = GenLattices::default();
     type Hierarchies<'a, K> = Vec<(&'a K, &'a HierarchyGraph, BTreeSet<String>)>;
-    // Whole-result memo for the cached (dense) path: `naive_lattice` and
-    // `sinfer_lattice` are pure functions of `(mode, hierarchy, iface)`,
-    // so structurally identical hierarchies — rampant in generated
-    // corpora, where many methods share one flow shape — convert once
-    // and clone thereafter. The key is injective, so a hit returns the
-    // exact lattice the miss path would have computed.
-    let memo: Option<LatticeMemo> = match completer {
-        Completer::Exact => None,
-        Completer::Cached(_) => Some(ShardedMemo::new()),
-    };
     let method_work: Hierarchies<'_, MethodRef> = d
         .methods
         .iter()
@@ -117,7 +98,7 @@ pub fn generate_with(
             (mref, h, iface)
         })
         .collect();
-    for (mref, result) in convert_all(&method_work, mode, completer, memo.as_ref(), parallel) {
+    for (mref, result) in convert_all(&method_work, mode, memos) {
         let (lat, assign) = result?;
         out.methods.insert(mref.clone(), lat);
         out.method_assign.insert(mref.clone(), assign);
@@ -138,7 +119,7 @@ pub fn generate_with(
             (class, h, iface)
         })
         .collect();
-    for (class, result) in convert_all(&field_work, mode, completer, memo.as_ref(), parallel) {
+    for (class, result) in convert_all(&field_work, mode, memos) {
         let (lat, assign) = result?;
         out.fields.insert(class.clone(), lat);
         out.field_assign.insert(class.clone(), assign);
@@ -148,12 +129,19 @@ pub fn generate_with(
 
 type Converted = Result<(Lattice, BTreeMap<String, String>), LatticeError>;
 
-/// Whole-conversion memo: injective `(mode, hierarchy, iface)` key →
-/// the converted lattice and assignment. Lock-striped so parallel
-/// lattice generation doesn't serialize every hit on one mutex (on
-/// generated corpora nearly every conversion is a hit). Errors are
-/// never cached.
-type LatticeMemo = ShardedMemo<(Lattice, BTreeMap<String, String>)>;
+/// What [`generate_with`] shares across one run's conversions.
+struct Memos {
+    /// Dedekind–MacNeille completions by hierarchy structure.
+    completions: CompletionCache,
+    /// Whole conversions: injective `(mode, hierarchy, iface)` key → the
+    /// converted lattice and assignment. `naive_lattice` and
+    /// `sinfer_lattice` are pure functions of the key, so a hit returns
+    /// exactly what the miss path would compute. Lock-striped so parallel
+    /// lattice generation does not serialize every hit on one mutex (on
+    /// generated corpora nearly every conversion is a hit). Errors are
+    /// never cached.
+    conversions: ShardedMemo<(Lattice, BTreeMap<String, String>)>,
+}
 
 /// The injective memo key for one conversion unit.
 fn memo_key(mode: Mode, h: &HierarchyGraph, iface: &BTreeSet<String>) -> String {
@@ -170,37 +158,37 @@ fn memo_key(mode: Mode, h: &HierarchyGraph, iface: &BTreeSet<String>) -> String 
     key
 }
 
-/// Converts every hierarchy in `work`, optionally fanning out across the
-/// worker pool; results come back in input order either way.
+/// Converts every hierarchy in `work`: with `memos`, memoized and fanned
+/// out across the worker pool, and without, one after another. Results
+/// come back in input order either way.
 fn convert_all<'a, K>(
     work: &'a [(&'a K, &'a HierarchyGraph, BTreeSet<String>)],
     mode: Mode,
-    completer: &Completer<'_>,
-    memo: Option<&LatticeMemo>,
-    parallel: bool,
+    memos: Option<&Memos>,
 ) -> Vec<(&'a K, Converted)>
 where
     K: Sync,
 {
+    let completions = memos.map(|m| &m.completions);
     let convert = |(key, h, iface): &(&'a K, &'a HierarchyGraph, BTreeSet<String>)| {
-        let mk = memo.map(|m| {
+        let mk = memos.map(|m| {
             let k = memo_key(mode, h, iface);
-            let hit = m.get(&k);
+            let hit = m.conversions.get(&k);
             (k, hit)
         });
         if let Some((_, Some(cached))) = &mk {
             return (*key, Ok(cached.clone()));
         }
         let result = match mode {
-            Mode::Naive => naive_lattice(h, completer),
-            Mode::SInfer => sinfer_lattice(h, iface, completer),
+            Mode::Naive => naive_lattice(h, completions),
+            Mode::SInfer => sinfer_lattice(h, iface, completions),
         };
-        if let (Some((k, None)), Some(m), Ok(value)) = (&mk, memo, &result) {
-            m.insert(k.clone(), value.clone());
+        if let (Some((k, None)), Some(m), Ok(value)) = (&mk, memos, &result) {
+            m.conversions.insert(k.clone(), value.clone());
         }
         (*key, result)
     };
-    if parallel {
+    if memos.is_some() {
         // Hierarchy size drives completion cost; the deal order lets
         // work stealing absorb the (heavy) uncached conversions.
         let cost: Vec<u64> = work.iter().map(|(_, h, _)| h.node_count() as u64).collect();
@@ -210,13 +198,25 @@ where
     }
 }
 
+/// The Dedekind–MacNeille completion of `h`: through `cache` when there
+/// is one, from scratch otherwise. Both give the same completion.
+fn complete(
+    h: &HierarchyGraph,
+    cache: Option<&CompletionCache>,
+) -> Result<Completion, LatticeError> {
+    match cache {
+        Some(cache) => cache.complete(h),
+        None => dedekind_macneille(h),
+    }
+}
+
 /// Naive conversion: Dedekind–MacNeille completion of the hierarchy as-is;
 /// every node is its own location.
 fn naive_lattice(
     h: &HierarchyGraph,
-    completer: &Completer<'_>,
+    cache: Option<&CompletionCache>,
 ) -> Result<(Lattice, BTreeMap<String, String>), LatticeError> {
-    let c = completer.complete(h)?;
+    let c = complete(h, cache)?;
     let assign = h.nodes().map(|n| (n.to_string(), n.to_string())).collect();
     Ok((c.lattice, assign))
 }
@@ -227,7 +227,7 @@ fn naive_lattice(
 fn sinfer_lattice(
     h: &HierarchyGraph,
     iface: &BTreeSet<String>,
-    completer: &Completer<'_>,
+    cache: Option<&CompletionCache>,
 ) -> Result<(Lattice, BTreeMap<String, String>), LatticeError> {
     let is_iface = |n: &str| iface.contains(n);
     let mut assign: BTreeMap<String, String> = BTreeMap::new();
@@ -331,7 +331,7 @@ fn sinfer_lattice(
     ig.remove_redundant_edges();
 
     // --- 5.3.4: completion ----------------------------------------------
-    let completion = completer.complete(&ig)?;
+    let completion = complete(&ig, cache)?;
     let mut lat = completion.lattice;
 
     // --- 5.3.5: local variable insertion ---------------------------------
@@ -552,7 +552,7 @@ mod tests {
         let mut h = HierarchyGraph::new();
         h.add_edge("a", "x1");
         h.add_edge("x1", "b");
-        let (lat, assign) = naive_lattice(&h, &Completer::Exact).expect("acyclic");
+        let (lat, assign) = naive_lattice(&h, None).expect("acyclic");
         assert_eq!(assign["x1"], "x1");
         assert!(lat.get("x1").is_some());
     }
@@ -567,12 +567,8 @@ mod tests {
         h.add_edge("b", "g");
         h.add_edge("f", "z");
         h.add_edge("g", "z");
-        let (lat, assign) = sinfer_lattice(
-            &h,
-            &iface_set(&["a", "b", "f", "g", "z"]),
-            &Completer::Exact,
-        )
-        .expect("ok");
+        let (lat, assign) =
+            sinfer_lattice(&h, &iface_set(&["a", "b", "f", "g", "z"]), None).expect("ok");
         // One of f/g aliased to the other.
         assert!(
             assign.get("g") == Some(&"f".to_string()) || assign.get("f") == Some(&"g".to_string())
@@ -587,8 +583,7 @@ mod tests {
         let mut h = HierarchyGraph::new();
         h.add_edge("a", "t");
         h.add_edge("t", "b");
-        let (lat, assign) =
-            sinfer_lattice(&h, &iface_set(&["a", "b"]), &Completer::Exact).expect("ok");
+        let (lat, assign) = sinfer_lattice(&h, &iface_set(&["a", "b"]), None).expect("ok");
         let t_loc = &assign["t"];
         assert_ne!(t_loc, "t");
         let t_id = lat.get(t_loc).expect("assigned exists");
@@ -607,7 +602,7 @@ mod tests {
         h.add_edge("t", "f");
         h.add_edge("t", "g");
         let (lat, assign) =
-            sinfer_lattice(&h, &iface_set(&["b", "c", "f", "g"]), &Completer::Exact).expect("ok");
+            sinfer_lattice(&h, &iface_set(&["b", "c", "f", "g"]), None).expect("ok");
         let t_id = lat.get(&assign["t"]).expect("t assigned");
         let b = lat.get("b").expect("b");
         let c = lat.get("c").expect("c");
@@ -626,8 +621,7 @@ mod tests {
         h.add_edge("a", "s");
         h.add_edge("s", "b");
         h.set_shared("s");
-        let (lat, assign) =
-            sinfer_lattice(&h, &iface_set(&["a", "b"]), &Completer::Exact).expect("ok");
+        let (lat, assign) = sinfer_lattice(&h, &iface_set(&["a", "b"]), None).expect("ok");
         let id = lat.get(&assign["s"]).expect("assigned");
         assert!(lat.is_shared(id));
     }
@@ -639,8 +633,7 @@ mod tests {
         h.add_edge("a", "t2");
         h.add_edge("t1", "b");
         h.add_edge("t2", "b");
-        let (_, assign) =
-            sinfer_lattice(&h, &iface_set(&["a", "b"]), &Completer::Exact).expect("ok");
+        let (_, assign) = sinfer_lattice(&h, &iface_set(&["a", "b"]), None).expect("ok");
         assert_eq!(assign["t1"], assign["t2"], "same height ⇒ same node");
     }
 }

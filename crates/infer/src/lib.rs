@@ -33,40 +33,27 @@
 
 #![warn(missing_docs)]
 
-pub mod decompose;
 pub mod dense;
 pub mod emit;
+pub mod graph;
+pub mod hierarchy;
 pub mod lattgen;
 pub mod metrics;
-pub mod vfg;
+pub mod oracle;
 
-use sjava_analysis::callgraph;
-use sjava_lattice::CompletionCache;
+use sjava_analysis::callgraph::{self, CallGraph};
+use sjava_lattice::LatticeError;
 use sjava_syntax::ast::Program;
 use sjava_syntax::diag::{Diag, Diagnostics};
 use std::time::{Duration, Instant};
 
-pub use decompose::{decompose as decompose_graphs, Decomposition};
 pub use dense::{
     build_dense_graphs, decompose_dense, DenseFlowGraph, DenseMethodGraph, TupleId, TupleTable,
 };
-pub use lattgen::{Completer, GenLattices, Mode};
+pub use graph::{FlowGraph, Tuple};
+pub use hierarchy::Decomposition;
+pub use lattgen::{GenLattices, Mode};
 pub use metrics::{LatticeStat, Metrics};
-pub use vfg::{build_flow_graphs, FlowGraph, Tuple};
-
-/// Which inference pipeline to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// The original string-tuple pipeline (`vfg` + `decompose`): one
-    /// thread, `BTreeSet<(Tuple, Tuple)>` graphs, per-node Dedekind–
-    /// MacNeille completions. Kept as the byte-exact oracle.
-    Legacy,
-    /// The interned pipeline (`dense`): `u32` tuple ids, BitSet
-    /// adjacency, Tarjan SCC condensation, wave-parallel graph
-    /// construction, memoized completions. Produces byte-identical
-    /// annotations and diagnostics.
-    Dense,
-}
 
 /// Per-phase wall-clock breakdown of one inference run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -115,35 +102,54 @@ pub struct InferenceResult {
     pub timings: InferTimings,
 }
 
-/// Infers SJava annotations for `program` in the given mode, using the
-/// dense parallel engine.
+/// Infers SJava annotations for `program` in the given mode.
+///
+/// Value flow graphs are built over interned tuple ids, one call-graph
+/// wave at a time across the worker pool; decomposition condenses
+/// cycles with one SCC pass; and lattice generation memoizes
+/// completions and fans out. The result is byte-identical at any pool
+/// width, and to the legacy pipeline kept in [`oracle`].
 ///
 /// # Errors
 ///
 /// Returns diagnostics when the program has no event loop, is recursive,
 /// or exhibits flows that cannot be represented (§5.2.7).
 pub fn infer(program: &Program, mode: Mode) -> Result<InferenceResult, Diagnostics> {
-    infer_with(program, mode, Engine::Dense)
+    run(
+        program,
+        mode,
+        Stages {
+            threads: sjava_par::num_threads(),
+            graphs: build_dense_graphs,
+            decompose: decompose_dense,
+            lattices: lattgen::generate_with,
+        },
+    )
 }
 
-/// Infers SJava annotations with an explicit engine choice. Both engines
-/// produce byte-identical results; [`Engine::Dense`] is the fast path
-/// and [`Engine::Legacy`] the reference oracle.
-///
-/// # Errors
-///
-/// Same conditions as [`infer`].
-pub fn infer_with(
+/// One pipeline's stages from the call graph to lattices: the dense ones
+/// for [`infer`], the legacy ones for [`oracle::infer`].
+struct Stages<G> {
+    /// Worker threads the stages may use, as reported in the timings.
+    threads: usize,
+    /// Builds every reachable method's value flow graph.
+    graphs: fn(&Program, &CallGraph) -> G,
+    /// Decomposes the graphs into method and field hierarchies.
+    decompose: fn(&Program, &CallGraph, &G) -> Decomposition,
+    /// Turns every hierarchy into a lattice.
+    lattices: fn(&Decomposition, Mode, &Program) -> Result<GenLattices, LatticeError>,
+}
+
+/// Runs `stages` between the call graph and the emitted annotations,
+/// timing each phase.
+fn run<G>(
     program: &Program,
     mode: Mode,
-    engine: Engine,
+    stages: Stages<G>,
 ) -> Result<InferenceResult, Diagnostics> {
     let start = Instant::now();
     let mut timings = InferTimings {
-        threads: match engine {
-            Engine::Legacy => 1,
-            Engine::Dense => sjava_par::num_threads(),
-        },
+        threads: stages.threads,
         ..Default::default()
     };
     let mut diags = Diagnostics::new();
@@ -151,31 +157,16 @@ pub fn infer_with(
         return Err(diags);
     };
     let phase = Instant::now();
-    let d = match engine {
-        Engine::Legacy => {
-            let graphs = vfg::build_flow_graphs(program, &cg);
-            timings.vfg = phase.elapsed();
-            let phase = Instant::now();
-            let d = decompose::decompose(program, &cg, &graphs);
-            timings.decompose = phase.elapsed();
-            d
-        }
-        Engine::Dense => {
-            let graphs = dense::build_dense_graphs(program, &cg);
-            timings.vfg = phase.elapsed();
-            let phase = Instant::now();
-            let d = dense::decompose_dense(program, &cg, &graphs);
-            timings.decompose = phase.elapsed();
-            d
-        }
-    };
+    let graphs = (stages.graphs)(program, &cg);
+    timings.vfg = phase.elapsed();
     let phase = Instant::now();
-    let cache = CompletionCache::new();
-    let (completer, parallel) = match engine {
-        Engine::Legacy => (Completer::Exact, false),
-        Engine::Dense => (Completer::Cached(&cache), true),
-    };
-    let gen = match lattgen::generate_with(&d, mode, program, &completer, parallel) {
+    let d = (stages.decompose)(program, &cg, &graphs);
+    timings.decompose = phase.elapsed();
+    // Nothing after decomposition reads the graphs: freeing them here
+    // keeps them out of the peak memory of lattice generation.
+    drop(graphs);
+    let phase = Instant::now();
+    let gen = match (stages.lattices)(&d, mode, program) {
         Ok(g) => g,
         Err(e) => {
             diags.push(Diag::infer(

@@ -1,5 +1,6 @@
-//! Decomposing value flow graphs into method and field hierarchy graphs
-//! (§5.2.5), with superfluous-cycle avoidance (§5.2.2).
+//! Decomposing string value flow graphs into method and field hierarchy
+//! graphs (§5.2.5), with superfluous-cycle avoidance (§5.2.2): the oracle
+//! the dense decomposition ([`crate::dense::decompose_dense`]) reproduces.
 //!
 //! Each value-flow edge is classified by the first position where its two
 //! tuples differ: position 0 is a *method flow* (edge in the method
@@ -9,55 +10,13 @@
 //! unless it is a superfluous cycle through a local variable, which is
 //! instead *relocated* into the object's field space (`⟨v⟩ → ⟨this,v⟩`).
 
-use crate::vfg::{FlowGraph, Tuple, PC, RET};
+use crate::graph::{FlowGraph, Tuple, PC, RET};
+use crate::hierarchy::{cycle_between, resolve_alias, shared_name, Decomposition};
 use sjava_analysis::callgraph::{CallGraph, MethodRef};
 use sjava_analysis::jtype::TypeEnv;
 use sjava_lattice::HierarchyGraph;
 use sjava_syntax::ast::*;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The decomposed hierarchies plus bookkeeping for annotation emission.
-#[derive(Debug, Clone, Default)]
-pub struct Decomposition {
-    /// Per-method hierarchy graphs.
-    pub methods: BTreeMap<MethodRef, HierarchyGraph>,
-    /// Per-class field hierarchy graphs.
-    pub fields: BTreeMap<String, HierarchyGraph>,
-    /// Final node tuple per variable per method (after relocation).
-    pub var_tuples: BTreeMap<MethodRef, BTreeMap<String, Tuple>>,
-    /// Per-method alias maps: original node name → merged shared name.
-    pub method_alias: BTreeMap<MethodRef, BTreeMap<String, String>>,
-    /// Per-class alias maps for field locations.
-    pub field_alias: BTreeMap<String, BTreeMap<String, String>>,
-}
-
-impl Decomposition {
-    /// Resolves a method-hierarchy node name through merges.
-    pub fn method_name(&self, m: &MethodRef, name: &str) -> String {
-        resolve_alias(self.method_alias.get(m), name)
-    }
-
-    /// Resolves a field-hierarchy node name through merges.
-    pub fn field_name(&self, class: &str, name: &str) -> String {
-        resolve_alias(self.field_alias.get(class), name)
-    }
-}
-
-pub(crate) fn resolve_alias(map: Option<&BTreeMap<String, String>>, name: &str) -> String {
-    let Some(map) = map else {
-        return name.to_string();
-    };
-    let mut cur = name.to_string();
-    let mut hops = 0;
-    while let Some(next) = map.get(&cur) {
-        if *next == cur || hops > 64 {
-            break;
-        }
-        cur = next.clone();
-        hops += 1;
-    }
-    cur
-}
 
 /// Runs the decomposition over all reachable methods' flow graphs.
 pub fn decompose(
@@ -220,24 +179,6 @@ pub fn decompose(
     d
 }
 
-pub(crate) fn shared_name(group: &[String]) -> String {
-    // A deterministic merged name: the lexicographically first member plus
-    // a marker.
-    format!("SH_{}", group.first().cloned().unwrap_or_default())
-}
-
-/// Nodes on some path from `from` to `to` (used to extract a would-be
-/// cycle's members).
-pub(crate) fn cycle_between(g: &HierarchyGraph, from: &str, to: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for n in g.nodes() {
-        if g.reaches(from, n) && g.reaches(n, to) {
-            out.push(n.to_string());
-        }
-    }
-    out
-}
-
 fn apply_relocation(graph: &FlowGraph, relocated: &BTreeSet<String>, _class: &str) -> FlowGraph {
     if relocated.is_empty() {
         return graph.clone();
@@ -333,7 +274,7 @@ fn class_of_prefix(t: &Tuple, i: usize, tenv: &TypeEnv<'_>) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfg::build_flow_graphs;
+    use crate::oracle::build_flow_graphs;
     use sjava_analysis::callgraph;
     use sjava_syntax::diag::Diagnostics;
     use sjava_syntax::parse;

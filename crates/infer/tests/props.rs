@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use sjava_core::check_program;
-use sjava_infer::{infer, infer_with, Engine, Mode};
+use sjava_infer::{infer, oracle, Mode};
 use sjava_syntax::pretty::print_program;
 
 /// Generates an event loop over `n` fields where field `i`'s new value
@@ -100,8 +100,8 @@ proptest! {
     fn dense_engine_matches_legacy(src in arb_program()) {
         let program = sjava_syntax::parse(&src).expect("generated source parses");
         for mode in [Mode::Naive, Mode::SInfer] {
-            let legacy = infer_with(&program, mode, Engine::Legacy);
-            let dense = infer_with(&program, mode, Engine::Dense);
+            let legacy = oracle::infer(&program, mode);
+            let dense = infer(&program, mode);
             match (legacy, dense) {
                 (Ok(l), Ok(d)) => {
                     prop_assert_eq!(

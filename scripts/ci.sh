@@ -24,9 +24,9 @@
 #      writing nothing under results/ —
 #      - check: stress speedup ≥2.5x at 4 workers (skipped below 4
 #        workers) and small-app parallel tax ≥0.95x (skipped at 1 worker);
-#      - infer: dense == legacy annotations at every width and in both
-#        modes, dense ≥1.5x legacy at 1 worker, and dense at max width
-#        ≥1.0x dense at 1 (skipped below 4 workers);
+#      - infer: dense == legacy-oracle annotations at every width and in
+#        both modes, dense ≥1.5x the oracle at 1 worker, and dense at max
+#        width ≥1.0x dense at 1 (skipped below 4 workers);
 #      - edit: every incremental output byte-identical to a full check,
 #        warm ≤1.10x cold (min of 10 reps) over an on-disk store the leg
 #        creates, a one-literal edit on mp3dec_w512 ≥5x faster than cold,
@@ -42,8 +42,16 @@
 #        trial's injector, and the VM ≥5x the tree-walker on mp3dec
 #        (skipped below 4 cores)
 #  10. a fixed-seed differential fuzz smoke: 500 generated cases
-#      (adversarial stress shapes + mutations) through all five
-#      engine-pair oracles; any mismatch fails the build
+#      (adversarial stress shapes + mutations) through all five oracles;
+#      any mismatch fails the build. Each compares:
+#      - check: the checker's output at 1, 2 and 4 worker threads;
+#      - infer: the inference engine against its legacy oracle
+#        (`sjava_infer::oracle`), in both modes;
+#      - cache: a fresh check against cold, warm and disk-replayed cache
+#        sessions, then seeded edits under one session;
+#      - parse: the adaptive and forced-parallel front ends against the
+#        sequential parser;
+#      - emit: the JSON and SARIF emitters' invariants
 #  11. the repository benchmark's self-test (`perfbench/run.py
 #      --self-test`): builds the CLI and the benchmark harness against the
 #      workspace crates, runs every workload at a tiny size, and checks
@@ -102,8 +110,8 @@ target/release/bench --gate
 
 echo "== differential fuzz smoke (seed 1, 500 cases, all oracles) =="
 # Byte-reproducible: the same seed and case count generate the same
-# stream on every machine, so a failure here is a real engine-pair
-# disagreement, not flakiness. Re-run a failing case interactively with
+# stream on every machine, so a failure here is a real disagreement
+# between the runs an oracle compares, not flakiness. Re-run a failing case interactively with
 #   target/release/sjava fuzz --seed=1 --cases=500 --minimize --fixtures-dir=findings/
 target/release/sjava fuzz --seed=1 --cases=500
 

@@ -32,6 +32,33 @@ use sjava::{Diagnostics, InferenceResult, Program};
 /// Exit status for usage and I/O errors, distinct from check failures.
 const EXIT_USAGE: u8 = 2;
 
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Every command's stdout. A reader that leaves early, as in
+/// `sjava vfg big.sj | head -1`, closes the pipe: the rest of the output
+/// is dropped and the command ends with its own status, where `print!`
+/// would panic. Any other write error panics, as `print!` does.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+    }
+}
+
 /// What a command returns: `Err` is an early exit whose cause has
 /// already been reported on stderr.
 type Outcome = Result<ExitCode, ExitCode>;
@@ -260,7 +287,7 @@ fn cmd_stress(args: &Args) -> Outcome {
     let label = cfg.label();
     let src = sjava_bench::stressgen::generate(&cfg);
     if !args.on("--check") && !args.on("--infer") {
-        print!("{src}");
+        out!("{src}");
         eprintln!(
             "// {label}: {} methods, {} bytes",
             cfg.method_count(),
@@ -271,16 +298,16 @@ fn cmd_stress(args: &Args) -> Outcome {
     let file = SourceFile::new(format!("<{label}>"), src);
     if args.on("--infer") {
         let (_, result) = infer(&file, sjava::Mode::SInfer).inspect_err(|_| {
-            println!("{label}: inference failed ✗");
+            outln!("{label}: inference failed ✗");
         })?;
-        println!(
+        outln!(
             "{label}: inferred {} locations, {} paths over {} methods ✓ ({:.2?})",
             result.metrics.total_locations(),
             result.metrics.total_paths(),
             cfg.method_count(),
             result.elapsed
         );
-        println!("{}", phases(&result));
+        outln!("{}", phases(&result));
         return Ok(ExitCode::SUCCESS);
     }
 
@@ -292,10 +319,10 @@ fn cmd_stress(args: &Args) -> Outcome {
     let elapsed = started.elapsed();
     report(&file, &diagnostics);
     if diagnostics.has_errors() {
-        println!("{label}: NOT verified self-stabilizing ✗ ({elapsed:.2?})");
+        outln!("{label}: NOT verified self-stabilizing ✗ ({elapsed:.2?})");
         Ok(ExitCode::FAILURE)
     } else {
-        println!(
+        outln!(
             "{label}: {} methods self-stabilizing ✓ ({elapsed:.2?})",
             cfg.method_count()
         );
@@ -332,7 +359,7 @@ fn cmd_fuzz(args: &Args) -> Outcome {
     cfg.fixtures_dir = args.value("--fixtures-dir").map(Into::into);
 
     let report = fuzz::run(&cfg);
-    print!("{}", report.render());
+    out!("{}", report.render());
     Ok(if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
@@ -479,7 +506,7 @@ where
         ExitCode::FAILURE
     })?;
 
-    println!(
+    outln!(
         "{}.{}: {} trials in {:.2}s ({:.0} trials/sec), {} iterations/run, {} live heap cells",
         entry.0,
         entry.1,
@@ -489,23 +516,23 @@ where
         iterations,
         outcome.heap_cells
     );
-    println!(
+    outln!(
         "diverged: {}/{} trials; golden run: {} samples, {} steps",
         outcome.diverged(),
         outcome.trials.len(),
         outcome.golden.outputs().len(),
         outcome.golden.steps
     );
-    println!("\nrecovery time, output samples until re-convergence:");
-    print!("{}", outcome.hist_samples.render());
-    println!("\nrecovery time, iterations until re-convergence:");
-    print!("{}", outcome.hist_iterations.render());
+    outln!("\nrecovery time, output samples until re-convergence:");
+    out!("{}", outcome.hist_samples.render());
+    outln!("\nrecovery time, iterations until re-convergence:");
+    out!("{}", outcome.hist_iterations.render());
 
     if let Some(path) = cfg.out {
         if let Err(e) = std::fs::write(path, outcome.hist_samples.to_csv()) {
             return Err(usage_error(format!("cannot write `{path}`: {e}")));
         }
-        println!("histogram written to {path}");
+        outln!("histogram written to {path}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -515,16 +542,19 @@ fn cmd_lint(args: &Args) -> Outcome {
     let mut diags = Diagnostics::new();
     let findings = sjava::analysis::lint_program(&program, &mut diags);
     report(&file, &diags);
-    println!("{findings} finding(s)");
+    outln!("{findings} finding(s)");
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_lifetimes(args: &Args) -> Outcome {
     let (file, program, cg) = load_with_callgraph(args.operands[0])?;
     let sites = sjava::analysis::analyze_lifetimes(&program, &cg);
-    println!(
+    outln!(
         "{:<24}{:<12}{:<10}{:<12}at",
-        "method", "class", "escape", "bound"
+        "method",
+        "class",
+        "escape",
+        "bound"
     );
     for s in sites {
         let bound = s
@@ -532,7 +562,7 @@ fn cmd_lifetimes(args: &Args) -> Outcome {
             .map(|b| format!("{b} iter"))
             .unwrap_or_else(|| "whole run".to_string());
         let lc = file.line_col(s.span.start);
-        println!(
+        outln!(
             "{:<24}{:<12}{:<10}{:<12}{}:{}",
             format!("{}.{}", s.method.0, s.method.1),
             s.class,
@@ -547,9 +577,10 @@ fn cmd_lifetimes(args: &Args) -> Outcome {
 
 fn cmd_vfg(args: &Args) -> Outcome {
     let (_, program, cg) = load_with_callgraph(args.operands[0])?;
-    let graphs = sjava::infer::build_flow_graphs(&program, &cg);
+    let graphs = sjava::infer::build_dense_graphs(&program, &cg);
     for ((class, method), g) in &graphs {
-        print!("{}", g.to_dot(&format!("{class}.{method}")));
+        let title = format!("{class}.{method}");
+        out!("{}", g.graph.to_flow_graph(&g.table).to_dot(&title));
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -621,8 +652,8 @@ fn cmd_check(args: &Args) -> Outcome {
     };
 
     match format {
-        "json" => print!("{}", emit::to_json(&file, diagnostics)),
-        "sarif" => print!("{}", emit::to_sarif(&file, diagnostics)),
+        "json" => out!("{}", emit::to_json(&file, diagnostics)),
+        "sarif" => out!("{}", emit::to_sarif(&file, diagnostics)),
         _ => report(&file, diagnostics),
     }
     let failed =
@@ -633,7 +664,7 @@ fn cmd_check(args: &Args) -> Outcome {
         } else {
             "self-stabilizing ✓"
         };
-        println!("{path}: {verdict}");
+        outln!("{path}: {verdict}");
     }
     flush_stdout();
     std::mem::forget(checked);
@@ -656,7 +687,7 @@ fn cmd_explain(args: &Args) -> Outcome {
         }
         return Err(ExitCode::from(EXIT_USAGE));
     };
-    println!(
+    outln!(
         "{code} ({}): {}\n\n{}",
         code.name(),
         code.summary(),
@@ -715,7 +746,7 @@ fn cmd_infer(args: &Args) -> Outcome {
         sjava::Mode::SInfer
     };
     let (program, result) = infer(&file, mode)?;
-    print!("{}", print_program(&result.annotated));
+    out!("{}", print_program(&result.annotated));
     eprintln!(
         "// inferred {} locations, {} paths in {:?}",
         result.metrics.total_locations(),
@@ -752,7 +783,7 @@ fn cmd_run(args: &Args) -> Outcome {
         })?;
     for (i, outs) in result.iteration_outputs.iter().enumerate() {
         let rendered: Vec<String> = outs.iter().map(|v| v.to_string()).collect();
-        println!("iter {i}: {}", rendered.join(" "));
+        outln!("iter {i}: {}", rendered.join(" "));
     }
     if !result.error_log.is_empty() {
         eprintln!(
@@ -775,12 +806,12 @@ fn cmd_lattice(args: &Args) -> Outcome {
     methods.sort_unstable_by_key(|(key, _)| *key);
     for (class, lat) in fields {
         if lat.named_len() > 0 {
-            print!("{}", sjava::lattice::lattice_to_dot(lat, class));
+            out!("{}", sjava::lattice::lattice_to_dot(lat, class));
         }
     }
     for ((class, method), info) in methods {
         if info.lattice.named_len() > 0 {
-            print!(
+            out!(
                 "{}",
                 sjava::lattice::lattice_to_dot(&info.lattice, &format!("{class}.{method}"))
             );

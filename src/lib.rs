@@ -18,8 +18,8 @@
 //!    [`Vm`] under crash-avoidance semantics, optionally with seeded
 //!    error injection, and measure recovery with [`compare_runs`] — or
 //!    run a whole fault-injection [`Campaign`]. The tree-walking
-//!    [`Interpreter`] is the VM's oracle: the same program, inputs and
-//!    injector give byte-identical results on both.
+//!    [`runtime::Interpreter`] stays as the VM's test oracle: the same
+//!    program, inputs and injector give byte-identical results on both.
 //!
 //! ```
 //! use sjava::{parse, check};
@@ -56,7 +56,6 @@ pub use sjava_syntax as syntax;
 pub use sjava_core::{check_program as check, CheckReport};
 pub use sjava_infer::{infer as infer_annotations, InferenceResult, Mode};
 pub use sjava_runtime::{
-    compare_runs, compile, Campaign, ExecOptions, Injector, Interpreter, RecoveryStats,
-    ScriptedInput, Value, Vm,
+    compare_runs, compile, Campaign, ExecOptions, Injector, RecoveryStats, ScriptedInput, Value, Vm,
 };
 pub use sjava_syntax::{parse, Diagnostics, Program};

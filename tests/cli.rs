@@ -68,7 +68,7 @@ fn infer_emits_checkable_source() {
 fn interpreted(source: &str, entry: (&str, &str), iterations: usize) -> (String, Option<String>) {
     let program = sjava::parse(source).expect("parses");
     let inputs = sjava::runtime::SeededInput::new(0);
-    let result = sjava::Interpreter::new(&program, inputs, sjava::ExecOptions::default())
+    let result = sjava::runtime::Interpreter::new(&program, inputs, sjava::ExecOptions::default())
         .run(entry.0, entry.1, iterations)
         .expect("runs");
     let stdout = result
@@ -682,4 +682,112 @@ fn lattice_prints_the_same_bytes_in_a_fixed_order() {
         })
         .collect();
     assert!(methods.is_sorted(), "method lattices out of order");
+}
+
+/// The golden fixtures of `crates/bench/tests/golden.rs`, which pin what
+/// `sjava lint` and `sjava vfg` print.
+fn golden_dir() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/tests/golden")
+}
+
+/// Runs `sjava <command> <name>.sj` in `dir` at pool width `threads`,
+/// and renders what it printed as the golden fixtures hold it: stdout,
+/// then stderr, each under a header line.
+fn transcript(dir: &std::path::Path, threads: &str, command: &str, name: &str) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_sjava"))
+        .current_dir(dir)
+        .env("SJAVA_THREADS", threads)
+        .args([command, &format!("{name}.sj")])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{command} {name}: {stderr}");
+    format!(
+        "== stdout ==\n{}== stderr ==\n{stderr}",
+        String::from_utf8_lossy(&out.stdout)
+    )
+}
+
+#[test]
+fn lint_and_vfg_print_their_golden_bytes() {
+    use sjava_bench::stressgen::{generate, StressConfig};
+    let golden = golden_dir();
+    let fixture = |name: String| {
+        std::fs::read_to_string(golden.join(&name)).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let apps_dir = std::env::temp_dir()
+        .join("sjava-cli-tests")
+        .join("golden-inputs");
+    std::fs::create_dir_all(&apps_dir).expect("mkdir");
+    let mut apps: Vec<(&str, String)> = sjava_bench::paper_apps()
+        .into_iter()
+        .chain([("weather", sjava::apps::weather::SOURCE)])
+        .map(|(name, source)| (name, source.to_string()))
+        .collect();
+    for (name, source) in &apps {
+        std::fs::write(apps_dir.join(format!("{name}.sj")), source).expect("write");
+    }
+
+    let fuzz_dir = golden.join("fuzz");
+    let mut near_misses: Vec<String> = std::fs::read_dir(&fuzz_dir)
+        .expect("fuzz fixtures")
+        .filter_map(|entry| {
+            let name = entry.expect("dir entry").file_name().into_string().ok()?;
+            name.strip_suffix(".sj").map(str::to_string)
+        })
+        .collect();
+    near_misses.sort();
+    assert_eq!(near_misses.len(), 6, "{near_misses:?}");
+    for name in &near_misses {
+        let printed = transcript(&fuzz_dir, "1", "lint", name);
+        assert_eq!(printed, fixture(format!("lint_{name}.txt")), "lint {name}");
+    }
+    for (name, _) in &apps {
+        let printed = transcript(&apps_dir, "1", "lint", name);
+        assert_eq!(printed, fixture(format!("lint_{name}.txt")), "lint {name}");
+    }
+
+    // `sjava vfg` builds its graphs on the worker pool, so it is pinned
+    // at two widths.
+    let stress = generate(&StressConfig::small());
+    std::fs::write(apps_dir.join("stress_small.sj"), &stress).expect("write");
+    apps.push(("stress_small", stress));
+    for (name, _) in &apps {
+        let expected = fixture(format!("vfg_{name}.txt"));
+        for threads in ["1", "2"] {
+            let printed = transcript(&apps_dir, threads, "vfg", name);
+            assert_eq!(printed, expected, "vfg {name} at {threads} threads");
+        }
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_without_a_panic() {
+    // `sjava vfg big.sj | head -1`: each command prints far more than a
+    // pipe buffer holds, so it is still writing when the reader leaves.
+    use sjava_bench::stressgen::{generate, StressConfig};
+    use std::io::BufRead;
+    let path = write_temp("closed-stdout.sj", &generate(&StressConfig::large()));
+    let path = path.to_str().expect("utf8");
+    for args in [
+        vec!["vfg", path],
+        vec!["stress", "--preset=large"],
+        vec!["infer", path],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_sjava"))
+            .args(&args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped"));
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("reads a line");
+        assert!(!line.is_empty(), "{args:?} printed nothing");
+        drop(stdout);
+        let out = child.wait_with_output().expect("exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
 }

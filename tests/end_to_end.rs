@@ -3,7 +3,8 @@
 //! observed runtime behaviour.
 
 use sjava::runtime::InputProvider;
-use sjava::{check, compare_runs, parse, ExecOptions, Injector, Interpreter};
+use sjava::runtime::Interpreter;
+use sjava::{check, compare_runs, parse, ExecOptions, Injector};
 
 fn assert_bounded_recovery<I: InputProvider, F: Fn(u64) -> I>(
     source: &str,

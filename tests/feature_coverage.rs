@@ -4,7 +4,8 @@
 //! `@METHODDEFAULT` defaulting — each in a complete program that must be
 //! verified self-stabilizing AND execute correctly.
 
-use sjava::{check, parse, ExecOptions, Interpreter, ScriptedInput, Value};
+use sjava::runtime::Interpreter;
+use sjava::{check, parse, ExecOptions, ScriptedInput, Value};
 
 fn accept_and_run(name: &str, source: &str, entry: (&str, &str), iters: usize) -> Vec<Value> {
     let program = parse(source).unwrap_or_else(|d| panic!("{name} parses: {d}"));
