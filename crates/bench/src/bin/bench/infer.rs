@@ -1,8 +1,10 @@
 //! `bench infer`: annotation inference, the dense engine
-//! ([`sjava_infer::infer`]) against the legacy oracle
-//! ([`sjava_infer::oracle::infer`]), written to `results/BENCH_infer.json`. Every corpus
+//! ([`sjava_infer::infer_owned`]) against the legacy oracle
+//! ([`sjava_infer::oracle::infer_owned`]), written to `results/BENCH_infer.json`. Every corpus
 //! is stripped of its annotations first and inferred in SInfer mode
-//! unless stated otherwise.
+//! unless stated otherwise. Each rep annotates its own copy of the
+//! corpus in place, as `sjava infer` annotates the program it parsed;
+//! the copy is made outside the timed region.
 //!
 //! - Byte identity, checked before anything is timed: dense prints the
 //!   same annotations as legacy on every corpus, in both modes, at 1, 4
@@ -31,18 +33,20 @@ fn stripped(name: &str, source: &str) -> Program {
     strip_location_annotations(&program)
 }
 
-/// An inference pipeline: the engine or its oracle.
-type Pipeline = fn(&Program, InferMode) -> Result<InferenceResult, sjava_syntax::Diagnostics>;
+/// An inference pipeline: the engine or its oracle, each annotating the
+/// program it is given.
+type Pipeline = fn(Program, InferMode) -> Result<InferenceResult, sjava_syntax::Diagnostics>;
 /// The engine every command runs.
-const DENSE: Pipeline = sjava_infer::infer;
+const DENSE: Pipeline = sjava_infer::infer_owned;
 /// The legacy pipeline the engine must match.
-const LEGACY: Pipeline = sjava_infer::oracle::infer;
+const LEGACY: Pipeline = sjava_infer::oracle::infer_owned;
 
-fn infer_once(name: &str, program: &Program, mode: InferMode, engine: Pipeline) -> InferenceResult {
+fn infer_once(name: &str, program: Program, mode: InferMode, engine: Pipeline) -> InferenceResult {
     engine(program, mode).unwrap_or_else(|d| panic!("inference of `{name}` failed: {d}"))
 }
 
-/// `reps` timed inference runs at pool width `threads`.
+/// `reps` timed inference runs at pool width `threads`, each on a copy
+/// of `program` made before its timer starts.
 fn time_infers(
     name: &str,
     program: &Program,
@@ -52,9 +56,11 @@ fn time_infers(
     threads: usize,
 ) -> Sample {
     with_threads(threads, || {
-        Sample::time(reps, || {
-            infer_once(name, program, mode, engine).timings.phases()
-        })
+        Sample::time_each(
+            reps,
+            || program.clone(),
+            |copy| infer_once(name, copy, mode, engine).timings.phases(),
+        )
     })
 }
 
@@ -83,7 +89,8 @@ pub fn run(mode: Mode, gate: &mut Gate) {
         .chain([(stress_name.as_str(), &stress)]);
     for (name, program) in corpora {
         for im in [InferMode::Naive, InferMode::SInfer] {
-            let text = |engine| print_program(&infer_once(name, program, im, engine).annotated);
+            let text =
+                |engine| print_program(&infer_once(name, program.clone(), im, engine).annotated);
             let oracle = with_threads(1, || text(LEGACY));
             for &w in &widths {
                 let dense = with_threads(w, || text(DENSE));
@@ -103,9 +110,9 @@ pub fn run(mode: Mode, gate: &mut Gate) {
 
     // Warm-up so no timed pass pays first-touch costs.
     for (name, program) in &apps {
-        infer_once(name, program, InferMode::SInfer, DENSE);
+        infer_once(name, program.clone(), InferMode::SInfer, DENSE);
     }
-    infer_once(&stress_name, &stress, InferMode::SInfer, DENSE);
+    infer_once(&stress_name, stress.clone(), InferMode::SInfer, DENSE);
 
     let mut app_rows = Vec::new();
     for (name, program) in &apps {

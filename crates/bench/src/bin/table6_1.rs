@@ -9,10 +9,10 @@
 use sjava_bench::{assert_clean, write_result};
 use sjava_core::check_program;
 use sjava_infer::{infer, Metrics, Mode};
-use sjava_lattice::Lattice;
 use sjava_syntax::ast::Program;
 use sjava_syntax::pretty::print_program;
 use sjava_syntax::strip::strip_location_annotations;
+use std::sync::Arc;
 
 struct Row {
     benchmark: String,
@@ -35,11 +35,10 @@ fn manual_metrics(program: &Program) -> Metrics {
     let lattices = sjava_core::Lattices::build(program, &mut diags);
     let mut gen = sjava_infer::GenLattices::default();
     for (class, lat) in &lattices.fields {
-        gen.fields.insert(class.clone(), Lattice::clone(lat));
+        gen.fields.insert(class.clone(), Arc::clone(lat));
     }
     for (mref, info) in &lattices.methods {
-        gen.methods
-            .insert(mref.clone(), Lattice::clone(&info.lattice));
+        gen.methods.insert(mref.clone(), Arc::clone(&info.lattice));
     }
     Metrics::from_gen(&gen)
 }

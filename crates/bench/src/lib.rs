@@ -180,10 +180,24 @@ impl Sample {
     where
         P: IntoIterator<Item = (&'static str, Duration)>,
     {
+        Sample::time_each(reps, || (), |()| rep())
+    }
+
+    /// [`Sample::time`] with an untimed `setup` before each rep, whose
+    /// output the rep consumes.
+    pub fn time_each<I, P>(
+        reps: usize,
+        mut setup: impl FnMut() -> I,
+        mut rep: impl FnMut(I) -> P,
+    ) -> Sample
+    where
+        P: IntoIterator<Item = (&'static str, Duration)>,
+    {
         let mut s = Sample::default();
         for _ in 0..reps {
+            let input = setup();
             let t = Instant::now();
-            let phases = rep();
+            let phases = rep(input);
             s.wall.push(ms(t.elapsed()));
             s.phases.push(phases.into_iter().collect());
         }

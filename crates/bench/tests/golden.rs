@@ -373,6 +373,26 @@ fn probe_invalid_lattice_matches_golden() {
 }
 
 #[test]
+fn probe_unused_method_default_matches_golden() {
+    // An invalid `@METHODDEFAULT` that no method inherits: the one method
+    // declares its own lattice. The default is still reported, once, at
+    // its declaration.
+    golden(
+        "probe_unused_method_default",
+        r#"@METHODDEFAULT("LO<HI,HI<LO")
+           class A {
+               @LATTICE("V<IN") @THISLOC("V")
+               void main() {
+                   SSJAVA: while (true) {
+                       @LOC("IN") int x = Device.read();
+                       Out.emit(x);
+                   }
+               }
+           }"#,
+    );
+}
+
+#[test]
 fn probe_parse_error_matches_golden() {
     golden("probe_parse_error", "class A { void main( { } }");
 }

@@ -63,7 +63,7 @@ impl Lattices {
     /// Builds the model from a program, validating lattice declarations
     /// and inheritance. Each distinct declaration is built once; an
     /// invalid one is reported once, at its own span, even when several
-    /// methods inherit it.
+    /// methods inherit it or none does.
     /// Where a class name, or a method name within a class, repeats, the
     /// model holds the first declaration, the one [`Program::class`] and
     /// [`Program::method`] find; every later one is still validated.
@@ -72,6 +72,10 @@ impl Lattices {
         let mut memo = DeclMemo::default();
         for class in &program.classes {
             let lat = memo.lattice(class.annots.lattice.as_ref(), diags);
+            // A `@METHODDEFAULT` lattice is validated at its declaration,
+            // whether or not a method inherits it.
+            let default = class.annots.method_default.as_ref();
+            memo.lattice(default.and_then(|d| d.lattice.as_ref()), diags);
             let first = !model.fields.contains_key(&class.name);
             if first {
                 model.fields.insert(class.name.clone(), lat);

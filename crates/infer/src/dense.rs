@@ -3,20 +3,22 @@
 //!
 //! Value-flow-graph tuples are interned into a per-method [`TupleTable`]
 //! (a path trie: each tuple is its parent tuple plus one atom), so flow
-//! graphs store `u32` successor lists plus adjacency [`BitSet`]s instead
-//! of `BTreeSet<(Tuple, Tuple)>` — and per-method construction fans out
+//! graphs store `u32` successor lists instead of
+//! `BTreeSet<(Tuple, Tuple)>` — and per-method construction fans out
 //! across call-graph waves via `sjava_par::run_indexed_weighted`, with
-//! callee summaries compiled into the caller's table once and reused
-//! across call sites.
+//! callee summaries kept as tuple ids over the callee's table and
+//! compiled into the caller's table once per callee.
 //!
-//! Decomposition classifies edges densely and, instead of an
-//! edge-by-edge `would_cycle`/`cycle_between` walk, runs a single Tarjan
-//! SCC pass over the candidate hierarchy (`HierarchyGraph::find_cycle`):
-//! when the full candidate edge set is acyclic — the common case — no
-//! incremental insertion could ever have observed a cycle, so bulk
-//! insertion gives exactly the edge-by-edge result. Only genuinely
-//! cyclic hierarchies take the incremental loop, which reproduces its
-//! relocation choices, `SH_*` merge names, and alias chains.
+//! Decomposition classifies edges over atoms and, instead of an
+//! edge-by-edge `would_cycle`/`cycle_between` walk, checks the candidate
+//! method hierarchy for a cycle once: when the full candidate edge set
+//! is acyclic — the common case — no incremental insertion could ever
+//! have observed a cycle, so bulk insertion gives exactly the
+//! edge-by-edge result. Each method's field edges likewise commit in
+//! bulk unless they close a cycle with the class hierarchy. Only
+//! genuinely cyclic hierarchies take the incremental loop, which
+//! reproduces its relocation choices, `SH_*` merge names, and alias
+//! chains. Names stay atoms until a [`HierarchyGraph`] needs them.
 //!
 //! Everything observable — the [`Decomposition`], and hence the emitted
 //! annotations and diagnostics — is byte-identical to the string
@@ -25,13 +27,16 @@
 //! prints these graphs through [`DenseFlowGraph::to_flow_graph`].
 
 use crate::graph::{FlowGraph, Tuple, PC, RET};
-use crate::hierarchy::{cycle_between, resolve_alias, shared_name, Decomposition};
+use crate::hierarchy::{
+    cycle_between, resolve_alias, resolve_alias_str, shared_name, Decomposition,
+};
 use sjava_analysis::callgraph::{CallGraph, MethodRef};
 use sjava_analysis::dense::{BitSet, VarId, VarInterner};
 use sjava_analysis::jtype::TypeEnv;
 use sjava_lattice::{FnvHashMap, HierarchyGraph};
 use sjava_syntax::ast::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write;
 use std::sync::Arc;
 
 /// Interned tuple id within a [`TupleTable`].
@@ -177,10 +182,8 @@ impl TupleTable {
     }
 
     /// Rank of every atom under string ordering: `ranks[a] < ranks[b]`
-    /// iff `resolve(a) < resolve(b)`. Rank-vector comparison of tuples
-    /// therefore equals the legacy `Vec<String>` lexicographic order,
-    /// which is how dense graphs reproduce `BTreeMap<Tuple>` iteration.
-    pub fn atom_ranks(&self) -> Vec<u32> {
+    /// iff `resolve(a) < resolve(b)`.
+    fn atom_ranks(&self) -> Vec<u32> {
         let mut ids: Vec<VarId> = (0..self.atoms.len() as VarId).collect();
         ids.sort_by_key(|&a| self.atoms.resolve(a));
         let mut ranks = vec![0u32; self.atoms.len()];
@@ -190,21 +193,49 @@ impl TupleTable {
         ranks
     }
 
-    /// The tuple's rank vector (see [`TupleTable::atom_ranks`]).
-    pub fn sort_key(&self, t: TupleId, ranks: &[u32]) -> Vec<u32> {
-        self.atoms_of(t)
-            .into_iter()
-            .map(|a| ranks[a as usize])
-            .collect()
+    /// Every tuple's position in tuple string order: `order[a] <
+    /// order[b]` iff tuple `a`'s atoms sort before `b`'s as a
+    /// `Vec<String>`, which is how dense graphs reproduce `BTreeMap<Tuple>`
+    /// iteration. That order is the trie's preorder with each node's
+    /// children taken in atom string order, since a tuple sorts right
+    /// before its extensions.
+    pub fn string_order(&self) -> Vec<u32> {
+        let ranks = self.atom_ranks();
+        let n = self.len();
+        // Group `g` holds the children of tuple `g - 1`; group 0 the roots.
+        let group = |t: TupleId| self.parent[t as usize].wrapping_add(1) as usize;
+        let mut kids: Vec<TupleId> = (0..n as TupleId).collect();
+        kids.sort_unstable_by_key(|&t| (group(t), ranks[self.atom[t as usize] as usize]));
+        let mut start = vec![0usize; n + 2];
+        for &t in &kids {
+            start[group(t) + 1] += 1;
+        }
+        for g in 1..start.len() {
+            start[g] += start[g - 1];
+        }
+        let mut order = vec![0u32; n];
+        let mut next = 0u32;
+        let mut stack: Vec<TupleId> = kids[start[0]..start[1]].iter().rev().copied().collect();
+        while let Some(t) = stack.pop() {
+            order[t as usize] = next;
+            next += 1;
+            let g = t as usize + 1;
+            stack.extend(kids[start[g]..start[g + 1]].iter().rev());
+        }
+        order
+    }
+
+    /// Number of interned atoms.
+    pub fn atom_count(&self) -> usize {
+        self.atoms.len()
     }
 }
 
 /// A method's value flow graph over interned tuple ids: per-node `u32`
-/// successor lists with a [`BitSet`] adjacency row for O(1) edge dedup.
+/// successor lists, deduplicated on insert.
 #[derive(Debug, Clone, Default)]
 pub struct DenseFlowGraph {
     succ: Vec<Vec<TupleId>>,
-    adj: Vec<BitSet>,
     /// All nodes (including isolated ones).
     pub nodes: BitSet,
     /// Nodes involved in self-flows (must become shared locations).
@@ -214,14 +245,6 @@ pub struct DenseFlowGraph {
 }
 
 impl DenseFlowGraph {
-    fn ensure_len(&mut self, t: TupleId) {
-        let need = t as usize + 1;
-        if self.succ.len() < need {
-            self.succ.resize_with(need, Vec::new);
-            self.adj.resize_with(need, BitSet::new);
-        }
-    }
-
     /// Adds a node.
     pub fn add_node(&mut self, t: TupleId) {
         self.nodes.insert(t as usize);
@@ -236,15 +259,26 @@ impl DenseFlowGraph {
         }
         self.nodes.insert(from as usize);
         self.nodes.insert(to as usize);
-        self.ensure_len(from);
-        if self.adj[from as usize].insert(to as usize) {
-            self.succ[from as usize].push(to);
+        if self.succ.len() <= from as usize {
+            self.succ.resize_with(from as usize + 1, Vec::new);
+        }
+        // A node flows into a handful of others, so a scan of its row
+        // dedups as fast as a bit row would, without one per node.
+        let row = &mut self.succ[from as usize];
+        if !row.contains(&to) {
+            row.push(to);
         }
     }
 
     /// Fresh intermediate node (§5.2.1 ILOC).
     pub fn fresh_iloc(&mut self, table: &mut TupleTable) -> TupleId {
-        let t = table.root(&format!("ILOC{}", self.iloc_counter));
+        // `ILOC` and a decimal `usize` fit the buffer, so naming the node
+        // allocates nothing beyond the interned atom.
+        let mut buf = [0u8; 32];
+        let mut name = std::io::Cursor::new(&mut buf[..]);
+        write!(name, "ILOC{}", self.iloc_counter).expect("fits the buffer");
+        let len = name.position() as usize;
+        let t = table.root(std::str::from_utf8(&buf[..len]).expect("ascii"));
         self.iloc_counter += 1;
         self.nodes.insert(t as usize);
         t
@@ -287,56 +321,41 @@ impl DenseFlowGraph {
         false
     }
 
-    /// All nodes reachable from `from` (including itself).
-    fn reach_set(&self, from: TupleId) -> BitSet {
-        let mut seen = BitSet::new();
-        let mut stack = vec![from];
-        while let Some(x) = stack.pop() {
-            if !seen.insert(x as usize) {
-                continue;
-            }
-            stack.extend_from_slice(self.succ(x));
-        }
-        seen
-    }
-
     /// The flows among *interface* tuples (rooted at parameters, `this`,
     /// `RET`): the method's summary used at call sites. Pairs come back
     /// in the legacy order (both sides sorted by tuple string order).
-    pub fn interface_flows(
-        &self,
-        table: &TupleTable,
-        params: &BTreeSet<String>,
-    ) -> Vec<(TupleId, TupleId)> {
-        let ranks = table.atom_ranks();
+    pub fn interface_flows(&self, table: &TupleTable, params: &[Param]) -> Vec<(TupleId, TupleId)> {
+        let order = table.string_order();
         let mut ifaces: Vec<TupleId> = self
             .nodes
             .iter()
             .map(|i| i as TupleId)
             .filter(|&t| {
                 let r = table.resolve_atom(table.root_atom(t));
-                r == "this" || r == RET || params.contains(r)
+                r == "this" || r == RET || params.iter().any(|p| p.name == r)
             })
             .collect();
-        ifaces.sort_by_cached_key(|&t| table.sort_key(t, &ranks));
+        ifaces.sort_unstable_by_key(|&t| order[t as usize]);
         let mut out = Vec::new();
+        let mut reach = BitSet::new();
+        let mut stack = Vec::new();
         for &a in &ifaces {
-            let reach = self.reach_set(a);
-            for &b in &ifaces {
-                if a != b && reach.contains(b as usize) {
-                    out.push((a, b));
+            // Everything `a` reaches, itself included.
+            reach.clear();
+            stack.push(a);
+            while let Some(x) = stack.pop() {
+                if reach.insert(x as usize) {
+                    stack.extend_from_slice(self.succ(x));
                 }
             }
+            out.extend(
+                ifaces
+                    .iter()
+                    .filter(|&&b| a != b && reach.contains(b as usize))
+                    .map(|&b| (a, b)),
+            );
         }
         out
-    }
-
-    /// The method summary in string form, for cross-method translation.
-    pub fn summary(&self, table: &TupleTable, params: &BTreeSet<String>) -> Vec<(Tuple, Tuple)> {
-        self.interface_flows(table, params)
-            .into_iter()
-            .map(|(a, b)| (table.to_tuple(a), table.to_tuple(b)))
-            .collect()
     }
 
     /// Converts to the string form: what `sjava vfg` prints as DOT, and
@@ -370,7 +389,17 @@ pub struct DenseMethodGraph {
     pub graph: DenseFlowGraph,
 }
 
-type Summaries = FnvHashMap<MethodRef, Arc<Vec<(Tuple, Tuple)>>>;
+/// A built method: its graph and its summary, the interface flows over
+/// the graph's own table.
+struct Built {
+    dense: DenseMethodGraph,
+    summary: Vec<(TupleId, TupleId)>,
+}
+
+/// The methods of earlier waves, which the current wave's call sites
+/// read: each built method by class and method name, as an index into
+/// the built list.
+type Summaries<'c> = FnvHashMap<(&'c str, &'c str), usize>;
 
 // ---------------------------------------------------------------------
 // Sorted-id set helpers: tiny source/destination sets are kept as sorted
@@ -402,9 +431,10 @@ pub fn build_dense_graphs(
     program: &Program,
     cg: &CallGraph,
 ) -> BTreeMap<MethodRef, DenseMethodGraph> {
-    let mut graphs: BTreeMap<MethodRef, DenseMethodGraph> = BTreeMap::new();
-    let mut summaries: Summaries = FnvHashMap::default();
-    for wave in cg.levels() {
+    let levels = cg.levels();
+    let mut built: Vec<(&MethodRef, Built)> = Vec::new();
+    let mut summaries: Summaries<'_> = FnvHashMap::default();
+    for wave in &levels {
         let work: Vec<(&MethodRef, &ClassDecl, &MethodDecl)> = wave
             .iter()
             .filter_map(|mref| {
@@ -421,85 +451,115 @@ pub fn build_dense_graphs(
             .iter()
             .map(|(_, _, m)| m.body.stmts.len() as u64 + 1)
             .collect();
-        let results: Vec<(DenseMethodGraph, Vec<(Tuple, Tuple)>)> =
-            sjava_par::run_indexed_weighted(work.len(), &cost, |i| {
-                let (_, decl_class, method) = work[i];
-                if method.annots.trusted || decl_class.annots.trusted {
-                    return (DenseMethodGraph::default(), Vec::new());
-                }
-                let mut b = DenseBuilder::new(program, &decl_class.name, method, &summaries);
-                b.walk_block(&method.body);
-                let dense = b.finish();
-                let params: BTreeSet<String> =
-                    method.params.iter().map(|p| p.name.clone()).collect();
-                let summary = dense.graph.summary(&dense.table, &params);
-                (dense, summary)
-            });
-        for ((mref, _, _), (dense, summary)) in work.into_iter().zip(results) {
-            summaries.insert(mref.clone(), Arc::new(summary));
-            graphs.insert(mref.clone(), dense);
+        let results: Vec<Built> = sjava_par::run_indexed_weighted(work.len(), &cost, |i| {
+            let (_, decl_class, method) = work[i];
+            if method.annots.trusted || decl_class.annots.trusted {
+                return Built {
+                    dense: DenseMethodGraph::default(),
+                    summary: Vec::new(),
+                };
+            }
+            let mut b = DenseBuilder::new(program, &decl_class.name, method, &built, &summaries);
+            b.walk_block(&method.body);
+            let dense = b.finish();
+            let summary = dense.graph.interface_flows(&dense.table, &method.params);
+            Built { dense, summary }
+        });
+        for ((mref, _, _), result) in work.into_iter().zip(results) {
+            summaries.insert((&mref.0, &mref.1), built.len());
+            built.push((mref, result));
         }
     }
-    graphs
+    built
+        .into_iter()
+        .map(|(mref, b)| (mref.clone(), b.dense))
+        .collect()
 }
 
 /// A callee summary compiled into the *caller's* tuple table: each side
-/// is a root slot plus pre-interned suffix atoms, so translating it at a
-/// call site is a trie walk with zero string traffic. Compiled once per
-/// (caller, callee) pair and reused across call sites.
+/// is a root slot plus pre-interned suffix atoms (a range of `atoms`),
+/// so translating it at a call site is a trie walk with zero string
+/// traffic. Compiled once per (caller, callee) pair and reused across
+/// call sites.
 struct CompiledSide {
     root: usize,
-    suffix: Vec<VarId>,
+    suffix: std::ops::Range<usize>,
     is_ret: bool,
 }
 
-struct CompiledSummary {
-    roots: Vec<String>,
+struct CompiledSummary<'p> {
+    /// Root names, borrowed from the callee's table.
+    roots: Vec<&'p str>,
     pairs: Vec<(CompiledSide, CompiledSide)>,
+    /// Every side's suffix atoms, in the caller's table.
+    atoms: Vec<VarId>,
 }
 
-fn compile_side(table: &mut TupleTable, roots: &mut Vec<String>, t: &Tuple) -> CompiledSide {
-    let root_name = t.root_name();
-    let root = match roots.iter().position(|r| r == root_name) {
-        Some(i) => i,
-        None => {
-            roots.push(root_name.to_string());
-            roots.len() - 1
+impl<'p> CompiledSummary<'p> {
+    fn compile(table: &mut TupleTable, callee: &'p Built) -> Self {
+        let mut out = CompiledSummary {
+            roots: Vec::new(),
+            pairs: Vec::with_capacity(callee.summary.len()),
+            atoms: Vec::new(),
+        };
+        for &(from, to) in &callee.summary {
+            let from = out.side(table, &callee.dense.table, from);
+            let to = out.side(table, &callee.dense.table, to);
+            out.pairs.push((from, to));
         }
-    };
-    CompiledSide {
-        root,
-        suffix: t.0[1..].iter().map(|a| table.atom_id(a)).collect(),
-        is_ret: root_name == RET,
+        out
     }
-}
 
-fn compile_summary(table: &mut TupleTable, summary: &[(Tuple, Tuple)]) -> CompiledSummary {
-    let mut roots = Vec::new();
-    let pairs = summary
-        .iter()
-        .map(|(from, to)| {
-            (
-                compile_side(table, &mut roots, from),
-                compile_side(table, &mut roots, to),
-            )
-        })
-        .collect();
-    CompiledSummary { roots, pairs }
+    /// Compiles the callee tuple `t`, interning its suffix atoms into the
+    /// caller's `table`.
+    fn side(&mut self, table: &mut TupleTable, callee: &'p TupleTable, t: TupleId) -> CompiledSide {
+        let root_name = callee.resolve_atom(callee.root_atom(t));
+        let root = match self.roots.iter().position(|&r| r == root_name) {
+            Some(i) => i,
+            None => {
+                self.roots.push(root_name);
+                self.roots.len() - 1
+            }
+        };
+        // The suffix, read leaf to root, put root first, and interned in
+        // that order.
+        let start = self.atoms.len();
+        let mut cur = t;
+        while let Some(parent) = callee.parent_of(cur) {
+            self.atoms.push(callee.last_atom(cur));
+            cur = parent;
+        }
+        self.atoms[start..].reverse();
+        for atom in &mut self.atoms[start..] {
+            *atom = table.atom_id(callee.resolve_atom(*atom));
+        }
+        CompiledSide {
+            root,
+            suffix: start..self.atoms.len(),
+            is_ret: root_name == RET,
+        }
+    }
 }
 
 /// The value-flow-graph builder: the same statement walk, ILOC numbering
 /// and set semantics as the oracle's string builder
 /// ([`crate::oracle::build_flow_graphs`]) over interned tuples.
+///
+/// Source and destination sets are written into buffers from `spare`,
+/// which are handed back once read, so an expression allocates no set of
+/// its own.
 struct DenseBuilder<'p> {
     program: &'p Program,
     tenv: TypeEnv<'p>,
     table: TupleTable,
     graph: DenseFlowGraph,
-    /// Implicit-flow stack: condition source sets (Fig 5.2's `S`).
+    /// Implicit-flow stack: each entry is the union of every enclosing
+    /// condition's source set (Fig 5.2's `S`), innermost last.
     implicit: Vec<Vec<TupleId>>,
-    summaries: &'p Summaries,
-    compiled: FnvHashMap<MethodRef, Arc<CompiledSummary>>,
+    built: &'p [(&'p MethodRef, Built)],
+    summaries: &'p Summaries<'p>,
+    compiled: FnvHashMap<(&'p str, &'p str), Arc<CompiledSummary<'p>>>,
+    spare: Vec<Vec<TupleId>>,
 }
 
 impl<'p> DenseBuilder<'p> {
@@ -507,7 +567,8 @@ impl<'p> DenseBuilder<'p> {
         program: &'p Program,
         class: &str,
         method: &'p MethodDecl,
-        summaries: &'p Summaries,
+        built: &'p [(&'p MethodRef, Built)],
+        summaries: &'p Summaries<'p>,
     ) -> Self {
         let mut tenv = TypeEnv::for_method(program, class, method);
         tenv.bind_block(&method.body);
@@ -527,8 +588,10 @@ impl<'p> DenseBuilder<'p> {
             table,
             graph,
             implicit: Vec::new(),
+            built,
             summaries,
             compiled: FnvHashMap::default(),
+            spare: Vec::new(),
         }
     }
 
@@ -546,154 +609,158 @@ impl<'p> DenseBuilder<'p> {
         }
     }
 
-    fn implicit_sources(&self) -> Vec<TupleId> {
-        let mut out = Vec::new();
-        for frame in &self.implicit {
-            set_union(&mut out, frame);
+    /// An empty set buffer.
+    fn buffer(&mut self) -> Vec<TupleId> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Hands a buffer back for reuse.
+    fn recycle(&mut self, mut buf: Vec<TupleId>) {
+        buf.clear();
+        self.spare.push(buf);
+    }
+
+    /// Adds an edge from every implicit source to every tuple in `dsts`.
+    fn implicit_into(&mut self, dsts: &[TupleId]) {
+        if let Some(implicit) = self.implicit.last() {
+            for &s in implicit {
+                for &d in dsts {
+                    self.graph.add_edge(s, d);
+                }
+            }
         }
-        out
     }
 
     fn is_local(&self, name: &str) -> bool {
         self.tenv.local(name).is_some()
     }
 
-    /// Source tuples of an expression (the `R` mapping of Fig 5.2).
-    fn sources(&mut self, e: &Expr) -> Vec<TupleId> {
-        match e {
-            Expr::Var { name, .. } => {
-                if self.is_local(name) {
-                    vec![self.table.root(name)]
-                } else if self.program.field(&self.tenv.class, name).is_some() {
-                    let this = self.table.root("this");
-                    vec![self.table.append(this, name)]
-                } else {
-                    Vec::new()
-                }
-            }
-            Expr::This { .. } => vec![self.table.root("this")],
-            Expr::Field { base, field, .. } => {
-                let bases = self.sources(base);
-                let mut out = Vec::new();
-                for b in bases {
-                    let id = self.table.append(b, field);
-                    set_insert(&mut out, id);
-                }
-                out
-            }
-            // Array reads flow both the element container and the index.
-            Expr::Index { base, index, .. } => {
-                let mut s = self.sources(base);
-                let i = self.sources(index);
-                set_union(&mut s, &i);
-                s
-            }
-            Expr::Length { .. } => Vec::new(),
-            Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => self.sources(operand),
-            Expr::Binary { lhs, rhs, .. } => {
-                let mut s = self.sources(lhs);
-                let r = self.sources(rhs);
-                set_union(&mut s, &r);
-                s
-            }
-            Expr::Call(_) => self.call_sources(e),
-            // Literals, null, fresh allocations: top — no source node.
-            _ => Vec::new(),
+    /// The tuple a bare name denotes: a local, or a field of `this`.
+    fn var(&mut self, name: &str, out: &mut Vec<TupleId>) {
+        if self.is_local(name) {
+            set_insert(out, self.table.root(name));
+        } else if self.program.field(&self.tenv.class, name).is_some() {
+            let this = self.table.root("this");
+            set_insert(out, self.table.append(this, name));
         }
     }
 
+    /// Adds `base`'s tuples, each extended by `field`, to `out`.
+    fn field(&mut self, base: &Expr, field: &str, out: &mut Vec<TupleId>) {
+        let mut bases = self.buffer();
+        self.sources(base, &mut bases);
+        for &b in &bases {
+            let id = self.table.append(b, field);
+            set_insert(out, id);
+        }
+        self.recycle(bases);
+    }
+
+    /// Adds the source tuples of an expression (the `R` mapping of
+    /// Fig 5.2) to the set `out`.
+    fn sources(&mut self, e: &Expr, out: &mut Vec<TupleId>) {
+        match e {
+            Expr::Var { name, .. } => self.var(name, out),
+            Expr::This { .. } => set_insert(out, self.table.root("this")),
+            Expr::Field { base, field, .. } => self.field(base, field, out),
+            // Array reads flow both the element container and the index.
+            Expr::Index { base, index, .. } => {
+                self.sources(base, out);
+                self.sources(index, out);
+            }
+            Expr::Length { .. } => {}
+            Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => self.sources(operand, out),
+            Expr::Binary { lhs, rhs, .. } => {
+                self.sources(lhs, out);
+                self.sources(rhs, out);
+            }
+            Expr::Call(call) => self.call_sources(e, call, out),
+            // Literals, null, fresh allocations: top — no source node.
+            _ => {}
+        }
+    }
+
+    /// Walks an expression whose value goes nowhere.
+    fn discard(&mut self, e: &Expr) {
+        let mut sink = self.buffer();
+        self.sources(e, &mut sink);
+        self.recycle(sink);
+    }
+
     /// Handles a call: translates callee interface flows into this graph
-    /// and returns the caller-side sources of the return value.
-    fn call_sources(&mut self, e: &Expr) -> Vec<TupleId> {
-        let Expr::Call(call) = e else {
-            return Vec::new();
-        };
+    /// and adds the caller-side sources of the return value to `out`.
+    fn call_sources(&mut self, e: &Expr, call: &CallExpr, out: &mut Vec<TupleId>) {
         let CallExpr {
             recv,
             class_recv,
             name,
             args,
             ..
-        } = &**call;
+        } = call;
         // Intrinsics: Device/new input = top; Math = args' sources.
         if let Some(c) = class_recv {
             match c.as_str() {
-                "Device" => return Vec::new(),
+                "Device" => return,
                 "Out" | "System" => {
                     for a in args {
-                        let _ = self.sources(a);
+                        self.discard(a);
                     }
-                    return Vec::new();
+                    return;
                 }
                 "Math" => {
-                    let mut s = Vec::new();
                     for a in args {
-                        let asrc = self.sources(a);
-                        set_union(&mut s, &asrc);
+                        self.sources(a, out);
                     }
-                    return s;
+                    return;
                 }
                 "SSJavaArray" => {
                     // insert(arr, v): v flows into arr's elements.
                     if name == "insert" && args.len() == 2 {
-                        let dsts = self.sources(&args[0]);
-                        let srcs = self.sources(&args[1]);
+                        let mut dsts = self.buffer();
+                        let mut srcs = self.buffer();
+                        self.sources(&args[0], &mut dsts);
+                        self.sources(&args[1], &mut srcs);
                         for &d in &dsts {
                             for &s in &srcs {
                                 self.graph.add_edge(s, d);
                             }
-                            for s in self.implicit_sources() {
-                                self.graph.add_edge(s, d);
-                            }
+                            self.implicit_into(&[d]);
                         }
+                        self.recycle(srcs);
+                        self.recycle(dsts);
                     }
-                    return Vec::new();
+                    return;
                 }
                 _ => {}
             }
         }
         let Some(target) = self.tenv.call_target_class(e) else {
-            return Vec::new();
+            return;
         };
         let Some((dc, callee)) = self.program.resolve_method(&target, name) else {
-            return Vec::new();
+            return;
         };
-        let key = (dc.name.clone(), callee.name.clone());
-        // Argument source sets, indexed by callee root name. Later
-        // entries shadow earlier ones, like the legacy BTreeMap insert.
-        let recv_sources = match recv {
-            Some(r) => self.sources(r),
-            None => {
-                if class_recv.is_none() {
-                    vec![self.table.root("this")]
-                } else {
-                    Vec::new()
-                }
-            }
-        };
-        let mut roots: Vec<(&str, Vec<TupleId>)> = vec![("this", recv_sources)];
-        for (p, a) in callee.params.iter().zip(args) {
-            let asrc = self.sources(a);
-            roots.push((&p.name, asrc));
+        // Argument source sets, one after another in `sets`, each a
+        // sorted range named by its callee root. Later entries shadow
+        // earlier ones, like the legacy BTreeMap insert.
+        let mut sets = self.buffer();
+        let mut roots: Vec<(&str, std::ops::Range<usize>)> = Vec::with_capacity(args.len() + 1);
+        let mut set = self.buffer();
+        match recv {
+            Some(r) => self.sources(r, &mut set),
+            None if class_recv.is_none() => set.push(self.table.root("this")),
+            None => {}
         }
-        let compiled = match self.compiled.get(&key) {
-            Some(c) => Arc::clone(c),
-            None => {
-                let summary = self
-                    .summaries
-                    .get(&key)
-                    .map(|s| compile_summary(&mut self.table, s))
-                    .unwrap_or(CompiledSummary {
-                        roots: Vec::new(),
-                        pairs: Vec::new(),
-                    });
-                let summary = Arc::new(summary);
-                self.compiled.insert(key, Arc::clone(&summary));
-                summary
-            }
-        };
+        roots.push(("this", sets.len()..sets.len() + set.len()));
+        sets.append(&mut set);
+        for (p, a) in callee.params.iter().zip(args) {
+            self.sources(a, &mut set);
+            roots.push((&p.name, sets.len()..sets.len() + set.len()));
+            sets.append(&mut set);
+        }
+        let compiled = self.compiled_summary(&dc.name, &callee.name);
         // Call-site bases for each compiled root slot.
-        let bases: Vec<Vec<TupleId>> = compiled
+        let bases: Vec<std::ops::Range<usize>> = compiled
             .roots
             .iter()
             .map(|rname| {
@@ -701,92 +768,106 @@ impl<'p> DenseBuilder<'p> {
                     .iter()
                     .rev()
                     .find(|(n, _)| n == rname)
-                    .map(|(_, v)| v.clone())
-                    .unwrap_or_default()
+                    .map_or(0..0, |(_, range)| range.clone())
             })
             .collect();
-        let mut ret_sources = Vec::new();
+        let mut from_caller = set;
+        let mut to_caller = self.buffer();
         for (from, to) in &compiled.pairs {
-            let from_caller = self.translate(from, &bases);
+            from_caller.clear();
+            self.translate(
+                &compiled,
+                from,
+                &sets[bases[from.root].clone()],
+                &mut from_caller,
+            );
             if to.is_ret {
-                set_union(&mut ret_sources, &from_caller);
+                set_union(out, &from_caller);
                 continue;
             }
-            let to_caller = self.translate(to, &bases);
+            to_caller.clear();
+            self.translate(&compiled, to, &sets[bases[to.root].clone()], &mut to_caller);
             for &f in &from_caller {
                 for &t in &to_caller {
                     self.graph.add_edge(f, t);
                 }
             }
             // Implicit context flows into whatever the callee writes.
-            for s in self.implicit_sources() {
-                for &t in &to_caller {
-                    self.graph.add_edge(s, t);
-                }
-            }
+            self.implicit_into(&to_caller);
         }
-        ret_sources
+        self.recycle(to_caller);
+        self.recycle(from_caller);
+        self.recycle(sets);
     }
 
-    fn translate(&mut self, side: &CompiledSide, bases: &[Vec<TupleId>]) -> Vec<TupleId> {
-        let mut out = Vec::new();
-        for &b in &bases[side.root] {
+    /// The summary of callee `class.method` compiled into this method's
+    /// table, compiled on first use (empty for a method no earlier wave
+    /// built).
+    fn compiled_summary(&mut self, class: &'p str, method: &'p str) -> Arc<CompiledSummary<'p>> {
+        if let Some(c) = self.compiled.get(&(class, method)) {
+            return Arc::clone(c);
+        }
+        let compiled = Arc::new(match self.summaries.get(&(class, method)) {
+            Some(&index) => CompiledSummary::compile(&mut self.table, &self.built[index].1),
+            None => CompiledSummary {
+                roots: Vec::new(),
+                pairs: Vec::new(),
+                atoms: Vec::new(),
+            },
+        });
+        self.compiled.insert((class, method), Arc::clone(&compiled));
+        compiled
+    }
+
+    /// Adds `side` rebased on each of `bases` to the set `out`.
+    fn translate(
+        &mut self,
+        summary: &CompiledSummary<'_>,
+        side: &CompiledSide,
+        bases: &[TupleId],
+        out: &mut Vec<TupleId>,
+    ) {
+        for &b in bases {
             let mut id = b;
-            for &a in &side.suffix {
+            for &a in &summary.atoms[side.suffix.clone()] {
                 id = self.table.append_atom(id, a);
             }
-            set_insert(&mut out, id);
+            set_insert(out, id);
         }
-        out
     }
 
-    /// Destination tuples of an lvalue.
-    fn destinations(&mut self, lv: &LValue) -> Vec<TupleId> {
+    /// Adds the destination tuples of an lvalue to the set `out`.
+    fn destinations(&mut self, lv: &LValue, out: &mut Vec<TupleId>) {
         match lv {
-            LValue::Var { name, .. } => {
-                if self.is_local(name) {
-                    vec![self.table.root(name)]
-                } else if self.program.field(&self.tenv.class, name).is_some() {
-                    let this = self.table.root("this");
-                    vec![self.table.append(this, name)]
-                } else {
-                    Vec::new()
-                }
-            }
-            LValue::Field { base, field, .. } => {
-                let bases = self.sources(base);
-                let mut out = Vec::new();
-                for b in bases {
-                    let id = self.table.append(b, field);
-                    set_insert(&mut out, id);
-                }
-                out
-            }
+            LValue::Var { name, .. } => self.var(name, out),
+            LValue::Field { base, field, .. } => self.field(base, field, out),
             LValue::Index { base, index, .. } => {
                 // ARRAY_ASG: index flows into the array as well.
-                let dsts = self.sources(base);
-                let idx = self.sources(index);
-                for &d in &dsts {
+                self.sources(base, out);
+                let mut idx = self.buffer();
+                self.sources(index, &mut idx);
+                for &d in out.iter() {
                     for &i in &idx {
                         self.graph.add_edge(i, d);
                     }
                 }
-                dsts
+                self.recycle(idx);
             }
-            LValue::StaticField { .. } => Vec::new(),
+            LValue::StaticField { .. } => {}
         }
     }
 
-    /// Records an assignment's flows, inserting an ILOC intermediate when
-    /// the source set is compound (§5.2.1).
-    fn flow(&mut self, sources: Vec<TupleId>, dsts: Vec<TupleId>) {
-        let mut all = sources;
-        let imp = self.implicit_sources();
-        set_union(&mut all, &imp);
-        if all.is_empty() {
+    /// Records an assignment's flows from the set `sources` into `dsts`,
+    /// inserting an ILOC intermediate when the source set is compound
+    /// (§5.2.1).
+    fn flow(&mut self, sources: &mut Vec<TupleId>, dsts: &[TupleId]) {
+        if let Some(implicit) = self.implicit.last() {
+            set_union(sources, implicit);
+        }
+        if sources.is_empty() {
             // Top-sourced write: still record the node so it appears in
             // the hierarchy.
-            for d in dsts {
+            for &d in dsts {
                 self.graph.add_node(d);
             }
             return;
@@ -794,21 +875,32 @@ impl<'p> DenseBuilder<'p> {
         // Compound sources go through an intermediate ILOC node (§5.2.1)
         // unless the destination itself is among the sources (a shared
         // self-flow), which must stay direct.
-        let self_flowing = dsts.iter().any(|d| set_contains(&all, *d));
-        let effective: Vec<TupleId> = if all.len() > 1 && !self_flowing {
+        let self_flowing = dsts.iter().any(|&d| set_contains(sources, d));
+        if sources.len() > 1 && !self_flowing {
             let iloc = self.graph.fresh_iloc(&mut self.table);
-            for &s in &all {
+            for &s in sources.iter() {
                 self.graph.add_edge(s, iloc);
             }
-            vec![iloc]
-        } else {
-            all
-        };
-        for &d in &dsts {
-            for &s in &effective {
+            sources.clear();
+            sources.push(iloc);
+        }
+        for &d in dsts {
+            for &s in sources.iter() {
                 self.graph.add_edge(s, d);
             }
         }
+    }
+
+    /// Pushes a condition's sources onto the implicit-flow stack.
+    fn push_implicit(&mut self, cond: Option<&Expr>) {
+        let mut frame = self.implicit.last().cloned().unwrap_or_default();
+        if let Some(c) = cond {
+            let mut srcs = self.buffer();
+            self.sources(c, &mut srcs);
+            set_union(&mut frame, &srcs);
+            self.recycle(srcs);
+        }
+        self.implicit.push(frame);
     }
 
     fn walk_block(&mut self, block: &Block) {
@@ -823,14 +915,20 @@ impl<'p> DenseBuilder<'p> {
                 let t = self.table.root(name);
                 self.graph.add_node(t);
                 if let Some(e) = init {
-                    let src = self.sources(e);
-                    self.flow(src, vec![t]);
+                    let mut src = self.buffer();
+                    self.sources(e, &mut src);
+                    self.flow(&mut src, &[t]);
+                    self.recycle(src);
                 }
             }
             Stmt::Assign { lhs, rhs, .. } => {
-                let src = self.sources(rhs);
-                let dst = self.destinations(lhs);
-                self.flow(src, dst);
+                let mut src = self.buffer();
+                let mut dst = self.buffer();
+                self.sources(rhs, &mut src);
+                self.destinations(lhs, &mut dst);
+                self.flow(&mut src, &dst);
+                self.recycle(dst);
+                self.recycle(src);
             }
             Stmt::If {
                 cond,
@@ -838,8 +936,7 @@ impl<'p> DenseBuilder<'p> {
                 else_blk,
                 ..
             } => {
-                let c = self.sources(cond);
-                self.implicit.push(c);
+                self.push_implicit(Some(cond));
                 self.walk_block(then_blk);
                 if let Some(e) = else_blk {
                     self.walk_block(e);
@@ -847,8 +944,7 @@ impl<'p> DenseBuilder<'p> {
                 self.implicit.pop();
             }
             Stmt::While { cond, body, .. } => {
-                let c = self.sources(cond);
-                self.implicit.push(c);
+                self.push_implicit(Some(cond));
                 self.walk_block(body);
                 self.implicit.pop();
             }
@@ -862,8 +958,7 @@ impl<'p> DenseBuilder<'p> {
                 if let Some(i) = init {
                     self.walk_stmt(i);
                 }
-                let c = cond.as_ref().map(|c| self.sources(c)).unwrap_or_default();
-                self.implicit.push(c);
+                self.push_implicit(cond.as_ref());
                 if let Some(u) = update {
                     self.walk_stmt(u);
                 }
@@ -872,14 +967,14 @@ impl<'p> DenseBuilder<'p> {
             }
             Stmt::Return { value, .. } => {
                 if let Some(e) = value {
-                    let src = self.sources(e);
+                    let mut src = self.buffer();
+                    self.sources(e, &mut src);
                     let ret = self.table.root(RET);
-                    self.flow(src, vec![ret]);
+                    self.flow(&mut src, &[ret]);
+                    self.recycle(src);
                 }
             }
-            Stmt::ExprStmt { expr, .. } => {
-                let _ = self.sources(expr);
-            }
+            Stmt::ExprStmt { expr, .. } => self.discard(expr),
             Stmt::Block(b) => self.walk_block(b),
             Stmt::Break { .. } | Stmt::Continue { .. } => {}
         }
@@ -892,11 +987,12 @@ impl<'p> DenseBuilder<'p> {
 /// A field-hierarchy operation recorded by the per-method (parallel)
 /// phase and replayed sequentially in topological order, preserving the
 /// legacy per-method order: shared self-flow nodes, then isolated nodes,
-/// then edges.
+/// then edges. Names are atoms of the method's tuple table; the class is
+/// an index into the method's [`MethodOut::classes`].
 enum FieldOp {
-    SharedNode(String, String),
-    Node(String, String),
-    Edge(String, String, String),
+    SharedNode(u32, VarId),
+    Node(u32, VarId),
+    Edge(u32, VarId, VarId),
 }
 
 struct MethodOut {
@@ -904,6 +1000,12 @@ struct MethodOut {
     maliases: BTreeMap<String, String>,
     var_tuples: BTreeMap<String, Tuple>,
     field_ops: Vec<FieldOp>,
+    /// The classes the field ops name, each copied once.
+    classes: Vec<String>,
+    /// The rewritten table when relocation moved locals into the field
+    /// space; the field ops' atoms resolve in it (or in the method's own
+    /// table when this is `None`).
+    relocated: Option<TupleTable>,
     done: bool,
 }
 
@@ -948,12 +1050,13 @@ pub fn decompose_dense(
         d.fields.insert(class.name.clone(), HierarchyGraph::new());
         d.field_alias.insert(class.name.clone(), BTreeMap::new());
     }
-    for ((mref, _, _, _), out) in work.into_iter().zip(outs) {
+    for ((mref, _, _, dense), out) in work.into_iter().zip(outs) {
+        let table = out.relocated.as_ref().unwrap_or(&dense.table);
+        replay_field_ops(&mut d, table, &out.classes, &out.field_ops);
         if out.done {
             d.methods.insert(mref.clone(), out.mh);
             d.method_alias.insert(mref.clone(), out.maliases);
         }
-        replay_field_ops(&mut d, out.field_ops);
         d.var_tuples.insert(mref.clone(), out.var_tuples);
     }
     d
@@ -972,6 +1075,8 @@ fn decompose_method(
         maliases: BTreeMap::new(),
         var_tuples: BTreeMap::new(),
         field_ops: Vec::new(),
+        classes: Vec::new(),
+        relocated: None,
         done: false,
     };
 
@@ -980,28 +1085,29 @@ fn decompose_method(
     // variables into the field space and retry.
     let mut relocated: BTreeSet<String> = BTreeSet::new();
     for attempt in 0..16 {
-        let storage;
-        let (table, graph) = if relocated.is_empty() {
-            (&dense.table, &dense.graph)
-        } else {
-            storage = apply_relocation_dense(&dense.table, &dense.graph, &relocated);
-            (&storage.0, &storage.1)
+        let rewritten = (!relocated.is_empty())
+            .then(|| apply_relocation_dense(&dense.table, &dense.graph, &relocated));
+        let (table, graph) = match &rewritten {
+            Some((table, graph)) => (table, graph),
+            None => (&dense.table, &dense.graph),
         };
 
         // Nodes and successor lists in legacy (tuple string) order.
-        let ranks = table.atom_ranks();
+        let order = table.string_order();
         let mut node_ids: Vec<TupleId> = graph.nodes.iter().map(|i| i as TupleId).collect();
-        node_ids.sort_by_cached_key(|&t| table.sort_key(t, &ranks));
-        let mut class_memo: FnvHashMap<TupleId, Option<String>> = FnvHashMap::default();
+        node_ids.sort_unstable_by_key(|&t| order[t as usize]);
+        let mut classes = ClassMemo::new(table, &tenv);
 
         // Classify every edge, splitting method flows from field flows.
-        let mut method_edges: Vec<(String, String)> = Vec::new();
-        let mut field_edges: Vec<(String, String, String)> = Vec::new();
+        let mut method_edges: Vec<(VarId, VarId)> = Vec::new();
+        let mut field_edges: Vec<(u32, VarId, VarId)> = Vec::new();
+        let mut succ: Vec<TupleId> = Vec::new();
         for &from in &node_ids {
-            let mut succ: Vec<TupleId> = graph.succ(from).to_vec();
-            succ.sort_by_cached_key(|&t| table.sort_key(t, &ranks));
-            for to in succ {
-                match classify_dense(table, &tenv, &mut class_memo, from, to) {
+            succ.clear();
+            succ.extend_from_slice(graph.succ(from));
+            succ.sort_unstable_by_key(|&t| order[t as usize]);
+            for &to in &succ {
+                match classify_dense(table, &mut classes, from, to) {
                     DenseClassified::Method(a, b) => method_edges.push((a, b)),
                     DenseClassified::Field(class, a, b) => field_edges.push((class, a, b)),
                     DenseClassified::Skip => {}
@@ -1009,25 +1115,25 @@ fn decompose_method(
             }
         }
 
-        // Fast path: one Tarjan pass over the full candidate hierarchy.
+        // Fast path: one cycle check over the full candidate hierarchy.
         // When it is acyclic, no incremental `would_cycle` probe could
         // ever have fired (the partial graph's edges are a subset of the
         // candidate's, so any incremental cycle is a candidate cycle),
         // and bulk insertion *is* the legacy result. Only cyclic
         // candidates replay the legacy incremental loop.
-        let mut mh = HierarchyGraph::new();
-        for (a, b) in &method_edges {
-            mh.add_edge(a.clone(), b.clone());
-        }
+        let name = |a: VarId| table.resolve_atom(a);
         let mut maliases: BTreeMap<String, String> = BTreeMap::new();
-        if mh.find_cycle().is_some() {
-            match incremental_method_hierarchy(
-                &method_edges,
-                &tenv,
-                method,
-                &mut relocated,
-                attempt,
-            ) {
+        let mut mh = HierarchyGraph::new();
+        if acyclic(table.atom_count(), &method_edges) {
+            for &(a, b) in &method_edges {
+                mh.ensure_edge(name(a), name(b));
+            }
+        } else {
+            let edges: Vec<(String, String)> = method_edges
+                .iter()
+                .map(|&(a, b)| (name(a).to_string(), name(b).to_string()))
+                .collect();
+            match incremental_method_hierarchy(&edges, &tenv, method, &mut relocated, attempt) {
                 Some((m, al)) => {
                     mh = m;
                     maliases = al;
@@ -1039,60 +1145,92 @@ fn decompose_method(
 
         // Self-flows become shared.
         for t in graph.self_flows.iter().map(|i| i as TupleId) {
-            if table.depth_of(t) == 1 {
-                let a = table.resolve_atom(table.root_atom(t)).to_string();
-                mh.add_node(a.clone());
-                mh.set_shared(&a);
-            } else if let Some(class) = class_of_ancestor(
-                table,
-                &tenv,
-                &mut class_memo,
-                table.ancestor(t, table.depth_of(t) - 1),
-            ) {
-                out.field_ops.push(FieldOp::SharedNode(
-                    class,
-                    table.resolve_atom(table.last_atom(t)).to_string(),
-                ));
+            match table.parent_of(t) {
+                None => {
+                    let a = name(table.root_atom(t));
+                    mh.ensure_node(a);
+                    mh.set_shared(a);
+                }
+                Some(parent) => {
+                    if let Some(class) = classes.of(parent) {
+                        out.field_ops
+                            .push(FieldOp::SharedNode(class, table.last_atom(t)));
+                    }
+                }
             }
         }
         // Also register isolated nodes so every variable gets a location.
         for &t in &node_ids {
-            if table.depth_of(t) == 1 {
-                mh.add_node(table.resolve_atom(table.root_atom(t)).to_string());
-            } else if let Some(class) = class_of_ancestor(
-                table,
-                &tenv,
-                &mut class_memo,
-                table.ancestor(t, table.depth_of(t) - 1),
-            ) {
-                out.field_ops.push(FieldOp::Node(
-                    class,
-                    table.resolve_atom(table.last_atom(t)).to_string(),
-                ));
+            match table.parent_of(t) {
+                None => mh.ensure_node(name(table.root_atom(t))),
+                Some(parent) => {
+                    if let Some(class) = classes.of(parent) {
+                        out.field_ops.push(FieldOp::Node(class, table.last_atom(t)));
+                    }
+                }
             }
         }
         // Field edges commit after the node passes, in classification
         // order (the legacy pending list).
-        for (class, a, b) in field_edges {
-            out.field_ops.push(FieldOp::Edge(class, a, b));
-        }
+        out.field_ops.extend(
+            field_edges
+                .into_iter()
+                .map(|(class, a, b)| FieldOp::Edge(class, a, b)),
+        );
         // Record variable tuples.
         for &t in &node_ids {
-            if table.depth_of(t) == 1 {
-                let root = table.resolve_atom(table.root_atom(t)).to_string();
-                out.var_tuples.insert(root.clone(), Tuple(vec![root]));
+            if table.parent_of(t).is_none() {
+                let root = name(table.root_atom(t));
+                out.var_tuples
+                    .insert(root.to_string(), Tuple(vec![root.to_string()]));
             }
         }
         for v in &relocated {
             out.var_tuples
                 .insert(v.clone(), Tuple(vec!["this".to_string(), v.clone()]));
         }
+        out.classes = classes.names;
         out.mh = mh;
         out.maliases = maliases;
+        out.relocated = rewritten.map(|(table, _)| table);
         out.done = true;
         break;
     }
     out
+}
+
+/// Whether the graph on atom ids `0..n` with `edges` is acyclic (Kahn's
+/// algorithm; parallel edges are fine).
+fn acyclic(n: usize, edges: &[(VarId, VarId)]) -> bool {
+    let mut indegree = vec![0u32; n];
+    let mut start = vec![0usize; n + 1];
+    for &(a, b) in edges {
+        indegree[b as usize] += 1;
+        start[a as usize + 1] += 1;
+    }
+    for v in 1..=n {
+        start[v] += start[v - 1];
+    }
+    let mut fill = start.clone();
+    let mut succ = vec![0 as VarId; edges.len()];
+    for &(a, b) in edges {
+        succ[fill[a as usize]] = b;
+        fill[a as usize] += 1;
+    }
+    let mut ready: Vec<VarId> = (0..n as VarId)
+        .filter(|&v| indegree[v as usize] == 0)
+        .collect();
+    let mut done = 0;
+    while let Some(v) = ready.pop() {
+        done += 1;
+        for &w in &succ[start[v as usize]..start[v as usize + 1]] {
+            indegree[w as usize] -= 1;
+            if indegree[w as usize] == 0 {
+                ready.push(w);
+            }
+        }
+    }
+    done == n
 }
 
 /// The self-flow ordering of `BitSet::iter` is ascending id, but legacy
@@ -1101,73 +1239,83 @@ fn decompose_method(
 /// produces are `add_node`/`set_shared` pairs on disjoint names, and the
 /// field ops target per-class graphs where duplicate adds are idempotent.
 /// The replay below nevertheless preserves the recorded order exactly.
-fn replay_field_ops(d: &mut Decomposition, ops: Vec<FieldOp>) {
+fn replay_field_ops(
+    d: &mut Decomposition,
+    table: &TupleTable,
+    classes: &[String],
+    ops: &[FieldOp],
+) {
     // Edges always follow the node ops within one method (the legacy
     // pending list commits last), so batch them per class in first-seen
     // order and commit after the nodes.
-    let mut edge_batches: Vec<(String, Vec<(String, String)>)> = Vec::new();
+    let mut edge_batches: Vec<(u32, Vec<(&str, &str)>)> = Vec::new();
     for op in ops {
-        match op {
+        match *op {
             FieldOp::SharedNode(class, n) => {
-                let fh = d.fields.entry(class).or_default();
-                fh.add_node(n.clone());
-                fh.set_shared(&n);
+                let fh = entry(&mut d.fields, &classes[class as usize]);
+                let n = table.resolve_atom(n);
+                fh.ensure_node(n);
+                fh.set_shared(n);
             }
             FieldOp::Node(class, n) => {
-                d.fields.entry(class).or_default().add_node(n);
+                entry(&mut d.fields, &classes[class as usize]).ensure_node(table.resolve_atom(n));
             }
             FieldOp::Edge(class, a, b) => {
+                let edge = (table.resolve_atom(a), table.resolve_atom(b));
                 match edge_batches.iter_mut().find(|(c, _)| *c == class) {
-                    Some((_, batch)) => batch.push((a, b)),
-                    None => edge_batches.push((class, vec![(a, b)])),
+                    Some((_, batch)) => batch.push(edge),
+                    None => edge_batches.push((class, vec![edge])),
                 }
             }
         }
     }
     for (class, edges) in edge_batches {
-        commit_field_edges(d, class, edges);
+        commit_field_edges(d, &classes[class as usize], &edges);
     }
 }
 
+/// `map[key]`, inserted empty when missing; the key is copied only then.
+fn entry<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("present")
+}
+
 /// Commits one method's field edges for one class. Fast path: resolve
-/// all edges through the current aliases, bulk-add into a trial copy,
-/// and run one Tarjan pass — acyclic means the legacy incremental loop
-/// would never have merged, so the bulk result is identical. A cyclic
-/// trial falls back to the legacy loop for exact `SH_*` naming.
-fn commit_field_edges(d: &mut Decomposition, class: String, edges: Vec<(String, String)>) {
-    let fh = d.fields.entry(class.clone()).or_default();
-    let aliases = d.field_alias.entry(class).or_default();
-    let resolved: Vec<(String, String)> = edges
+/// all edges through the current aliases and check, over what the
+/// batch's edges reach, whether they close a cycle with the (acyclic)
+/// class hierarchy — an acyclic batch means the legacy incremental loop
+/// would never have merged, so committing in order gives its result. A
+/// cyclic batch falls back to the legacy loop for exact `SH_*` naming.
+fn commit_field_edges(d: &mut Decomposition, class: &str, edges: &[(&str, &str)]) {
+    let fh = entry(&mut d.fields, class);
+    let aliases = entry(&mut d.field_alias, class);
+    let resolved: Vec<(&str, &str)> = edges
         .iter()
-        .map(|(a, b)| {
+        .map(|&(a, b)| {
             (
-                resolve_alias(Some(aliases), a),
-                resolve_alias(Some(aliases), b),
+                resolve_alias_str(Some(aliases), a),
+                resolve_alias_str(Some(aliases), b),
             )
         })
         .collect();
-    let mut trial = fh.clone();
-    for (a, b) in &resolved {
-        if a != b {
-            trial.add_edge(a.clone(), b.clone());
-        }
-    }
-    if trial.find_cycle().is_none() {
-        for (a, b) in resolved {
+    if !closes_cycle(fh, &resolved) {
+        for &(a, b) in &resolved {
             if a == b {
-                fh.add_node(a.clone());
-                fh.set_shared(&a);
+                fh.ensure_node(a);
+                fh.set_shared(a);
             } else {
-                fh.add_edge(a, b);
+                fh.ensure_edge(a, b);
             }
         }
         return;
     }
     // Legacy incremental fallback (aliases can change mid-loop, so each
     // edge re-resolves).
-    for (a, b) in edges {
-        let a = resolve_alias(Some(aliases), &a);
-        let b = resolve_alias(Some(aliases), &b);
+    for &(a, b) in edges {
+        let a = resolve_alias(Some(aliases), a);
+        let b = resolve_alias(Some(aliases), b);
         if a == b {
             fh.add_node(a.clone());
             fh.set_shared(&a);
@@ -1189,6 +1337,43 @@ fn commit_field_edges(d: &mut Decomposition, class: String, edges: Vec<(String, 
             fh.add_edge(a, b);
         }
     }
+}
+
+/// Whether adding `batch`'s edges to the acyclic hierarchy `fh` closes a
+/// cycle. Such a cycle runs through some batch edge `a → b` not already
+/// in `fh`, with `b` reaching `a`; so one search per such edge, from `b`
+/// over `fh` plus the batch, visits only what the batch's edges reach.
+fn closes_cycle(fh: &HierarchyGraph, batch: &[(&str, &str)]) -> bool {
+    let mut by_source: Vec<(&str, &str)> = batch.iter().copied().filter(|(a, b)| a != b).collect();
+    by_source.sort_unstable();
+    by_source.dedup();
+    let mut seen: BTreeSet<&str> = BTreeSet::new();
+    let mut stack: Vec<&str> = Vec::new();
+    for &(a, b) in &by_source {
+        if fh.has_edge(a, b) {
+            continue;
+        }
+        seen.clear();
+        stack.clear();
+        stack.push(b);
+        while let Some(x) = stack.pop() {
+            if x == a {
+                return true;
+            }
+            if !seen.insert(x) {
+                continue;
+            }
+            stack.extend(fh.below(x));
+            let from = by_source.partition_point(|&(s, _)| s < x);
+            stack.extend(
+                by_source[from..]
+                    .iter()
+                    .take_while(|&&(s, _)| s == x)
+                    .map(|&(_, t)| t),
+            );
+        }
+    }
+    false
 }
 
 /// The legacy incremental method-hierarchy loop, used only when the bulk
@@ -1294,86 +1479,103 @@ fn apply_relocation_dense(
 }
 
 enum DenseClassified {
-    Method(String, String),
-    Field(String, String, String),
+    Method(VarId, VarId),
+    Field(u32, VarId, VarId),
     Skip,
 }
 
 /// Classifies a value-flow edge by the first position where the two
-/// tuples differ (§5.2.5), entirely over interned atoms.
+/// tuples differ (§5.2.5), walking the trie: tuples are interned, so two
+/// prefixes are equal iff their ids are.
 fn classify_dense(
     table: &TupleTable,
-    tenv: &TypeEnv<'_>,
-    memo: &mut FnvHashMap<TupleId, Option<String>>,
+    classes: &mut ClassMemo<'_>,
     from: TupleId,
     to: TupleId,
 ) -> DenseClassified {
-    let pf = table.atoms_of(from);
-    let pt = table.atoms_of(to);
-    let n = pf.len().min(pt.len());
-    for i in 0..n {
-        if pf[i] != pt[i] {
-            if i == 0 {
-                return DenseClassified::Method(
-                    table.resolve_atom(pf[0]).to_string(),
-                    table.resolve_atom(pt[0]).to_string(),
-                );
-            }
-            let Some(c) = class_of_ancestor(table, tenv, memo, table.ancestor(from, i)) else {
-                return DenseClassified::Skip;
-            };
-            return DenseClassified::Field(
-                c,
-                table.resolve_atom(pf[i]).to_string(),
-                table.resolve_atom(pt[i]).to_string(),
-            );
-        }
+    let n = table.depth_of(from).min(table.depth_of(to));
+    let (mut f, mut t) = (table.ancestor(from, n), table.ancestor(to, n));
+    if f == t {
+        // One tuple is a prefix of the other: legal by lexicographic
+        // ordering, no constraint needed.
+        return DenseClassified::Skip;
     }
-    // One tuple is a prefix of the other: legal by lexicographic
-    // ordering, no constraint needed.
-    DenseClassified::Skip
+    // Climb to the first differing position: the ancestors whose
+    // parents (the common prefix) agree.
+    while table.parent_of(f) != table.parent_of(t) {
+        f = table.parent_of(f).expect("equal depths");
+        t = table.parent_of(t).expect("equal depths");
+    }
+    let (a, b) = (table.last_atom(f), table.last_atom(t));
+    match table.parent_of(f) {
+        None => DenseClassified::Method(a, b),
+        Some(prefix) => match classes.of(prefix) {
+            Some(class) => DenseClassified::Field(class, a, b),
+            None => DenseClassified::Skip,
+        },
+    }
 }
 
-/// The class owning the reference denoted by the (ancestor) tuple `anc`:
-/// the dense, memoized mirror of the oracle's `class_of_prefix` — memoized
-/// per trie node, so shared prefixes are resolved once per method.
-fn class_of_ancestor(
-    table: &TupleTable,
-    tenv: &TypeEnv<'_>,
-    memo: &mut FnvHashMap<TupleId, Option<String>>,
-    anc: TupleId,
-) -> Option<String> {
-    if let Some(c) = memo.get(&anc) {
-        return c.clone();
-    }
-    let result = if table.depth_of(anc) == 1 {
-        let root = table.resolve_atom(table.root_atom(anc));
-        if root == "this" {
-            Some(tenv.class.clone())
-        } else {
-            match tenv.local(root) {
-                Some(Type::Class(c)) => Some(c.clone()),
-                _ => None,
-            }
+/// The class owning the reference each trie node denotes: the dense,
+/// memoized mirror of the oracle's `class_of_prefix` — memoized per trie
+/// node, so shared prefixes are resolved once per method, and each
+/// distinct class name is copied once into [`ClassMemo::names`].
+struct ClassMemo<'a> {
+    table: &'a TupleTable,
+    tenv: &'a TypeEnv<'a>,
+    memo: FnvHashMap<TupleId, Option<u32>>,
+    names: Vec<String>,
+}
+
+impl<'a> ClassMemo<'a> {
+    fn new(table: &'a TupleTable, tenv: &'a TypeEnv<'a>) -> Self {
+        ClassMemo {
+            table,
+            tenv,
+            memo: FnvHashMap::default(),
+            names: Vec::new(),
         }
-    } else {
-        let parent = table.parent_of(anc).expect("depth > 1 has a parent");
-        match class_of_ancestor(table, tenv, memo, parent) {
-            Some(class) => {
-                let field = table.resolve_atom(table.last_atom(anc));
-                match tenv.program.field(&class, field) {
-                    Some(fd) => match &fd.ty {
-                        Type::Class(c) => Some(c.clone()),
+    }
+
+    /// The class of the reference `anc` denotes, as an index into
+    /// [`ClassMemo::names`].
+    fn of(&mut self, anc: TupleId) -> Option<u32> {
+        if let Some(&c) = self.memo.get(&anc) {
+            return c;
+        }
+        let (table, tenv) = (self.table, self.tenv);
+        let class: Option<&str> = match table.parent_of(anc) {
+            None => {
+                let root = table.resolve_atom(table.root_atom(anc));
+                if root == "this" {
+                    Some(&tenv.class)
+                } else {
+                    match tenv.local(root) {
+                        Some(Type::Class(c)) => Some(c),
                         _ => None,
-                    },
-                    None => None,
+                    }
                 }
             }
-            None => None,
-        }
-    };
-    memo.insert(anc, result.clone());
-    result
+            Some(parent) => self.of(parent).and_then(|owner| {
+                let field = table.resolve_atom(table.last_atom(anc));
+                match tenv.program.field(&self.names[owner as usize], field) {
+                    Some(FieldDecl {
+                        ty: Type::Class(c), ..
+                    }) => Some(c.as_str()),
+                    _ => None,
+                }
+            }),
+        };
+        let id = class.map(|c| match self.names.iter().position(|n| n == c) {
+            Some(i) => i as u32,
+            None => {
+                self.names.push(c.to_string());
+                self.names.len() as u32 - 1
+            }
+        });
+        self.memo.insert(anc, id);
+        id
+    }
 }
 
 #[cfg(test)]
@@ -1481,6 +1683,62 @@ mod tests {
         );
         assert_decompositions_equal(&legacy, &dense);
         assert!(dense.fields["W"].shared_nodes().next().is_some());
+    }
+
+    #[test]
+    fn field_batches_closing_a_cycle_across_methods_merge_like_legacy() {
+        // `m1`'s batch orders a above b and `m2`'s b above a: each batch
+        // is acyclic alone, so only committing `m2`'s after `m1`'s closes
+        // the cycle, which takes the incremental fallback and its merge.
+        let (legacy, dense, _) = both_pipelines(
+            "class W { int a; int b;
+                void main() { SSJAVA: while (true) { a = Device.read(); m1(); m2(); Out.emit(b); } }
+                void m1() { b = a; }
+                void m2() { a = b; }
+             }",
+        );
+        assert_decompositions_equal(&legacy, &dense);
+        let fh = &dense.fields["W"];
+        assert!(fh.is_shared("SH_a"), "{fh}");
+        assert_eq!(dense.field_name("W", "b"), "SH_a");
+    }
+
+    #[test]
+    fn acyclic_field_batches_commit_in_order_like_legacy() {
+        // a above b from `m1`, b above c from `m2`: the batches chain but
+        // never close a cycle, so they commit as they come.
+        let (legacy, dense, _) = both_pipelines(
+            "class W { int a; int b; int c;
+                void main() { SSJAVA: while (true) { a = Device.read(); m1(); m2(); Out.emit(c); } }
+                void m1() { b = a; }
+                void m2() { c = b; }
+             }",
+        );
+        assert_decompositions_equal(&legacy, &dense);
+        let fh = &dense.fields["W"];
+        assert!(fh.has_edge("a", "b") && fh.has_edge("b", "c"), "{fh}");
+        assert!(fh.shared_nodes().next().is_none(), "{fh}");
+        assert!(dense.field_alias["W"].is_empty());
+    }
+
+    #[test]
+    fn string_order_is_tuple_string_order() {
+        let mut t = TupleTable::new();
+        let x = t.root("x");
+        let ids = [
+            t.append(x, "b"),
+            t.root("a"),
+            t.append(x, "a"),
+            x,
+            t.root("ILOC0"),
+        ];
+        let b = t.append(ids[2], "z");
+        let order = t.string_order();
+        let mut by_order: Vec<TupleId> = ids.iter().copied().chain([b]).collect();
+        by_order.sort_by_key(|&id| order[id as usize]);
+        let mut by_string = by_order.clone();
+        by_string.sort_by_key(|&id| t.to_tuple(id));
+        assert_eq!(by_order, by_string);
     }
 
     #[test]

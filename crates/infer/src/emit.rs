@@ -2,82 +2,82 @@
 //! Fig 5.15-style annotated source).
 
 use crate::graph::RET;
-use crate::hierarchy::Decomposition;
+use crate::hierarchy::{resolve_alias_str, Decomposition};
 use crate::lattgen::GenLattices;
-use sjava_analysis::callgraph::CallGraph;
-use sjava_lattice::{Lattice, BOTTOM, TOP};
+use sjava_analysis::callgraph::{CallGraph, MethodRef};
+use sjava_lattice::{FnvHashMap, Lattice, BOTTOM, TOP};
 use sjava_syntax::annot::{CompositeLocAnnot, LatticeDecl, LocElem};
 use sjava_syntax::ast::*;
 use sjava_syntax::span::Span;
 
-/// Annotates a copy of `program` with the inferred lattices and locations.
-pub fn annotate(
-    program: &Program,
-    cg: &CallGraph,
-    d: &Decomposition,
-    gen: &GenLattices,
-) -> Program {
-    let mut p = program.clone();
-    for class in &mut p.classes {
-        if let Some(lat) = gen.fields.get(&class.name) {
+/// Writes the inferred lattices and locations into `program`, which the
+/// caller owns: the AST is annotated in place, not copied.
+pub fn annotate(program: &mut Program, cg: &CallGraph, d: &Decomposition, gen: &GenLattices) {
+    // Reachable methods by name, so that each method's lookup is one
+    // hash probe and copies no name.
+    let reachable: FnvHashMap<(&str, &str), &MethodRef> = cg
+        .topo
+        .iter()
+        .map(|mref| ((mref.0.as_str(), mref.1.as_str()), mref))
+        .collect();
+    for class in &mut program.classes {
+        let class_name: &str = &class.name;
+        if let Some(lat) = gen.fields.get(class_name) {
             if lat.named_len() > 0 {
                 class.annots.lattice = Some(lattice_decl(lat));
             }
         }
-        let class_name = class.name.clone();
+        let field_alias = d.field_alias.get(class_name);
+        let field_assign = gen.field_assign.get(class_name);
+        // The location a field-space node was assigned, through merges.
+        let field_loc = |name: &str| -> String {
+            let node = resolve_alias_str(field_alias, name);
+            field_assign
+                .and_then(|a| a.get(node))
+                .map_or(node, String::as_str)
+                .to_string()
+        };
         for field in &mut class.fields {
             if field.is_static && field.is_final {
                 continue; // constants live at ⊤, no annotation needed
             }
-            let node = d.field_name(&class_name, &field.name);
-            let loc = gen
-                .field_assign
-                .get(&class_name)
-                .and_then(|a| a.get(&node))
-                .cloned()
-                .unwrap_or(node);
-            field.annots.loc = Some(CompositeLocAnnot::new(vec![LocElem::plain(loc)]));
+            field.annots.loc = Some(plain_loc(field_loc(&field.name)));
         }
         for method in &mut class.methods {
-            let mref = (class_name.clone(), method.name.clone());
-            if !cg.topo.contains(&mref) {
+            let Some(&mref) = reachable.get(&(class_name, method.name.as_str())) else {
                 continue;
-            }
-            let Some(lat) = gen.methods.get(&mref) else {
+            };
+            let Some(lat) = gen.methods.get(mref) else {
                 continue;
             };
             method.annots.lattice = Some(lattice_decl(lat));
             if !method.is_static {
                 method.annots.this_loc = Some("this".to_string());
             }
-            let massign = gen.method_assign.get(&mref);
+            let method_alias = d.method_alias.get(mref);
+            let massign = gen.method_assign.get(mref);
             let resolve_m = |name: &str| -> String {
-                let node = d.method_name(&mref, name);
-                massign.and_then(|a| a.get(&node)).cloned().unwrap_or(node)
+                let node = resolve_alias_str(method_alias, name);
+                massign
+                    .and_then(|a| a.get(node))
+                    .map_or(node, String::as_str)
+                    .to_string()
             };
             if method.ret != Type::Void {
-                method.annots.return_loc =
-                    Some(CompositeLocAnnot::new(vec![LocElem::plain(resolve_m(RET))]));
+                method.annots.return_loc = Some(plain_loc(resolve_m(RET)));
             }
             // Parameter and local locations from the variable tuples.
-            let tuples = d.var_tuples.get(&mref);
+            let tuples = d.var_tuples.get(mref);
             let var_annot = |var: &str| -> Option<CompositeLocAnnot> {
                 let t = tuples.and_then(|m| m.get(var))?;
                 if t.0.len() == 1 {
-                    Some(CompositeLocAnnot::new(vec![LocElem::plain(resolve_m(var))]))
+                    Some(plain_loc(resolve_m(var)))
                 } else {
                     // Relocated local: ⟨this, v⟩ with v a field location of
                     // the current class.
-                    let node = d.field_name(&class_name, &t.0[1]);
-                    let floc = gen
-                        .field_assign
-                        .get(&class_name)
-                        .and_then(|a| a.get(&node))
-                        .cloned()
-                        .unwrap_or(node);
                     Some(CompositeLocAnnot::new(vec![
                         LocElem::plain("this"),
-                        LocElem::qualified(class_name.clone(), floc),
+                        LocElem::qualified(class_name, field_loc(&t.0[1])),
                     ]))
                 }
             };
@@ -89,7 +89,11 @@ pub fn annotate(
             annotate_block(&mut method.body, &var_annot);
         }
     }
-    p
+}
+
+/// A one-element location annotation, `@LOC("name")`.
+fn plain_loc(name: String) -> CompositeLocAnnot {
+    CompositeLocAnnot::new(vec![LocElem::plain(name)])
 }
 
 fn annotate_block(block: &mut Block, var_annot: &dyn Fn(&str) -> Option<CompositeLocAnnot>) {
@@ -133,7 +137,8 @@ fn annotate_stmt(stmt: &mut Stmt, var_annot: &dyn Fn(&str) -> Option<CompositeLo
 /// Converts a lattice back into an annotation declaration.
 pub fn lattice_decl(lat: &Lattice) -> LatticeDecl {
     let mut decl = LatticeDecl::default();
-    let mut connected: std::collections::BTreeSet<String> = Default::default();
+    // Whether each location appears in an order or as shared, by id.
+    let mut connected = vec![false; lat.len()];
     for id in lat.ids() {
         if id == TOP || id == BOTTOM {
             continue;
@@ -144,18 +149,18 @@ pub fn lattice_decl(lat: &Lattice) -> LatticeDecl {
             }
             decl.orders
                 .push((lat.name(id).to_string(), lat.name(hi).to_string()));
-            connected.insert(lat.name(id).to_string());
-            connected.insert(lat.name(hi).to_string());
+            connected[id.0 as usize] = true;
+            connected[hi.0 as usize] = true;
         }
     }
     for (id, name) in lat.named() {
         if lat.is_shared(id) {
             decl.shared.push(name.to_string());
-            connected.insert(name.to_string());
+            connected[id.0 as usize] = true;
         }
     }
-    for (_, name) in lat.named() {
-        if !connected.contains(name) {
+    for (id, name) in lat.named() {
+        if !connected[id.0 as usize] {
             decl.isolated.push(name.to_string());
         }
     }

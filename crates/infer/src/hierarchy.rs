@@ -41,16 +41,25 @@ impl Decomposition {
 /// Follows `name` through an alias map to the shared name it was merged
 /// into (itself when it was not merged).
 pub(crate) fn resolve_alias(map: Option<&BTreeMap<String, String>>, name: &str) -> String {
+    resolve_alias_str(map, name).to_string()
+}
+
+/// [`resolve_alias`], borrowed from the map or from `name` instead of
+/// copied.
+pub(crate) fn resolve_alias_str<'a>(
+    map: Option<&'a BTreeMap<String, String>>,
+    name: &'a str,
+) -> &'a str {
     let Some(map) = map else {
-        return name.to_string();
+        return name;
     };
-    let mut cur = name.to_string();
+    let mut cur = name;
     let mut hops = 0;
-    while let Some(next) = map.get(&cur) {
-        if *next == cur || hops > 64 {
+    while let Some(next) = map.get(cur) {
+        if next == cur || hops > 64 {
             break;
         }
-        cur = next.clone();
+        cur = next;
         hops += 1;
     }
     cur

@@ -2,13 +2,14 @@
 //! and the SInfer simplification (§5.3).
 
 use crate::graph::{PC, RET};
-use crate::hierarchy::Decomposition;
+use crate::hierarchy::{resolve_alias_str, Decomposition};
 use sjava_analysis::callgraph::MethodRef;
 use sjava_lattice::{
     canonical_key, dedekind_macneille, Completion, CompletionCache, HierarchyGraph, Lattice,
     LatticeError, ShardedMemo, BOTTOM, TOP,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Inference mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,18 +22,23 @@ pub enum Mode {
     SInfer,
 }
 
+/// One hierarchy's node→location assignment.
+pub type Assignment = BTreeMap<String, String>;
+
 /// The generated lattices plus the node-name assignment for each original
-/// hierarchy node.
+/// hierarchy node. Hierarchies that convert alike (the same structure and
+/// interface, common in generated corpora) share one lattice and one
+/// assignment through an [`Arc`].
 #[derive(Debug, Clone, Default)]
 pub struct GenLattices {
     /// Per-method lattices.
-    pub methods: BTreeMap<MethodRef, Lattice>,
+    pub methods: BTreeMap<MethodRef, Arc<Lattice>>,
     /// Per-class field lattices.
-    pub fields: BTreeMap<String, Lattice>,
+    pub fields: BTreeMap<String, Arc<Lattice>>,
     /// Per-method node→location assignment.
-    pub method_assign: BTreeMap<MethodRef, BTreeMap<String, String>>,
+    pub method_assign: BTreeMap<MethodRef, Arc<Assignment>>,
     /// Per-class node→location assignment.
-    pub field_assign: BTreeMap<String, BTreeMap<String, String>>,
+    pub field_assign: BTreeMap<String, Arc<Assignment>>,
 }
 
 /// Generates lattices for every hierarchy in the decomposition, methods
@@ -82,19 +88,16 @@ fn generate_in(
     memos: Option<&Memos>,
 ) -> Result<GenLattices, LatticeError> {
     let mut out = GenLattices::default();
-    type Hierarchies<'a, K> = Vec<(&'a K, &'a HierarchyGraph, BTreeSet<String>)>;
+    type Hierarchies<'a, K> = Vec<(&'a K, &'a HierarchyGraph, BTreeSet<&'a str>)>;
     let method_work: Hierarchies<'_, MethodRef> = d
         .methods
         .iter()
         .map(|(mref, h)| {
-            let params: BTreeSet<String> = program
+            let mut iface: BTreeSet<&str> = program
                 .method(&mref.0, &mref.1)
-                .map(|m| m.params.iter().map(|p| p.name.clone()).collect())
+                .map(|m| m.params.iter().map(|p| p.name.as_str()).collect())
                 .unwrap_or_default();
-            let mut iface: BTreeSet<String> = params;
-            iface.insert("this".to_string());
-            iface.insert(RET.to_string());
-            iface.insert(PC.to_string());
+            iface.extend(["this", RET, PC]);
             (mref, h, iface)
         })
         .collect();
@@ -110,12 +113,16 @@ fn generate_in(
         .map(|(class, h)| {
             // Interface nodes of a field hierarchy: locations of actual
             // fields (relocated locals and ILOCs are non-interface).
-            let mut iface: BTreeSet<String> = BTreeSet::new();
-            if let Some(cd) = program.class(class) {
-                for f in &cd.fields {
-                    iface.insert(d.field_name(class, &f.name));
-                }
-            }
+            let aliases = d.field_alias.get(class);
+            let iface: BTreeSet<&str> = program
+                .class(class)
+                .map(|cd| {
+                    cd.fields
+                        .iter()
+                        .map(|f| resolve_alias_str(aliases, &f.name))
+                        .collect()
+                })
+                .unwrap_or_default();
             (class, h, iface)
         })
         .collect();
@@ -127,7 +134,7 @@ fn generate_in(
     Ok(out)
 }
 
-type Converted = Result<(Lattice, BTreeMap<String, String>), LatticeError>;
+type Converted = Result<(Arc<Lattice>, Arc<Assignment>), LatticeError>;
 
 /// What [`generate_with`] shares across one run's conversions.
 struct Memos {
@@ -136,25 +143,26 @@ struct Memos {
     /// Whole conversions: injective `(mode, hierarchy, iface)` key → the
     /// converted lattice and assignment. `naive_lattice` and
     /// `sinfer_lattice` are pure functions of the key, so a hit returns
-    /// exactly what the miss path would compute. Lock-striped so parallel
-    /// lattice generation does not serialize every hit on one mutex (on
-    /// generated corpora nearly every conversion is a hit). Errors are
-    /// never cached.
-    conversions: ShardedMemo<(Lattice, BTreeMap<String, String>)>,
+    /// exactly what the miss path would compute, and shares it: a hit
+    /// copies two pointers. Lock-striped so parallel lattice generation
+    /// does not serialize every hit on one mutex (on generated corpora
+    /// nearly every conversion is a hit). Errors are never cached.
+    conversions: ShardedMemo<(Arc<Lattice>, Arc<Assignment>)>,
 }
 
-/// The injective memo key for one conversion unit.
-fn memo_key(mode: Mode, h: &HierarchyGraph, iface: &BTreeSet<String>) -> String {
-    let mut key = String::from(match mode {
-        Mode::Naive => "N\u{3}",
-        Mode::SInfer => "S\u{3}",
-    });
-    key.push_str(&canonical_key(h));
+/// The injective memo key for one conversion unit: the hierarchy's
+/// canonical key (which holds no `\u{3}`), the interface, then the mode.
+fn memo_key(mode: Mode, h: &HierarchyGraph, iface: &BTreeSet<&str>) -> String {
+    let mut key = canonical_key(h);
     key.push('\u{3}');
     for n in iface {
         key.push_str(n);
         key.push('\u{1}');
     }
+    key.push_str(match mode {
+        Mode::Naive => "\u{3}N",
+        Mode::SInfer => "\u{3}S",
+    });
     key
 }
 
@@ -162,40 +170,41 @@ fn memo_key(mode: Mode, h: &HierarchyGraph, iface: &BTreeSet<String>) -> String 
 /// out across the worker pool, and without, one after another. Results
 /// come back in input order either way.
 fn convert_all<'a, K>(
-    work: &'a [(&'a K, &'a HierarchyGraph, BTreeSet<String>)],
+    work: &'a [(&'a K, &'a HierarchyGraph, BTreeSet<&'a str>)],
     mode: Mode,
     memos: Option<&Memos>,
 ) -> Vec<(&'a K, Converted)>
 where
     K: Sync,
 {
-    let completions = memos.map(|m| &m.completions);
-    let convert = |(key, h, iface): &(&'a K, &'a HierarchyGraph, BTreeSet<String>)| {
-        let mk = memos.map(|m| {
-            let k = memo_key(mode, h, iface);
-            let hit = m.conversions.get(&k);
-            (k, hit)
-        });
-        if let Some((_, Some(cached))) = &mk {
-            return (*key, Ok(cached.clone()));
-        }
-        let result = match mode {
-            Mode::Naive => naive_lattice(h, completions),
-            Mode::SInfer => sinfer_lattice(h, iface, completions),
+    let fresh = |h: &HierarchyGraph, iface: &BTreeSet<&str>, cache| -> Converted {
+        let (lat, assign) = match mode {
+            Mode::Naive => naive_lattice(h, cache)?,
+            Mode::SInfer => sinfer_lattice(h, iface, cache)?,
         };
-        if let (Some((k, None)), Some(m), Ok(value)) = (&mk, memos, &result) {
-            m.conversions.insert(k.clone(), value.clone());
+        Ok((Arc::new(lat), Arc::new(assign)))
+    };
+    let Some(memos) = memos else {
+        return work
+            .iter()
+            .map(|(key, h, iface)| (*key, fresh(h, iface, None)))
+            .collect();
+    };
+    let convert = |(key, h, iface): &(&'a K, &'a HierarchyGraph, BTreeSet<&'a str>)| {
+        let k = memo_key(mode, h, iface);
+        if let Some(hit) = memos.conversions.get(&k) {
+            return (*key, Ok(hit));
+        }
+        let result = fresh(h, iface, Some(&memos.completions));
+        if let Ok(value) = &result {
+            memos.conversions.insert(k, value.clone());
         }
         (*key, result)
     };
-    if memos.is_some() {
-        // Hierarchy size drives completion cost; the deal order lets
-        // work stealing absorb the (heavy) uncached conversions.
-        let cost: Vec<u64> = work.iter().map(|(_, h, _)| h.node_count() as u64).collect();
-        sjava_par::run_indexed_weighted(work.len(), &cost, |i| convert(&work[i]))
-    } else {
-        work.iter().map(convert).collect()
-    }
+    // Hierarchy size drives completion cost; the deal order lets work
+    // stealing absorb the (heavy) uncached conversions.
+    let cost: Vec<u64> = work.iter().map(|(_, h, _)| h.node_count() as u64).collect();
+    sjava_par::run_indexed_weighted(work.len(), &cost, |i| convert(&work[i]))
 }
 
 /// The Dedekind–MacNeille completion of `h`: through `cache` when there
@@ -215,7 +224,7 @@ fn complete(
 fn naive_lattice(
     h: &HierarchyGraph,
     cache: Option<&CompletionCache>,
-) -> Result<(Lattice, BTreeMap<String, String>), LatticeError> {
+) -> Result<(Lattice, Assignment), LatticeError> {
     let c = complete(h, cache)?;
     let assign = h.nodes().map(|n| (n.to_string(), n.to_string())).collect();
     Ok((c.lattice, assign))
@@ -226,9 +235,9 @@ fn naive_lattice(
 /// variable insertion along chains.
 fn sinfer_lattice(
     h: &HierarchyGraph,
-    iface: &BTreeSet<String>,
+    iface: &BTreeSet<&str>,
     cache: Option<&CompletionCache>,
-) -> Result<(Lattice, BTreeMap<String, String>), LatticeError> {
+) -> Result<(Lattice, Assignment), LatticeError> {
     let is_iface = |n: &str| iface.contains(n);
     let mut assign: BTreeMap<String, String> = BTreeMap::new();
 
@@ -543,8 +552,8 @@ fn local_depth(
 mod tests {
     use super::*;
 
-    fn iface_set(names: &[&str]) -> BTreeSet<String> {
-        names.iter().map(|s| s.to_string()).collect()
+    fn iface_set<'a>(names: &[&'a str]) -> BTreeSet<&'a str> {
+        names.iter().copied().collect()
     }
 
     #[test]

@@ -41,10 +41,12 @@ pub mod lattgen;
 pub mod metrics;
 pub mod oracle;
 
-use sjava_analysis::callgraph::{self, CallGraph};
+use sjava_analysis::callgraph::{self, CallGraph, MethodRef};
 use sjava_lattice::LatticeError;
 use sjava_syntax::ast::Program;
 use sjava_syntax::diag::{Diag, Diagnostics};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 pub use dense::{
@@ -110,21 +112,38 @@ pub struct InferenceResult {
 /// completions and fans out. The result is byte-identical at any pool
 /// width, and to the legacy pipeline kept in [`oracle`].
 ///
+/// The annotations go into a copy of `program`, made when emission
+/// starts; [`infer_owned`] annotates a program the caller gives up
+/// instead, with the same result.
+///
 /// # Errors
 ///
 /// Returns diagnostics when the program has no event loop, is recursive,
 /// or exhibits flows that cannot be represented (§5.2.7).
 pub fn infer(program: &Program, mode: Mode) -> Result<InferenceResult, Diagnostics> {
-    run(
-        program,
-        mode,
-        Stages {
-            threads: sjava_par::num_threads(),
-            graphs: build_dense_graphs,
-            decompose: decompose_dense,
-            lattices: lattgen::generate_with,
-        },
-    )
+    run(Cow::Borrowed(program), mode, dense_stages())
+}
+
+/// [`infer`] on a program the caller owns: the annotations are written
+/// into `program` itself, which comes back as
+/// [`InferenceResult::annotated`]. `sjava infer` runs this on the program
+/// it parsed and stripped, so no copy of the AST is made.
+///
+/// # Errors
+///
+/// Same conditions as [`infer`].
+pub fn infer_owned(program: Program, mode: Mode) -> Result<InferenceResult, Diagnostics> {
+    run(Cow::Owned(program), mode, dense_stages())
+}
+
+/// The dense engine's stages, at the pool's width.
+fn dense_stages() -> Stages<BTreeMap<MethodRef, DenseMethodGraph>> {
+    Stages {
+        threads: sjava_par::num_threads(),
+        graphs: build_dense_graphs,
+        decompose: decompose_dense,
+        lattices: lattgen::generate_with,
+    }
 }
 
 /// One pipeline's stages from the call graph to lattices: the dense ones
@@ -141,9 +160,11 @@ struct Stages<G> {
 }
 
 /// Runs `stages` between the call graph and the emitted annotations,
-/// timing each phase.
+/// timing each phase. A borrowed `program` is copied when emission
+/// starts, inside the timed emit phase; an owned one is annotated in
+/// place.
 fn run<G>(
-    program: &Program,
+    program: Cow<'_, Program>,
     mode: Mode,
     stages: Stages<G>,
 ) -> Result<InferenceResult, Diagnostics> {
@@ -153,20 +174,20 @@ fn run<G>(
         ..Default::default()
     };
     let mut diags = Diagnostics::new();
-    let Some(cg) = callgraph::build(program, &mut diags) else {
+    let Some(cg) = callgraph::build(&program, &mut diags) else {
         return Err(diags);
     };
     let phase = Instant::now();
-    let graphs = (stages.graphs)(program, &cg);
+    let graphs = (stages.graphs)(&program, &cg);
     timings.vfg = phase.elapsed();
     let phase = Instant::now();
-    let d = (stages.decompose)(program, &cg, &graphs);
+    let d = (stages.decompose)(&program, &cg, &graphs);
     timings.decompose = phase.elapsed();
     // Nothing after decomposition reads the graphs: freeing them here
     // keeps them out of the peak memory of lattice generation.
     drop(graphs);
     let phase = Instant::now();
-    let gen = match (stages.lattices)(&d, mode, program) {
+    let gen = match (stages.lattices)(&d, mode, &program) {
         Ok(g) => g,
         Err(e) => {
             diags.push(Diag::infer(
@@ -179,7 +200,8 @@ fn run<G>(
     timings.lattgen = phase.elapsed();
     let metrics = Metrics::from_gen(&gen);
     let phase = Instant::now();
-    let annotated = emit::annotate(program, &cg, &d, &gen);
+    let mut annotated = program.into_owned();
+    emit::annotate(&mut annotated, &cg, &d, &gen);
     timings.emit = phase.elapsed();
     Ok(InferenceResult {
         annotated,

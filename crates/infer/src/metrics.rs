@@ -1,7 +1,8 @@
 //! Lattice complexity metrics for the Table 6.1 reproduction.
 
 use crate::lattgen::GenLattices;
-use sjava_lattice::{count_paths, is_complex, Lattice};
+use sjava_lattice::{count_paths, is_complex, FnvHashMap, Lattice};
+use std::sync::Arc;
 
 /// Statistics of one lattice.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,25 +25,28 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Computes metrics from generated lattices.
+    /// Computes metrics from generated lattices. A lattice that several
+    /// hierarchies share has its paths counted once.
     pub fn from_gen(gen: &GenLattices) -> Metrics {
-        let mut lattices = Vec::new();
-        let mut push = |name: String, lat: &Lattice| {
-            if lat.named_len() == 0 {
-                return;
-            }
-            lattices.push(LatticeStat {
-                name,
-                locations: lat.named_len(),
-                paths: count_paths(lat),
-                complex: is_complex(lat),
-            });
+        let mut paths: FnvHashMap<*const Lattice, u128> = FnvHashMap::default();
+        let mut stat = |name: String, lat: &Arc<Lattice>| LatticeStat {
+            name,
+            locations: lat.named_len(),
+            paths: *paths
+                .entry(Arc::as_ptr(lat))
+                .or_insert_with(|| count_paths(lat)),
+            complex: is_complex(lat),
         };
-        for (class, lat) in &gen.fields {
-            push(class.clone(), lat);
-        }
+        let mut lattices: Vec<LatticeStat> = gen
+            .fields
+            .iter()
+            .filter(|(_, lat)| lat.named_len() > 0)
+            .map(|(class, lat)| stat(class.clone(), lat))
+            .collect();
         for ((class, method), lat) in &gen.methods {
-            push(format!("{class}.{method}"), lat);
+            if lat.named_len() > 0 {
+                lattices.push(stat(format!("{class}.{method}"), lat));
+            }
         }
         Metrics { lattices }
     }
@@ -112,16 +116,18 @@ mod tests {
         let mut gen = GenLattices::default();
         gen.fields.insert(
             "Small".into(),
-            Lattice::from_decl(&[("A".into(), "B".into())], &[], &[]).expect("ok"),
+            Arc::new(Lattice::from_decl(&[("A".into(), "B".into())], &[], &[]).expect("ok")),
         );
         gen.fields.insert(
             "Big".into(),
-            Lattice::from_decl(
-                &[],
-                &[],
-                &(0..8).map(|i| format!("N{i}")).collect::<Vec<_>>(),
-            )
-            .expect("ok"),
+            Arc::new(
+                Lattice::from_decl(
+                    &[],
+                    &[],
+                    &(0..8).map(|i| format!("N{i}")).collect::<Vec<_>>(),
+                )
+                .expect("ok"),
+            ),
         );
         let m = Metrics::from_gen(&gen);
         assert_eq!(m.simple_locations(), 2);

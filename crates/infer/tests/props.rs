@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use sjava_core::check_program;
-use sjava_infer::{infer, oracle, Mode};
+use sjava_infer::{infer, infer_owned, oracle, Mode};
 use sjava_syntax::pretty::print_program;
 
 /// Generates an event loop over `n` fields where field `i`'s new value
@@ -90,6 +90,25 @@ proptest! {
             // Metrics are consistent.
             prop_assert!(result.metrics.total_locations() >= 1);
             prop_assert!(result.metrics.total_paths() >= 1);
+        }
+    }
+
+    /// `infer` leaves the program it borrows unchanged, and prints the
+    /// same annotations, lattices and diagnostics as `infer_owned`, which
+    /// annotates the program it is given.
+    #[test]
+    fn borrowed_inference_leaves_its_input_unchanged(src in arb_program()) {
+        let program = sjava_syntax::parse(&src).expect("generated source parses");
+        let before = program.clone();
+        for mode in [Mode::Naive, Mode::SInfer] {
+            let render = |r: Result<sjava_infer::InferenceResult, _>| match r {
+                Ok(r) => Ok((print_program(&r.annotated), r.metrics)),
+                Err(d) => Err(format!("{d}")),
+            };
+            let borrowed = render(infer(&program, mode));
+            prop_assert!(program == before, "{:?}: infer changed its input:\n{}", mode, src);
+            let owned = render(infer_owned(program.clone(), mode));
+            prop_assert_eq!(borrowed, owned, "{:?}: borrowed and owned inference differ", mode);
         }
     }
 

@@ -83,6 +83,35 @@ impl HierarchyGraph {
         self.edges.entry(h).or_default().insert(l);
     }
 
+    /// [`add_node`](Self::add_node) for a borrowed name, copied only when
+    /// the node is new.
+    pub fn ensure_node(&mut self, name: &str) {
+        if !self.nodes.contains(name) {
+            self.nodes.insert(name.to_string());
+        }
+    }
+
+    /// [`add_edge`](Self::add_edge) for borrowed names, each copied only
+    /// where the graph does not hold it yet.
+    pub fn ensure_edge(&mut self, higher: &str, lower: &str) {
+        self.ensure_node(higher);
+        if higher == lower {
+            return;
+        }
+        self.ensure_node(lower);
+        match self.edges.get_mut(higher) {
+            Some(tos) => {
+                if !tos.contains(lower) {
+                    tos.insert(lower.to_string());
+                }
+            }
+            None => {
+                self.edges
+                    .insert(higher.to_string(), BTreeSet::from([lower.to_string()]));
+            }
+        }
+    }
+
     /// Whether the edge `higher → lower` exists.
     pub fn has_edge(&self, higher: &str, lower: &str) -> bool {
         self.edges
@@ -380,6 +409,19 @@ mod tests {
         let mut sinks = g.sinks();
         sinks.sort();
         assert_eq!(sinks, vec!["B", "C"]);
+    }
+
+    #[test]
+    fn ensure_edge_builds_what_add_edge_builds() {
+        let pairs = [("A", "B"), ("B", "C"), ("A", "B"), ("C", "C"), ("A", "C")];
+        let (mut owned, mut borrowed) = (HierarchyGraph::new(), HierarchyGraph::new());
+        for (h, l) in pairs {
+            owned.add_edge(h, l);
+            borrowed.ensure_edge(h, l);
+        }
+        owned.add_node("D");
+        borrowed.ensure_node("D");
+        assert_eq!(owned, borrowed);
     }
 
     #[test]

@@ -46,15 +46,32 @@ macro_rules! outln {
     };
 }
 
-/// Every command's stdout. A reader that leaves early, as in
-/// `sjava vfg big.sj | head -1`, closes the pipe: the rest of the output
-/// is dropped and the command ends with its own status, where `print!`
-/// would panic. Any other write error panics, as `print!` does.
+/// `eprintln!` through [`write_stderr`].
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        write_stderr(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Every command's stdout, through [`write_stream`].
 fn write_stdout(args: std::fmt::Arguments) {
-    use std::io::Write;
-    if let Err(e) = std::io::stdout().write_fmt(args) {
+    write_stream(std::io::stdout(), "stdout", args);
+}
+
+/// Every command's stderr, through [`write_stream`].
+fn write_stderr(args: std::fmt::Arguments) {
+    write_stream(std::io::stderr(), "stderr", args);
+}
+
+/// Writes to stdout or stderr. A reader that leaves early, as in
+/// `sjava vfg big.sj | head -1` or `sjava check big.sj 2>&1 >/dev/null |
+/// head -1`, closes the pipe: the rest of that stream is dropped and the
+/// command ends with its own status, where `print!` or `eprint!` would
+/// panic. Any other write error panics, as they do.
+fn write_stream(mut stream: impl std::io::Write, name: &str, args: std::fmt::Arguments) {
+    if let Err(e) = stream.write_fmt(args) {
         if e.kind() != std::io::ErrorKind::BrokenPipe {
-            panic!("failed printing to stdout: {e}");
+            panic!("failed printing to {name}: {e}");
         }
     }
 }
@@ -109,9 +126,9 @@ fn main() -> ExitCode {
         .filter(|(usage, _)| argv.starts_with(&words(usage)))
         .max_by_key(|(usage, _)| words(usage).len())
     else {
-        eprintln!("usage:");
+        errln!("usage:");
         for (usage, _) in COMMANDS {
-            eprintln!("  sjava {usage}");
+            errln!("  sjava {usage}");
         }
         return ExitCode::from(EXIT_USAGE);
     };
@@ -235,7 +252,7 @@ fn fits(spec: &str, value: &str) -> bool {
 
 /// Reports a usage error; returns the exit status for it.
 fn usage_error(message: impl Display) -> ExitCode {
-    eprintln!("error: {message}");
+    errln!("error: {message}");
     ExitCode::from(EXIT_USAGE)
 }
 
@@ -288,7 +305,7 @@ fn cmd_stress(args: &Args) -> Outcome {
     let src = sjava_bench::stressgen::generate(&cfg);
     if !args.on("--check") && !args.on("--infer") {
         out!("{src}");
-        eprintln!(
+        errln!(
             "// {label}: {} methods, {} bytes",
             cfg.method_count(),
             src.len()
@@ -297,7 +314,7 @@ fn cmd_stress(args: &Args) -> Outcome {
     }
     let file = SourceFile::new(format!("<{label}>"), src);
     if args.on("--infer") {
-        let (_, result) = infer(&file, sjava::Mode::SInfer).inspect_err(|_| {
+        let result = infer(&file, sjava::Mode::SInfer).inspect_err(|_| {
             outln!("{label}: inference failed ✗");
         })?;
         outln!(
@@ -492,7 +509,7 @@ where
     F: Fn() -> I + Sync,
 {
     let program = sjava::parse(src).map_err(|diags| {
-        eprintln!("error: app source does not parse: {diags}");
+        errln!("error: app source does not parse: {diags}");
         ExitCode::FAILURE
     })?;
     let mut campaign = sjava::runtime::Campaign::new(&program, entry, iterations);
@@ -502,7 +519,7 @@ where
     campaign.eps = cfg.eps;
     campaign.threads = cfg.threads;
     let outcome = campaign.run(make_inputs).map_err(|e| {
-        eprintln!("runtime error: {e}");
+        errln!("runtime error: {e}");
         ExitCode::FAILURE
     })?;
 
@@ -588,7 +605,7 @@ fn cmd_vfg(args: &Args) -> Outcome {
 /// Renders diagnostics to stderr.
 fn report(file: &SourceFile, diags: &Diagnostics) {
     for d in diags.iter() {
-        eprintln!("{}", d.render(file));
+        errln!("{}", d.render(file));
     }
 }
 
@@ -680,10 +697,10 @@ fn cmd_check(args: &Args) -> Outcome {
 /// `sjava check --explain SJ0xxx` prints the long-form text of a code.
 fn cmd_explain(args: &Args) -> Outcome {
     let Some(code) = Code::parse(args.operands[0]) else {
-        eprintln!("error: unknown diagnostic code `{}`", args.operands[0]);
-        eprintln!("known codes:");
+        errln!("error: unknown diagnostic code `{}`", args.operands[0]);
+        errln!("known codes:");
         for &c in Code::ALL {
-            eprintln!("  {c} ({}): {}", c.name(), c.summary());
+            errln!("  {c} ({}): {}", c.name(), c.summary());
         }
         return Err(ExitCode::from(EXIT_USAGE));
     };
@@ -706,19 +723,16 @@ fn flush_stdout() {
     let _ = std::io::stdout().flush();
 }
 
-/// Parses `file`, strips its annotations in place and infers them again:
-/// the path of `sjava infer` and `sjava stress --infer`. Diagnostics are
-/// rendered, and a failure exits 1.
-fn infer(file: &SourceFile, mode: sjava::Mode) -> Result<(Program, InferenceResult), ExitCode> {
+/// Parses `file`, strips its annotations in place and infers them again,
+/// annotating that same program: the path of `sjava infer` and
+/// `sjava stress --infer`. Diagnostics are rendered, and a failure exits 1.
+fn infer(file: &SourceFile, mode: sjava::Mode) -> Result<InferenceResult, ExitCode> {
     let mut program = parse(file)?;
     sjava::syntax::strip::strip_in_place(&mut program);
-    match sjava::infer_annotations(&program, mode) {
-        Ok(result) => Ok((program, result)),
-        Err(diags) => {
-            report(file, &diags);
-            Err(ExitCode::FAILURE)
-        }
-    }
+    sjava::infer::infer_owned(program, mode).map_err(|diags| {
+        report(file, &diags);
+        ExitCode::FAILURE
+    })
 }
 
 /// The per-phase line of an inference: `phases: vfg 1.234 ms, …
@@ -745,20 +759,19 @@ fn cmd_infer(args: &Args) -> Outcome {
     } else {
         sjava::Mode::SInfer
     };
-    let (program, result) = infer(&file, mode)?;
+    let result = infer(&file, mode)?;
     out!("{}", print_program(&result.annotated));
-    eprintln!(
+    errln!(
         "// inferred {} locations, {} paths in {:?}",
         result.metrics.total_locations(),
         result.metrics.total_paths(),
         result.elapsed
     );
     if args.on("--timings") {
-        eprintln!("// {}", phases(&result));
+        errln!("// {}", phases(&result));
     }
     flush_stdout();
     std::mem::forget(result);
-    std::mem::forget(program);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -778,7 +791,7 @@ fn cmd_run(args: &Args) -> Outcome {
     let result = sjava::runtime::Vm::new(&module, inputs, sjava::ExecOptions::default())
         .run(class, method, iters)
         .map_err(|e| {
-            eprintln!("runtime error: {e}");
+            errln!("runtime error: {e}");
             ExitCode::FAILURE
         })?;
     for (i, outs) in result.iteration_outputs.iter().enumerate() {
@@ -786,7 +799,7 @@ fn cmd_run(args: &Args) -> Outcome {
         outln!("iter {i}: {}", rendered.join(" "));
     }
     if !result.error_log.is_empty() {
-        eprintln!(
+        errln!(
             "// {} errors ignored (crash avoidance)",
             result.error_log.len()
         );

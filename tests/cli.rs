@@ -791,3 +791,71 @@ fn a_closed_stdout_ends_the_output_without_a_panic() {
         assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn a_closed_stderr_ends_the_diagnostics_without_a_panic() {
+    // `sjava check big.sj 2>&1 >/dev/null | head -1`: the unannotated
+    // 201-method corpus draws far more diagnostics than a pipe buffer
+    // holds, so the checker is still reporting when the reader leaves.
+    use sjava_bench::stressgen::{generate, StressConfig};
+    use std::io::BufRead;
+    let program = sjava::parse(&generate(&StressConfig::large())).expect("parses");
+    let bare = sjava::syntax::strip::strip_location_annotations(&program);
+    let path = write_temp(
+        "closed-stderr.sj",
+        &sjava::syntax::pretty::print_program(&bare),
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sjava"))
+        .args(["check", path.to_str().expect("utf8")])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stderr = std::io::BufReader::new(child.stderr.take().expect("piped"));
+    let mut line = String::new();
+    stderr.read_line(&mut line).expect("reads a line");
+    assert!(line.contains("SJ0"), "printed {line:?} first");
+    drop(stderr);
+    let status = child.wait().expect("exits");
+    assert_eq!(
+        status.code(),
+        Some(1),
+        "the check did not end with its own status"
+    );
+}
+
+#[test]
+fn infer_prints_what_the_library_infers_at_every_width() {
+    // `sjava infer` annotates the program it parsed in place; the library
+    // call annotates a copy. Both must print the same bytes.
+    use sjava::apps::{eyetrack, mp3dec, sumobot, weather, windsensor};
+    use sjava_bench::stressgen::{generate, StressConfig};
+    let corpora = [
+        ("windsensor", windsensor::SOURCE.to_string()),
+        ("weather", weather::SOURCE.to_string()),
+        ("sumobot", sumobot::SOURCE.to_string()),
+        ("eyetrack", eyetrack::SOURCE.to_string()),
+        ("mp3dec", mp3dec::source().to_string()),
+        ("stress_small", generate(&StressConfig::small())),
+        ("stress_large", generate(&StressConfig::large())),
+    ];
+    for (name, source) in corpora {
+        let program = sjava::parse(&source).expect("parses");
+        let bare = sjava::syntax::strip::strip_location_annotations(&program);
+        let result = sjava::infer_annotations(&bare, sjava::Mode::SInfer).expect("infers");
+        let expected = sjava::syntax::pretty::print_program(&result.annotated);
+        let path = write_temp(&format!("identity-{name}.sj"), &source);
+        for threads in ["1", "2"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_sjava"))
+                .args(["infer", path.to_str().expect("utf8")])
+                .env("SJAVA_THREADS", threads)
+                .output()
+                .expect("binary runs");
+            assert!(out.status.success(), "{name} at width {threads}");
+            assert!(
+                out.stdout == expected.as_bytes(),
+                "{name}: `sjava infer` at width {threads} differs from the library"
+            );
+        }
+    }
+}
